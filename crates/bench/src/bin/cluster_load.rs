@@ -3,10 +3,11 @@
 //! 1. **Node scaling** — the same synchronous CTR workload runs against
 //!    a 1-node and a 3-node cluster of real child processes, each node a
 //!    `service` with one paced core (`BackendSpec::Paced`) and a single
-//!    event thread. The clients speak wire v1, so every request runs
-//!    inline on its node's event loop — a node is one serial crypto
-//!    pipe, exactly the paper's one-IP-per-device deployment — and the
-//!    run asserts ≥ 2.5x aggregate throughput from 1 → 3 nodes. Pacing
+//!    event thread. Every 64 B request is below the session's bulk
+//!    threshold, so it runs caller-side on its node's one event thread
+//!    — a node is one serial crypto pipe, exactly the paper's
+//!    one-IP-per-device deployment — and the run asserts ≥ 2.5x
+//!    aggregate throughput from 1 → 3 nodes. Pacing
 //!    makes the figure portable: modeled block time dominates, and it
 //!    overlaps across *processes* the way independent devices would.
 //! 2. **Drain under load** — with pipelined (v2) traffic in flight, the
@@ -45,7 +46,8 @@ const BLOCK_NS: u32 = 50_000;
 const KEK: [u8; 16] = *b"bench-cluster-kk";
 
 /// One synchronous op's payload: 4 blocks, comfortably under the bulk
-/// threshold so it rides the paced engine, not the host's SIMD lane.
+/// threshold so it runs on the node's event thread through its paced
+/// core.
 const OP_BYTES: usize = 64;
 
 fn main() {
@@ -146,7 +148,7 @@ fn spawn_fleet(n: usize) -> Vec<NodeProcess> {
         .collect()
 }
 
-/// Runs `threads` clients, each with its own v1 `ClusterClient` and its
+/// Runs `threads` clients, each with its own `ClusterClient` and its
 /// own session pinned (by re-rolling placement) to node `t % n`, each
 /// performing `ops` synchronous CTR ops. Returns the aggregate wall
 /// time in seconds.
@@ -158,7 +160,7 @@ fn drive_load(addrs: &[SocketAddr], threads: usize, ops: usize) -> f64 {
         let addrs = addrs.to_vec();
         let barrier = Arc::clone(&barrier);
         workers.push(thread::spawn(move || {
-            let mut fleet = ClusterClient::connect_v1(&addrs, &KEK).expect("cluster connects");
+            let mut fleet = ClusterClient::connect(&addrs, &KEK).expect("cluster connects");
             // Deterministic even spread: open sessions until one lands
             // on this thread's target node (the ring is deterministic,
             // so every thread converges in a handful of labels).

@@ -30,7 +30,6 @@ use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
-use service::protocol::{PROTOCOL_V1, PROTOCOL_V2};
 use service::{Client, ClientError, Op, PipelinedJob, Transport};
 
 use crate::ring::HashRing;
@@ -94,7 +93,6 @@ pub struct ClusterClient {
     sessions: BTreeMap<u64, SessionEntry>,
     next_label: u64,
     current: Option<u64>,
-    version: u8,
 }
 
 impl ClusterClient {
@@ -107,27 +105,6 @@ impl ClusterClient {
     /// is not an AES key length; [`ClientError::NodeUnreachable`] for
     /// a node that does not answer the probe.
     pub fn connect(addrs: &[SocketAddr], kek: &[u8]) -> Result<ClusterClient, ClientError> {
-        Self::connect_version(addrs, kek, PROTOCOL_V2)
-    }
-
-    /// [`ClusterClient::connect`] pinned to the version-1 wire format:
-    /// every node connection speaks strictly in-order v1, so requests
-    /// run inline on the node's event loop (no pipelining). The
-    /// compatibility path — and the honest way to benchmark per-node
-    /// serial capacity.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterClient::connect`].
-    pub fn connect_v1(addrs: &[SocketAddr], kek: &[u8]) -> Result<ClusterClient, ClientError> {
-        Self::connect_version(addrs, kek, PROTOCOL_V1)
-    }
-
-    fn connect_version(
-        addrs: &[SocketAddr],
-        kek: &[u8],
-        version: u8,
-    ) -> Result<ClusterClient, ClientError> {
         if addrs.is_empty() {
             return Err(ClientError::Protocol(
                 "a cluster needs at least one node".into(),
@@ -152,7 +129,6 @@ impl ClusterClient {
             sessions: BTreeMap::new(),
             next_label: 0,
             current: None,
-            version,
         };
         for node in 0..cluster.nodes.len() {
             let mut probe = cluster.connect_node(node)?;
@@ -207,24 +183,15 @@ impl ClusterClient {
         Ok(())
     }
 
-    /// One TCP dial at the cluster's pinned wire version.
-    fn dial(&self, addr: SocketAddr) -> std::io::Result<Client> {
-        if self.version >= PROTOCOL_V2 {
-            Client::connect(addr)
-        } else {
-            Client::connect_v1(addr)
-        }
-    }
-
     /// Connects to a node, retrying once; a second failure marks the
     /// node `Down` and surfaces the typed verdict.
     fn connect_node(&mut self, node: usize) -> Result<Client, ClientError> {
         let addr = self.nodes[node].addr;
-        if let Ok(client) = self.dial(addr) {
+        if let Ok(client) = Client::connect(addr) {
             return Ok(client);
         }
         thread::sleep(Duration::from_millis(50));
-        match self.dial(addr) {
+        match Client::connect(addr) {
             Ok(client) => Ok(client),
             Err(_) => {
                 self.nodes[node].state = NodeState::Down;
@@ -399,7 +366,7 @@ impl ClusterClient {
             let mut active = None;
             let mut inflight = None;
             if self.nodes[node].state != NodeState::Down {
-                if let Ok(mut probe) = self.dial(self.nodes[node].addr) {
+                if let Ok(mut probe) = Client::connect(self.nodes[node].addr) {
                     if let Ok(json) = probe.stats() {
                         reachable = true;
                         for (name, value) in stats::scrape(&json) {
@@ -442,7 +409,7 @@ impl ClusterClient {
                 if self.nodes[node].state == NodeState::Down {
                     return None;
                 }
-                self.dial(self.nodes[node].addr)
+                Client::connect(self.nodes[node].addr)
                     .ok()
                     .and_then(|mut probe| probe.stats().ok())
             })
@@ -456,7 +423,7 @@ impl ClusterClient {
             .filter(|&n| self.nodes[n].state == NodeState::Up)
             .collect();
         for node in candidates {
-            if let Ok(client) = self.dial(self.nodes[node].addr) {
+            if let Ok(client) = Client::connect(self.nodes[node].addr) {
                 return Ok(client);
             }
         }

@@ -238,9 +238,8 @@ impl From<StreamError> for BackendError {
 /// One farm member: a block processor with a virtual-time cost model.
 ///
 /// The trait is object-safe; the scheduler holds `Box<dyn Backend>`.
-/// `Send` is a supertrait so a whole [`Engine`](crate::Engine) can move
-/// into a worker thread — the TCP service crate builds one engine per
-/// connection handler this way.
+/// `Send` is a supertrait so a backend can move into the
+/// [`WorkerPool`](crate::WorkerPool) worker thread that owns it.
 pub trait Backend: Send {
     /// Short stable name for metrics and reports.
     fn name(&self) -> &'static str;

@@ -9,26 +9,31 @@
 //!   devices (encrypt / decrypt / combined, behind their cycle-accurate
 //!   bus drivers) and two software implementations ([`rijndael::Aes128`],
 //!   the T-table variant) behind one fallible, cost-accounted face;
-//! * [`scheduler`] — the [`Engine`], assembled by [`EngineBuilder`]: a
-//!   bounded job queue with backpressure ([`Engine::try_submit`] returns
-//!   [`SubmitError::Busy`]), sharding of parallel modes (ECB, CTR) across
-//!   every capable core, and single-core routing for chained modes (CBC,
-//!   CFB, OFB) through the object-safe [`rijndael::Mode`] trait;
-//! * [`pool`] — the [`WorkerPool`]: the wall-clock counterpart of the
-//!   engine — each core owned by an OS worker thread with a local deque,
-//!   work-stealing between siblings, completions over a channel, and an
-//!   elastic control plane ([`WorkerPool::add_core`] /
-//!   [`WorkerPool::remove_core`] / [`WorkerPool::swap_core`], plus
-//!   telemetry-driven [`WorkerPool::autoscale_tick`] under a
-//!   [`ResizePolicy`]);
+//! * [`scheduler`] — the paper's cycle model: the [`Engine`], assembled
+//!   by [`EngineBuilder`], a bounded job queue with backpressure
+//!   ([`Engine::try_submit`] returns [`SubmitError::Busy`]) that shards
+//!   parallel modes (ECB, CTR) across every capable core and routes
+//!   chained modes (CBC, CFB, OFB) to one core, all in virtual time. It
+//!   drives the scaling report and the equivalence suite; the service
+//!   does not use it;
+//! * [`pool`] — the [`WorkerPool`], the executor the service runs on:
+//!   each core owned by an OS worker thread with a local deque,
+//!   work-stealing between siblings, completions over a channel, a
+//!   caller-runs lane ([`WorkerPool::run_here`]) for jobs too small to
+//!   hand to another thread, and an elastic control plane
+//!   ([`WorkerPool::add_core`] / [`WorkerPool::remove_core`] /
+//!   [`WorkerPool::swap_core`], plus telemetry-driven
+//!   [`WorkerPool::autoscale_tick`] under a [`ResizePolicy`]). It shares
+//!   the engine's shard planner and span executor;
 //! * [`stats`] — [`FarmStats`]: Table-2-style per-core and farm-aggregate
 //!   figures (blocks, cycles, occupancy, cycles/block) derived from the
 //!   telemetry snapshot rather than a private counter path;
 //! * [`error`] — the unified [`Error`] hierarchy folding submission
 //!   rejections and job faults into one `std::error::Error` type.
 //!
-//! Every engine publishes its activity into a [`telemetry::Registry`]
-//! (its own, or a shared one passed to [`EngineBuilder::registry`]):
+//! Engines and pools publish their activity into a [`telemetry::Registry`]
+//! (their own, or a shared one passed to [`EngineBuilder::registry`] /
+//! [`PoolBuilder::registry`]):
 //! per-core counters under `engine.core.<index>.<backend>.<field>`,
 //! submit/completion counters, queue-depth gauges, and latency/occupancy
 //! histograms. Benches and the service's `GET_STATS` endpoint read the

@@ -1,23 +1,37 @@
-//! True thread-parallel execution: a work-stealing, elastic worker pool.
+//! True thread-parallel execution: a work-stealing, elastic worker pool
+//! with a caller-runs lane — the service's one executor.
 //!
-//! The [`Engine`](crate::Engine) models the paper's farm in *virtual
-//! time* — cycle counters advance, but every job still executes inline on
-//! the caller's thread. [`WorkerPool`] is the wall-clock counterpart: each
-//! [`Backend`] core gets an owning OS worker thread with a local deque,
-//! submission goes through a shared `&self` handle with the same bounded
-//! [`SubmitError::Busy`] semantics, and finished jobs come back over a
-//! completion channel (plus an optional notifier callback, which the TCP
-//! service wires to a self-pipe so its `poll(2)` loops wake without
-//! spinning).
+//! The [`Engine`](crate::Engine) is the paper's cycle model: cycle
+//! counters advance in *virtual time* while every job executes inline on
+//! the caller's thread. [`WorkerPool`] is what runs in wall-clock time,
+//! in two lanes over one farm configuration:
 //!
-//! Scheduling mirrors the virtual-time engine: parallel modes (ECB, CTR)
+//! * the **worker lane** — each [`Backend`] core gets an owning OS worker
+//!   thread with a local deque, submission goes through a shared `&self`
+//!   handle with bounded [`SubmitError::Busy`] semantics, and finished
+//!   jobs come back over a completion channel (plus an optional notifier
+//!   callback, which the TCP service wires to a self-pipe so its
+//!   `poll(2)` loops wake without spinning);
+//! * the **caller-runs lane** — [`WorkerPool::run_here`] runs one job to
+//!   completion on the calling thread and returns its bytes. Its
+//!   backends come from the same farm specs and the pool's key, keyed
+//!   lazily and picked by direction (the first spec whose datapath
+//!   serves the job), so a split encrypt/decrypt farm serves both. It
+//!   never spawns a thread and never queues; it runs through the same
+//!   panic-containing executor as the workers and publishes into the
+//!   same `engine.core.<i>.<backend>.*` and `engine.jobs.*` instruments.
+//!   Small jobs belong here: handing a microsecond of crypto to another
+//!   thread costs more than computing it.
+//!
+//! Worker scheduling follows the engine's plan: parallel modes (ECB, CTR)
 //! are dealt across every eligible worker's deque in the same 8-block
-//! granule plan ([`Engine::shares_batched`]), while chained modes (CBC,
-//! CFB, OFB) are *pinned* to the least-loaded capable worker — block
-//! `i+1` depends on block `i`, so the stream must not migrate mid-job. An
-//! idle worker first drains its own deque, then the shared injector, then
-//! **steals** from the back of the longest sibling deque (never a pinned
-//! task, never a direction its datapath lacks).
+//! granule spans ([`Engine::shares_batched`](crate::Engine::shares_batched)),
+//! while chained modes (CBC, CFB, OFB) are *pinned* to the least-loaded
+//! capable worker — block `i+1` depends on block `i`, so the stream must
+//! not migrate mid-job. An idle worker first drains its own deque, then
+//! the shared injector, then **steals** from the back of the longest
+//! sibling deque (never a pinned task, never a direction its datapath
+//! lacks).
 //!
 //! The farm is *elastic* — the software analog of partial FPGA
 //! reconfiguration: [`WorkerPool::add_core`] and
@@ -49,10 +63,15 @@
 //! let out = pool.collect_timeout(std::time::Duration::from_secs(5)).unwrap();
 //! assert_eq!(out.id, id);
 //! assert!(out.data.is_ok());
+//!
+//! // Small jobs run on the calling thread instead.
+//! let ct = pool.run_here(Mode::EcbEncrypt, vec![0u8; 16]).unwrap();
+//! assert_eq!(ct.len(), 16);
 //! ```
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -63,9 +82,9 @@ use aes_ip::core::Direction;
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::backend::{Backend, BackendSpec};
+use crate::error::Error;
 use crate::scheduler::{
-    run_ctr_span, run_ecb_span, run_on_one, Engine, JobError, JobId, JobOutput, Mode, SubmitError,
-    OCCUPANCY_BOUNDS,
+    run_span, shard_plan, JobError, JobId, JobOutput, Mode, SubmitError, OCCUPANCY_BOUNDS,
 };
 
 /// AES block size in bytes.
@@ -124,37 +143,22 @@ impl Default for ResizePolicy {
     }
 }
 
-/// One unit of schedulable work: a shard (or the whole) of a job.
+/// One unit of schedulable work: one span (or the whole) of a job.
 struct Task {
     job: Arc<JobState>,
     /// Index into the job's `parts` this task produces.
     part: usize,
     /// Pinned tasks (chained streams) never migrate by stealing.
     pinned: bool,
-    work: Work,
-}
-
-enum Work {
-    /// A contiguous whole-blocks span of an ECB job.
-    EcbShard { dir: Direction, data: Vec<u8> },
-    /// A contiguous counter span of a CTR job (`first_block` is the
-    /// span's SP 800-38A counter offset).
-    CtrShard {
-        nonce: [u8; 16],
-        first_block: u128,
-        data: Vec<u8>,
-    },
-    /// An unsharded job of any mode.
-    Whole { mode: Mode, data: Vec<u8> },
+    mode: Mode,
+    /// The span's SP 800-38A counter offset (CTR shards; 0 otherwise).
+    first_block: u128,
+    data: Vec<u8>,
 }
 
 impl Task {
     fn dir(&self) -> Direction {
-        match &self.work {
-            Work::EcbShard { dir, .. } => *dir,
-            Work::CtrShard { .. } => Direction::Encrypt,
-            Work::Whole { mode, .. } => mode.direction(),
-        }
+        self.mode.direction()
     }
 }
 
@@ -169,6 +173,25 @@ struct JobState {
     remaining: Mutex<usize>,
     /// First fault wins; the job reports it once every shard has landed.
     failed: Mutex<Option<JobError>>,
+}
+
+impl JobState {
+    fn new(id: JobId, parts: usize) -> Arc<JobState> {
+        Arc::new(JobState {
+            id,
+            started: Instant::now(),
+            parts: Mutex::new(vec![None; parts]),
+            remaining: Mutex::new(parts),
+            failed: Mutex::new(None),
+        })
+    }
+}
+
+/// One configured farm spec as the caller-runs lane sees it: the
+/// backend is built (and keyed) on the first job that needs it.
+struct LocalCore {
+    spec: BackendSpec,
+    built: Option<(Box<dyn Backend>, CoreTel)>,
 }
 
 /// One farm slot's scheduler-visible state. The worker thread owns the
@@ -412,6 +435,11 @@ impl PoolBuilder {
         let workers_gauge = registry.gauge("engine.workers");
         workers_gauge.add(self.specs.len() as i64);
         let (tx, rx) = channel();
+        let local = self
+            .specs
+            .iter()
+            .map(|&spec| LocalCore { spec, built: None })
+            .collect();
         WorkerPool {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
@@ -436,6 +464,7 @@ impl PoolBuilder {
             }),
             rx: Mutex::new(rx),
             handles: Mutex::new(Vec::new()),
+            local: Mutex::new(local),
             next_id: AtomicU64::new(0),
             submit_accepted: registry.counter("engine.submit.accepted"),
             submit_busy: registry.counter("engine.submit.busy"),
@@ -468,6 +497,8 @@ pub struct WorkerPool {
     inner: Arc<Inner>,
     rx: Mutex<Receiver<JobOutput>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// The caller-runs lane: one entry per configured farm spec.
+    local: Mutex<Vec<LocalCore>>,
     next_id: AtomicU64,
     submit_accepted: Counter,
     submit_busy: Counter,
@@ -589,18 +620,13 @@ impl WorkerPool {
         if mode.is_parallel() && eligible.len() > 1 {
             self.deal_shards(&mut st, id, mode, data, &eligible);
         } else {
-            let job = Arc::new(JobState {
-                id,
-                started: Instant::now(),
-                parts: Mutex::new(vec![None]),
-                remaining: Mutex::new(1),
-                failed: Mutex::new(None),
-            });
             let task = Task {
-                job,
+                job: JobState::new(id, 1),
                 part: 0,
                 pinned: !mode.is_parallel(),
-                work: Work::Whole { mode, data },
+                mode,
+                first_block: 0,
+                data,
             };
             if task.pinned {
                 let target = st.least_loaded(dir).expect("eligible is non-empty");
@@ -615,9 +641,9 @@ impl WorkerPool {
         Ok(id)
     }
 
-    /// Deals a parallel job's granule shards across the eligible
-    /// workers' deques (same plan as the virtual-time engine). Idle
-    /// workers rebalance by stealing from the back.
+    /// Deals a parallel job's granule spans across the eligible
+    /// workers' deques (the engine's [`shard_plan`]). Idle workers
+    /// rebalance by stealing from the back.
     fn deal_shards(
         &self,
         st: &mut State,
@@ -626,48 +652,93 @@ impl WorkerPool {
         mut data: Vec<u8>,
         eligible: &[usize],
     ) {
-        let n = data.len().div_ceil(BLOCK);
-        let shares = Engine::shares_batched(n, eligible.len());
+        let plan: Vec<(usize, usize, usize)> =
+            shard_plan(data.len().div_ceil(BLOCK), eligible.len()).collect();
+        let job = JobState::new(id, plan.len());
         // Split from the tail so each shard is one allocation and the
         // bytes are copied exactly once.
-        let mut chunks: Vec<(usize, u128, Vec<u8>)> = Vec::new();
-        let mut first = n;
-        for (i, &share) in shares.iter().enumerate().rev() {
-            if share == 0 {
-                continue;
-            }
-            first -= share;
+        for (part, &(pos, first, _)) in plan.iter().enumerate().rev() {
             let chunk = data.split_off((first * BLOCK).min(data.len()));
-            chunks.push((i, first as u128, chunk));
-        }
-        chunks.reverse();
-        let job = Arc::new(JobState {
-            id,
-            started: Instant::now(),
-            parts: Mutex::new(vec![None; chunks.len()]),
-            remaining: Mutex::new(chunks.len()),
-            failed: Mutex::new(None),
-        });
-        for (part, (slot_pos, first_block, bytes)) in chunks.into_iter().enumerate() {
-            let work = match mode {
-                Mode::EcbEncrypt | Mode::EcbDecrypt => Work::EcbShard {
-                    dir: mode.direction(),
-                    data: bytes,
-                },
-                Mode::Ctr(nonce) => Work::CtrShard {
-                    nonce,
-                    first_block,
-                    data: bytes,
-                },
-                _ => unreachable!("only parallel modes are sharded"),
-            };
-            st.slots[eligible[slot_pos]].queue.push_back(Task {
+            st.slots[eligible[pos]].queue.push_back(Task {
                 job: Arc::clone(&job),
                 part,
                 pinned: false,
-                work,
+                mode,
+                first_block: first as u128,
+                data: chunk,
             });
         }
+    }
+
+    /// Runs one job to completion on the calling thread and returns its
+    /// bytes — the caller-runs lane (see the [module docs](self)).
+    ///
+    /// The backend is the first configured farm spec whose datapath
+    /// serves the job's direction, built with the pool's key on first
+    /// use and kept for later calls. The job runs through the same
+    /// panic-containing executor as the workers and lands in the same
+    /// `engine.core.*` / `engine.jobs.*` instruments. It holds no
+    /// capacity slot and spawns no thread: the caller is the
+    /// backpressure.
+    ///
+    /// # Errors
+    ///
+    /// * [`SubmitError::RaggedLength`] when an ECB/CBC job is not a whole
+    ///   number of blocks (checked before anything runs);
+    /// * [`JobError::NoCapableCore`] when no farm spec serves the
+    ///   direction, [`JobError::Backend`] on a backend fault, and
+    ///   [`JobError::WorkerPanicked`] when the backend panicked.
+    pub fn run_here(&self, mode: Mode, data: Vec<u8>) -> Result<Vec<u8>, Error> {
+        if mode.requires_full_blocks() && !data.len().is_multiple_of(BLOCK) {
+            self.submit_ragged.incr();
+            return Err(SubmitError::RaggedLength { len: data.len() }.into());
+        }
+        self.submit_accepted.incr();
+        let dir = mode.direction();
+        let mut local = self.local.lock().expect("caller lane poisoned");
+        let result = match self.local_core(&mut local, dir) {
+            None => Err(JobError::NoCapableCore { dir }),
+            Some(_) if data.is_empty() => Ok(data),
+            Some((backend, tel)) => {
+                let result = execute(backend.as_mut(), mode, 0, data);
+                tel.sync(backend.as_ref());
+                result
+            }
+        };
+        drop(local);
+        match &result {
+            Ok(_) => self.inner.jobs_completed.incr(),
+            Err(_) => self.inner.jobs_failed.incr(),
+        }
+        result.map_err(Error::from)
+    }
+
+    /// The caller-runs backend for `dir`: walks the configured specs in
+    /// farm order, keying each on first use, and returns the first whose
+    /// datapath serves `dir`. Its counters share the worker slot's
+    /// `engine.core.<index>.<backend>.*` names.
+    fn local_core<'a>(
+        &self,
+        cores: &'a mut [LocalCore],
+        dir: Direction,
+    ) -> Option<&'a mut (Box<dyn Backend>, CoreTel)> {
+        for (index, core) in cores.iter_mut().enumerate() {
+            let spec = core.spec;
+            let built = core.built.get_or_insert_with(|| {
+                let backend = spec.build(&self.inner.key.lock().expect("pool key poisoned"));
+                let tel = CoreTel::register(
+                    &self.registry,
+                    index,
+                    backend.name(),
+                    self.occupancy_bp.clone(),
+                );
+                (backend, tel)
+            });
+            if built.0.supports(dir) {
+                return Some(built);
+            }
+        }
+        None
     }
 
     /// Spawns the configured workers on the first submission.
@@ -1134,17 +1205,14 @@ fn worker_main(
         match action {
             Action::Run(task) => {
                 let Task {
-                    job, part, work, ..
+                    job,
+                    part,
+                    mode,
+                    first_block,
+                    data,
+                    ..
                 } = task;
-                // Contain backend panics: an unwind through the run
-                // loop would strand the held job (wait_idle hangs) and
-                // poison the state mutex for every other thread. The
-                // panic becomes a typed fault and the worker carries
-                // on with the same backend.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute(backend.as_mut(), work)
-                }))
-                .unwrap_or(Err(JobError::WorkerPanicked));
+                let result = execute(backend.as_mut(), mode, first_block, data);
                 tel.sync(backend.as_ref());
                 inner.state.lock().expect("pool state poisoned").slots[me].busy = false;
                 inner.finish_part(&job, part, result);
@@ -1165,22 +1233,29 @@ fn worker_main(
     }
 }
 
-/// Runs one task's work on the owning worker's backend, in place.
-fn execute(backend: &mut dyn Backend, work: Work) -> Result<Vec<u8>, JobError> {
-    match work {
-        Work::EcbShard { dir, mut data } => run_ecb_span(backend, dir, &mut data).map(|()| data),
-        Work::CtrShard {
-            nonce,
-            first_block,
-            mut data,
-        } => run_ctr_span(backend, &nonce, first_block, &mut data).map(|()| data),
-        Work::Whole { mode, mut data } => run_on_one(backend, mode, &mut data).map(|()| data),
-    }
+/// Runs one span on `backend` in place — the one executor behind both
+/// the workers and the caller-runs lane. Backend panics are contained:
+/// an unwind would strand a worker's held job (`wait_idle` hangs) and
+/// poison the state mutex, or unwind the caller's thread. The panic
+/// becomes [`JobError::WorkerPanicked`] and the backend stays in
+/// service.
+fn execute(
+    backend: &mut dyn Backend,
+    mode: Mode,
+    first_block: u128,
+    mut data: Vec<u8>,
+) -> Result<Vec<u8>, JobError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        run_span(backend, mode, first_block, &mut data)
+    }))
+    .unwrap_or(Err(JobError::WorkerPanicked))
+    .map(|()| data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendError;
     use rijndael::modes::{Cbc, Ctr, Ecb};
     use rijndael::Aes128;
     use std::collections::BTreeMap;
@@ -1546,5 +1621,133 @@ mod tests {
     #[should_panic(expected = "at least one backend")]
     fn builder_panics_on_an_empty_farm() {
         let _ = PoolBuilder::new().build(&KEY);
+    }
+
+    #[test]
+    fn caller_lane_serves_a_split_farm_in_both_directions_without_threads() {
+        let pool = WorkerPool::with_farm(
+            &KEY,
+            &[BackendSpec::EncryptCore, BackendSpec::DecryptCore],
+            2,
+        );
+        let reference = Aes128::new(&KEY);
+        let data = sample(4 * 16);
+        let ct = pool.run_here(Mode::EcbEncrypt, data.clone()).unwrap();
+        let mut expect = data.clone();
+        Ecb::encrypt(&reference, &mut expect).unwrap();
+        assert_eq!(ct, expect);
+        assert_eq!(pool.run_here(Mode::EcbDecrypt, ct).unwrap(), data);
+        // CTR needs only the forward datapath: the encrypt core serves it.
+        let ctr = pool.run_here(Mode::Ctr([0xF0; 16]), sample(37)).unwrap();
+        let mut expect = sample(37);
+        Ctr::apply(&reference, &[0xF0; 16], &mut expect);
+        assert_eq!(ctr, expect);
+
+        // No worker thread started and no capacity slot was taken.
+        assert!(!pool.inner.state.lock().unwrap().started);
+        assert_eq!(pool.open_jobs(), 0);
+        let snap = pool.registry().snapshot();
+        assert_eq!(snap.counter("engine.jobs.completed"), Some(3));
+        let lines: Vec<(usize, String, u64)> = crate::FarmStats::from_snapshot(&snap)
+            .per_core
+            .into_iter()
+            .map(|c| (c.index, c.name, c.blocks))
+            .collect();
+        assert_eq!(
+            lines,
+            vec![(0, "ip-encrypt".into(), 4 + 3), (1, "ip-decrypt".into(), 4)],
+            "each direction ran on the worker slot's own counters"
+        );
+    }
+
+    #[test]
+    fn caller_lane_rejects_ragged_input_typed() {
+        let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software], 2);
+        assert_eq!(
+            pool.run_here(Mode::EcbEncrypt, sample(17)),
+            Err(Error::Submit(SubmitError::RaggedLength { len: 17 }))
+        );
+        assert_eq!(
+            pool.run_here(Mode::CbcDecrypt([0; 16]), sample(31)),
+            Err(Error::Submit(SubmitError::RaggedLength { len: 31 }))
+        );
+        // CTR streams, so ragged lengths are fine; empty jobs are done.
+        assert!(pool.run_here(Mode::Ctr([0; 16]), sample(17)).is_ok());
+        assert_eq!(pool.run_here(Mode::EcbEncrypt, Vec::new()), Ok(Vec::new()));
+        let snap = pool.registry().snapshot();
+        assert_eq!(snap.counter("engine.submit.ragged"), Some(2));
+        assert_eq!(snap.counter("engine.jobs.completed"), Some(2));
+    }
+
+    /// An encrypt-only backend that panics on every block.
+    struct Panicky;
+
+    impl Backend for Panicky {
+        fn name(&self) -> &'static str {
+            "mock-panicky"
+        }
+
+        fn supports(&self, dir: Direction) -> bool {
+            dir == Direction::Encrypt
+        }
+
+        fn process_block(&mut self, _: &mut [u8; 16], _: Direction) -> Result<(), BackendError> {
+            panic!("injected backend panic")
+        }
+
+        fn process_stream(&mut self, _: &mut [[u8; 16]], _: Direction) -> Result<(), BackendError> {
+            panic!("injected backend panic")
+        }
+
+        fn blocks(&self) -> u64 {
+            0
+        }
+
+        fn cycles(&self) -> u64 {
+            0
+        }
+
+        fn setup_cycles(&self) -> u64 {
+            0
+        }
+
+        fn busy_cycles(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn caller_lane_contains_a_backend_panic_and_stays_usable() {
+        let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software; 2], 4);
+        pool.local.lock().unwrap()[0].built = Some((
+            Box::new(Panicky),
+            CoreTel::register(
+                pool.registry(),
+                0,
+                "mock-panicky",
+                pool.occupancy_bp.clone(),
+            ),
+        ));
+        assert_eq!(
+            pool.run_here(Mode::EcbEncrypt, sample(32)),
+            Err(Error::Job(JobError::WorkerPanicked))
+        );
+        // The lane is not poisoned: the next spec serves the direction
+        // the panicking core lacks, and a second panic is contained too.
+        let data = sample(32);
+        let mut expect = data.clone();
+        Ecb::decrypt(&Aes128::new(&KEY), &mut expect).unwrap();
+        assert_eq!(pool.run_here(Mode::EcbDecrypt, data).unwrap(), expect);
+        assert_eq!(
+            pool.run_here(Mode::Ctr([0; 16]), sample(5)),
+            Err(Error::Job(JobError::WorkerPanicked))
+        );
+        // The worker lane builds its own backends and is unaffected.
+        pool.try_submit(Mode::EcbEncrypt, sample(32)).unwrap();
+        assert!(pool.collect_timeout(WAIT).unwrap().data.is_ok());
+        assert_eq!(
+            pool.registry().snapshot().counter("engine.jobs.failed"),
+            Some(2)
+        );
     }
 }

@@ -1,8 +1,13 @@
-//! Job scheduling across a farm of [`Backend`]s.
+//! Job scheduling across a farm of [`Backend`]s: the cycle model.
 //!
 //! The paper sells the IP on *area*, not speed: one core occupies ~10% of
 //! an EP20K300E, so a system integrator can stamp down several and scale
-//! throughput linearly. The [`Engine`] models that deployment. Jobs are
+//! throughput linearly. The [`Engine`] models that deployment in virtual
+//! time, and that is all it is for: the `engine_scaling` report, the
+//! `engine_equivalence` suite and the engine bench measure Table-2
+//! cycles through it. Real traffic runs on the
+//! [`WorkerPool`](crate::WorkerPool), which shares this module's shard
+//! planner ([`Engine::shares_batched`]) and span executor. Jobs are
 //! whole mode operations (ECB/CBC/CTR/CFB/OFB over a byte buffer); the
 //! scheduler shards counter-mode and ECB work evenly across every capable
 //! core (each core pipelines its share through the decoupled bus at one
@@ -207,9 +212,9 @@ pub enum JobError {
     },
     /// A backend faulted mid-job.
     Backend(BackendError),
-    /// A pool worker panicked while executing the job; the panic was
-    /// contained and the worker kept running, but the job's bytes are
-    /// gone.
+    /// The backend panicked while executing the job (on a pool worker or
+    /// the pool's caller-runs lane); the panic was contained and the
+    /// backend stays in service, but the job's bytes are gone.
     WorkerPanicked,
 }
 
@@ -599,19 +604,28 @@ impl Engine {
         if eligible.is_empty() {
             return Err(JobError::NoCapableCore { dir });
         }
-        match mode {
-            Mode::EcbEncrypt | Mode::EcbDecrypt => self.run_ecb(&eligible, dir, data),
-            Mode::Ctr(nonce) => self.run_ctr(&eligible, &nonce, data),
+        if !mode.is_parallel() {
             // Chained modes: block `i+1` depends on block `i`, so the
             // whole stream goes to the single least-loaded eligible core.
-            _ => {
-                let w = *eligible
-                    .iter()
-                    .min_by_key(|&&i| self.workers[i].cycles())
-                    .expect("eligible is non-empty");
-                run_on_one(self.workers[w].as_mut(), mode, data)
-            }
+            let w = *eligible
+                .iter()
+                .min_by_key(|&&i| self.workers[i].cycles())
+                .expect("eligible is non-empty");
+            return run_span(self.workers[w].as_mut(), mode, 0, data);
         }
+        // Parallel modes: every eligible core takes its span of the
+        // granule plan, through its widest batch path, in place.
+        for (pos, first, share) in shard_plan(data.len().div_ceil(BLOCK), eligible.len()) {
+            let end = data.len().min((first + share) * BLOCK);
+            let span = &mut data[first * BLOCK..end];
+            run_span(
+                self.workers[eligible[pos]].as_mut(),
+                mode,
+                first as u128,
+                span,
+            )?;
+        }
+        Ok(())
     }
 
     /// Evenly shards `n` items across `k` shares: the first `n % k`
@@ -646,103 +660,61 @@ impl Engine {
         debug_assert_eq!(excess, 0);
         out
     }
-
-    /// ECB: independent whole blocks, sharded across every eligible core
-    /// in granule multiples and submitted through each core's widest
-    /// batch path — in place, no staging copies.
-    fn run_ecb(
-        &mut self,
-        eligible: &[usize],
-        dir: Direction,
-        data: &mut [u8],
-    ) -> Result<(), JobError> {
-        let n = data.len() / BLOCK;
-        let mut offset = 0;
-        for (&w, share) in eligible.iter().zip(Self::shares_batched(n, eligible.len())) {
-            if share == 0 {
-                continue;
-            }
-            let span = &mut data[offset..offset + share * BLOCK];
-            run_ecb_span(self.workers[w].as_mut(), dir, span)?;
-            offset += share * BLOCK;
-        }
-        Ok(())
-    }
-
-    /// CTR: each core generates the keystream for its contiguous span of
-    /// counter values (SP 800-38A increment, so spans are just offsets)
-    /// and XORs it into its span of the buffer.
-    fn run_ctr(
-        &mut self,
-        eligible: &[usize],
-        nonce: &[u8; 16],
-        data: &mut [u8],
-    ) -> Result<(), JobError> {
-        let n = data.len().div_ceil(BLOCK);
-        let mut first_block = 0usize;
-        for (&w, share) in eligible.iter().zip(Self::shares_batched(n, eligible.len())) {
-            if share == 0 {
-                continue;
-            }
-            let end = data.len().min((first_block + share) * BLOCK);
-            let span = &mut data[first_block * BLOCK..end];
-            run_ctr_span(self.workers[w].as_mut(), nonce, first_block as u128, span)?;
-            first_block += share;
-        }
-        Ok(())
-    }
 }
 
-/// One ECB span on one backend: whole blocks through the widest batch
-/// path, in place. The single-backend executor both the virtual-time
-/// [`Engine`] and the thread [`pool`](crate::pool) shard over.
-pub(crate) fn run_ecb_span(
-    backend: &mut dyn Backend,
-    dir: Direction,
-    data: &mut [u8],
-) -> Result<(), JobError> {
-    let (blocks, rest) = data.as_chunks_mut::<BLOCK>();
-    debug_assert!(rest.is_empty(), "length validated at submission");
-    backend.process_batch(blocks, dir)?;
-    Ok(())
+/// The one shard planner: walks the [`Engine::shares_batched`] plan for
+/// `n` blocks over `k` cores and yields `(core position, first block,
+/// blocks)` for every non-empty share, in stream order. The engine runs
+/// the spans in place; the thread [`pool`](crate::pool) deals them to
+/// worker deques.
+pub(crate) fn shard_plan(n: usize, k: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut first = 0;
+    Engine::shares_batched(n, k)
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, share)| share > 0)
+        .map(move |(pos, share)| {
+            first += share;
+            (pos, first - share, share)
+        })
 }
 
-/// One CTR span on one backend: generates the keystream for the span's
-/// contiguous counter values (SP 800-38A increment; `first_block` is the
-/// span's offset into the stream) and XORs it into `data` in place.
-/// Counter blocks are precomputed with [`Ctr::fill_counter_blocks`] —
-/// one scratch buffer per span, no per-block allocation.
-pub(crate) fn run_ctr_span(
+/// Runs one span of a job on one backend, in place — the single-backend
+/// executor the virtual-time [`Engine`] and the thread
+/// [`pool`](crate::pool) (workers and caller-runs lane) share.
+///
+/// * ECB pushes its whole blocks through the backend's widest batch
+///   path.
+/// * CTR generates the keystream for the span's contiguous counter
+///   values (SP 800-38A increment; `first_block` is the span's offset
+///   into the stream) into one scratch buffer and XORs it in.
+/// * Chained modes are never split (`first_block` is 0): they drive the
+///   object-safe [`rijndael::Mode`] trait through a [`BackendCipher`]
+///   adapter.
+pub(crate) fn run_span(
     backend: &mut dyn Backend,
-    nonce: &[u8; 16],
+    mode: Mode,
     first_block: u128,
     data: &mut [u8],
 ) -> Result<(), JobError> {
-    let mut counters = vec![[0u8; 16]; data.len().div_ceil(BLOCK)];
-    Ctr::fill_counter_blocks(nonce, first_block, &mut counters);
-    backend.process_batch(&mut counters, Direction::Encrypt)?;
-    for (chunk, keystream) in data.chunks_mut(BLOCK).zip(counters.iter()) {
-        for (byte, k) in chunk.iter_mut().zip(keystream) {
-            *byte ^= k;
-        }
-    }
-    Ok(())
-}
-
-/// Runs a whole mode operation on a single backend: parallel modes take
-/// their span executors over the full buffer, chained modes drive the
-/// object-safe [`rijndael::Mode`] trait through a [`BackendCipher`]
-/// adapter. Used by the [`Engine`] for chained routing and by the thread
-/// [`pool`](crate::pool) for pinned (unsharded) tasks of every mode.
-pub(crate) fn run_on_one(
-    backend: &mut dyn Backend,
-    mode: Mode,
-    data: &mut [u8],
-) -> Result<(), JobError> {
     let (chained, iv, encrypt): (&dyn rijndael::Mode, [u8; 16], bool) = match mode {
-        Mode::EcbEncrypt => return run_ecb_span(backend, Direction::Encrypt, data),
-        Mode::EcbDecrypt => return run_ecb_span(backend, Direction::Decrypt, data),
-        Mode::Ctr(nonce) => return run_ctr_span(backend, &nonce, 0, data),
+        Mode::EcbEncrypt | Mode::EcbDecrypt => {
+            let (blocks, rest) = data.as_chunks_mut::<BLOCK>();
+            debug_assert!(rest.is_empty(), "length validated at submission");
+            backend.process_batch(blocks, mode.direction())?;
+            return Ok(());
+        }
+        Mode::Ctr(nonce) => {
+            let mut counters = vec![[0u8; 16]; data.len().div_ceil(BLOCK)];
+            Ctr::fill_counter_blocks(&nonce, first_block, &mut counters);
+            backend.process_batch(&mut counters, Direction::Encrypt)?;
+            for (chunk, keystream) in data.chunks_mut(BLOCK).zip(&counters) {
+                for (byte, k) in chunk.iter_mut().zip(keystream) {
+                    *byte ^= k;
+                }
+            }
+            return Ok(());
+        }
         Mode::CbcEncrypt(iv) => (&Cbc, iv, true),
         Mode::CbcDecrypt(iv) => (&Cbc, iv, false),
         Mode::CfbEncrypt(iv) => (&Cfb, iv, true),

@@ -21,16 +21,15 @@
 //! it without limit — the oldest stashed reply is dropped instead and
 //! counted in [`NodeConn::stash_evictions`].
 //!
-//! Three request disciplines are exposed:
+//! Two request disciplines are exposed:
 //!
 //! * **blocking** — [`Client::ping`], [`Client::ecb_encrypt`], ... :
 //!   send one request, wait for its reply;
 //! * **pipelined** — [`Client::pipeline`] sends without waiting
 //!   (depth-N in flight per connection), [`Client::collect_next`] /
 //!   [`Client::collect_all`] receive completions in whatever order the
-//!   engine finished them;
-//! * **deferred** — [`Client::try_submit`] / [`Client::flush`], the
-//!   explicit queue-and-drain path with typed `Busy` backpressure.
+//!   session finished them; a pool at capacity answers the job with a
+//!   typed `Busy`, to be retried after collecting.
 //!
 //! [`Client::connect`] speaks protocol v2; [`Client::connect_v1`]
 //! pins the connection to the version-1 layout for compatibility
@@ -43,7 +42,7 @@ use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::protocol::{ErrorCode, Frame, Op, RecvError, Status, FLAG_DEFER, PROTOCOL_V1};
+use crate::protocol::{ErrorCode, Frame, Op, RecvError, Status, PROTOCOL_V1};
 
 /// Failure of a client call.
 #[derive(Debug)]
@@ -113,32 +112,8 @@ impl From<RecvError> for ClientError {
     }
 }
 
-/// Outcome of a deferred submission: queued, or bounced by
-/// backpressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// The job entered the queue; its result arrives at the next
-    /// [`Client::flush`] tagged with this correlation id.
-    Accepted(u32),
-    /// The queue is full — flush and retry.
-    Busy {
-        /// The server-side queue capacity that was exhausted.
-        capacity: u32,
-    },
-}
-
-/// One result drained by [`Client::flush`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlushedJob {
-    /// The correlation id of the submission that produced it (equal to
-    /// that request's sequence number unless overridden).
-    pub seq: u32,
-    /// The processed bytes, or the typed per-job failure.
-    pub result: Result<Vec<u8>, (ErrorCode, u32)>,
-}
-
 /// One pipelined completion, delivered by [`Client::collect_next`] in
-/// engine completion order.
+/// completion order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelinedJob {
     /// The correlation id [`Client::pipeline`] returned for the
@@ -244,11 +219,11 @@ impl NodeConn {
         self.seq
     }
 
-    fn request(&self, op: Op, flags: u8, seq: u32, payload: Vec<u8>) -> Frame {
+    fn request(&self, op: Op, seq: u32, payload: Vec<u8>) -> Frame {
         if self.version >= crate::protocol::PROTOCOL_V2 {
-            Frame::request(op, flags, seq, self.session, payload)
+            Frame::request(op, 0, seq, self.session, payload)
         } else {
-            Frame::request_v1(op, flags, seq, self.session, payload)
+            Frame::request_v1(op, 0, seq, self.session, payload)
         }
     }
 
@@ -309,9 +284,9 @@ impl NodeConn {
 
     /// Request/reply round trip; typed `Error` replies become
     /// [`ClientError::Service`].
-    fn call(&mut self, op: Op, flags: u8, payload: Vec<u8>) -> Result<Frame, ClientError> {
+    fn call(&mut self, op: Op, payload: Vec<u8>) -> Result<Frame, ClientError> {
         let seq = self.next_seq();
-        let request = self.request(op, flags, seq, payload);
+        let request = self.request(op, seq, payload);
         self.send_raw(&request)?;
         let reply = self.recv_matched(seq)?;
         if let Some((code, detail)) = reply.error_body() {
@@ -328,7 +303,7 @@ impl NodeConn {
     /// Transport failures on the send.
     fn pipeline_op(&mut self, op: Op, payload: Vec<u8>) -> Result<u32, ClientError> {
         let corr = self.next_seq();
-        let request = self.request(op, 0, corr, payload);
+        let request = self.request(op, corr, payload);
         self.send_raw(&request)?;
         self.pending.insert(corr);
         Ok(corr)
@@ -381,65 +356,6 @@ impl NodeConn {
             jobs.push(self.collect_next()?);
         }
         Ok(jobs)
-    }
-
-    /// Drains the session's deferred jobs until the `Flushed` marker.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::flush`].
-    fn flush(&mut self) -> Result<Vec<FlushedJob>, ClientError> {
-        let flush_seq = self.next_seq();
-        let request = self.request(Op::Flush, 0, flush_seq, Vec::new());
-        self.send_raw(&request)?;
-        let mut jobs = Vec::new();
-        loop {
-            let reply = self.recv_raw()?;
-            if self.pending.contains(&reply.corr) {
-                self.stash_reply(reply);
-                continue;
-            }
-            match reply.status() {
-                Some(Status::Data) => jobs.push(FlushedJob {
-                    seq: reply.corr,
-                    result: Ok(reply.payload),
-                }),
-                Some(Status::Error) => {
-                    let (code, detail) = reply
-                        .error_body()
-                        .ok_or_else(|| ClientError::Protocol("undecodable error reply".into()))?;
-                    if reply.corr == flush_seq {
-                        // The flush itself failed (NoSession, ...).
-                        return Err(ClientError::Service { code, detail });
-                    }
-                    jobs.push(FlushedJob {
-                        seq: reply.corr,
-                        result: Err((code, detail)),
-                    });
-                }
-                Some(Status::Flushed) => {
-                    let count = reply
-                        .payload
-                        .as_slice()
-                        .try_into()
-                        .map(u32::from_be_bytes)
-                        .map_err(|_| ClientError::Protocol("short Flushed payload".into()))?;
-                    if count as usize != jobs.len() {
-                        return Err(ClientError::Protocol(format!(
-                            "Flushed count {count} but {} results arrived",
-                            jobs.len()
-                        )));
-                    }
-                    return Ok(jobs);
-                }
-                _ => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected kind {:#04x} during flush",
-                        reply.kind
-                    )))
-                }
-            }
-        }
     }
 }
 
@@ -508,8 +424,8 @@ impl Client {
     }
 
     #[cfg(test)]
-    fn request(&self, op: Op, flags: u8, seq: u32, payload: Vec<u8>) -> Frame {
-        self.conn.request(op, flags, seq, payload)
+    fn request(&self, op: Op, seq: u32, payload: Vec<u8>) -> Frame {
+        self.conn.request(op, seq, payload)
     }
 
     /// Sends a frame verbatim (protocol-test escape hatch).
@@ -537,8 +453,8 @@ impl Client {
         self.conn.recv_matched(want)
     }
 
-    fn call(&mut self, op: Op, flags: u8, payload: Vec<u8>) -> Result<Frame, ClientError> {
-        self.conn.call(op, flags, payload)
+    fn call(&mut self, op: Op, payload: Vec<u8>) -> Result<Frame, ClientError> {
+        self.conn.call(op, payload)
     }
 
     fn expect_ok(reply: &Frame) -> Result<(), ClientError> {
@@ -561,7 +477,7 @@ impl Client {
     /// Typed service errors (`BadKeyLength` for any other length) or
     /// transport failures.
     pub fn set_key(&mut self, key: &[u8]) -> Result<u32, ClientError> {
-        let reply = self.call(Op::SetKey, 0, key.to_vec())?;
+        let reply = self.call(Op::SetKey, key.to_vec())?;
         Self::expect_ok(&reply)?;
         self.conn.session = reply.session;
         Ok(reply.session)
@@ -579,7 +495,7 @@ impl Client {
     /// unwraps to a non-key) or transport failures; every failure
     /// leaves the current session live.
     pub fn set_key_wrapped(&mut self, wrapped: &[u8]) -> Result<u32, ClientError> {
-        let reply = self.call(Op::SetKeyWrapped, 0, wrapped.to_vec())?;
+        let reply = self.call(Op::SetKeyWrapped, wrapped.to_vec())?;
         Self::expect_ok(&reply)?;
         self.conn.session = reply.session;
         Ok(reply.session)
@@ -591,7 +507,7 @@ impl Client {
     ///
     /// Typed service errors or transport failures.
     pub fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::Ping, 0, payload.to_vec())?;
+        let reply = self.call(Op::Ping, payload.to_vec())?;
         Self::expect_ok(&reply)?;
         Ok(reply.payload)
     }
@@ -611,7 +527,7 @@ impl Client {
         iv: Option<&[u8; 16]>,
         data: &[u8],
     ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(op, 0, Self::engine_payload(iv, data))?;
+        let reply = self.call(op, Self::engine_payload(iv, data))?;
         Self::expect_ok(&reply)?;
         Ok(reply.payload)
     }
@@ -676,7 +592,7 @@ impl Client {
     /// Typed service errors or transport failures;
     /// [`ClientError::Protocol`] if the payload is not UTF-8.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        let reply = self.call(Op::GetStats, 0, Vec::new())?;
+        let reply = self.call(Op::GetStats, Vec::new())?;
         Self::expect_ok(&reply)?;
         String::from_utf8(reply.payload)
             .map_err(|_| ClientError::Protocol("non-UTF-8 stats payload".into()))
@@ -688,7 +604,7 @@ impl Client {
     ///
     /// Typed service errors or transport failures.
     pub fn cmac_tag(&mut self, message: &[u8]) -> Result<[u8; 16], ClientError> {
-        let reply = self.call(Op::CmacTag, 0, message.to_vec())?;
+        let reply = self.call(Op::CmacTag, message.to_vec())?;
         Self::expect_ok(&reply)?;
         reply
             .payload
@@ -706,7 +622,7 @@ impl Client {
         let mut payload = Vec::with_capacity(16 + message.len());
         payload.extend_from_slice(tag);
         payload.extend_from_slice(message);
-        match self.call(Op::CmacVerify, 0, payload) {
+        match self.call(Op::CmacVerify, payload) {
             Ok(reply) => Self::expect_ok(&reply).map(|()| true),
             Err(ClientError::Service {
                 code: ErrorCode::BadTag,
@@ -738,7 +654,7 @@ impl Client {
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::Seal, 0, Self::aead_payload(nonce, aad, plaintext))?;
+        let reply = self.call(Op::Seal, Self::aead_payload(nonce, aad, plaintext))?;
         Self::expect_ok(&reply)?;
         Ok(reply.payload)
     }
@@ -757,7 +673,7 @@ impl Client {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.call(Op::Open, 0, Self::aead_payload(nonce, aad, sealed)) {
+        match self.call(Op::Open, Self::aead_payload(nonce, aad, sealed)) {
             Ok(reply) => Self::expect_ok(&reply).map(|()| Some(reply.payload)),
             Err(ClientError::Service {
                 code: ErrorCode::TagMismatch,
@@ -775,7 +691,7 @@ impl Client {
     /// Typed service errors (`Malformed` unless `key_data` is ≥ 16
     /// bytes and a multiple of 8) or transport failures.
     pub fn wrap_key(&mut self, key_data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::WrapKey, 0, key_data.to_vec())?;
+        let reply = self.call(Op::WrapKey, key_data.to_vec())?;
         Self::expect_ok(&reply)?;
         Ok(reply.payload)
     }
@@ -788,7 +704,7 @@ impl Client {
     /// Typed service errors other than `TagMismatch`, or transport
     /// failures.
     pub fn unwrap_key(&mut self, wrapped: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.call(Op::UnwrapKey, 0, wrapped.to_vec()) {
+        match self.call(Op::UnwrapKey, wrapped.to_vec()) {
             Ok(reply) => Self::expect_ok(&reply).map(|()| Some(reply.payload)),
             Err(ClientError::Service {
                 code: ErrorCode::TagMismatch,
@@ -823,7 +739,6 @@ impl Client {
     ) -> Result<Vec<u8>, ClientError> {
         let reply = self.call(
             Op::XtsEncrypt,
-            0,
             Self::xts_payload(sector_base, sector_size, data),
         )?;
         Self::expect_ok(&reply)?;
@@ -844,7 +759,6 @@ impl Client {
     ) -> Result<Vec<u8>, ClientError> {
         let reply = self.call(
             Op::XtsDecrypt,
-            0,
             Self::xts_payload(sector_base, sector_size, data),
         )?;
         Self::expect_ok(&reply)?;
@@ -893,51 +807,6 @@ impl Client {
     /// re-delivered after an error.
     pub fn collect_all(&mut self) -> Result<Vec<PipelinedJob>, ClientError> {
         self.conn.collect_all()
-    }
-
-    /// Submits a deferred engine job; `Busy` comes back as a value, not
-    /// an error, because it is the expected backpressure signal.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors other than `Busy`, or transport failures.
-    pub fn try_submit(
-        &mut self,
-        op: Op,
-        iv: Option<&[u8; 16]>,
-        data: &[u8],
-    ) -> Result<SubmitOutcome, ClientError> {
-        match self.call(op, FLAG_DEFER, Self::engine_payload(iv, data)) {
-            Ok(reply) => {
-                if reply.status() == Some(Status::Accepted) {
-                    Ok(SubmitOutcome::Accepted(reply.corr))
-                } else {
-                    Err(ClientError::Protocol(format!(
-                        "expected Accepted, got kind {:#04x}",
-                        reply.kind
-                    )))
-                }
-            }
-            Err(ClientError::Service {
-                code: ErrorCode::Busy,
-                detail,
-            }) => Ok(SubmitOutcome::Busy { capacity: detail }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Drains the session's deferred jobs: collects the `Data` replies
-    /// (tagged with their submission's correlation id) until the
-    /// `Flushed` marker. Pipelined completions arriving in between are
-    /// stashed, not lost.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors on the flush itself, a count mismatch, or
-    /// transport failures. Per-job failures come back inside
-    /// [`FlushedJob::result`] instead of failing the whole flush.
-    pub fn flush(&mut self) -> Result<Vec<FlushedJob>, ClientError> {
-        self.conn.flush()
     }
 }
 
@@ -1016,7 +885,7 @@ mod tests {
         // nothing.
         let first = client.collect_next().unwrap();
         assert_eq!(first.corr, 1);
-        let request = client.request(Op::Ping, 0, 99, Vec::new());
+        let request = client.request(Op::Ping, 99, Vec::new());
         client.send_raw(&request).unwrap();
         match client.recv_matched(99) {
             Err(ClientError::StrayReply { corr: 1 }) => {}

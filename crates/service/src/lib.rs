@@ -6,23 +6,23 @@
 //! service, std-only and hermetic like the rest of the workspace:
 //!
 //! * [`protocol`] — the length-prefixed wire format, versions 1 and 2:
-//!   request framing (ECB/CBC/CTR, CMAC, key load, flush, ping, stats),
-//!   strict frame size limits, typed error replies instead of
-//!   disconnects, and — in v2 — a correlation id that makes request
+//!   request framing (ECB/CBC/CTR, CMAC, GCM, XTS, key wrap, key load,
+//!   ping, stats), strict frame size limits, typed error replies instead
+//!   of disconnects, and — in v2 — a correlation id that makes request
 //!   pipelining with out-of-order replies well-defined;
 //! * [`session`] — per-connection key management: `SET_KEY` builds a
-//!   fresh engine farm, key material is never echoed and wipes itself
-//!   on teardown or re-key; deferred and pipelined jobs ride the same
-//!   bounded queue through separate lanes;
+//!   fresh [`engine::WorkerPool`], the session's one executor (small
+//!   jobs on the caller's thread, bulk jobs on its workers); key
+//!   material is never echoed and wipes itself on teardown or re-key;
 //! * [`net`] — the std-only readiness shim (`poll(2)` by direct FFI)
 //!   that lets the server watch thousands of nonblocking sockets
 //!   without external crates;
 //! * [`server`] — the event-driven front end: an acceptor with a typed
 //!   admission cap feeding per-connection state machines spread across
 //!   a few shard event loops, with request pipelining, per-session
-//!   backpressure mapped onto `Engine::try_submit` (typed `Busy`
+//!   backpressure mapped onto `WorkerPool::try_submit` (typed `Busy`
 //!   replies), write-backpressure, idle timeouts and a graceful
-//!   shutdown that drains in-flight pipelined and deferred jobs;
+//!   shutdown that answers every in-flight pipelined job;
 //! * [`client`] — a blocking loopback client with a pipelined
 //!   submit/collect API, used by the integration tests and the
 //!   `service_load` load generator; its wire core ([`NodeConn`]) is
@@ -32,7 +32,7 @@
 //!   the cluster router, so callers swap between them without code
 //!   changes.
 //!
-//! Every server owns a [`telemetry::Registry`] that its session engines
+//! Every server owns a [`telemetry::Registry`] that its session pools
 //! publish into; `GET_STATS` ([`Client::stats`]) returns one snapshot of
 //! it as the stable `telemetry/1` JSON document, and engine failures map
 //! onto wire [`ErrorCode`]s through a single `engine::Error` match in
@@ -66,7 +66,7 @@ pub mod server;
 pub mod session;
 pub mod transport;
 
-pub use client::{Client, ClientError, FlushedJob, NodeConn, PipelinedJob, SubmitOutcome};
+pub use client::{Client, ClientError, NodeConn, PipelinedJob};
 pub use protocol::{ErrorCode, Frame, Op, RecvBuffer, RecvError, Status};
 pub use server::{ConfigError, Server, ServiceConfig, ServiceConfigBuilder, ServiceHandle};
 pub use session::{Session, SessionSlot};

@@ -8,7 +8,7 @@
 //! 0       4     len      u32 BE; bytes after this field (11 ..= MAX_FRAME_LEN)
 //! 4       1     version  1
 //! 5       1     kind     request Op, or reply Status (high bit set)
-//! 6       1     flags    bit 0 = FLAG_DEFER on engine ops; reserved otherwise
+//! 6       1     flags    reserved, must be 0 (anything else is Malformed)
 //! 7       4     seq      u32 BE; client-chosen, echoed in the matching replies
 //! 11      4     session  u32 BE; 0 before SET_KEY, server-assigned afterwards
 //! 15      ...   payload  op-specific body, at most MAX_PAYLOAD bytes
@@ -30,8 +30,8 @@
 //!
 //! The correlation id is what makes **pipelining** well-defined: a v2
 //! client may have any number of requests in flight on one connection,
-//! and the server may answer them in *any order* (engine jobs complete
-//! out of order across a farm); each reply names the request it answers
+//! and the server may answer them in *any order* (bulk jobs complete
+//! out of order across a worker pool); each reply names the request it answers
 //! through `corr`. On v1 frames there is no `corr` field — the decoder
 //! mirrors `seq` into [`Frame::corr`] so both versions correlate
 //! uniformly in code — and the server guarantees v1 replies arrive in
@@ -86,25 +86,17 @@ pub const MAX_PAYLOAD: usize = 256 * 1024;
 /// frame; v1 frames top out four bytes below it).
 pub const MAX_FRAME_LEN: usize = HEADER_LEN_V2 + MAX_PAYLOAD;
 
-/// Request flag bit 0: enqueue the job into the session engine and reply
-/// [`Status::Accepted`] immediately; results are collected by
-/// [`Op::Flush`]. Only valid on engine ops (ECB/CBC/CTR).
-pub const FLAG_DEFER: u8 = 0x01;
-
-/// Request operation codes (`kind` with the high bit clear).
+/// Request operation codes (`kind` with the high bit clear). Code 0x02
+/// is reserved (a retired drain op) and decodes to `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Op {
     /// Load an AES key (16, 24 or 32 bytes — AES-128/192/256): creates a
-    /// fresh session bound to the server's engine farm and invalidates
+    /// fresh session with its own worker pool and invalidates
     /// the previous one. Payload: the key (any other length is
     /// [`ErrorCode::BadKeyLength`]). Reply: [`Status::Ok`] with the new
     /// session id in the header's `session` field.
     SetKey = 0x01,
-    /// Drain the session engine: one [`Status::Data`] reply per deferred
-    /// job (carrying that job's original `seq`/`corr`), then
-    /// [`Status::Flushed`] with a `u32` count. Payload: empty.
-    Flush = 0x02,
     /// Liveness probe; the payload (bounded like any other) is echoed in
     /// the [`Status::Ok`] reply.
     Ping = 0x03,
@@ -112,7 +104,7 @@ pub enum Op {
     /// else is [`ErrorCode::Malformed`]). Reply: [`Status::Ok`] whose
     /// payload is the `telemetry/1` JSON document (UTF-8) — per-opcode
     /// request counts, error tallies, connection gauges, and every
-    /// session engine's `engine.*` instruments. Needs no session.
+    /// session pool's `engine.*` instruments. Needs no session.
     GetStats = 0x04,
     /// Re-key from an RFC 3394 wrapped blob: the server unwraps the
     /// payload under the **live session's** key (which acts as the KEK)
@@ -178,7 +170,6 @@ impl Op {
     pub fn from_u8(kind: u8) -> Option<Op> {
         Some(match kind {
             0x01 => Op::SetKey,
-            0x02 => Op::Flush,
             0x03 => Op::Ping,
             0x04 => Op::GetStats,
             0x05 => Op::SetKeyWrapped,
@@ -205,7 +196,6 @@ impl Op {
     pub fn name(self) -> &'static str {
         match self {
             Op::SetKey => "set_key",
-            Op::Flush => "flush",
             Op::Ping => "ping",
             Op::GetStats => "get_stats",
             Op::SetKeyWrapped => "set_key_wrapped",
@@ -223,16 +213,6 @@ impl Op {
             Op::XtsEncrypt => "xts_encrypt",
             Op::XtsDecrypt => "xts_decrypt",
         }
-    }
-
-    /// `true` for the ops routed through the engine scheduler (and thus
-    /// the only ops that accept [`FLAG_DEFER`]).
-    #[must_use]
-    pub fn is_engine_op(self) -> bool {
-        matches!(
-            self,
-            Op::EcbEncrypt | Op::EcbDecrypt | Op::CbcEncrypt | Op::CbcDecrypt | Op::CtrApply
-        )
     }
 
     /// `true` when the payload starts with a 16-byte IV / counter block.
@@ -256,20 +236,13 @@ impl Op {
     }
 }
 
-/// Reply status codes (`kind` with the high bit set).
+/// Reply status codes (`kind` with the high bit set). Codes 0x81–0x83
+/// are reserved (retired deferred-lane replies) and decode to `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Status {
     /// The request completed; payload is op-specific.
     Ok = 0x80,
-    /// A deferred job entered the session engine's queue; results follow
-    /// the next [`Op::Flush`].
-    Accepted = 0x81,
-    /// One drained deferred job's output; `seq`/`corr` are the
-    /// *submission*'s.
-    Data = 0x82,
-    /// The flush finished; payload is the `u32` BE count of jobs drained.
-    Flushed = 0x83,
     /// The request failed; payload is `code: u8` ‖ `detail: u32 BE`
     /// (see [`ErrorCode`]).
     Error = 0xFF,
@@ -281,9 +254,6 @@ impl Status {
     pub fn from_u8(kind: u8) -> Option<Status> {
         Some(match kind {
             0x80 => Status::Ok,
-            0x81 => Status::Accepted,
-            0x82 => Status::Data,
-            0x83 => Status::Flushed,
             0xFF => Status::Error,
             _ => return None,
         })
@@ -292,6 +262,8 @@ impl Status {
 
 /// Typed failure codes carried in [`Status::Error`] replies. `detail` is
 /// a per-code `u32` (a length, a capacity, a limit — documented below).
+/// Code 13 is reserved (a retired deferred-lane error) and decodes to
+/// `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -302,7 +274,8 @@ pub enum ErrorCode {
     /// Unknown request op. Detail: the received `kind` byte.
     BadOp = 2,
     /// The payload does not parse for the op (short IV, wrong key
-    /// length, missing tag...). Detail: the received payload length.
+    /// length, missing tag...). Detail: the received payload length — or
+    /// the flags byte, for a request whose reserved flags are not 0.
     Malformed = 3,
     /// The length prefix exceeds [`MAX_FRAME_LEN`] (or the payload
     /// exceeds [`MAX_PAYLOAD`] for the frame's version). Detail: the
@@ -313,8 +286,9 @@ pub enum ErrorCode {
     /// The request's `session` field does not name the live session
     /// (stale pipelined request after a re-key). Detail: the live id.
     StaleSession = 6,
-    /// The session engine's bounded queue is full — collect or flush
-    /// outstanding replies and retry. Detail: the queue capacity.
+    /// The session's worker pool already holds its capacity of
+    /// unfinished bulk jobs — collect outstanding replies and retry.
+    /// Detail: the capacity.
     Busy = 7,
     /// ECB/CBC payload is not a whole number of 16-byte blocks. Detail:
     /// the offending data length.
@@ -327,12 +301,9 @@ pub enum ErrorCode {
     /// connection closes after this reply. Detail: the timeout in ms,
     /// saturating at `u32::MAX` for longer budgets.
     IdleTimeout = 11,
-    /// The server is draining for shutdown; in-flight pipelined and
-    /// deferred jobs were answered before this goodbye. Detail: 0.
+    /// The server is draining for shutdown; in-flight pipelined jobs
+    /// were answered before this goodbye. Detail: 0.
     ShuttingDown = 12,
-    /// [`FLAG_DEFER`] on an op that cannot be deferred. Detail: the op
-    /// byte.
-    DeferUnsupported = 13,
     /// Connection admission refused: the server is at its connection
     /// cap. Detail: the cap.
     TooManyConnections = 14,
@@ -365,7 +336,6 @@ impl ErrorCode {
             10 => ErrorCode::JobFailed,
             11 => ErrorCode::IdleTimeout,
             12 => ErrorCode::ShuttingDown,
-            13 => ErrorCode::DeferUnsupported,
             14 => ErrorCode::TooManyConnections,
             15 => ErrorCode::TagMismatch,
             16 => ErrorCode::BadKeyLength,
@@ -391,7 +361,6 @@ impl ErrorCode {
             ErrorCode::JobFailed => "job_failed",
             ErrorCode::IdleTimeout => "idle_timeout",
             ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::DeferUnsupported => "defer_unsupported",
             ErrorCode::TooManyConnections => "too_many_connections",
             ErrorCode::TagMismatch => "tag_mismatch",
             ErrorCode::BadKeyLength => "bad_key_length",
@@ -409,13 +378,12 @@ impl fmt::Display for ErrorCode {
             ErrorCode::FrameTooLarge => "frame exceeds the size limit",
             ErrorCode::NoSession => "no session: SET_KEY first",
             ErrorCode::StaleSession => "stale session id",
-            ErrorCode::Busy => "engine queue full: collect replies and retry",
+            ErrorCode::Busy => "session pool full: collect replies and retry",
             ErrorCode::RaggedLength => "payload is not whole 16-byte blocks",
             ErrorCode::BadTag => "CMAC verification failed",
             ErrorCode::JobFailed => "backend fault while running the job",
             ErrorCode::IdleTimeout => "connection idle too long",
             ErrorCode::ShuttingDown => "server shutting down",
-            ErrorCode::DeferUnsupported => "operation cannot be deferred",
             ErrorCode::TooManyConnections => "server connection cap reached",
             ErrorCode::TagMismatch => "authentication tag mismatch",
             ErrorCode::BadKeyLength => "key must be 16, 24 or 32 bytes",
@@ -434,7 +402,7 @@ pub struct Frame {
     pub version: u8,
     /// Raw `kind` byte: an [`Op`] on requests, a [`Status`] on replies.
     pub kind: u8,
-    /// Request flags ([`FLAG_DEFER`]); reserved (0) on replies.
+    /// Reserved flags byte: 0 on everything this crate builds.
     pub flags: u8,
     /// Request sequence number, echoed in the matching replies.
     pub seq: u32,
@@ -821,8 +789,8 @@ mod tests {
 
     #[test]
     fn v2_frame_roundtrips_through_the_wire_format() {
-        let frame = Frame::request(Op::CbcEncrypt, FLAG_DEFER, 7, 0xDEAD_BEEF, vec![9u8; 48])
-            .with_corr(0x1234_5678);
+        let frame =
+            Frame::request(Op::CbcEncrypt, 0, 7, 0xDEAD_BEEF, vec![9u8; 48]).with_corr(0x1234_5678);
         let mut wire = Vec::new();
         frame.write_to(&mut wire).unwrap();
         assert_eq!(wire.len(), 4 + HEADER_LEN_V2 + 48);
@@ -952,7 +920,7 @@ mod tests {
     #[test]
     fn recv_buffer_handles_trickled_and_back_to_back_frames() {
         let a = Frame::request(Op::Ping, 0, 1, 0, vec![0xAA; 5]);
-        let b = Frame::request_v1(Op::Flush, 0, 2, 9, Vec::new());
+        let b = Frame::request_v1(Op::GetStats, 0, 2, 9, Vec::new());
         let mut wire = Vec::new();
         a.write_to(&mut wire).unwrap();
         b.write_to(&mut wire).unwrap();
@@ -1034,7 +1002,6 @@ mod tests {
     fn every_op_code_roundtrips() {
         for op in [
             Op::SetKey,
-            Op::Flush,
             Op::Ping,
             Op::GetStats,
             Op::SetKeyWrapped,
@@ -1059,28 +1026,30 @@ mod tests {
                 .all(|b| b.is_ascii_lowercase() || b == b'_'));
         }
         assert_eq!(Op::from_u8(0x7E), None);
+        assert_eq!(
+            Op::from_u8(0x02),
+            None,
+            "the retired drain op stays reserved"
+        );
     }
 
     #[test]
     fn every_status_and_error_code_roundtrips() {
-        for st in [
-            Status::Ok,
-            Status::Accepted,
-            Status::Data,
-            Status::Flushed,
-            Status::Error,
-        ] {
+        for st in [Status::Ok, Status::Error] {
             assert_eq!(Status::from_u8(st as u8), Some(st));
         }
-        assert_eq!(Status::from_u8(0x90), None);
-        for code in 1..=17u8 {
-            let decoded = ErrorCode::from_u8(code).expect("codes 1..=17 are assigned");
+        for reserved in [0x81, 0x82, 0x83, 0x90] {
+            assert_eq!(Status::from_u8(reserved), None, "{reserved:#04x}");
+        }
+        for code in (1..=17u8).filter(|&c| c != 13) {
+            let decoded = ErrorCode::from_u8(code).expect("codes 1..=17 but 13 are assigned");
             assert_eq!(decoded as u8, code);
             assert!(!decoded.to_string().is_empty());
             assert!(!decoded.name().is_empty());
         }
-        assert_eq!(ErrorCode::from_u8(0), None);
-        assert_eq!(ErrorCode::from_u8(18), None);
+        for reserved in [0, 13, 18] {
+            assert_eq!(ErrorCode::from_u8(reserved), None, "code {reserved}");
+        }
     }
 
     #[test]
@@ -1093,7 +1062,6 @@ mod tests {
         assert_eq!(Op::CtrApply.engine_mode(iv), Some(Mode::Ctr(iv)));
         for op in [
             Op::SetKey,
-            Op::Flush,
             Op::Ping,
             Op::GetStats,
             Op::SetKeyWrapped,
@@ -1106,7 +1074,6 @@ mod tests {
             Op::XtsEncrypt,
             Op::XtsDecrypt,
         ] {
-            assert!(!op.is_engine_op());
             assert_eq!(op.engine_mode(iv), None);
         }
         assert!(Op::CtrApply.takes_iv() && !Op::EcbEncrypt.takes_iv());

@@ -29,18 +29,22 @@
 //!
 //! # Pipelining
 //!
-//! Protocol-v2 engine ops are **submitted, not awaited**: the request's
-//! correlation id rides into the session's pipelined lane
-//! ([`crate::session::Session::submit`]) and the reply is emitted when
-//! the engine completes the job — in completion order, which across a
-//! multi-core farm is not submission order. A v2 client may therefore
-//! keep an arbitrary pipeline depth per connection. Bulk-eligible
-//! payloads hand off to the session's worker pool
-//! ([`engine::WorkerPool`]) and never run crypto on the shard thread;
-//! each shard parks a self-pipe wake fd in its poll set so a pool
-//! completion cuts the poll short and the reply goes out immediately.
-//! Version-1 frames keep the PR 3 contract to the letter: executed
-//! synchronously, replies in request order, one layout on the wire.
+//! Every engine op runs on the session's one executor, its
+//! [`engine::WorkerPool`]. Protocol-v2 engine ops are **submitted, not
+//! awaited**: the request's correlation id rides into
+//! [`crate::session::Session::submit`] and the reply is emitted when the
+//! job completes. Small jobs run right away on the shard thread (the
+//! pool's caller-runs lane) and are answered after the current batch of
+//! frames; bulk jobs go to the pool's worker threads, never running
+//! crypto on the shard thread, and complete in completion order, which
+//! across a multi-core farm is not submission order. A v2 client may
+//! therefore keep an arbitrary pipeline depth per connection. Each shard
+//! parks a self-pipe wake fd in its poll set so a pool completion cuts
+//! the poll short and the reply goes out immediately. Version-1 frames
+//! keep their original contract to the letter: executed synchronously
+//! on the shard thread, replies in request order, one layout on the
+//! wire. Every request's reserved `flags` byte must be 0; anything else
+//! earns a typed [`ErrorCode::Malformed`] and the connection stays open.
 //!
 //! # Telemetry
 //!
@@ -50,16 +54,16 @@
 //! gauge (`service.pipeline.inflight`), readiness-loop histograms
 //! (`service.loop.events_per_poll`, `service.loop.dispatch_micros`), a
 //! request frame-size histogram, admission refusals, and — because each
-//! session's engine is built against the same registry — the full
+//! session's pool is built against the same registry — the full
 //! `engine.*` instrument set. `GET_STATS` serialises one snapshot of
 //! that registry as the `telemetry/1` JSON document;
 //! [`ServiceHandle::registry`] exposes the same registry in-process, so
 //! there is exactly one counter path.
 //!
 //! Shutdown is graceful: the acceptor stops admitting, every shard
-//! answers each connection's in-flight pipelined jobs, flushes its
-//! deferred jobs (delivering their [`Status::Data`] replies), sends an
-//! [`ErrorCode::ShuttingDown`] goodbye, and exits;
+//! waits out each connection's in-flight bulk jobs, answers every
+//! pipelined job, sends an [`ErrorCode::ShuttingDown`] goodbye, and
+//! exits;
 //! [`ServiceHandle::shutdown`] joins the acceptor, which joins every
 //! shard — no threads outlive the handle.
 
@@ -77,7 +81,7 @@ use telemetry::{Counter, Gauge, Registry};
 
 use crate::net::{self, PollSet};
 use crate::protocol::{
-    ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, FLAG_DEFER, PROTOCOL_V1, PROTOCOL_V2,
+    ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, PROTOCOL_V1, PROTOCOL_V2,
 };
 use crate::session::SessionSlot;
 
@@ -136,14 +140,14 @@ const DISPATCH_BOUNDS: [u64; 8] = [10, 50, 100, 500, 1_000, 5_000, 10_000, 100_0
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// Engine farm built for every session (each connection keys its
-    /// own copy, so farms are not shared across clients). The default is
+    /// Backend farm of every session's worker pool (each connection keys
+    /// its own copy, so farms are not shared across clients). The default is
     /// [`BackendSpec::Auto`] slots: the runtime dispatch decision, so a
     /// portable binary still lands on AES-NI/AVX2 where the serving CPU
     /// has them.
     pub farm: Vec<BackendSpec>,
-    /// Bound on each session's engine queue (deferred plus pipelined
-    /// jobs); exceeding it earns a typed [`ErrorCode::Busy`] reply.
+    /// Bound on each session's unfinished bulk jobs; exceeding it earns
+    /// a typed [`ErrorCode::Busy`] reply.
     pub queue_capacity: usize,
     /// Connection admission cap.
     pub max_connections: usize,
@@ -164,7 +168,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A validating builder seeded with the default knobs — the blessed
-    /// construction path, mirroring `engine::EngineBuilder`.
+    /// construction path, mirroring `engine::PoolBuilder`.
     #[must_use]
     pub fn builder() -> ServiceConfigBuilder {
         ServiceConfigBuilder {
@@ -247,8 +251,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Bound on each session's engine queue (deferred plus pipelined
-    /// jobs).
+    /// Bound on each session's unfinished bulk jobs.
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
@@ -464,8 +467,7 @@ impl ServiceHandle {
     }
 
     /// Stops accepting, answers every connection's in-flight pipelined
-    /// and deferred jobs, sends each peer a typed goodbye, and joins
-    /// all threads.
+    /// jobs, sends each peer a typed goodbye, and joins all threads.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -912,41 +914,29 @@ fn service_readable(conn: &mut Conn, shared: &Shared, scratch: &mut [u8]) -> boo
     true
 }
 
-/// Emits a reply for every pipelined job the engine has finished, in
-/// completion order.
+/// Emits a reply for every pipelined job the session has finished:
+/// caller-side results first, then pool completions in completion
+/// order.
 fn collect_pipelined(conn: &mut Conn, shared: &Shared) {
-    let Some(session) = conn.slot.session_mut() else {
+    let out = &mut conn.out;
+    let Some(session) = conn.slot.session_mut().filter(|s| s.in_flight() > 0) else {
         return;
     };
-    collect_session(session, &mut conn.out, shared);
-}
-
-/// The session-level half of [`collect_pipelined`], callable from
-/// dispatch (where the connection is already split into its fields).
-fn collect_session(session: &mut crate::session::Session, out: &mut OutBuf, shared: &Shared) {
-    if session.in_flight() == 0 {
-        return;
-    }
     let sid = session.id();
-    let results = session.collect();
-    for (corr, result) in results {
+    for (corr, result) in session.collect() {
         shared.inflight.sub(1);
-        let frame = match result {
-            // Pipelined replies mirror `corr` into `seq`: correlation
-            // is the contract, `seq` is diagnostics.
-            Ok(data) => pipelined_frame(Status::Ok, corr, sid, data),
+        let (status, payload) = match result {
+            Ok(data) => (Status::Ok, data),
             Err(e) => {
                 let (code, detail) = engine_error_code(Error::from(e));
                 shared.count_error(code);
-                pipelined_frame(Status::Error, corr, sid, error_body_bytes(code, detail))
+                (Status::Error, error_body_bytes(code, detail))
             }
         };
-        let _ = out.push(&frame);
+        // Pipelined replies mirror `corr` into `seq`: correlation is the
+        // contract, `seq` is diagnostics.
+        let _ = out.push(&Frame::reply(status, corr, sid, payload).with_corr(corr));
     }
-}
-
-fn pipelined_frame(status: Status, corr: u32, sid: u32, payload: Vec<u8>) -> Frame {
-    Frame::reply(status, corr, sid, payload).with_corr(corr)
 }
 
 fn error_body_bytes(code: ErrorCode, detail: u32) -> Vec<u8> {
@@ -968,21 +958,6 @@ fn drain_and_say_goodbye(mut conn: Conn, shared: &Shared) {
         let _ = session.quiesce(DRAIN_POOL_TIMEOUT);
     }
     collect_pipelined(&mut conn, shared);
-    if let Some(session) = conn.slot.session_mut() {
-        let sid = session.id();
-        let peer_version = conn.peer_version;
-        for (tag, result) in session.flush() {
-            let frame = match result {
-                Ok(data) => Frame::reply(Status::Data, tag, sid, data).with_corr(tag),
-                Err(e) => {
-                    let (code, detail) = engine_error_code(Error::from(e));
-                    shared.count_error(code);
-                    pipelined_frame(Status::Error, tag, sid, error_body_bytes(code, detail))
-                }
-            };
-            let _ = conn.out.push(&frame.with_version(peer_version));
-        }
-    }
     conn.push_goodbye(shared, ErrorCode::ShuttingDown, 0);
     let _ = conn.stream.set_nonblocking(false);
     let _ = (&conn.stream).write_all(&conn.out.buf[conn.out.start..]);
@@ -1034,11 +1009,6 @@ fn push_error(
     );
 }
 
-fn push_engine_error(conn_out: &mut OutBuf, shared: &Shared, req: &Frame, e: Error, sid: u32) {
-    let (code, detail) = engine_error_code(e);
-    push_error(conn_out, shared, req, code, detail, sid);
-}
-
 fn dispatch(frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
     shared
         .registry
@@ -1074,13 +1044,13 @@ fn dispatch(frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
         .registry
         .counter(&format!("service.op.{}.requests", op.name()))
         .incr();
-    if frame.flags & FLAG_DEFER != 0 && !op.is_engine_op() {
+    if frame.flags != 0 {
         push_error(
             out,
             shared,
             &frame,
-            ErrorCode::DeferUnsupported,
-            u32::from(op as u8),
+            ErrorCode::Malformed,
+            u32::from(frame.flags),
             live,
         );
         return Flow::Continue;
@@ -1183,32 +1153,6 @@ fn dispatch(frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
                     );
                 }
             }
-        }
-        Op::Flush => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            let results = session.flush();
-            let count = results.len() as u32;
-            for (tag, result) in results {
-                let reply = match result {
-                    Ok(data) => Frame::reply(Status::Data, tag, live, data).with_corr(tag),
-                    Err(e) => {
-                        let (code, detail) = engine_error_code(Error::from(e));
-                        shared.count_error(code);
-                        pipelined_frame(Status::Error, tag, live, error_body_bytes(code, detail))
-                    }
-                };
-                let _ = out.push(&reply.with_version(frame.version));
-            }
-            push_reply(
-                out,
-                &frame,
-                Status::Flushed,
-                live,
-                count.to_be_bytes().to_vec(),
-            );
         }
         Op::CmacTag => {
             if !session_ok(out, shared, &frame, live) {
@@ -1396,8 +1340,8 @@ fn split_aead_payload(payload: &[u8]) -> Option<([u8; aead::NONCE_LEN], &[u8], &
     Some((nonce, aad, body))
 }
 
-/// The five engine ops: IV split, mode mapping, and the three service
-/// disciplines — immediate (v1 and bulk), pipelined (v2), deferred.
+/// The five engine ops: IV split, mode mapping, and the two wire
+/// disciplines — v1 executes in order, v2 is pipelined.
 fn engine_op(
     mut frame: Frame,
     op: Op,
@@ -1432,40 +1376,25 @@ fn engine_op(
         .expect("dispatch routes only engine ops here");
     let session = slot.session_mut().expect("checked live");
 
-    if frame.flags & FLAG_DEFER != 0 {
-        match session.defer(frame.corr, mode, data) {
-            Ok(_) => push_reply(out, &frame, Status::Accepted, live, Vec::new()),
-            Err(e) => push_engine_error(out, shared, &frame, Error::from(e), live),
-        }
-        return Flow::Continue;
-    }
-
-    // v1 immediates run inline to keep their in-order reply contract
-    // (the session still picks its bitsliced bulk lane internally). v2
-    // traffic is pipelined: the session routes small jobs to its engine
-    // queue and bulk jobs to the worker pool, so the event loop never
-    // runs bulk crypto on its own thread.
-    if frame.version < PROTOCOL_V2 {
-        match session.execute(mode, data) {
-            Ok(result) => push_reply(out, &frame, Status::Ok, live, result),
-            Err(e) => push_engine_error(out, shared, &frame, e, live),
-        }
-        return Flow::Continue;
-    }
-
-    // v2 pipelined: submit now, reply at completion (collect_pipelined
-    // runs after the dispatch batch). A full queue is not Busy yet —
-    // draining completions frees slots, so the client only sees Busy
-    // when the queue is full of genuinely *unfinished* work (deferred
-    // jobs it has not flushed).
-    if session.in_flight() + session.outstanding() >= session.queue_capacity() {
-        collect_session(session, out, shared);
-    }
-    match session.submit(frame.corr, mode, data) {
-        Ok(_) => {
-            shared.inflight.add(1);
-        }
-        Err(e) => push_engine_error(out, shared, &frame, Error::from(e), live),
+    // v1 runs on this thread to keep its in-order reply contract. v2 is
+    // pipelined: the session runs small jobs here and hands bulk ones to
+    // its pool's workers; collect_pipelined answers both after the
+    // dispatch batch.
+    let result = if frame.version < PROTOCOL_V2 {
+        session.execute(mode, data).map(|bytes| {
+            push_reply(out, &frame, Status::Ok, live, bytes);
+        })
+    } else {
+        session
+            .submit(frame.corr, mode, data)
+            .map(|()| {
+                shared.inflight.add(1);
+            })
+            .map_err(Error::from)
+    };
+    if let Err(e) = result {
+        let (code, detail) = engine_error_code(e);
+        push_error(out, shared, &frame, code, detail, live);
     }
     Flow::Continue
 }
@@ -1579,6 +1508,42 @@ mod tests {
         assert_eq!(snap.counter("service.op.ping.requests"), Some(1));
         assert_eq!(snap.counter("service.op.ecb_encrypt.requests"), Some(1));
         assert_eq!(snap.counter("service.error.no_session"), Some(1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn the_retired_drain_opcode_is_a_typed_bad_op() {
+        let server = tiny_server();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let retired = Frame {
+            kind: 0x02,
+            ..Frame::request(Op::Ping, 0, 3, 0, Vec::new())
+        };
+        let reply = call(&stream, &retired);
+        assert_eq!(reply.error_body(), Some((ErrorCode::BadOp, 0x02)));
+        assert_eq!(reply.corr, 3);
+        server.shutdown();
+    }
+
+    #[test]
+    fn nonzero_flags_are_malformed_and_the_connection_survives() {
+        let server = tiny_server();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let sid = call(&stream, &Frame::request(Op::SetKey, 0, 1, 0, vec![0u8; 16])).session;
+        // No flag bit is assigned, so any non-zero flags byte is malformed.
+        let reply = call(
+            &stream,
+            &Frame::request(Op::EcbEncrypt, 0x01, 2, sid, vec![0u8; 16]),
+        );
+        assert_eq!(reply.error_body(), Some((ErrorCode::Malformed, 1)));
+        let reply = call(&stream, &Frame::request(Op::Ping, 0, 3, sid, vec![9]));
+        assert_eq!(reply.status(), Some(Status::Ok));
+        assert_eq!(reply.payload, vec![9]);
+        // The rejected job never ran and left nothing in flight.
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("service.error.malformed"), Some(1));
+        assert_eq!(snap.gauge("service.pipeline.inflight"), Some(0));
+        assert_eq!(snap.counter("engine.jobs.completed"), Some(0));
         server.shutdown();
     }
 

@@ -1,62 +1,66 @@
-//! Per-connection sessions: key management over an engine farm.
+//! Per-connection sessions: one key, one executor.
 //!
-//! A `SET_KEY` request creates a [`Session`]: a fresh [`Engine`] farm
-//! keyed with the submitted key (every backend pays its real key-setup
-//! cycles) plus a software [`TtableAes`] for the CMAC and key-wrap ops
-//! and a dispatched [`Gcm`] lane for the authenticated-encryption ops.
-//! Keys may be 16, 24 or 32 bytes (AES-128/192/256); the modeled IP
-//! cores are AES-128-only, so longer keys divert their farm slots to
-//! the software fallback backend. The key is never echoed on the wire
-//! and the only raw copy kept is the worker pool's (it must key grown
-//! and hot-swapped workers at runtime); when the session is dropped —
-//! connection teardown, idle expiry, or a re-key replacing it — that
-//! copy and the expanded schedules wipe themselves (`rijndael::zeroize`)
-//! and the hardware backends reload an all-zero key.
+//! A `SET_KEY` request creates a [`Session`]: a [`WorkerPool`] keyed with
+//! the submitted key — the session's one executor for the engine ops —
+//! plus a software [`TtableAes`] for the CMAC and key-wrap ops, a
+//! dispatched [`Gcm`] lane for the authenticated-encryption ops and an
+//! [`Xts`] lane for the sector ops. Keys may be 16, 24 or 32 bytes
+//! (AES-128/192/256); the modeled IP cores are AES-128-only, so longer
+//! keys divert their farm slots to the software fallback backend. The key
+//! is never echoed on the wire and the only raw copy kept is the pool's
+//! (it keys the pool's backends lazily, including grown and hot-swapped
+//! workers); when the session is dropped — connection teardown, idle
+//! expiry, or a re-key replacing it — that copy and the expanded
+//! schedules wipe themselves (`rijndael::zeroize`) and the hardware
+//! backends reload an all-zero key.
 //!
-//! Every session engine publishes into the registry handed to
-//! [`Session::new`] — the server passes its service-wide
-//! [`telemetry::Registry`], so the `engine.core.*` counters a `GET_STATS`
-//! reply carries aggregate over every session the server ever keyed.
+//! The pool publishes into the registry handed to [`Session::new`] — the
+//! server passes its service-wide [`telemetry::Registry`], so the
+//! `engine.core.*` counters a `GET_STATS` reply carries aggregate over
+//! every session the server ever keyed.
 //!
-//! Deferred jobs ride the engine's bounded queue: [`Session::defer`]
-//! surfaces [`SubmitError::Busy`] untranslated so the server can answer
-//! `Busy` instead of queueing without limit, and [`Session::flush`]
-//! drains results tagged with the sequence numbers of the requests that
-//! submitted them.
+//! The block-mode ops take one of the pool's two lanes, and the size threshold
+//! that picks the lane lives here and nowhere else:
 //!
-//! Pipelined (protocol v2) jobs ride the *same* bounded queue through a
-//! separate lane: [`Session::submit`] tags a job with the request's
-//! correlation id, and [`Session::collect`] drains the engine and
-//! returns every finished pipelined result in **completion order** —
-//! which across a multi-core farm is not submission order; that is the
-//! out-of-order property the v2 wire format exists to carry. The two
-//! lanes never mix: a drain triggered by either side stashes the other
-//! side's finished jobs for its own collection call, so interleaving
-//! pipelined, deferred and immediate traffic loses nothing.
+//! * below [`BULK_THRESHOLD`] bytes a job runs on the caller's thread
+//!   ([`WorkerPool::run_here`]) — the shard's event loop — because
+//!   handing it to a worker would cost more than computing it;
+//! * at or above it, a pipelined job goes to the pool's worker threads,
+//!   so the event loop returns to `poll(2)` at once and one large job
+//!   never head-of-line-blocks the other connections on the shard.
+//!
+//! [`Session::execute`] (protocol v1) runs caller-side at every size,
+//! which is what keeps v1 replies in request order. [`Session::submit`]
+//! (protocol v2) tags each job with the request's correlation id, and
+//! [`Session::collect`] returns the finished ones: caller-side results
+//! first, then pool completions in **completion order** — which across a
+//! multi-core farm is not submission order; that is the out-of-order
+//! property the v2 wire format exists to carry.
 
 use std::sync::Arc;
 
 use engine::{
-    BackendSpec, Engine, EngineBuilder, Error, JobError, JobId, Mode, PoolBuilder, ResizeAction,
-    ResizePolicy, SubmitError, WorkerPool,
+    BackendSpec, Error, JobError, JobId, Mode, PoolBuilder, ResizeAction, ResizePolicy,
+    SubmitError, WorkerPool,
 };
 use rijndael::aead::{self, Aead, Gcm, Xts, NONCE_LEN};
 use rijndael::dispatch::Kind;
-use rijndael::modes::{Ctr, Ecb};
 use rijndael::ttable::TtableAes;
 use rijndael::{cmac, AutoCipher};
 use telemetry::Registry;
 
-/// Payload size (eight 16-byte blocks) from which immediate ECB/CTR
-/// requests bypass the engine queue and run on the session's dispatched
-/// bulk lane instead.
+/// Payload size (eight 16-byte blocks) from which pipelined engine ops
+/// run on the session pool's worker threads instead of the caller's.
 pub const BULK_THRESHOLD: usize = 8 * 16;
 
-/// One keyed session: an engine farm, a CMAC cipher, a runtime-dispatched
-/// bulk lane, and the bookkeeping for deferred jobs.
+/// One finished pipelined job: its correlation id and its bytes or
+/// typed fault.
+type Finished = (u32, Result<Vec<u8>, JobError>);
+
+/// One keyed session: the worker pool, a CMAC cipher, the AEAD and XTS
+/// lanes, and the bookkeeping for pipelined jobs.
 pub struct Session {
     id: u32,
-    engine: Engine,
     mac: TtableAes,
     /// GCM lane for the SEAL/OPEN ops, keyed with the session key over
     /// the dispatch-selected cipher (the `Ttable` kind when the
@@ -68,40 +72,23 @@ pub struct Session {
     /// client can reproduce the stream with
     /// `Xts::new(C::new(k), C::new(k))`.
     xts: Xts<AutoCipher>,
-    /// Dispatched cipher for the bulk fast path: immediate ECB/CTR
-    /// payloads of [`BULK_THRESHOLD`] bytes or more skip the engine
-    /// queue and run here on whatever backend the startup micro-race
-    /// picked (AES-NI where the CPU has it, the bitsliced planes
-    /// otherwise). `None` when `RIJNDAEL_FORCE_BACKEND=ip-core` pins the
-    /// whole deployment to the hardware model — bulk traffic then rides
-    /// the engine farm like everything else.
-    bulk: Option<AutoCipher>,
-    /// Deferred jobs still in the engine queue: `(job, request seq)`.
-    pending: Vec<(JobId, u32)>,
-    /// Deferred jobs that were drained early because an immediate request
-    /// forced a queue drain; delivered at the next flush.
-    completed: Vec<(u32, Result<Vec<u8>, JobError>)>,
-    /// Pipelined jobs still in the engine queue: `(job, correlation id)`.
-    piped: Vec<(JobId, u32)>,
-    /// Pipelined jobs finished by an earlier drain, in completion order,
-    /// awaiting the next [`Session::collect`].
-    piped_done: Vec<(u32, Result<Vec<u8>, JobError>)>,
-    /// The thread worker pool behind the pipelined *bulk* lane: v2
-    /// requests of [`BULK_THRESHOLD`] bytes or more run here, off the
-    /// event-loop thread, so one large job no longer head-of-line-blocks
-    /// every connection on the shard. Worker threads spawn lazily on the
-    /// first such request, so small-traffic sessions cost none.
+    /// The session's one executor for the engine ops. Worker threads
+    /// spawn on the first bulk job and caller-side backends are keyed
+    /// on the first small one, so a session holding only a key costs
+    /// neither.
     pool: WorkerPool,
-    /// Pool-lane jobs not yet collected: `(job, correlation id)`.
-    pool_piped: Vec<(JobId, u32)>,
+    /// Caller-side results awaiting the next [`Session::collect`].
+    parked: Vec<Finished>,
+    /// Pool jobs not yet collected: `(job, correlation id)`.
+    open: Vec<(JobId, u32)>,
 }
 
 impl Session {
-    /// Keys a new session: builds the engine farm, the CMAC/key-wrap
-    /// cipher and the GCM lane from `key`, wiring the engine's telemetry
-    /// into `registry`. The caller owns (and should wipe) its copy of
-    /// the key bytes; this type keeps only expanded material, which
-    /// self-wipes on drop.
+    /// Keys a new session: builds the worker pool over `farm`, the
+    /// CMAC/key-wrap cipher and the AEAD/XTS lanes from `key`, wiring
+    /// the pool's telemetry into `registry`. The caller owns (and should
+    /// wipe) its copy of the key bytes; this type keeps only the pool's
+    /// copy and expanded material, all of which self-wipe on drop.
     ///
     /// # Panics
     ///
@@ -116,40 +103,26 @@ impl Session {
         queue_capacity: usize,
         registry: &Registry,
     ) -> Session {
-        // The AEAD and XTS lanes always need a batch-capable software
-        // cipher: when the deployment is pinned to ip-core the
-        // dispatcher has no bulk selection, so they fall back to the
-        // T-table kind.
-        let aead_cipher = dispatched_cipher(key);
         Session {
             id,
-            engine: EngineBuilder::new()
-                .cores(farm)
-                .capacity(queue_capacity)
-                .registry(registry.clone())
-                .build(key),
             mac: TtableAes::new(key).expect("key length validated by the caller"),
-            aead: Gcm::new(aead_cipher),
+            aead: Gcm::new(dispatched_cipher(key)),
             xts: Xts::new(dispatched_cipher(key), dispatched_cipher(key)),
-            bulk: AutoCipher::new(key),
-            pending: Vec::new(),
-            completed: Vec::new(),
-            piped: Vec::new(),
-            piped_done: Vec::new(),
             pool: PoolBuilder::new()
                 .cores(farm)
                 .capacity(queue_capacity)
                 .registry(registry.clone())
                 .build(key),
-            pool_piped: Vec::new(),
+            parked: Vec::new(),
+            open: Vec::new(),
         }
     }
 
-    /// Installs the completion callback the pool lane fires once per
-    /// finished bulk job — the server points this at its shard's wake
-    /// pipe so a parked `poll(2)` loop re-arms the connection without
-    /// waiting out its timeout. Call after every re-key (a new session
-    /// starts with no notifier).
+    /// Installs the completion callback the pool fires once per finished
+    /// bulk job — the server points this at its shard's wake pipe so a
+    /// parked `poll(2)` loop re-arms the connection without waiting out
+    /// its timeout. Call after every re-key (a new session starts with
+    /// no notifier).
     pub fn set_notifier(&self, notifier: Arc<dyn Fn() + Send + Sync>) {
         self.pool.set_notifier(notifier);
     }
@@ -160,13 +133,12 @@ impl Session {
         self.pool.autoscale_tick(policy)
     }
 
-    /// Waits (up to `timeout`) for every pool-lane bulk job still
-    /// executing on the worker threads to finish, so a following
-    /// [`Session::collect`] returns them. Returns `true` when the lane
-    /// went quiet. The server's graceful-shutdown drain calls this
-    /// before the goodbye frame — the pool lane of `collect` is
-    /// non-blocking, and dropping the session mid-execution would
-    /// silently discard an accepted request's reply.
+    /// Waits (up to `timeout`) for every bulk job still executing on the
+    /// worker threads to finish, so a following [`Session::collect`]
+    /// returns them. Returns `true` when the pool went quiet. The
+    /// server's graceful-shutdown drain calls this before the goodbye
+    /// frame — `collect` never blocks, and dropping the session
+    /// mid-execution would silently discard an accepted request's reply.
     #[must_use]
     pub fn quiesce(&self, timeout: std::time::Duration) -> bool {
         self.pool.wait_idle_timeout(timeout)
@@ -178,142 +150,68 @@ impl Session {
         self.id
     }
 
-    /// Deferred jobs not yet delivered (queued plus drained-early).
-    #[must_use]
-    pub fn outstanding(&self) -> usize {
-        self.pending.len() + self.completed.len()
-    }
-
-    /// Pipelined jobs not yet delivered (queued plus drained-early, both
-    /// lanes) — the per-session contribution to the server's in-flight
-    /// gauge, and the server's cue to re-collect after a pool wakeup.
+    /// Pipelined jobs not yet delivered (parked caller-side results plus
+    /// open pool jobs) — the per-session contribution to the server's
+    /// in-flight gauge, and the server's cue to collect.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.piped.len() + self.piped_done.len() + self.pool_piped.len()
+        self.parked.len() + self.open.len()
     }
 
-    /// The engine's queue bound (the `Busy` detail value).
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        self.engine.capacity()
-    }
-
-    /// Runs one operation to completion and returns its output.
-    ///
-    /// ECB and CTR payloads of [`BULK_THRESHOLD`] bytes or more take the
-    /// bulk lane: the session's dispatched cipher processes them inline
-    /// through its widest batch path, without touching the engine queue
-    /// (deferred jobs keep their slots and their ordering). Everything
-    /// else — small payloads, the chained modes, and every mode when the
-    /// deployment is pinned to `ip-core` — runs through the engine farm.
-    ///
-    /// Draining the engine may also complete deferred jobs that share the
-    /// queue; their outputs are stashed for the next [`Session::flush`],
-    /// so interleaving immediate and deferred traffic loses nothing.
+    /// Runs one operation to completion on the caller's thread and
+    /// returns its output, whatever its size — the protocol-v1 path.
     ///
     /// # Errors
     ///
-    /// [`Error::Submit`] when the queue is full (flush first) or the
-    /// buffer is ragged; [`Error::Job`] when a backend faults.
-    pub fn execute(&mut self, mode: Mode, mut data: Vec<u8>) -> Result<Vec<u8>, Error> {
-        if data.len() >= BULK_THRESHOLD {
-            if let Some(bulk) = &self.bulk {
-                match mode {
-                    Mode::EcbEncrypt => {
-                        Ecb::encrypt_batched(bulk, &mut data)?;
-                        return Ok(data);
-                    }
-                    Mode::EcbDecrypt => {
-                        Ecb::decrypt_batched(bulk, &mut data)?;
-                        return Ok(data);
-                    }
-                    Mode::Ctr(nonce) => {
-                        Ctr::apply_batched(bulk, &nonce, 0, &mut data);
-                        return Ok(data);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let id = self.engine.try_submit(mode, data)?;
-        let mut result = None;
-        for out in self.engine.run() {
-            if out.id == id {
-                result = Some(out.data);
-            } else {
-                self.stash(out.id, out.data);
-            }
-        }
-        result
-            .expect("run() drains every queued job, including the one just submitted")
-            .map_err(Error::from)
+    /// [`Error::Submit`] when the buffer is ragged; [`Error::Job`] when
+    /// a backend faults.
+    pub fn execute(&mut self, mode: Mode, data: Vec<u8>) -> Result<Vec<u8>, Error> {
+        self.pool.run_here(mode, data)
     }
 
-    /// Enqueues a deferred job tagged with the request's `seq`.
+    /// Accepts a pipelined job tagged with the request's correlation id;
+    /// its result surfaces from a later [`Session::collect`].
+    ///
+    /// Payloads of [`BULK_THRESHOLD`] bytes or more go to the pool's
+    /// worker threads. Smaller ones run right here on the caller's thread
+    /// and their result is parked for the next collect.
     ///
     /// # Errors
     ///
-    /// Propagates [`SubmitError`] verbatim — `Busy` here is the
-    /// backpressure signal the server forwards to the client.
-    pub fn defer(&mut self, seq: u32, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
-        let id = self.engine.try_submit(mode, data)?;
-        self.pending.push((id, seq));
-        Ok(id)
-    }
-
-    /// Drains the engine and returns every undelivered deferred result in
-    /// completion order, tagged with its submission `seq`.
-    pub fn flush(&mut self) -> Vec<(u32, Result<Vec<u8>, JobError>)> {
-        let drained = self.engine.run();
-        for out in drained {
-            self.stash(out.id, out.data);
-        }
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Enqueues a pipelined job tagged with the request's correlation
-    /// id; its result surfaces from a later [`Session::collect`].
-    ///
-    /// Payloads of [`BULK_THRESHOLD`] bytes or more go to the session's
-    /// worker pool and execute on its threads — the event loop returns
-    /// to `poll(2)` immediately and small neighbors stop queueing behind
-    /// bulk crypto. Smaller payloads ride the engine queue as before
-    /// (the engine drains them in microseconds; handing them to another
-    /// thread would cost more than computing them).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SubmitError`] verbatim — `Busy` is the per-session
-    /// backpressure signal the server forwards as a typed reply.
-    pub fn submit(&mut self, corr: u32, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
+    /// [`SubmitError`] verbatim: `RaggedLength` for a ragged ECB/CBC
+    /// buffer at any size, and `Busy` — the per-session backpressure
+    /// signal the server forwards as a typed reply — when the pool
+    /// already holds its capacity of unfinished bulk jobs.
+    pub fn submit(&mut self, corr: u32, mode: Mode, data: Vec<u8>) -> Result<(), SubmitError> {
         if data.len() >= BULK_THRESHOLD {
             let id = self.pool.try_submit(mode, data)?;
-            self.pool_piped.push((id, corr));
-            return Ok(id);
+            self.open.push((id, corr));
+            return Ok(());
         }
-        let id = self.engine.try_submit(mode, data)?;
-        self.piped.push((id, corr));
-        Ok(id)
+        let result = match self.pool.run_here(mode, data) {
+            Ok(bytes) => Ok(bytes),
+            Err(Error::Job(e)) => Err(e),
+            Err(Error::Submit(e)) => return Err(e),
+        };
+        self.parked.push((corr, result));
+        Ok(())
     }
 
-    /// Drains both pipelined lanes — the inline engine and the thread
-    /// pool — and returns every finished result in completion order,
-    /// tagged with its correlation id. Deferred jobs completed by the
-    /// same drain are stashed for the next flush.
-    pub fn collect(&mut self) -> Vec<(u32, Result<Vec<u8>, JobError>)> {
-        if !self.piped.is_empty() {
-            let drained = self.engine.run();
-            for out in drained {
-                self.stash(out.id, out.data);
+    /// Returns every finished pipelined job, tagged with its
+    /// correlation id: parked caller-side results first, then the pool
+    /// completions ready right now, in completion order. Never blocks.
+    pub fn collect(&mut self) -> Vec<Finished> {
+        let mut done = std::mem::take(&mut self.parked);
+        while !self.open.is_empty() {
+            let Some(out) = self.pool.try_collect() else {
+                break;
+            };
+            if let Some(pos) = self.open.iter().position(|&(id, _)| id == out.id) {
+                let (_, corr) = self.open.swap_remove(pos);
+                done.push((corr, out.data));
             }
         }
-        while let Some(out) = self.pool.try_collect() {
-            if let Some(pos) = self.pool_piped.iter().position(|&(jid, _)| jid == out.id) {
-                let (_, corr) = self.pool_piped.remove(pos);
-                self.piped_done.push((corr, out.data));
-            }
-        }
-        std::mem::take(&mut self.piped_done)
+        done
     }
 
     /// Computes the AES-CMAC tag of `message` under the session key.
@@ -399,19 +297,9 @@ impl Session {
     pub fn unwrap_key(&self, wrapped: &[u8]) -> Result<Vec<u8>, aead::Error> {
         aead::unwrap(&self.mac, wrapped)
     }
-
-    fn stash(&mut self, id: JobId, data: Result<Vec<u8>, JobError>) {
-        if let Some(pos) = self.pending.iter().position(|&(jid, _)| jid == id) {
-            let (_, seq) = self.pending.remove(pos);
-            self.completed.push((seq, data));
-        } else if let Some(pos) = self.piped.iter().position(|&(jid, _)| jid == id) {
-            let (_, corr) = self.piped.remove(pos);
-            self.piped_done.push((corr, data));
-        }
-    }
 }
 
-/// The dispatch-selected software cipher for the session's non-engine
+/// The dispatch-selected software cipher for the session's AEAD and XTS
 /// lanes, falling back to the always-available T-table kind when the
 /// deployment is pinned to the batch-less `ip-core`.
 fn dispatched_cipher(key: &[u8]) -> AutoCipher {
@@ -454,7 +342,7 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("id", &self.id)
-            .field("outstanding", &self.outstanding())
+            .field("in_flight", &self.in_flight())
             .finish()
     }
 }
@@ -494,7 +382,7 @@ impl SessionSlot {
     ) -> u32 {
         let id = self.next_id.max(1);
         self.next_id = id.wrapping_add(1);
-        // Assigning drops the previous session first-class: its engine
+        // Assigning drops the previous session first-class: its pool
         // backends and cipher schedules wipe their key material on drop.
         self.current = Some(Session::new(id, key, farm, queue_capacity, registry));
         id
@@ -517,6 +405,7 @@ mod tests {
     use super::*;
     use rijndael::modes::{Cbc, Ctr, Ecb};
     use rijndael::{Aes128, Aes256, BlockCipher};
+    use std::time::{Duration, Instant};
 
     const KEY: [u8; 16] = [
         0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F,
@@ -533,6 +422,18 @@ mod tests {
 
     fn sample(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 13 + 1) as u8).collect()
+    }
+
+    /// Collects until `n` results arrived (pool jobs finish on other
+    /// threads), failing after ten seconds.
+    fn collect_n(s: &mut Session, n: usize) -> Vec<Finished> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut got = Vec::new();
+        while got.len() < n && Instant::now() < deadline {
+            got.extend(s.collect());
+        }
+        assert_eq!(got.len(), n, "every accepted job delivers");
+        got
     }
 
     #[test]
@@ -559,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_lane_matches_the_software_reference() {
+    fn execute_runs_bulk_payloads_caller_side_too() {
         let mut s = session(8);
         let reference = Aes128::new(&KEY);
 
@@ -572,49 +473,32 @@ mod tests {
         let pt = s.execute(Mode::EcbDecrypt, ct).unwrap();
         assert_eq!(pt, data);
 
-        // CTR keeps its any-length contract on the bulk lane too.
+        // CTR keeps its any-length contract at bulk sizes too.
         let nonce = [0xA5u8; 16];
         let data = sample(BULK_THRESHOLD + 5);
         let ct = s.execute(Mode::Ctr(nonce), data.clone()).unwrap();
         let mut expect = data;
         Ctr::apply(&reference, &nonce, &mut expect);
         assert_eq!(ct, expect);
+        assert_eq!(s.in_flight(), 0);
     }
 
     #[test]
-    fn bulk_lane_rejects_ragged_ecb_and_skips_the_engine_queue() {
+    fn ragged_blocks_fail_typed_at_submit_on_both_lanes() {
         let mut s = session(2);
-        assert_eq!(
-            s.execute(Mode::EcbEncrypt, sample(BULK_THRESHOLD + 1)),
-            Err(Error::Submit(SubmitError::RaggedLength {
-                len: BULK_THRESHOLD + 1
-            }))
-        );
-
-        // A deferred job keeps its queue slot and its pending status
-        // while bulk traffic streams past it.
-        s.defer(9, Mode::CbcEncrypt([0; 16]), sample(16)).unwrap();
-        let _ = s.execute(Mode::EcbEncrypt, sample(BULK_THRESHOLD)).unwrap();
-        assert_eq!(s.outstanding(), 1);
-        let results = s.flush();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].0, 9);
-    }
-
-    #[test]
-    fn defer_then_flush_returns_results_tagged_by_seq() {
-        let mut s = session(8);
-        s.defer(100, Mode::EcbEncrypt, sample(32)).unwrap();
-        s.defer(200, Mode::Ctr([1; 16]), sample(5)).unwrap();
-        assert_eq!(s.outstanding(), 2);
-
-        let results = s.flush();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].0, 100);
-        assert_eq!(results[1].0, 200);
-        assert!(results.iter().all(|(_, r)| r.is_ok()));
-        assert_eq!(s.outstanding(), 0);
-        assert!(s.flush().is_empty(), "flush is idempotent once drained");
+        for len in [17, BULK_THRESHOLD + 1] {
+            assert_eq!(
+                s.execute(Mode::EcbEncrypt, sample(len)),
+                Err(Error::Submit(SubmitError::RaggedLength { len }))
+            );
+            assert_eq!(
+                s.submit(1, Mode::CbcEncrypt([0; 16]), sample(len)),
+                Err(SubmitError::RaggedLength { len })
+            );
+        }
+        // Nothing was accepted, so nothing is owed.
+        assert_eq!(s.in_flight(), 0);
+        assert!(s.collect().is_empty());
     }
 
     #[test]
@@ -624,14 +508,12 @@ mod tests {
         s.submit(0xA1, Mode::EcbEncrypt, sample(32)).unwrap();
         s.submit(0xB2, Mode::Ctr([1; 16]), sample(5)).unwrap();
         assert_eq!(s.in_flight(), 2);
-        assert_eq!(s.outstanding(), 0, "pipelined jobs are not deferred");
 
+        // Small jobs ran caller-side: one collect returns both.
         let results = s.collect();
         assert_eq!(s.in_flight(), 0);
         let tags: Vec<u32> = results.iter().map(|&(c, _)| c).collect();
-        let mut sorted = tags.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0xA1, 0xB2]);
+        assert_eq!(tags, vec![0xA1, 0xB2]);
         for (corr, data) in results {
             let data = data.unwrap();
             if corr == 0xA1 {
@@ -648,32 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_deferred_lanes_never_mix() {
-        let mut s = session(8);
-        s.defer(100, Mode::EcbEncrypt, sample(16)).unwrap();
-        s.submit(7, Mode::EcbEncrypt, sample(16)).unwrap();
-        // Collect drains the whole engine, but the deferred result must
-        // wait for its flush, and vice versa.
-        let piped = s.collect();
-        assert_eq!(piped.len(), 1);
-        assert_eq!(piped[0].0, 7);
-        assert_eq!(s.in_flight(), 0);
-        assert_eq!(s.outstanding(), 1);
-        let deferred = s.flush();
-        assert_eq!(deferred.len(), 1);
-        assert_eq!(deferred[0].0, 100);
-
-        // And a flush-triggered drain stashes pipelined completions.
-        s.submit(8, Mode::Ctr([0; 16]), sample(3)).unwrap();
-        s.defer(200, Mode::EcbDecrypt, sample(16)).unwrap();
-        assert_eq!(s.flush().len(), 1);
-        assert_eq!(s.in_flight(), 1, "finished but uncollected");
-        let piped = s.collect();
-        assert_eq!(piped.len(), 1);
-        assert_eq!(piped[0].0, 8);
-    }
-
-    #[test]
     fn bulk_pipelined_jobs_take_the_pool_lane_and_match_the_reference() {
         let mut s = session(8);
         let reference = Aes128::new(&KEY);
@@ -683,12 +539,8 @@ mod tests {
         s.submit(0x5A1, Mode::EcbEncrypt, small.clone()).unwrap();
         assert_eq!(s.in_flight(), 2);
 
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let mut got = Vec::new();
-        while got.len() < 2 && std::time::Instant::now() < deadline {
-            got.extend(s.collect());
-        }
-        assert_eq!(got.len(), 2, "both lanes deliver");
+        let got = collect_n(&mut s, 2);
+        assert_eq!(got[0].0, 0x5A1, "the caller-side result is ready first");
         assert_eq!(s.in_flight(), 0);
         for (corr, data) in got {
             let mut expect = if corr == 0xB16 {
@@ -712,12 +564,7 @@ mod tests {
         }));
         s.submit(1, Mode::Ctr([0; 16]), sample(BULK_THRESHOLD))
             .unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let mut got = Vec::new();
-        while got.is_empty() && std::time::Instant::now() < deadline {
-            got.extend(s.collect());
-        }
-        assert_eq!(got.len(), 1);
+        assert_eq!(collect_n(&mut s, 1).len(), 1);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 
@@ -726,7 +573,7 @@ mod tests {
         let mut s = session(8);
         s.submit(0xD1, Mode::EcbEncrypt, sample(64 * 16)).unwrap();
         assert!(
-            s.quiesce(std::time::Duration::from_secs(10)),
+            s.quiesce(Duration::from_secs(10)),
             "the pool lane goes quiet"
         );
         // After a successful quiesce one collect is enough — no
@@ -745,59 +592,28 @@ mod tests {
     }
 
     #[test]
-    fn busy_surfaces_at_the_submit_boundary() {
-        let mut s = session(2);
-        s.submit(1, Mode::Ctr([0; 16]), sample(4)).unwrap();
-        s.submit(2, Mode::EcbEncrypt, sample(16)).unwrap();
+    fn busy_surfaces_at_the_submit_boundary_for_bulk_jobs_only() {
+        // One paced core at 5 ms a block: each bulk job holds its slot
+        // for 40 ms, far longer than the submissions below take.
+        let farm = [BackendSpec::Paced {
+            block_ns: 5_000_000,
+        }];
+        let mut s = Session::new(1, &KEY, &farm, 2, &Registry::new());
+        let bulk = sample(BULK_THRESHOLD);
+        s.submit(1, Mode::Ctr([0; 16]), bulk.clone()).unwrap();
+        s.submit(2, Mode::EcbEncrypt, bulk.clone()).unwrap();
         assert_eq!(
-            s.submit(3, Mode::EcbEncrypt, sample(16)),
+            s.submit(3, Mode::EcbEncrypt, bulk.clone()),
             Err(SubmitError::Busy { capacity: 2 })
         );
-        assert_eq!(s.collect().len(), 2);
-        assert!(s.submit(3, Mode::EcbEncrypt, sample(16)).is_ok());
-    }
-
-    #[test]
-    fn busy_surfaces_at_the_defer_boundary() {
-        let mut s = session(2);
-        s.defer(1, Mode::Ctr([0; 16]), sample(4)).unwrap();
-        s.defer(2, Mode::CbcEncrypt([0; 16]), sample(16)).unwrap();
-        assert_eq!(
-            s.defer(3, Mode::EcbEncrypt, sample(16)),
-            Err(SubmitError::Busy { capacity: 2 })
-        );
-        assert_eq!(s.queue_capacity(), 2);
-        // Flushing frees the queue again.
-        assert_eq!(s.flush().len(), 2);
-        assert!(s.defer(3, Mode::EcbEncrypt, sample(16)).is_ok());
-    }
-
-    #[test]
-    fn immediate_execute_with_pending_jobs_stashes_their_results() {
-        let mut s = session(8);
-        s.defer(7, Mode::EcbEncrypt, sample(16)).unwrap();
-        // The immediate op forces a drain; the deferred result must not
-        // be lost, only delayed until the flush.
-        let _ = s.execute(Mode::Ctr([3; 16]), sample(10)).unwrap();
-        assert_eq!(s.outstanding(), 1);
-        let results = s.flush();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].0, 7);
-
-        let reference = Aes128::new(&KEY);
-        let mut expect = sample(16);
-        Ecb::encrypt(&reference, &mut expect).unwrap();
-        assert_eq!(results[0].1.as_ref().unwrap(), &expect);
-    }
-
-    #[test]
-    fn ragged_blocks_are_rejected_without_holding_a_slot() {
-        let mut s = session(2);
-        assert_eq!(
-            s.execute(Mode::EcbEncrypt, sample(17)),
-            Err(Error::Submit(SubmitError::RaggedLength { len: 17 }))
-        );
-        assert_eq!(s.outstanding(), 0);
+        // A small job holds no slot, so it is never Busy.
+        s.submit(4, Mode::EcbEncrypt, sample(16)).unwrap();
+        let mut corrs: Vec<u32> = collect_n(&mut s, 3).iter().map(|&(c, _)| c).collect();
+        corrs.sort_unstable();
+        assert_eq!(corrs, vec![1, 2, 4]);
+        // Collection freed the slots: the bounced job now goes through.
+        s.submit(3, Mode::EcbEncrypt, bulk).unwrap();
+        assert_eq!(collect_n(&mut s, 1)[0].0, 3);
     }
 
     #[test]
@@ -915,24 +731,25 @@ mod tests {
     }
 
     #[test]
-    fn long_keys_drive_the_engine_and_bulk_lanes() {
+    fn long_keys_drive_both_lanes() {
         let key: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(9) ^ 0x6C).collect();
         let mut s = Session::new(1, &key, &farm(), 8, &Registry::new());
         let reference = Aes256::new(key.as_slice().try_into().unwrap());
 
-        // Small payload: engine farm (ip-core slots divert to software).
+        // Small payload, caller-side (the ip-core slot diverts to the
+        // software fallback).
         let data = sample(2 * 16);
         let ct = s.execute(Mode::EcbEncrypt, data.clone()).unwrap();
         let mut expect = data.clone();
         Ecb::encrypt(&reference, &mut expect).unwrap();
         assert_eq!(ct, expect);
 
-        // Bulk payload: the dispatched lane.
+        // Bulk payload, on the worker threads.
         let data = sample(24 * 16);
-        let ct = s.execute(Mode::EcbEncrypt, data.clone()).unwrap();
+        s.submit(7, Mode::EcbEncrypt, data.clone()).unwrap();
         let mut expect = data;
         Ecb::encrypt(&reference, &mut expect).unwrap();
-        assert_eq!(ct, expect);
+        assert_eq!(collect_n(&mut s, 1)[0].1.as_ref().unwrap(), &expect);
     }
 
     #[test]
@@ -943,13 +760,13 @@ mod tests {
         let a = slot.rekey(&KEY, &farm(), 4, &reg);
         slot.session_mut()
             .unwrap()
-            .defer(1, Mode::EcbEncrypt, sample(16))
+            .submit(1, Mode::EcbEncrypt, sample(16))
             .unwrap();
         let b = slot.rekey(&[5u8; 16], &farm(), 4, &reg);
         assert_ne!(a, b);
         assert_ne!(b, 0);
-        // The pending job died with the old session.
-        assert_eq!(slot.session_mut().unwrap().outstanding(), 0);
+        // The parked result died with the old session.
+        assert_eq!(slot.session_mut().unwrap().in_flight(), 0);
         // And the new session really uses the new key.
         let ct = slot
             .session_mut()

@@ -1,15 +1,14 @@
 //! Pipelined end-to-end exercise of the v2 framed service: many frames
 //! in flight per connection completing out of order across a mixed
 //! multi-core farm, verified block-by-block against SP 800-38A KATs;
-//! per-job typed failures that do not poison the connection; deferred
-//! and pipelined lanes coexisting on one socket; and a version-1
-//! single-in-flight client speaking to the same v2 server.
+//! per-job typed failures that do not poison the connection; and a
+//! version-1 single-in-flight client speaking to the same v2 server.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use rijndael_ip::engine::BackendSpec;
-use rijndael_ip::service::client::{Client, SubmitOutcome};
+use rijndael_ip::service::client::Client;
 use rijndael_ip::service::protocol::{ErrorCode, Op, PROTOCOL_V1};
 use rijndael_ip::service::server::{Server, ServiceConfig};
 
@@ -145,44 +144,6 @@ fn pipelined_failures_are_per_job_not_connection_fatal() {
     server.shutdown();
 }
 
-/// The deferred (submit/flush) and pipelined (pipeline/collect) lanes
-/// share one connection and one engine queue without crosstalk: each
-/// lane's results come back on its own path, tagged with its own ids.
-#[test]
-fn deferred_and_pipelined_lanes_coexist_on_one_connection() {
-    let server = spawn_server(vec![BackendSpec::Software; 2], 16);
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
-
-    let pt = hex(SP800_PT);
-    let ct = hex(SP800_ECB_CT);
-
-    let deferred = match client
-        .try_submit(Op::EcbEncrypt, None, &pt[16..32])
-        .expect("defer")
-    {
-        SubmitOutcome::Accepted(tag) => tag,
-        SubmitOutcome::Busy { .. } => panic!("empty queue refused a job"),
-    };
-    let piped = client
-        .pipeline(Op::EcbEncrypt, None, &pt[..16])
-        .expect("pipe");
-
-    let jobs = client.collect_all().expect("collect pipelined");
-    assert_eq!(jobs.len(), 1, "only the pipelined job on this lane");
-    assert_eq!(jobs[0].corr, piped);
-    assert_eq!(jobs[0].result.as_deref().expect("piped ok"), &ct[..16]);
-
-    let flushed = client.flush().expect("flush deferred");
-    assert_eq!(flushed.len(), 1, "only the deferred job on this lane");
-    assert_eq!(flushed[0].seq, deferred);
-    assert_eq!(
-        flushed[0].result.as_deref().expect("deferred ok"),
-        &ct[16..32]
-    );
-    server.shutdown();
-}
-
 /// A version-1 client — 11-byte headers, one request in flight,
 /// replies strictly in order — runs its entire KAT conversation
 /// against the v2 server unchanged, and every reply it sees is in the
@@ -214,21 +175,6 @@ fn v1_client_roundtrips_kats_against_the_v2_server() {
     let tag = client.cmac_tag(&pt[..16]).expect("CMAC tag");
     assert_eq!(tag.to_vec(), hex(CMAC_TAG_1BLOCK), "RFC 4493 example 2");
     assert!(client.cmac_verify(&pt[..16], &tag).expect("CMAC verify"));
-
-    // The deferred lane works over v1 framing too.
-    match client
-        .try_submit(Op::EcbEncrypt, None, &pt[..16])
-        .expect("defer")
-    {
-        SubmitOutcome::Accepted(_) => {}
-        SubmitOutcome::Busy { .. } => panic!("empty queue refused a job"),
-    }
-    let flushed = client.flush().expect("flush");
-    assert_eq!(flushed.len(), 1);
-    assert_eq!(
-        flushed[0].result.as_deref().expect("deferred ok"),
-        &hex(SP800_ECB_CT)[..16]
-    );
     server.shutdown();
 }
 

@@ -1,14 +1,14 @@
 //! End-to-end exercise of the framed TCP service: concurrent clients
-//! against published KATs, typed `Busy` backpressure, session
-//! lifecycle, and graceful shutdown with the deferred queue drained.
+//! against published KATs, typed `Busy` backpressure on bulk jobs,
+//! session lifecycle, and graceful shutdown that answers in-flight jobs.
 
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
 use rijndael_ip::engine::BackendSpec;
-use rijndael_ip::service::client::{Client, ClientError, SubmitOutcome};
-use rijndael_ip::service::protocol::{ErrorCode, Frame, Op, Status};
+use rijndael_ip::service::client::{Client, ClientError};
+use rijndael_ip::service::protocol::{ErrorCode, Frame, Op};
 use rijndael_ip::service::server::{Server, ServiceConfig};
 use rijndael_ip::service::Transport;
 
@@ -20,6 +20,17 @@ fn json_counter(json: &str, name: &str) -> Option<u64> {
     let start = json.find(&needle)? + needle.len();
     let rest = &json[start..];
     rest[..rest.find('}')?].parse().ok()
+}
+
+/// Every counter in the document whose name starts with `prefix` and
+/// ends with `suffix`, by the same string surgery.
+fn json_counters(json: &str, prefix: &str, suffix: &str) -> Vec<(String, u64)> {
+    json.split("{\"name\":\"")
+        .skip(1)
+        .filter_map(|entry| entry.split_once('"').map(|(name, _)| name))
+        .filter(|name| name.starts_with(prefix) && name.ends_with(suffix))
+        .filter_map(|name| Some((name.to_string(), json_counter(json, name)?)))
+        .collect()
 }
 
 fn hex(s: &str) -> Vec<u8> {
@@ -146,46 +157,72 @@ fn four_concurrent_clients_roundtrip_published_kats() {
     server.shutdown();
 }
 
+/// A bulk payload: the SP 800-38A stream eight times over (32 blocks,
+/// past the session's bulk threshold, so it runs on the pool's
+/// workers), with its ECB ciphertext.
+fn bulk_ecb_kat() -> (Vec<u8>, Vec<u8>) {
+    (hex(SP800_PT).repeat(8), hex(SP800_ECB_CT).repeat(8))
+}
+
+/// One paced core at 2 ms a block holds each 32-block bulk job for
+/// about 64 ms — far longer than the requests around it take.
+fn slow_farm() -> Vec<BackendSpec> {
+    vec![BackendSpec::Paced {
+        block_ns: 2_000_000,
+    }]
+}
+
 #[test]
-fn busy_backpressure_surfaces_and_flush_recovers() {
-    let server = spawn_server(vec![BackendSpec::Software], 2);
+fn busy_backpressure_surfaces_on_bulk_jobs_and_collection_recovers() {
+    let server = spawn_server(slow_farm(), 2);
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
 
-    let pt = hex(SP800_PT);
-    let a = match client.try_submit(Op::EcbEncrypt, None, &pt).unwrap() {
-        SubmitOutcome::Accepted(seq) => seq,
-        other => panic!("first submission bounced: {other:?}"),
-    };
-    let icb = hex16(SP800_CTR_ICB);
-    let b = match client.try_submit(Op::CtrApply, Some(&icb), &pt).unwrap() {
-        SubmitOutcome::Accepted(seq) => seq,
-        other => panic!("second submission bounced: {other:?}"),
-    };
-
-    // The queue (capacity 2) is full: the reply is a typed Busy carrying
-    // the capacity, not a disconnect and not an unbounded queue.
-    assert_eq!(
-        client.try_submit(Op::EcbEncrypt, None, &pt).unwrap(),
-        SubmitOutcome::Busy { capacity: 2 }
-    );
-    // And the connection is fully usable afterwards.
+    let (pt, ct) = bulk_ecb_kat();
+    let a = client.pipeline(Op::EcbEncrypt, None, &pt).expect("a");
+    let b = client.pipeline(Op::EcbEncrypt, None, &pt).expect("b");
+    let bounced = client.pipeline(Op::EcbEncrypt, None, &pt).expect("c");
+    // The pool (capacity 2) is full, yet the connection is fully usable.
     assert_eq!(client.ping(b"still here").unwrap(), b"still here");
 
-    let jobs = client.flush().expect("flush");
-    assert_eq!(jobs.len(), 2);
-    assert_eq!(jobs[0].seq, a);
-    assert_eq!(jobs[0].result.as_ref().unwrap(), &hex(SP800_ECB_CT));
-    assert_eq!(jobs[1].seq, b);
-    assert_eq!(jobs[1].result.as_ref().unwrap(), &hex(SP800_CTR_CT));
+    let mut jobs = client.collect_all().expect("collect");
+    jobs.sort_by_key(|j| j.corr);
+    let corrs: Vec<u32> = jobs.iter().map(|j| j.corr).collect();
+    assert_eq!(corrs, vec![a, b, bounced]);
+    assert_eq!(jobs[0].result.as_ref().unwrap(), &ct);
+    assert_eq!(jobs[1].result.as_ref().unwrap(), &ct);
+    // The third job got a typed Busy carrying the capacity — not a
+    // disconnect and not an unbounded queue.
+    assert_eq!(jobs[2].result, Err((ErrorCode::Busy, 2)));
 
-    // The drain freed the queue: the bounced job now goes through.
-    assert!(matches!(
-        client.try_submit(Op::EcbEncrypt, None, &pt).unwrap(),
-        SubmitOutcome::Accepted(_)
-    ));
-    let jobs = client.flush().expect("flush");
-    assert_eq!(jobs.len(), 1);
+    // Collecting freed the pool: the bounced job now goes through.
+    let retry = client.pipeline(Op::EcbEncrypt, None, &pt).expect("retry");
+    let job = client.collect_next().expect("retry completes");
+    assert_eq!(job.corr, retry);
+    assert_eq!(job.result.unwrap(), ct);
+    server.shutdown();
+}
+
+#[test]
+fn one_small_op_pays_exactly_one_cores_key_setup() {
+    // The session's one executor keys the backend a small job needs on
+    // first use, and no worker threads start for small traffic: a
+    // two-core farm pays one core's key setup, not two.
+    let server = spawn_server(vec![BackendSpec::EncDecCore; 2], 8);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let key = hex16(SP800_KEY);
+    client.set_key(&key).expect("SET_KEY");
+    let ct = client.ecb_encrypt(&hex(SP800_PT)[..16]).expect("encrypt");
+    assert_eq!(ct, hex(SP800_ECB_CT)[..16]);
+
+    let json = client.stats().expect("GET_STATS");
+    let setup: u64 = json_counters(&json, "engine.core.", ".setup_cycles")
+        .iter()
+        .map(|(_, v)| v)
+        .sum();
+    let one_core = BackendSpec::EncDecCore.build(&key).setup_cycles();
+    assert!(one_core > 0, "the IP core model pays real key-setup cycles");
+    assert_eq!(setup, one_core);
     server.shutdown();
 }
 
@@ -225,13 +262,16 @@ fn get_stats_matches_an_independently_computed_tally() {
     assert_eq!(json_counter(&json, "service.op.ping.requests"), Some(3));
     assert_eq!(json_counter(&json, "service.error.ragged_length"), Some(1));
 
-    // Engine counters: both cores are software models (one block per
-    // cycle, no key-setup cycles), so the blocks they report must sum to
-    // the tally and every core's datapath occupancy is exactly 100%.
+    // Engine counters: every core is a software model (one block per
+    // cycle, no key-setup cycles), so the blocks the cores that did
+    // report must sum to the tally and every core's datapath occupancy
+    // is exactly 100% — whichever slots the work landed on.
+    let cores = json_counters(&json, "engine.core.", ".blocks");
+    assert!(!cores.is_empty(), "some core reported its blocks");
     let mut total = 0u64;
-    for i in 0..2 {
-        let prefix = format!("engine.core.{i}.soft-ref");
-        let b = json_counter(&json, &format!("{prefix}.blocks")).expect("blocks counter");
+    for (name, b) in cores {
+        let prefix = name.strip_suffix(".blocks").expect("filtered by suffix");
+        assert!(prefix.ends_with(".soft-ref"), "{prefix}");
         let cycles = json_counter(&json, &format!("{prefix}.cycles")).expect("cycles counter");
         let setup = json_counter(&json, &format!("{prefix}.setup_cycles")).expect("setup counter");
         let busy = json_counter(&json, &format!("{prefix}.busy_cycles")).expect("busy counter");
@@ -285,27 +325,27 @@ fn stale_sessions_are_rejected_after_rekey() {
 }
 
 #[test]
-fn graceful_shutdown_drains_deferred_jobs_and_says_goodbye() {
-    let server = spawn_server(vec![BackendSpec::Software], 4);
+fn graceful_shutdown_answers_in_flight_bulk_jobs_and_says_goodbye() {
+    let server = spawn_server(slow_farm(), 4);
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
     client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
 
-    let pt = hex(SP800_PT);
-    let seq = match client.try_submit(Op::EcbEncrypt, None, &pt).unwrap() {
-        SubmitOutcome::Accepted(seq) => seq,
-        other => panic!("submission bounced: {other:?}"),
-    };
+    let (pt, ct) = bulk_ecb_kat();
+    let corr = client.pipeline(Op::EcbEncrypt, None, &pt).expect("submit");
+    // The ping's reply proves the server has read the bulk frame (same
+    // connection, in order); the job itself runs for ~64 ms more.
+    assert_eq!(client.ping(b"queued").unwrap(), b"queued");
 
-    // Shutdown with the job still queued: the worker must flush it and
-    // deliver its Data reply before the goodbye. shutdown() returning
-    // proves every server thread joined — no leaks, no panics.
+    // Shutdown with the job still executing on a pool worker: the shard
+    // must wait it out and deliver its reply before the goodbye.
+    // shutdown() returning proves every server thread joined — no
+    // leaks, no panics.
     server.shutdown();
 
-    let data = client.recv_raw().expect("drained job reply");
-    assert_eq!(data.status(), Some(Status::Data));
-    assert_eq!(data.seq, seq);
-    assert_eq!(data.payload, hex(SP800_ECB_CT));
+    let job = client.collect_next().expect("in-flight job reply");
+    assert_eq!(job.corr, corr);
+    assert_eq!(job.result.expect("the job completed"), ct);
 
     let goodbye = client.recv_raw().expect("goodbye frame");
     assert_eq!(goodbye.error_body(), Some((ErrorCode::ShuttingDown, 0)));
