@@ -227,13 +227,17 @@ impl PollSet {
 
 /// A self-pipe that wakes a [`PollSet::poll`] loop from another thread.
 ///
-/// The event-driven server parks its shard threads in `poll(2)`; crypto
-/// worker threads finishing a job have no socket to make readable, so
-/// without help a completion would wait out the full poll timeout. The
-/// classic fix is the *self-pipe trick*: the shard registers the read
-/// end of a pipe in its poll set, and completers write one byte to the
-/// write end — `poll` returns immediately, the shard drains the pipe and
-/// services the finished session.
+/// The event-driven server parks its shard threads in `poll(2)`. Two
+/// other threads have news for a parked shard but no socket of its to
+/// make readable: a crypto worker that finished a job, and the acceptor
+/// handing it a new connection. Without help either would wait out the
+/// full poll timeout. The classic fix is the *self-pipe trick*: the
+/// shard registers the read end of a pipe in its poll set, and the other
+/// thread writes one byte to the write end — `poll` returns immediately,
+/// the shard drains the pipe, services the finished sessions and admits
+/// its new sockets. The server opens each shard's pipe before it starts
+/// the shard, so the acceptor holds the shard's [`WakeNotifier`] from
+/// the first connection on.
 ///
 /// Built on [`std::os::unix::net::UnixStream::pair`] so no new FFI is
 /// declared; both ends are nonblocking. A full pipe means a wake is
@@ -248,8 +252,9 @@ pub struct WakePipe {
     write: std::sync::Arc<std::os::unix::net::UnixStream>,
 }
 
-/// The cloneable waking half of a [`WakePipe`], handed to worker-pool
-/// notifiers. Safe to call from any thread, never blocks.
+/// The cloneable waking half of a [`WakePipe`], held by the acceptor
+/// and handed to worker-pool notifiers. Safe to call from any thread,
+/// never blocks.
 #[derive(Debug, Clone)]
 pub struct WakeNotifier {
     #[cfg(unix)]

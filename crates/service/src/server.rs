@@ -8,12 +8,13 @@
 //! [`ServiceConfig::max_connections`] (refusing the rest with a typed
 //! [`ErrorCode::TooManyConnections`] goodbye instead of a silent drop),
 //! and hands admitted sockets round-robin to
-//! [`ServiceConfig::event_threads`] **shard** threads. Each shard runs a
-//! readiness loop ([`crate::net::PollSet`], the std-only `poll(2)`
-//! shim) over its connections: there are no per-connection threads, so
-//! the connection budget is bounded by descriptors, not stacks — tens
-//! of thousands of mostly-idle connections cost two file descriptors
-//! and a [`Conn`] struct each.
+//! [`ServiceConfig::event_threads`] **shard** threads, waking the shard
+//! a socket lands on so a new connection is served at once. Each shard
+//! runs a readiness loop ([`crate::net::PollSet`], the std-only
+//! `poll(2)` shim) over its connections: there are no per-connection
+//! threads, so the connection budget is bounded by descriptors, not
+//! stacks — tens of thousands of mostly-idle connections cost two file
+//! descriptors and a [`Conn`] struct each.
 //!
 //! # Per-connection state machine
 //!
@@ -39,12 +40,14 @@
 //! crypto on the shard thread, and complete in completion order, which
 //! across a multi-core farm is not submission order. A v2 client may
 //! therefore keep an arbitrary pipeline depth per connection. Each shard
-//! parks a self-pipe wake fd in its poll set so a pool completion cuts
-//! the poll short and the reply goes out immediately. Version-1 frames
-//! keep their original contract to the letter: executed synchronously
-//! on the shard thread, replies in request order, one layout on the
-//! wire. Every request's reserved `flags` byte must be 0; anything else
-//! earns a typed [`ErrorCode::Malformed`] and the connection stays open.
+//! parks a self-pipe wake fd in its poll set. A pool completion and a
+//! connection hand-off both write to it, so either one cuts the poll
+//! short: the reply goes out, or the new connection is admitted, at
+//! once. Version-1 frames keep their original contract to the letter:
+//! executed synchronously on the shard thread, replies in request
+//! order, one layout on the wire. Every request's reserved `flags` byte
+//! must be 0; anything else earns a typed [`ErrorCode::Malformed`] and
+//! the connection stays open.
 //!
 //! # Telemetry
 //!
@@ -53,12 +56,15 @@
 //! (`service.error.<code>`), connection gauges, the pipelined in-flight
 //! gauge (`service.pipeline.inflight`), readiness-loop histograms
 //! (`service.loop.events_per_poll`, `service.loop.dispatch_micros`), a
-//! request frame-size histogram, admission refusals, and — because each
-//! session's pool is built against the same registry — the full
-//! `engine.*` instrument set. `GET_STATS` serialises one snapshot of
-//! that registry as the `telemetry/1` JSON document;
+//! request frame-size histogram, admission refusals, the hand-off wait
+//! from `accept()` to shard admission (`service.admission.handoff_us`),
+//! and — because each session's pool is built against the same registry
+//! — the full `engine.*` instrument set. `GET_STATS` serialises one
+//! snapshot of that registry as the `telemetry/1` JSON document;
 //! [`ServiceHandle::registry`] exposes the same registry in-process, so
-//! there is exactly one counter path.
+//! there is exactly one counter path. `dispatch` resolves each opcode's
+//! counter and the frame-size histogram once, so the per-frame path
+//! never takes the registry's map lock.
 //!
 //! Shutdown is graceful: the acceptor stops admitting, every shard
 //! waits out each connection's in-flight bulk jobs, answers every
@@ -71,13 +77,13 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use engine::{BackendSpec, Error, ResizePolicy, SubmitError};
 use rijndael::aead;
-use telemetry::{Counter, Gauge, Registry};
+use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::net::{self, PollSet};
 use crate::protocol::{
@@ -85,8 +91,11 @@ use crate::protocol::{
 };
 use crate::session::SessionSlot;
 
-/// Readiness-poll timeout: how often an idle shard (or the acceptor)
-/// wakes to check the shutdown flag, the inbox and the idle budgets.
+/// Readiness-poll timeout: the housekeeping tick on which an idle shard
+/// checks the shutdown flag, the idle budgets and autoscale. Connection
+/// hand-offs and pool completions wake a shard through its wake pipe,
+/// so no request waits on this tick unless the platform gave the shard
+/// no pipe.
 const POLL: Duration = Duration::from_millis(10);
 
 /// How long the acceptor waits in its listener poll.
@@ -125,7 +134,8 @@ const FRAME_SIZE_BOUNDS: [u64; 8] = [16, 64, 256, 1024, 4096, 16384, 65536, 262_
 const EVENTS_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 
 /// Bucket upper bounds for `service.loop.dispatch_micros` (time spent
-/// servicing one poll wakeup's events, µs).
+/// servicing one poll wakeup's events, µs) and
+/// `service.admission.handoff_us` (accept to shard admission, µs).
 const DISPATCH_BOUNDS: [u64; 8] = [10, 50, 100, 500, 1_000, 5_000, 10_000, 100_000];
 
 /// Server tuning knobs.
@@ -342,9 +352,25 @@ struct Shared {
     /// `service.pipeline.inflight` — pipelined jobs submitted and not
     /// yet answered, across every connection.
     inflight: Gauge,
+    /// `service.op.<op>.requests`, indexed by wire opcode. Each is
+    /// registered on its opcode's first request, so `GET_STATS` names
+    /// only the ops that were used.
+    op_requests: [OnceLock<Counter>; 256],
+    /// `service.frame.request_bytes` — whole request frames, header
+    /// included.
+    request_bytes: Histogram,
 }
 
 impl Shared {
+    /// The `service.op.<op>.requests` counter: the registry's map lock
+    /// is taken on the opcode's first request only.
+    fn op_requests(&self, op: Op) -> &Counter {
+        self.op_requests[op as usize].get_or_init(|| {
+            self.registry
+                .counter(&format!("service.op.{}.requests", op.name()))
+        })
+    }
+
     /// Tallies `service.error.<code>` for a typed error reply.
     fn count_error(&self, code: ErrorCode) {
         self.registry
@@ -401,6 +427,8 @@ impl Server {
             served: registry.counter("service.connections.served"),
             refused: registry.counter("service.admission.refused"),
             inflight: registry.gauge("service.pipeline.inflight"),
+            op_requests: std::array::from_fn(|_| OnceLock::new()),
+            request_bytes: registry.histogram("service.frame.request_bytes", &FRAME_SIZE_BOUNDS),
             config: self.config,
             registry,
         });
@@ -408,13 +436,19 @@ impl Server {
         let mut inboxes = Vec::with_capacity(shard_count);
         let mut shards = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
-            let inbox: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+            // The shard polls the pipe's read end; its inbox keeps the
+            // waking half for the acceptor.
+            let wake = net::WakePipe::new();
+            let inbox = Arc::new(Inbox {
+                queue: Mutex::new(Vec::new()),
+                wake: wake.as_ref().map(net::WakePipe::notifier),
+            });
             let shard_shared = Arc::clone(&shared);
             let shard_inbox = Arc::clone(&inbox);
             shards.push(
                 thread::Builder::new()
                     .name(format!("service-shard-{i}"))
-                    .spawn(move || shard_loop(&shard_shared, &shard_inbox))?,
+                    .spawn(move || shard_loop(&shard_shared, &shard_inbox, wake))?,
             );
             inboxes.push(inbox);
         }
@@ -499,10 +533,39 @@ impl std::fmt::Debug for ServiceHandle {
 // Acceptor
 // ---------------------------------------------------------------------
 
+/// One shard's hand-off queue: admitted sockets, each stamped with the
+/// moment `accept()` returned it, waiting for the shard to drain them.
+struct Inbox {
+    queue: Mutex<Vec<(TcpStream, Instant)>>,
+    /// The waking half of the shard's wake pipe; `None` when the
+    /// platform gave the shard no pipe (hand-offs then wait for its poll
+    /// tick).
+    wake: Option<net::WakeNotifier>,
+}
+
+impl Inbox {
+    /// Queues an admitted socket and wakes the shard when this push is
+    /// the one that made the queue non-empty. A connect storm thus costs
+    /// one pipe write per shard drain, not one per socket. The emptiness
+    /// check happens under the lock; the wake is written after it.
+    fn hand_off(&self, stream: TcpStream, accepted: Instant) {
+        let was_empty = {
+            let mut queue = self.queue.lock().expect("inbox lock");
+            queue.push((stream, accepted));
+            queue.len() == 1
+        };
+        if was_empty {
+            if let Some(wake) = &self.wake {
+                wake.wake();
+            }
+        }
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    inboxes: &[Arc<Mutex<Vec<TcpStream>>>],
+    inboxes: &[Arc<Inbox>],
     shards: Vec<JoinHandle<()>>,
 ) {
     let mut poll = PollSet::new();
@@ -513,13 +576,14 @@ fn accept_loop(
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
+                    let accepted = Instant::now();
                     if shared.active.get() >= shared.config.max_connections as i64 {
                         refuse_connection(&stream, shared);
                         continue;
                     }
                     shared.active.add(1);
                     shared.served.incr();
-                    inboxes[next_shard].lock().expect("inbox lock").push(stream);
+                    inboxes[next_shard].hand_off(stream, accepted);
                     next_shard = (next_shard + 1) % inboxes.len();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -666,7 +730,7 @@ impl Conn {
 // Shard event loop
 // ---------------------------------------------------------------------
 
-fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
+fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePipe>) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut poll = PollSet::new();
     let mut scratch = vec![0u8; 64 * 1024];
@@ -676,12 +740,16 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
     let dispatch_hist = shared
         .registry
         .histogram("service.loop.dispatch_micros", &DISPATCH_BOUNDS);
+    let handoff_hist = shared
+        .registry
+        .histogram("service.admission.handoff_us", &DISPATCH_BOUNDS);
 
-    // Self-pipe wakeup: session worker pools call the notifier when a
-    // bulk job finishes, making the pipe readable so a parked poll(2)
-    // returns immediately instead of waiting out its timeout. The pipe
-    // is registered under a reserved token no connection slot can reach.
-    let mut wake = net::WakePipe::new();
+    // Self-pipe wakeup: the acceptor writes to it when a hand-off lands
+    // in an empty inbox, and session worker pools call the notifier when
+    // a bulk job finishes. Either makes the pipe readable so a parked
+    // poll(2) returns immediately instead of waiting out its timeout.
+    // The pipe is registered under a reserved token no connection slot
+    // can reach.
     let shard_notifier: Option<Arc<dyn Fn() + Send + Sync>> = wake.as_ref().map(|w| {
         let n = w.notifier();
         Arc::new(move || n.wake()) as Arc<dyn Fn() + Send + Sync>
@@ -689,10 +757,14 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
     let mut last_scale = Instant::now();
 
     loop {
-        // Admit handed-off sockets into free slots.
-        for stream in inbox.lock().expect("inbox lock").drain(..) {
+        // Admit handed-off sockets into free slots. This drain runs every
+        // iteration, woken or not: a wake only cuts the poll short, so a
+        // lost wake byte costs at most one tick, never a connection.
+        for (stream, accepted) in inbox.queue.lock().expect("inbox lock").drain(..) {
             match Conn::new(stream) {
                 Ok(mut conn) => {
+                    handoff_hist
+                        .record(u64::try_from(accepted.elapsed().as_micros()).unwrap_or(u64::MAX));
                     conn.notifier = shard_notifier.clone();
                     if let Some(slot) = conns.iter_mut().find(|c| c.is_none()) {
                         *slot = Some(conn);
@@ -716,8 +788,8 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
 
         // Interest set: read unless backpressured or closing, write
         // when bytes are queued. The wake pipe rides along under its
-        // reserved token so completions (and only completions) can cut
-        // a poll short.
+        // reserved token so hand-offs and completions can cut a poll
+        // short.
         poll.clear();
         for (token, conn) in conns.iter().enumerate() {
             let Some(conn) = conn else { continue };
@@ -730,7 +802,7 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
         }
         if poll.is_empty() {
             // No pipe and no sockets: plain timed sleep keeps the
-            // shutdown/inbox checks ticking.
+            // shutdown/inbox checks ticking (the no-pipe fallback).
             thread::sleep(POLL);
             continue;
         }
@@ -778,7 +850,9 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Arc<Mutex<Vec<TcpStream>>>) {
 
         // Crypto completion sweep. Drain the pipe *first* so a wake
         // written after this point is never lost — it just cuts the
-        // next poll short. Then emit replies for every session with
+        // next poll short. A hand-off whose wake is drained here is
+        // still admitted: the inbox drain at the top of the loop comes
+        // after this one. Then emit replies for every session with
         // finished pipelined work and push them at the socket. The
         // sweep runs every iteration (not only on a wake) so the
         // non-unix fallback and engine-lane leftovers stay covered.
@@ -1011,8 +1085,7 @@ fn push_error(
 
 fn dispatch(frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
     shared
-        .registry
-        .histogram("service.frame.request_bytes", &FRAME_SIZE_BOUNDS)
+        .request_bytes
         .record((frame.header_len() + frame.payload.len()) as u64);
     let notifier = conn.notifier.clone();
     let slot = &mut conn.slot;
@@ -1040,10 +1113,7 @@ fn dispatch(frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
         );
         return Flow::Continue;
     };
-    shared
-        .registry
-        .counter(&format!("service.op.{}.requests", op.name()))
-        .incr();
+    shared.op_requests(op).incr();
     if frame.flags != 0 {
         push_error(
             out,
@@ -1590,6 +1660,48 @@ mod tests {
         let snap = server.registry().snapshot();
         assert_eq!(snap.counter("service.admission.refused"), Some(1));
         assert_eq!(snap.counter("service.connections.served"), Some(2));
+        // Only admitted sockets are handed to a shard: the refused one
+        // got its goodbye from the acceptor.
+        let handoff = snap.histogram("service.admission.handoff_us").unwrap();
+        assert_eq!(handoff.count, 2);
+        server.shutdown();
+    }
+
+    /// A hand-off wakes the shard it lands on, so a new connection is
+    /// served at once instead of on the shard's next `POLL` tick. Each
+    /// connection is closed by the server before the next connect, so
+    /// every shard is parked in `poll(2)` when its socket arrives, and
+    /// round-robin placement walks all four shards.
+    #[test]
+    fn a_handed_off_connection_does_not_wait_for_the_poll_tick() {
+        let config = ServiceConfig::builder()
+            .farm(&[BackendSpec::Software])
+            .event_threads(4)
+            .build()
+            .unwrap();
+        let server = Server::new(config).spawn("127.0.0.1:0").unwrap();
+        let mut opens: Vec<Duration> = (0..21u32)
+            .map(|i| {
+                let started = Instant::now();
+                let stream = TcpStream::connect(server.local_addr()).unwrap();
+                let reply = call(&stream, &Frame::request(Op::Ping, 0, i, 0, Vec::new()));
+                let open = started.elapsed();
+                assert_eq!(reply.status(), Some(Status::Ok));
+                stream.shutdown(std::net::Shutdown::Write).unwrap();
+                let mut rest = Vec::new();
+                (&stream).read_to_end(&mut rest).unwrap();
+                open
+            })
+            .collect();
+        opens.sort();
+        let median = opens[opens.len() / 2];
+        assert!(
+            median < Duration::from_millis(2),
+            "median connect→reply {median:?} (poll tick {POLL:?})"
+        );
+        let snap = server.registry().snapshot();
+        let handoff = snap.histogram("service.admission.handoff_us").unwrap();
+        assert_eq!(handoff.count, 21);
         server.shutdown();
     }
 

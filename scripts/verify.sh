@@ -140,4 +140,9 @@ TESTKIT_BENCH_SMOKE=1 TESTKIT_BENCH_JSON="$bench_json" \
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$bench_json" \
     || { echo "bitslice bench JSON is malformed" >&2; exit 1; }
 
+echo "==> perf_ledger tests (the benchmark's own smoke and unit tests)"
+# perf_ledger is a package of its own outside the workspace, and its
+# Cargo.lock is gitignored, so this one step runs without --locked.
+cargo test --release --offline -q --manifest-path perf_ledger/Cargo.toml
+
 echo "==> OK: hermetic verify passed"
