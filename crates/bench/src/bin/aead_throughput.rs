@@ -1,26 +1,30 @@
 //! AEAD throughput report: what authentication costs on top of raw
-//! keystream, and what the `PCLMULQDQ` GHASH core buys over the portable
-//! table walk.
+//! keystream, what the XTS tweak chain costs on top of raw ECB, and
+//! what the `PCLMULQDQ` GHASH core buys over the portable table walk.
 //!
-//! Three measurements, all on the dispatch-selected bulk cipher (the
-//! same lane `Gcm` batches its keystream through):
+//! Five measurements, all on the dispatch-selected bulk cipher (the
+//! same lane `Gcm` and `Xts` batch their blocks through):
 //!
 //! 1. raw batched CTR over the workload — the no-authentication floor;
 //! 2. GCM seal over the same bytes — CTR plus GHASH plus the tag;
-//! 3. GHASH alone, once per available multiplier core.
+//! 3. raw batched ECB over the same bytes — the floor under XTS;
+//! 4. XTS encryption of the same bytes in 4 KiB sectors — ECB plus the
+//!    sector tweak, the α chain and the whitening;
+//! 5. GHASH alone, once per available multiplier core.
 //!
-//! The GCM:CTR ratio is asserted against a regression gate so the
-//! authentication overhead cannot quietly balloon, and the measurements
+//! The GCM:CTR and XTS:ECB ratios are asserted against regression
+//! gates so neither overhead can quietly balloon, and the measurements
 //! are written as a `telemetry/1` JSON snapshot to `BENCH_gcm.json`
 //! (path overridable via `BENCH_GCM_JSON`), the same trajectory-file
 //! scheme as `BENCH_bitslice.json`.
 //!
-//! Pass `--smoke` (or set `TESTKIT_BENCH_SMOKE=1`) for a small workload;
-//! the gate still applies, so CI exercises the regression check.
+//! Pass `--smoke` (or set `TESTKIT_BENCH_SMOKE=1`) for fewer reps; the
+//! gates still apply, so CI exercises the regression checks.
 
+use rijndael::aead::Xts;
 use rijndael::dispatch::{self, Kind};
 use rijndael::ghash::{Ghash, GhashImpl};
-use rijndael::modes::Ctr;
+use rijndael::modes::{Ctr, Ecb};
 use rijndael::{Aead, AutoCipher, BlockCipher, Gcm};
 use std::time::Instant;
 use telemetry::Registry;
@@ -34,6 +38,15 @@ use telemetry::Registry;
 /// clock behavior legitimately measure.
 const GCM_OVERHEAD_GATE: f64 = 1.6;
 
+/// The regression gate on XTS-vs-raw-ECB throughput over the same bytes
+/// in 4 KiB sectors. XTS runs the same batched cipher calls as ECB plus
+/// one 128-bit tweak doubling and two XORs per block, so it must stay
+/// within this factor of ECB. Sized like the GCM gate, for structural
+/// regressions: a byte-at-a-time tweak chain with a tweak vector
+/// allocated per sector measured 9.5-10x in this bench, the 128-bit span
+/// kernel 1.6-2.0x (2-vCPU Xeon VM with AES-NI, 32-byte key).
+const XTS_OVERHEAD_GATE: f64 = 3.0;
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")
         || std::env::var_os("TESTKIT_BENCH_SMOKE").is_some_and(|v| v != "0");
@@ -46,12 +59,7 @@ fn main() {
     let reps: usize = if smoke { 5 } else { 7 };
     let payload = random_bytes(blocks * 16);
 
-    let key = [0x5Au8; 32];
-    let cipher = AutoCipher::new(&key).unwrap_or_else(|| {
-        // Dispatch pinned to the IP core: no software bulk lane there,
-        // so the bench races the T-table core instead.
-        AutoCipher::for_kind(Kind::Ttable, &key).expect("the T-table kind is always available")
-    });
+    let cipher = bulk_cipher(&[0x5Au8; 32]);
     let bulk = dispatch::selection().bulk.backend_name();
     println!(
         "AEAD throughput — {} KiB workload on the `{bulk}` bulk lane, GHASH via {}\n",
@@ -95,7 +103,43 @@ fn main() {
     );
     println!("{:<22} {gcm_ns:>12.3} {ratio:>13.2}x", "gcm seal");
 
-    // 3. GHASH alone, once per multiplier core this CPU can run.
+    // 3 + 4. The floor under XTS (raw batched ECB) and XTS over the
+    // same bytes in 4 KiB sectors (a page, the size perf_ledger's XTS
+    // requests use), interleaved like the pair above.
+    let sector_bytes = 4096;
+    let xts = Xts::new(cipher.clone(), bulk_cipher(&[0xA5u8; 32]));
+    let (mut ecb_best, mut xts_best) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        let start = Instant::now();
+        let mut buf = payload.clone();
+        Ecb::encrypt_batched(&cipher, &mut buf).expect("whole blocks");
+        let elapsed = start.elapsed().as_nanos() as f64;
+        std::hint::black_box(buf);
+        ecb_best = ecb_best.min(elapsed);
+
+        let start = Instant::now();
+        let mut buf = payload.clone();
+        for (i, sector) in buf.chunks_mut(sector_bytes).enumerate() {
+            xts.encrypt_sector(i as u64, sector).expect("whole sectors");
+        }
+        let elapsed = start.elapsed().as_nanos() as f64;
+        std::hint::black_box(buf);
+        xts_best = xts_best.min(elapsed);
+    }
+    let ecb_ns = ecb_best / payload.len() as f64;
+    let xts_ns = xts_best / payload.len() as f64;
+    let xts_ratio = xts_ns / ecb_ns;
+
+    println!();
+    println!("{:<22} {:>12} {:>14}", "operation", "ns/byte", "vs raw ECB");
+    println!("{}", "-".repeat(50));
+    println!("{:<22} {ecb_ns:>12.3} {:>13.2}x", "ecb (raw batched)", 1.0);
+    println!(
+        "{:<22} {xts_ns:>12.3} {xts_ratio:>13.2}x",
+        "xts, 4 KiB sectors"
+    );
+
+    // 5. GHASH alone, once per multiplier core this CPU can run.
     println!();
     println!("{:<22} {:>12} {:>14}", "ghash core", "ns/byte", "vs table4");
     println!("{}", "-".repeat(50));
@@ -126,6 +170,15 @@ fn main() {
         .add((gcm_ns * 1024.0).round() as u64);
     reg.counter("bench.gcm.overhead_vs_ctr_x1000")
         .add((ratio * 1000.0).round() as u64);
+    reg.counter("bench.xts.bytes").add(payload.len() as u64);
+    reg.counter("bench.xts.sector_bytes")
+        .add(sector_bytes as u64);
+    reg.counter("bench.xts.ecb_ns_per_kib")
+        .add((ecb_ns * 1024.0).round() as u64);
+    reg.counter("bench.xts.ns_per_kib")
+        .add((xts_ns * 1024.0).round() as u64);
+    reg.counter("bench.xts.overhead_vs_ecb_x1000")
+        .add((xts_ratio * 1000.0).round() as u64);
     for (which, ns) in &ghash_ns {
         reg.counter(&format!("bench.gcm.ghash.{}.ns_per_kib", which.name()))
             .add((ns * 1024.0).round() as u64);
@@ -148,6 +201,20 @@ fn main() {
         "GCM overhead regressed: {ratio:.2}x over raw CTR (gate {GCM_OVERHEAD_GATE}x)"
     );
     println!("GCM overhead {ratio:.2}x is within the {GCM_OVERHEAD_GATE}x gate");
+    assert!(
+        xts_ratio <= XTS_OVERHEAD_GATE,
+        "XTS overhead regressed: {xts_ratio:.2}x over raw ECB (gate {XTS_OVERHEAD_GATE}x)"
+    );
+    println!("XTS overhead {xts_ratio:.2}x is within the {XTS_OVERHEAD_GATE}x gate");
+}
+
+/// The dispatch-selected bulk cipher for `key`. With dispatch pinned to
+/// the IP core there is no software bulk lane, so the bench races the
+/// T-table core instead.
+fn bulk_cipher(key: &[u8]) -> AutoCipher {
+    AutoCipher::new(key).unwrap_or_else(|| {
+        AutoCipher::for_kind(Kind::Ttable, key).expect("the T-table kind is always available")
+    })
 }
 
 /// The GHASH subkey `H = E_K(0)` of `cipher`.

@@ -17,10 +17,12 @@
 //!   SP 800-38D's non-96-bit nonce path (GHASH over the IV) is easy to
 //!   misuse and deliberately unsupported.
 //! * **XTS** — the sector-tweakable mode for disk workloads: per-sector
-//!   tweak `E_K2(sector)`, per-block multiplication by α in the
-//!   little-endian XTS convention, ciphertext stealing for ragged
-//!   sectors. Not authenticated — it detects nothing, it only binds
-//!   ciphertext to its sector.
+//!   tweak `E_K2(sector)`, carried as one little-endian `u128` and
+//!   multiplied by α per block with a 128-bit shift and a folded 0x87;
+//!   whitening and the data cipher run in the same 64-block
+//!   [`BatchCipher`] spans as GCM's keystream, and ragged sectors end in
+//!   ciphertext stealing. Not authenticated — it detects nothing, it
+//!   only binds ciphertext to its sector.
 //! * **Key wrap** — RFC 3394's 6·n-round shuffle with the `A6A6...`
 //!   integrity check value, for moving session keys between nodes (the
 //!   roadmap's cluster mode); [`Error::TagMismatch`] on any corruption.
@@ -36,7 +38,7 @@ use crate::cipher::{BatchCipher, BlockCipher};
 use crate::cmac::ct_eq;
 use crate::ghash::{Ghash, GhashImpl};
 use crate::modes::stats;
-use crate::zeroize::wipe_bytes;
+use crate::zeroize::{wipe_bytes, wipe_u128};
 
 /// GCM tag length in bytes (full-length tags only; truncated tags
 /// weaken GCM disproportionately and are not offered).
@@ -45,9 +47,11 @@ pub const TAG_LEN: usize = 16;
 /// GCM nonce length in bytes (96-bit nonces only; see the module docs).
 pub const NONCE_LEN: usize = 12;
 
-/// Blocks per keystream batch: one bitsliced wide pass
+/// Blocks per [`BatchCipher`] span in GCM (counter blocks) and XTS
+/// (whitened data blocks and their tweaks): one bitsliced wide pass
 /// ([`crate::bitslice::WIDE`]), which also keeps AES-NI's 8-block
-/// interleave saturated.
+/// interleave saturated, and a stack buffer small enough (1 KiB) that
+/// neither mode allocates per message or per sector.
 const KEYSTREAM_BATCH: usize = 64;
 
 /// Typed failures of the authenticated layer.
@@ -274,6 +278,12 @@ impl<C: core::fmt::Debug> core::fmt::Debug for Gcm<C> {
 /// (16 bytes); ragged lengths use ciphertext stealing, so output length
 /// always equals input length.
 ///
+/// The tweak chain runs at full width: the running tweak is one
+/// little-endian `u128`, and each block's whitening is a single 128-bit
+/// XOR. A sector goes through the data cipher in [`KEYSTREAM_BATCH`]
+/// spans — whiten, one [`BatchCipher`] call, un-whiten — with the span's
+/// tweaks in a stack buffer that is wiped once the sector is done.
+///
 /// # Examples
 ///
 /// ```
@@ -291,17 +301,17 @@ pub struct Xts<C> {
     tweak: C,
 }
 
-/// Multiplies an XTS tweak by α: left shift in the little-endian XTS
-/// convention, reducing with 0x87 on overflow (IEEE 1619 §5.2).
-fn mul_alpha(t: &mut [u8; 16]) {
-    let mut carry = 0u8;
-    for byte in t.iter_mut() {
-        let next = *byte >> 7;
-        *byte = (*byte << 1) | carry;
-        carry = next;
-    }
-    // Branch-free reduction: 0x87 or 0x00.
-    t[0] ^= 0x87 * carry;
+/// Multiplies an XTS tweak by α. Read as a little-endian 128-bit
+/// integer, that is a left shift by one, with the bit shifted out of
+/// the top folded back in as the reduction constant 0x87 (IEEE 1619
+/// §5.2). Branch-free.
+fn mul_alpha(t: u128) -> u128 {
+    (t << 1) ^ ((t >> 127) * 0x87)
+}
+
+/// XORs a little-endian 128-bit tweak into one block.
+fn xor_tweak(block: &mut [u8; 16], t: u128) {
+    *block = (u128::from_le_bytes(*block) ^ t).to_le_bytes();
 }
 
 impl<C: BlockCipher + BatchCipher> Xts<C> {
@@ -312,12 +322,15 @@ impl<C: BlockCipher + BatchCipher> Xts<C> {
         Xts { data, tweak }
     }
 
-    /// The starting tweak of `sector`: `E_K2(sector as 128-bit LE)`.
-    fn sector_tweak(&self, sector: u64) -> [u8; 16] {
+    /// The starting tweak of `sector`: `E_K2(sector as 128-bit LE)`,
+    /// read back as a little-endian `u128`.
+    fn sector_tweak(&self, sector: u64) -> u128 {
         let mut t = [0u8; 16];
         t[..8].copy_from_slice(&sector.to_le_bytes());
         self.tweak.encrypt_in_place(&mut t);
-        t
+        let tweak = u128::from_le_bytes(t);
+        wipe_bytes(&mut t);
+        tweak
     }
 
     /// Encrypts one sector in place. `data.len()` must be ≥ 16; a
@@ -345,44 +358,37 @@ impl<C: BlockCipher + BatchCipher> Xts<C> {
             return Err(Error::SectorTooShort { len: data.len() });
         }
         stats::xts().record(data.len(), 16);
-        let full = data.len() / 16;
-        let tail = data.len() % 16;
+        let ragged = !data.len().is_multiple_of(16);
+        let (blocks, _) = data.as_chunks_mut::<16>();
         // Bulk prefix: every block that is NOT involved in ciphertext
         // stealing. With a ragged tail the last full block joins the
         // stealing dance, so the prefix shrinks by one.
-        let bulk = if tail == 0 { full } else { full - 1 };
+        let bulk = blocks.len() - usize::from(ragged);
 
         let mut t = self.sector_tweak(sector);
-        let mut tweaks = vec![[0u8; 16]; bulk];
-        for slot in tweaks.iter_mut() {
-            *slot = t;
-            mul_alpha(&mut t);
+        let mut tweaks = [0u128; KEYSTREAM_BATCH];
+        for span in blocks[..bulk].chunks_mut(KEYSTREAM_BATCH) {
+            for (block, slot) in span.iter_mut().zip(&mut tweaks) {
+                *slot = t;
+                xor_tweak(block, t);
+                t = mul_alpha(t);
+            }
+            if decrypt {
+                self.data.decrypt_blocks(span);
+            } else {
+                self.data.encrypt_blocks(span);
+            }
+            for (block, &tw) in span.iter_mut().zip(&tweaks) {
+                xor_tweak(block, tw);
+            }
         }
+        wipe_u128(&mut tweaks);
         // t is now T_bulk, the first stealing tweak.
 
-        let (blocks, _) = data.as_chunks_mut::<16>();
-        let span = &mut blocks[..bulk];
-        for (block, tw) in span.iter_mut().zip(&tweaks) {
-            for (b, k) in block.iter_mut().zip(tw) {
-                *b ^= k;
-            }
-        }
-        if decrypt {
-            self.data.decrypt_blocks(span);
-        } else {
-            self.data.encrypt_blocks(span);
-        }
-        for (block, tw) in span.iter_mut().zip(&tweaks) {
-            for (b, k) in block.iter_mut().zip(tw) {
-                *b ^= k;
-            }
-        }
-        wipe_bytes(tweaks.as_flattened_mut());
-
-        if tail != 0 {
+        if ragged {
             self.steal(data, t, decrypt);
         }
-        wipe_bytes(&mut t);
+        wipe_u128(core::slice::from_mut(&mut t));
         Ok(())
     }
 
@@ -390,41 +396,37 @@ impl<C: BlockCipher + BatchCipher> Xts<C> {
     /// partial block (IEEE 1619 §5.3.2/§5.4.2). `t` is the tweak of the
     /// last full block; encryption uses `(t, t·α)` in that order,
     /// decryption swaps them.
-    fn steal(&self, data: &mut [u8], t: [u8; 16], decrypt: bool) {
+    fn steal(&self, data: &mut [u8], t: u128, decrypt: bool) {
         let tail = data.len() % 16;
         let split = data.len() - tail - 16;
-        let mut t2 = t;
-        mul_alpha(&mut t2);
-        let (first_t, second_t) = if decrypt { (t2, t) } else { (t, t2) };
+        let t2 = mul_alpha(t);
+        let mut pair = if decrypt { [t2, t] } else { [t, t2] };
 
-        let one_block = |block: &mut [u8; 16], tw: &[u8; 16]| {
-            for (b, k) in block.iter_mut().zip(tw) {
-                *b ^= k;
-            }
+        let one_block = |block: &mut [u8; 16], tw: u128| {
+            xor_tweak(block, tw);
             if decrypt {
                 self.data.decrypt_in_place(block);
             } else {
                 self.data.encrypt_in_place(block);
             }
-            for (b, k) in block.iter_mut().zip(tw) {
-                *b ^= k;
-            }
+            xor_tweak(block, tw);
         };
 
         // CC = cipher(P_{m-1}, T_first): full output of the last full
         // input block.
         let mut cc: [u8; 16] = data[split..split + 16].try_into().expect("16-byte slice");
-        one_block(&mut cc, &first_t);
+        one_block(&mut cc, pair[0]);
         // The stolen suffix of CC completes the partial block; CC's
         // prefix becomes the final partial output.
         let mut pp = [0u8; 16];
         pp[..tail].copy_from_slice(&data[split + 16..]);
         pp[tail..].copy_from_slice(&cc[tail..]);
-        one_block(&mut pp, &second_t);
+        one_block(&mut pp, pair[1]);
         data[split..split + 16].copy_from_slice(&pp);
         data[split + 16..].copy_from_slice(&cc[..tail]);
         wipe_bytes(&mut cc);
         wipe_bytes(&mut pp);
+        wipe_u128(&mut pair);
     }
 }
 
@@ -688,11 +690,11 @@ mod tests {
         // must give [2, 0...] and shift a top bit into the reduction.
         let mut t = [0u8; 16];
         t[0] = 1;
-        mul_alpha(&mut t);
+        let t = mul_alpha(u128::from_le_bytes(t)).to_le_bytes();
         assert_eq!(t[0], 2);
         let mut top = [0u8; 16];
         top[15] = 0x80;
-        mul_alpha(&mut top);
+        let top = mul_alpha(u128::from_le_bytes(top)).to_le_bytes();
         assert_eq!(top[0], 0x87);
         assert_eq!(top[15], 0x00);
     }

@@ -535,14 +535,17 @@ impl Frame {
         }
     }
 
-    /// Serialises the frame (length prefix included) in its version's
-    /// layout: v1 frames omit the correlation id.
+    /// Appends the serialised frame (length prefix included) to `buf`
+    /// in its version's layout: v1 frames omit the correlation id. An
+    /// outgoing queue encodes replies straight into itself this way,
+    /// with no per-frame temporary.
     ///
     /// # Errors
     ///
-    /// I/O errors from `w`; [`io::ErrorKind::InvalidInput`] when the
-    /// payload exceeds [`MAX_PAYLOAD`] (the frame is not sent).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+    /// [`io::ErrorKind::InvalidInput`] when the payload exceeds
+    /// [`MAX_PAYLOAD`]; `buf` is then left exactly as it was, so a
+    /// queue of whole frames stays in sync.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> io::Result<()> {
         if self.payload.len() > MAX_PAYLOAD {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -551,7 +554,7 @@ impl Frame {
         }
         let header = self.header_len();
         let len = (header + self.payload.len()) as u32;
-        let mut buf = Vec::with_capacity(4 + header + self.payload.len());
+        buf.reserve(4 + header + self.payload.len());
         buf.extend_from_slice(&len.to_be_bytes());
         buf.push(self.version);
         buf.push(self.kind);
@@ -562,6 +565,19 @@ impl Frame {
             buf.extend_from_slice(&self.corr.to_be_bytes());
         }
         buf.extend_from_slice(&self.payload);
+        Ok(())
+    }
+
+    /// Serialises the frame (see [`Self::encode_into`]) and sends it
+    /// with one `write_all`, so a socket sees the frame in one write.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from `w`; [`io::ErrorKind::InvalidInput`] when the
+    /// payload exceeds [`MAX_PAYLOAD`] (the frame is not sent).
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
         w.write_all(&buf)
     }
 
@@ -903,6 +919,29 @@ mod tests {
         let frame = Frame::request(Op::Ping, 0, 0, 0, vec![0u8; MAX_PAYLOAD + 1]);
         let err = frame.write_to(&mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_what_write_to_sends() {
+        let queued = b"earlier reply".to_vec();
+        for frame in [
+            Frame::request(Op::XtsEncrypt, 0, 7, 3, vec![5u8; 40]).with_corr(0xC0FF_EE00),
+            Frame::request_v1(Op::Ping, 0, 42, 3, vec![1, 2]),
+        ] {
+            let mut sent = Vec::new();
+            frame.write_to(&mut sent).unwrap();
+            let mut queue = queued.clone();
+            frame.encode_into(&mut queue).unwrap();
+            assert_eq!(queue[..queued.len()], queued[..], "v{}", frame.version);
+            assert_eq!(queue[queued.len()..], sent[..], "v{}", frame.version);
+        }
+        // An unsendable frame appends nothing: a queue of whole frames
+        // stays in sync.
+        let oversized = Frame::request(Op::Ping, 0, 0, 0, vec![0u8; MAX_PAYLOAD + 1]);
+        let mut queue = queued.clone();
+        let err = oversized.encode_into(&mut queue).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(queue, queued);
     }
 
     #[test]

@@ -635,15 +635,15 @@ impl OutBuf {
         self.len() == 0
     }
 
-    /// Serialises `frame` onto the queue. `false` only when the frame
-    /// itself is unsendable (payload over the wire limit) — the caller
-    /// treats that as a fatal connection error.
+    /// Encodes `frame` straight onto the queue. `false` only when the
+    /// frame itself is unsendable (payload over the wire limit); the
+    /// queue is then unchanged.
     fn push(&mut self, frame: &Frame) -> bool {
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
         }
-        frame.write_to(&mut self.buf).is_ok()
+        frame.encode_into(&mut self.buf).is_ok()
     }
 
     /// Writes as much of the queue as the socket accepts right now.
@@ -1083,7 +1083,7 @@ fn push_error(
     );
 }
 
-fn dispatch(frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
+fn dispatch(mut frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
     shared
         .request_bytes
         .record((frame.header_len() + frame.payload.len()) as u64);
@@ -1357,11 +1357,15 @@ fn dispatch(frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
                 );
                 return Flow::Continue;
             }
+            // Validated: the sectors are processed in the request's own
+            // payload, which then travels back as the reply's.
+            let mut data = std::mem::take(&mut frame.payload);
+            data.drain(..12);
             let session = slot.session_mut().expect("checked live");
             match session.xts_apply(
                 sector_base,
                 sector_size as usize,
-                body.to_vec(),
+                data,
                 op == Op::XtsDecrypt,
             ) {
                 Ok(data) => push_reply(out, &frame, Status::Ok, live, data),
@@ -1484,6 +1488,12 @@ fn session_ok(out: &mut OutBuf, shared: &Shared, frame: &Frame, live: u32) -> bo
     }
     true
 }
+
+/// The scalar per-block XTS reference, shared with the workspace's
+/// AEAD known-answer suite, that the wire tests check answers against.
+#[cfg(test)]
+#[path = "../../../tests/support/xts_oracle.rs"]
+mod xts_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -2135,6 +2145,19 @@ mod tests {
         p
     }
 
+    /// The session's XTS stream for `body` per the scalar oracle: the
+    /// session key serves as both data and tweak key, and sector
+    /// numbers wrap past `u64::MAX`.
+    fn oracle_xts(key: &[u8], base: u64, sector_size: usize, body: &[u8]) -> Vec<u8> {
+        let cipher = rijndael::ttable::TtableAes::new(key).expect("valid key length");
+        let mut out = body.to_vec();
+        for (i, sector) in out.chunks_mut(sector_size).enumerate() {
+            let number = base.wrapping_add(i as u64);
+            xts_oracle::sector(&cipher, &cipher, number, sector, false);
+        }
+        out
+    }
+
     #[test]
     fn xts_wire_ops_roundtrip_and_match_the_session_lane() {
         let server = tiny_server();
@@ -2144,33 +2167,61 @@ mod tests {
         assert_eq!(reply.status(), Some(Status::Ok));
         let sid = reply.session;
 
-        // Three 20-byte sectors exercise ciphertext stealing.
-        let body: Vec<u8> = (0..60u8).collect();
-        let ct = call(
-            &stream,
-            &Frame::request(Op::XtsEncrypt, 0, 2, sid, xts_payload(7, 20, &body)),
-        );
-        assert_eq!(ct.status(), Some(Status::Ok), "{:?}", ct.error_body());
-        assert_eq!(ct.payload.len(), body.len());
-        assert_ne!(ct.payload, body);
-        let pt = call(
-            &stream,
-            &Frame::request(Op::XtsDecrypt, 0, 3, sid, xts_payload(7, 20, &ct.payload)),
-        );
-        assert_eq!(pt.status(), Some(Status::Ok));
-        assert_eq!(pt.payload, body);
+        // Three 20-byte sectors exercise ciphertext stealing; 64 KiB in
+        // 4 KiB sectors is perf_ledger's XTS shape, numbered from a base
+        // that wraps past u64::MAX.
+        let small: Vec<u8> = (0..60u8).collect();
+        let large: Vec<u8> = (0..64 * 1024).map(|i| (i * 131 % 251) as u8).collect();
+        let mut seq = 1;
+        for (base, sector_size, body) in [(7, 20, small), (u64::MAX - 7, 4096, large)] {
+            seq += 1;
+            let ct = call(
+                &stream,
+                &Frame::request(
+                    Op::XtsEncrypt,
+                    0,
+                    seq,
+                    sid,
+                    xts_payload(base, sector_size, &body),
+                ),
+            );
+            assert_eq!(ct.status(), Some(Status::Ok), "{:?}", ct.error_body());
+            assert_eq!(ct.payload.len(), body.len());
+            assert_ne!(ct.payload, body);
+            // The wire op matches the scalar oracle sector by sector.
+            assert!(
+                ct.payload == oracle_xts(&key, base, sector_size as usize, &body),
+                "{sector_size}-byte sectors from {base} disagree with the oracle"
+            );
+            seq += 1;
+            let pt = call(
+                &stream,
+                &Frame::request(
+                    Op::XtsDecrypt,
+                    0,
+                    seq,
+                    sid,
+                    xts_payload(base, sector_size, &ct.payload),
+                ),
+            );
+            assert_eq!(pt.status(), Some(Status::Ok));
+            assert!(pt.payload == body, "{sector_size}-byte sectors from {base}");
 
-        // The wire op matches a locally-keyed XTS lane sector by sector.
-        let local = crate::session::tests_expected_xts(&key, 7, 20, &body);
-        assert_eq!(ct.payload, local);
-
-        // Decrypting under the wrong sector base garbles the plaintext.
-        let wrong = call(
-            &stream,
-            &Frame::request(Op::XtsDecrypt, 0, 4, sid, xts_payload(8, 20, &ct.payload)),
-        );
-        assert_eq!(wrong.status(), Some(Status::Ok));
-        assert_ne!(wrong.payload, body);
+            // Decrypting under the wrong sector base garbles the plaintext.
+            seq += 1;
+            let wrong = call(
+                &stream,
+                &Frame::request(
+                    Op::XtsDecrypt,
+                    0,
+                    seq,
+                    sid,
+                    xts_payload(base.wrapping_add(1), sector_size, &ct.payload),
+                ),
+            );
+            assert_eq!(wrong.status(), Some(Status::Ok));
+            assert_ne!(wrong.payload, body);
+        }
         server.shutdown();
     }
 

@@ -319,25 +319,6 @@ pub(crate) fn tests_expected_ecb(key: &[u8], block: &[u8; 16]) -> Vec<u8> {
     out.to_vec()
 }
 
-/// Test oracle: the XTS stream for `body` carved into `sector_size`
-/// sectors starting at `sector_base`, built from a fresh lane exactly
-/// as [`Session::new`] builds its own.
-#[cfg(test)]
-pub(crate) fn tests_expected_xts(
-    key: &[u8],
-    sector_base: u64,
-    sector_size: usize,
-    body: &[u8],
-) -> Vec<u8> {
-    let lane = Xts::new(dispatched_cipher(key), dispatched_cipher(key));
-    let mut out = body.to_vec();
-    for (i, sector) in out.chunks_mut(sector_size).enumerate() {
-        lane.encrypt_sector(sector_base.wrapping_add(i as u64), sector)
-            .expect("oracle sectors are well-formed");
-    }
-    out
-}
-
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")

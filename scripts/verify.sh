@@ -76,7 +76,7 @@ cargo test -q --test service_roundtrip --locked --offline
 echo "==> service pipelining tests (v2 out-of-order + v1 compat)"
 cargo test -q --test service_pipeline --locked --offline
 
-echo "==> AEAD subsystem gate (NIST GCM / RFC 3394 / IEEE XTS KATs + service flow)"
+echo "==> AEAD subsystem gate (NIST GCM / RFC 3394 / IEEE XTS KATs + XTS oracle law + service flow)"
 cargo test -q --test aead_kats --locked --offline
 
 echo "==> service load generator (smoke; 10k-connection hold + GET_STATS audit)"
@@ -120,7 +120,7 @@ BENCH_BITSLICE_JSON="$race_json" \
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$race_json" \
     || { echo "engine_scaling backend-race JSON is malformed" >&2; exit 1; }
 
-echo "==> AEAD throughput report (smoke: GCM-vs-CTR overhead gate + GHASH race)"
+echo "==> AEAD throughput report (smoke: GCM-vs-CTR and XTS-vs-ECB overhead gates + GHASH race)"
 gcm_json="$(mktemp)"
 trap 'rm -f "$cluster_json" "$elastic_json" "$bench_json" "$race_json" "$gcm_json"' EXIT
 TESTKIT_BENCH_SMOKE=1 BENCH_GCM_JSON="$gcm_json" \

@@ -3,8 +3,12 @@
 //! shapes), RFC 3394 key-wrap vectors for all three KEK sizes, IEEE
 //! 1619 XTS vectors including ciphertext stealing, and property-based
 //! round-trip/tamper laws swept across every detected backend and all
-//! three AES key sizes — plus the end-to-end service acceptance flow
-//! (SET_KEY 32 bytes → SEAL → OPEN → TagMismatch → WRAP/UNWRAP).
+//! three AES key sizes — XTS against a scalar per-block oracle
+//! (`support/xts_oracle.rs`) — plus the end-to-end service acceptance
+//! flow (SET_KEY 32 bytes → SEAL → OPEN → TagMismatch → WRAP/UNWRAP).
+
+#[path = "support/xts_oracle.rs"]
+mod xts_oracle;
 
 use rijndael_ip::rijndael::aead::{self, Xts};
 use rijndael_ip::rijndael::dispatch::Kind;
@@ -217,6 +221,17 @@ fn xts_case(key1: &str, key2: &str, sector: u64, pt: &str, ct: &str) {
     assert_eq!(buf, hex(ct), "encrypt mismatch for sector {sector}");
     xts.decrypt_sector(sector, &mut buf).unwrap();
     assert_eq!(buf, hex(pt), "decrypt mismatch for sector {sector}");
+
+    // The vector pins the scalar oracle too, so the law sweep below
+    // compares against a reference that is itself known-answer checked.
+    let (k1, k2) = (
+        TtableAes::new(&hex(key1)).unwrap(),
+        TtableAes::new(&hex(key2)).unwrap(),
+    );
+    xts_oracle::sector(&k1, &k2, sector, &mut buf, false);
+    assert_eq!(buf, hex(ct), "oracle encrypt mismatch for sector {sector}");
+    xts_oracle::sector(&k1, &k2, sector, &mut buf, true);
+    assert_eq!(buf, hex(pt), "oracle decrypt mismatch for sector {sector}");
 }
 
 #[test]
@@ -332,6 +347,51 @@ forall!(cases = 24, fn xts_roundtrips_ragged_sectors_on_every_key_size(
         assert_ne!(buf, pt, "XTS must change the sector");
         xts.decrypt_sector(sector, &mut buf).unwrap();
         assert_eq!(buf, pt, "XTS roundtrip failed ({key_len}-byte keys)");
+    }
+});
+
+forall!(cases = 12, fn xts_matches_the_scalar_oracle_on_every_backend(
+    key in any::<[u8; 32]>(),
+    tweak_key in any::<[u8; 32]>(),
+    sector in any::<u64>(),
+    pt in vec_of(any::<u8>(), 16..3 * 1024 + 16),
+) {
+    // Up to three 64-block spans. Each case also runs its whole-block
+    // prefix (so 12 cases check 24 lengths), crossing a span boundary
+    // both with and without a stealing tail; sector numbers 0 and
+    // u64::MAX pin the tweak edges.
+    let whole = pt.len() / 16 * 16;
+    for key_len in [16usize, 24, 32] {
+        let (k1, k2) = (&key[..key_len], &tweak_key[..key_len]);
+        let oracle = (TtableAes::new(k1).unwrap(), TtableAes::new(k2).unwrap());
+        let lanes: Vec<(Kind, Xts<AutoCipher>)> = detected_ciphers(k1)
+            .into_iter()
+            .map(|(kind, data)| {
+                let tweak = AutoCipher::for_kind(kind, k2).expect("same kind as the data key");
+                (kind, Xts::new(data, tweak))
+            })
+            .collect();
+        for len in [pt.len(), whole] {
+            for number in [0, u64::MAX, sector] {
+                for decrypt in [false, true] {
+                    let mut expect = pt[..len].to_vec();
+                    xts_oracle::sector(&oracle.0, &oracle.1, number, &mut expect, decrypt);
+                    for (kind, xts) in &lanes {
+                        let mut got = pt[..len].to_vec();
+                        if decrypt {
+                            xts.decrypt_sector(number, &mut got).unwrap();
+                        } else {
+                            xts.encrypt_sector(number, &mut got).unwrap();
+                        }
+                        assert_eq!(
+                            got, expect,
+                            "{kind:?} disagrees with the oracle: {key_len}-byte keys, \
+                             {len} bytes, sector {number}, decrypt {decrypt}"
+                        );
+                    }
+                }
+            }
+        }
     }
 });
 
