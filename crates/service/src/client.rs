@@ -11,7 +11,7 @@
 //! The client maps [`Status::Error`] replies into
 //! [`ClientError::Service`], and matches every reply to its request by
 //! **correlation id** — never by arrival order. That makes it safe
-//! against the v2 server's out-of-order completions: a reply for a
+//! against the server's out-of-order completions: a reply for a
 //! different outstanding request is stashed and delivered when its own
 //! call asks for it, and only a reply that matches *nothing*
 //! outstanding is an error ([`ClientError::StrayReply`] — the old
@@ -31,9 +31,7 @@
 //!   session finished them; a pool at capacity answers the job with a
 //!   typed `Busy`, to be retried after collecting.
 //!
-//! [`Client::connect`] speaks protocol v2; [`Client::connect_v1`]
-//! pins the connection to the version-1 layout for compatibility
-//! testing against the in-order v1 contract. The raw
+//! Every frame uses the one wire layout ([`crate::protocol`]). The raw
 //! [`Client::send_raw`] / [`Client::recv_raw`] pair is for protocol
 //! tests that need to send deliberately malformed traffic.
 
@@ -42,7 +40,7 @@ use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::protocol::{ErrorCode, Frame, Op, RecvError, Status, PROTOCOL_V1};
+use crate::protocol::{ErrorCode, Frame, Op, RecvError, Status};
 
 /// Failure of a client call.
 #[derive(Debug)]
@@ -127,8 +125,8 @@ pub struct PipelinedJob {
 /// The wire core: one TCP connection to one service node.
 ///
 /// `NodeConn` owns everything a correct conversation needs — the
-/// sequence counter, the live session id, the v1/v2 framing choice,
-/// the set of outstanding correlation ids and the bounded stash of
+/// sequence counter, the live session id, the set of outstanding
+/// correlation ids and the bounded stash of
 /// out-of-order replies. [`Client`] layers the typed per-op methods on
 /// top; `rijndael-cluster`'s router drives one `NodeConn`-backed
 /// client per node, so single-node and cluster traffic share one
@@ -138,7 +136,6 @@ pub struct NodeConn {
     stream: TcpStream,
     seq: u32,
     session: u32,
-    version: u8,
     /// Correlation ids of pipelined requests still awaiting replies.
     pending: HashSet<u32>,
     /// Out-of-order pipelined replies received while waiting for
@@ -157,28 +154,18 @@ impl NodeConn {
     /// without bound; now it saturates here.
     pub const STASH_CAP: usize = 1024;
 
-    /// Connects (with `TCP_NODELAY`) speaking protocol v2.
+    /// Connects (with `TCP_NODELAY`).
     ///
     /// # Errors
     ///
     /// Propagates connect/setsockopt failures.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<NodeConn> {
-        Self::connect_version(addr, crate::protocol::PROTOCOL_V2)
-    }
-
-    /// Connects pinned to a specific wire-format version.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/setsockopt failures.
-    pub fn connect_version<A: ToSocketAddrs>(addr: A, version: u8) -> io::Result<NodeConn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(NodeConn {
             stream,
             seq: 0,
             session: 0,
-            version,
             pending: HashSet::new(),
             stash: Vec::new(),
             stash_evicted: 0,
@@ -189,12 +176,6 @@ impl NodeConn {
     #[must_use]
     pub fn session(&self) -> u32 {
         self.session
-    }
-
-    /// The wire-format version this connection speaks.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Pipelined requests sent and not yet collected. A stashed reply
@@ -220,11 +201,7 @@ impl NodeConn {
     }
 
     fn request(&self, op: Op, seq: u32, payload: Vec<u8>) -> Frame {
-        if self.version >= crate::protocol::PROTOCOL_V2 {
-            Frame::request(op, 0, seq, self.session, payload)
-        } else {
-            Frame::request_v1(op, 0, seq, self.session, payload)
-        }
+        Frame::request(op, 0, seq, self.session, payload)
     }
 
     /// Sends a frame verbatim (protocol-test escape hatch).
@@ -367,8 +344,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects (with `TCP_NODELAY`) speaking protocol v2, sequence
-    /// numbering starting at 1.
+    /// Connects (with `TCP_NODELAY`), sequence numbering starting at 1.
     ///
     /// # Errors
     ///
@@ -376,19 +352,6 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         Ok(Client {
             conn: NodeConn::connect(addr)?,
-        })
-    }
-
-    /// Connects pinned to the version-1 wire format (11-byte header,
-    /// strictly in-order replies) — the compatibility path for peers
-    /// that predate pipelining.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/setsockopt failures.
-    pub fn connect_v1<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Ok(Client {
-            conn: NodeConn::connect_version(addr, PROTOCOL_V1)?,
         })
     }
 
@@ -402,12 +365,6 @@ impl Client {
     #[must_use]
     pub fn session(&self) -> u32 {
         self.conn.session()
-    }
-
-    /// The wire-format version this connection speaks.
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.conn.version()
     }
 
     /// Pipelined requests sent and not yet collected.
@@ -914,21 +871,6 @@ mod tests {
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0].op(), Some(Op::EcbEncrypt));
         assert_eq!(seen[1].op(), Some(Op::Ping));
-    }
-
-    #[test]
-    fn v1_client_emits_v1_frames() {
-        let (addr, server) = scripted_server(
-            1,
-            vec![Frame::reply(Status::Ok, 1, 0, b"hi".to_vec()).with_version(PROTOCOL_V1)],
-        );
-        let mut client = Client::connect_v1(addr).unwrap();
-        assert_eq!(client.version(), PROTOCOL_V1);
-        let echoed = client.ping(b"hi").unwrap();
-        assert_eq!(echoed, b"hi");
-        let seen = server.join().unwrap();
-        assert_eq!(seen[0].version, PROTOCOL_V1);
-        assert_eq!(seen[0].corr, seen[0].seq, "v1 decode mirrors seq");
     }
 
     #[test]

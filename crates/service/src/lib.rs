@@ -5,11 +5,11 @@
 //! key, and stream mode operations at the engine. This crate is that
 //! service, std-only and hermetic like the rest of the workspace:
 //!
-//! * [`protocol`] — the length-prefixed wire format, versions 1 and 2:
+//! * [`protocol`] — the length-prefixed wire format, one layout:
 //!   request framing (ECB/CBC/CTR, CMAC, GCM, XTS, key wrap, key load,
 //!   ping, stats), strict frame size limits, typed error replies instead
-//!   of disconnects, and — in v2 — a correlation id that makes request
-//!   pipelining with out-of-order replies well-defined;
+//!   of disconnects, and a correlation id that makes request pipelining
+//!   with out-of-order replies well-defined;
 //! * [`session`] — per-connection key management: `SET_KEY` builds a
 //!   fresh [`engine::WorkerPool`], the session's one executor (small
 //!   jobs on the caller's thread, bulk jobs on its workers); key
@@ -34,9 +34,9 @@
 //!
 //! Every server owns a [`telemetry::Registry`] that its session pools
 //! publish into; `GET_STATS` ([`Client::stats`]) returns one snapshot of
-//! it as the stable `telemetry/1` JSON document, and engine failures map
-//! onto wire [`ErrorCode`]s through a single `engine::Error` match in
-//! the server.
+//! it as the stable `telemetry/1` JSON document, and every reply —
+//! bytes or a typed [`ErrorCode`] — leaves the server through one exit
+//! that also keeps the error tallies.
 //!
 //! # Quick start
 //!

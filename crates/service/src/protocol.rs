@@ -1,50 +1,34 @@
-//! Versioned wire format: length-prefixed binary frames, v1 and v2.
+//! The wire format: length-prefixed binary frames in one layout.
 //!
-//! Every frame — request or reply — is one length-prefixed record. The
-//! version-1 layout (the PR 3 format, still accepted everywhere):
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     len      u32 BE; bytes after this field (11 ..= MAX_FRAME_LEN)
-//! 4       1     version  1
-//! 5       1     kind     request Op, or reply Status (high bit set)
-//! 6       1     flags    reserved, must be 0 (anything else is Malformed)
-//! 7       4     seq      u32 BE; client-chosen, echoed in the matching replies
-//! 11      4     session  u32 BE; 0 before SET_KEY, server-assigned afterwards
-//! 15      ...   payload  op-specific body, at most MAX_PAYLOAD bytes
-//! ```
-//!
-//! Version 2 appends a **correlation id** after the session field:
+//! Every frame — request or reply — is one length-prefixed record:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     len      u32 BE; bytes after this field (15 ..= MAX_FRAME_LEN)
-//! 4       1     version  2
-//! 5       1     kind     as v1
-//! 6       1     flags    as v1
+//! 4       1     version  2 (PROTOCOL_VERSION)
+//! 5       1     kind     request Op, or reply Status (high bit set)
+//! 6       1     flags    reserved, must be 0 (anything else is Malformed)
 //! 7       4     seq      u32 BE; monotone per connection (diagnostics)
-//! 11      4     session  u32 BE; as v1
+//! 11      4     session  u32 BE; 0 before SET_KEY, server-assigned afterwards
 //! 15      4     corr     u32 BE; client-chosen, echoed in the matching reply
 //! 19      ...   payload  op-specific body, at most MAX_PAYLOAD bytes
 //! ```
 //!
-//! The correlation id is what makes **pipelining** well-defined: a v2
+//! The correlation id is what makes **pipelining** well-defined: a
 //! client may have any number of requests in flight on one connection,
 //! and the server may answer them in *any order* (bulk jobs complete
-//! out of order across a worker pool); each reply names the request it answers
-//! through `corr`. On v1 frames there is no `corr` field — the decoder
-//! mirrors `seq` into [`Frame::corr`] so both versions correlate
-//! uniformly in code — and the server guarantees v1 replies arrive in
-//! request order, which is exactly the PR 3 contract a v1 client
-//! assumes.
+//! out of order across a worker pool); each reply names the request it
+//! answers through `corr`. Version 1, the retired 11-byte layout without
+//! `corr`, stays reserved: the decoder refuses it like any other version
+//! that is not [`PROTOCOL_VERSION`].
 //!
 //! Limits are enforced on both sides: a frame longer than
 //! [`MAX_FRAME_LEN`] is refused *before* it is buffered, and the server
 //! answers protocol violations with typed [`ErrorCode`] replies instead
-//! of dropping the connection wherever the stream is still in sync
-//! (the two exceptions — an oversized length prefix and a version
-//! mismatch — poison the framing itself, so the server sends the typed
-//! error and then closes).
+//! of dropping the connection wherever the stream is still in sync. The
+//! decoder's three framing errors — an oversized or undersized length
+//! prefix and a foreign version byte — poison the framing itself, so
+//! the server sends the typed error and then closes.
 //!
 //! Incremental reassembly goes through [`RecvBuffer`], a
 //! consumed-offset cursor over the connection's receive bytes. The old
@@ -59,32 +43,21 @@ use std::io::{self, Read, Write};
 
 use engine::Mode;
 
-/// The original wire-format version (11-byte header, in-order replies).
-pub const PROTOCOL_V1: u8 = 1;
+/// The wire-format version every frame carries. Version 1 (the retired
+/// 11-byte layout) is reserved and refused like any other.
+pub const PROTOCOL_VERSION: u8 = 2;
 
-/// The pipelined wire-format version (15-byte header with a correlation
-/// id; replies may arrive out of order).
-pub const PROTOCOL_V2: u8 = 2;
-
-/// The current wire-format version new clients speak.
-pub const PROTOCOL_VERSION: u8 = PROTOCOL_V2;
-
-/// Bytes of v1 header after the length prefix (version, kind, flags,
-/// seq, session).
-pub const HEADER_LEN: usize = 11;
-
-/// Bytes of v2 header after the length prefix (v1 fields plus the
-/// correlation id).
-pub const HEADER_LEN_V2: usize = 15;
+/// Bytes of header after the length prefix (version, kind, flags, seq,
+/// session, corr).
+pub const HEADER_LEN: usize = 15;
 
 /// Hard cap on one frame's payload (IV included). Bigger requests must be
 /// split; the cap bounds per-connection buffering no matter what a peer
 /// sends.
 pub const MAX_PAYLOAD: usize = 256 * 1024;
 
-/// Hard cap on the post-prefix frame length (a maximal-payload v2
-/// frame; v1 frames top out four bytes below it).
-pub const MAX_FRAME_LEN: usize = HEADER_LEN_V2 + MAX_PAYLOAD;
+/// Hard cap on the post-prefix frame length: a maximal-payload frame.
+pub const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD;
 
 /// Request operation codes (`kind` with the high bit clear). Code 0x02
 /// is reserved (a retired drain op) and decodes to `None`.
@@ -144,8 +117,10 @@ pub enum Op {
     /// failure).
     Open = 0x21,
     /// SP 800-38F / RFC 3394 key wrap under the session key. Payload:
-    /// the key data (≥ 16 bytes, a multiple of 8). Reply: the 8-byte-
-    /// longer wrapped blob.
+    /// the key data (≥ 16 bytes, a multiple of 8, and at most
+    /// [`MAX_PAYLOAD`] − 8 so the reply fits a frame; anything else is
+    /// [`ErrorCode::Malformed`] with the payload length). Reply: the
+    /// 8-byte-longer wrapped blob.
     WrapKey = 0x22,
     /// RFC 3394 key unwrap. Payload: the wrapped blob (≥ 24 bytes, a
     /// multiple of 8). Reply: the recovered key data, or
@@ -267,9 +242,10 @@ impl Status {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ErrorCode {
-    /// Frame version is neither [`PROTOCOL_V1`] nor [`PROTOCOL_V2`].
-    /// Detail: the received version. The connection closes after this
-    /// reply.
+    /// Frame version is not [`PROTOCOL_VERSION`] (version 1, the retired
+    /// 11-byte layout, included). Detail: the received version byte. The
+    /// decoder reports it as soon as that byte arrives; the connection
+    /// closes after this reply.
     BadVersion = 1,
     /// Unknown request op. Detail: the received `kind` byte.
     BadOp = 2,
@@ -277,9 +253,8 @@ pub enum ErrorCode {
     /// length, missing tag...). Detail: the received payload length — or
     /// the flags byte, for a request whose reserved flags are not 0.
     Malformed = 3,
-    /// The length prefix exceeds [`MAX_FRAME_LEN`] (or the payload
-    /// exceeds [`MAX_PAYLOAD`] for the frame's version). Detail: the
-    /// declared length. The connection closes after this reply.
+    /// The length prefix exceeds [`MAX_FRAME_LEN`]. Detail: the declared
+    /// length. The connection closes after this reply.
     FrameTooLarge = 4,
     /// A crypto op arrived before any `SET_KEY`. Detail: 0.
     NoSession = 5,
@@ -393,13 +368,11 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// One decoded frame (either direction).
+/// One decoded frame (either direction). The version byte is not kept:
+/// the decoder refuses every frame whose version is not
+/// [`PROTOCOL_VERSION`], and the encoder writes that one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Wire version ([`PROTOCOL_V1`] or [`PROTOCOL_V2`] on everything
-    /// this crate builds; preserved verbatim on receive so version
-    /// errors can echo it).
-    pub version: u8,
     /// Raw `kind` byte: an [`Op`] on requests, a [`Status`] on replies.
     pub kind: u8,
     /// Reserved flags byte: 0 on everything this crate builds.
@@ -409,35 +382,24 @@ pub struct Frame {
     /// Session id (0 = none yet).
     pub session: u32,
     /// Correlation id: the pipelining handle that ties a reply to its
-    /// request. Serialized only on v2 frames; on v1 frames the decoder
-    /// mirrors `seq` here so both versions correlate uniformly.
+    /// request.
     pub corr: u32,
     /// Op-/status-specific body.
     pub payload: Vec<u8>,
 }
 
 impl Frame {
-    /// Builds a v2 request frame with `corr` mirroring `seq` (override
+    /// Builds a request frame with `corr` mirroring `seq` (override
     /// with [`Frame::with_corr`] for pipelined traffic).
     #[must_use]
     pub fn request(op: Op, flags: u8, seq: u32, session: u32, payload: Vec<u8>) -> Frame {
         Frame {
-            version: PROTOCOL_V2,
             kind: op as u8,
             flags,
             seq,
             session,
             corr: seq,
             payload,
-        }
-    }
-
-    /// Builds a v1 request frame (11-byte header, correlated by `seq`).
-    #[must_use]
-    pub fn request_v1(op: Op, flags: u8, seq: u32, session: u32, payload: Vec<u8>) -> Frame {
-        Frame {
-            version: PROTOCOL_V1,
-            ..Frame::request(op, flags, seq, session, payload)
         }
     }
 
@@ -448,18 +410,10 @@ impl Frame {
         self
     }
 
-    /// Overrides the version byte (builder-style; protocol tests).
-    #[must_use]
-    pub fn with_version(mut self, version: u8) -> Frame {
-        self.version = version;
-        self
-    }
-
-    /// Builds a v2 reply frame with `corr` mirroring `seq`.
+    /// Builds a reply frame with `corr` mirroring `seq`.
     #[must_use]
     pub fn reply(status: Status, seq: u32, session: u32, payload: Vec<u8>) -> Frame {
         Frame {
-            version: PROTOCOL_V2,
             kind: status as u8,
             flags: 0,
             seq,
@@ -469,37 +423,10 @@ impl Frame {
         }
     }
 
-    /// Builds the reply to `request`: the version (normalised to the
-    /// nearest layout this side emits — v2 for any version ≥ 2), `seq`,
-    /// `corr` and `session` all echo the request.
-    #[must_use]
-    pub fn reply_to(request: &Frame, status: Status, payload: Vec<u8>) -> Frame {
-        Frame {
-            version: if request.version >= PROTOCOL_V2 {
-                PROTOCOL_V2
-            } else {
-                PROTOCOL_V1
-            },
-            kind: status as u8,
-            flags: 0,
-            seq: request.seq,
-            session: request.session,
-            corr: request.corr,
-            payload,
-        }
-    }
-
-    /// Builds a typed v2 error reply.
+    /// Builds a typed error reply.
     #[must_use]
     pub fn error(code: ErrorCode, detail: u32, seq: u32, session: u32) -> Frame {
         Frame::reply(Status::Error, seq, session, error_payload(code, detail))
-    }
-
-    /// Builds the typed error reply to `request` (version, `seq`,
-    /// `corr` and `session` echo the request).
-    #[must_use]
-    pub fn error_to(request: &Frame, code: ErrorCode, detail: u32) -> Frame {
-        Frame::reply_to(request, Status::Error, error_payload(code, detail))
     }
 
     /// The request op, when `kind` encodes one.
@@ -525,19 +452,8 @@ impl Frame {
         Some((code, detail))
     }
 
-    /// The post-prefix header length for this frame's version.
-    #[must_use]
-    pub fn header_len(&self) -> usize {
-        if self.version >= PROTOCOL_V2 {
-            HEADER_LEN_V2
-        } else {
-            HEADER_LEN
-        }
-    }
-
-    /// Appends the serialised frame (length prefix included) to `buf`
-    /// in its version's layout: v1 frames omit the correlation id. An
-    /// outgoing queue encodes replies straight into itself this way,
+    /// Appends the serialised frame (length prefix included) to `buf`.
+    /// An outgoing queue encodes replies straight into itself this way,
     /// with no per-frame temporary.
     ///
     /// # Errors
@@ -552,18 +468,15 @@ impl Frame {
                 format!("payload of {} exceeds MAX_PAYLOAD", self.payload.len()),
             ));
         }
-        let header = self.header_len();
-        let len = (header + self.payload.len()) as u32;
-        buf.reserve(4 + header + self.payload.len());
+        let len = (HEADER_LEN + self.payload.len()) as u32;
+        buf.reserve(4 + HEADER_LEN + self.payload.len());
         buf.extend_from_slice(&len.to_be_bytes());
-        buf.push(self.version);
+        buf.push(PROTOCOL_VERSION);
         buf.push(self.kind);
         buf.push(self.flags);
         buf.extend_from_slice(&self.seq.to_be_bytes());
         buf.extend_from_slice(&self.session.to_be_bytes());
-        if self.version >= PROTOCOL_V2 {
-            buf.extend_from_slice(&self.corr.to_be_bytes());
-        }
+        buf.extend_from_slice(&self.corr.to_be_bytes());
         buf.extend_from_slice(&self.payload);
         Ok(())
     }
@@ -581,70 +494,72 @@ impl Frame {
         w.write_all(&buf)
     }
 
-    /// Decodes one complete post-prefix frame body (length prefix
-    /// already stripped and validated against the global bounds).
-    fn decode_body(body: &[u8]) -> Result<Frame, RecvError> {
-        let version = body[0];
-        let header = if version >= PROTOCOL_V2 {
-            HEADER_LEN_V2
-        } else {
-            HEADER_LEN
-        };
-        if body.len() < header {
-            return Err(RecvError::TooShort {
-                len: body.len() as u32,
-            });
-        }
-        if body.len() - header > MAX_PAYLOAD {
-            return Err(RecvError::TooLarge {
-                len: body.len() as u32,
-            });
-        }
-        let seq = u32::from_be_bytes(body[3..7].try_into().expect("4-byte slice"));
-        let corr = if version >= PROTOCOL_V2 {
-            u32::from_be_bytes(body[11..15].try_into().expect("4-byte slice"))
-        } else {
-            seq
-        };
-        Ok(Frame {
-            version,
+    /// Decodes one complete post-prefix frame body that passed
+    /// [`check_framing`].
+    fn decode_body(body: &[u8]) -> Frame {
+        let word = |at: usize| u32::from_be_bytes(body[at..at + 4].try_into().expect("4 bytes"));
+        Frame {
             kind: body[1],
             flags: body[2],
-            seq,
-            session: u32::from_be_bytes(body[7..11].try_into().expect("4-byte slice")),
-            corr,
-            payload: body[header..].to_vec(),
-        })
+            seq: word(3),
+            session: word(7),
+            corr: word(11),
+            payload: body[HEADER_LEN..].to_vec(),
+        }
     }
 
-    /// Reads one frame, enforcing [`MAX_FRAME_LEN`] before buffering the
-    /// body. Accepts both wire versions.
+    /// Reads one frame, enforcing [`MAX_FRAME_LEN`] and the version
+    /// before buffering the body. The length prefix and the version byte
+    /// arrive in one read, so a frame costs the reader two reads; an
+    /// empty frame's prefix therefore takes one byte past it, of a
+    /// stream that is broken anyway.
     ///
     /// # Errors
     ///
     /// [`RecvError::Io`] on transport errors (including a clean EOF
     /// before the length prefix, surfaced as `UnexpectedEof`);
-    /// [`RecvError::TooLarge`] / [`RecvError::TooShort`] on a length
-    /// prefix outside the valid range — the stream can no longer be
-    /// trusted to be in sync, so the caller should close after its typed
-    /// goodbye.
+    /// [`RecvError::TooLarge`] / [`RecvError::BadVersion`] /
+    /// [`RecvError::TooShort`] on broken framing — the stream can no
+    /// longer be trusted to be in sync, so the caller should close after
+    /// its typed goodbye.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, RecvError> {
-        let mut len_buf = [0u8; 4];
-        r.read_exact(&mut len_buf)?;
-        let len = u32::from_be_bytes(len_buf);
-        if (len as usize) < HEADER_LEN {
-            return Err(RecvError::TooShort { len });
-        }
-        if (len as usize) > MAX_FRAME_LEN {
-            return Err(RecvError::TooLarge { len });
-        }
+        let mut head = [0u8; 5];
+        r.read_exact(&mut head)?;
+        let len = u32::from_be_bytes(head[..4].try_into().expect("4-byte slice"));
+        check_framing(len, Some(head[4]))?;
         let mut body = vec![0u8; len as usize];
-        r.read_exact(&mut body)?;
-        Frame::decode_body(&body)
+        body[0] = head[4];
+        r.read_exact(&mut body[1..])?;
+        Ok(Frame::decode_body(&body))
     }
 }
 
-fn error_payload(code: ErrorCode, detail: u32) -> Vec<u8> {
+/// The framing checks both readers share, in the order they can be
+/// decided: the length prefix's upper bound from its four bytes alone;
+/// the version byte as soon as it is visible (`version` is `None` until
+/// then; an empty frame has none); and only then the header-length
+/// minimum. `Ok(false)` means the version byte has not arrived yet.
+fn check_framing(len: u32, version: Option<u8>) -> Result<bool, RecvError> {
+    if len as usize > MAX_FRAME_LEN {
+        return Err(RecvError::TooLarge { len });
+    }
+    if len > 0 {
+        match version {
+            None => return Ok(false),
+            Some(version) if version != PROTOCOL_VERSION => {
+                return Err(RecvError::BadVersion { version })
+            }
+            Some(_) => {}
+        }
+    }
+    if (len as usize) < HEADER_LEN {
+        return Err(RecvError::TooShort { len });
+    }
+    Ok(true)
+}
+
+/// The `code: u8` ‖ `detail: u32 BE` body of a [`Status::Error`] reply.
+pub(crate) fn error_payload(code: ErrorCode, detail: u32) -> Vec<u8> {
     let mut payload = Vec::with_capacity(5);
     payload.push(code as u8);
     payload.extend_from_slice(&detail.to_be_bytes());
@@ -728,31 +643,26 @@ impl RecvBuffer {
 
     /// Parses one complete frame off the cursor, or returns `Ok(None)`
     /// when more bytes are needed. The length prefix is validated as
-    /// soon as it is visible, so an oversized frame is refused before
-    /// its body accumulates.
+    /// soon as it is visible and the version byte as soon as it arrives,
+    /// so an oversized or foreign frame is refused before its body
+    /// accumulates.
     ///
     /// # Errors
     ///
-    /// [`RecvError::TooLarge`] / [`RecvError::TooShort`] on a length
-    /// prefix outside the valid range; the buffer is left untouched so
-    /// the caller can report and close.
+    /// [`RecvError::TooLarge`] / [`RecvError::BadVersion`] /
+    /// [`RecvError::TooShort`] on broken framing; the buffer is left
+    /// untouched so the caller can report and close.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, RecvError> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
             return Ok(None);
         }
         let len = u32::from_be_bytes(avail[..4].try_into().expect("4-byte slice"));
-        if (len as usize) < HEADER_LEN {
-            return Err(RecvError::TooShort { len });
-        }
-        if (len as usize) > MAX_FRAME_LEN {
-            return Err(RecvError::TooLarge { len });
-        }
         let total = 4 + len as usize;
-        if avail.len() < total {
+        if !check_framing(len, avail.get(4).copied())? || avail.len() < total {
             return Ok(None);
         }
-        let frame = Frame::decode_body(&avail[4..total])?;
+        let frame = Frame::decode_body(&avail[4..total]);
         self.start += total;
         Ok(Some(frame))
     }
@@ -763,17 +673,21 @@ impl RecvBuffer {
 pub enum RecvError {
     /// Transport error (EOF mid-frame is `UnexpectedEof`).
     Io(io::Error),
-    /// Length prefix under [`HEADER_LEN`] (or under the header length
-    /// the frame's version requires): framing is corrupt.
+    /// Length prefix under [`HEADER_LEN`]: framing is corrupt.
     TooShort {
         /// The declared post-prefix length.
         len: u32,
     },
-    /// Length prefix over [`MAX_FRAME_LEN`] (or payload over
-    /// [`MAX_PAYLOAD`]): refused before buffering.
+    /// Length prefix over [`MAX_FRAME_LEN`]: refused before buffering.
     TooLarge {
         /// The declared post-prefix length.
         len: u32,
+    },
+    /// Version byte other than [`PROTOCOL_VERSION`]: the rest of the
+    /// frame cannot be trusted to follow this layout.
+    BadVersion {
+        /// The received version byte.
+        version: u8,
     },
 }
 
@@ -782,10 +696,13 @@ impl fmt::Display for RecvError {
         match self {
             RecvError::Io(e) => write!(f, "frame transport error: {e}"),
             RecvError::TooShort { len } => {
-                write!(f, "frame length {len} under the version's header length")
+                write!(f, "frame length {len} under the {HEADER_LEN}-byte header")
             }
             RecvError::TooLarge { len } => {
                 write!(f, "frame length {len} over the {MAX_FRAME_LEN} limit")
+            }
+            RecvError::BadVersion { version } => {
+                write!(f, "frame version {version}, expected {PROTOCOL_VERSION}")
             }
         }
     }
@@ -809,47 +726,13 @@ mod tests {
             Frame::request(Op::CbcEncrypt, 0, 7, 0xDEAD_BEEF, vec![9u8; 48]).with_corr(0x1234_5678);
         let mut wire = Vec::new();
         frame.write_to(&mut wire).unwrap();
-        assert_eq!(wire.len(), 4 + HEADER_LEN_V2 + 48);
+        assert_eq!(wire.len(), 4 + HEADER_LEN + 48);
+        assert_eq!(wire[4], PROTOCOL_VERSION);
         let back = Frame::read_from(&mut wire.as_slice()).unwrap();
         assert_eq!(back, frame);
         assert_eq!(back.corr, 0x1234_5678);
         assert_eq!(back.op(), Some(Op::CbcEncrypt));
         assert_eq!(back.status(), None);
-    }
-
-    #[test]
-    fn v1_frame_roundtrips_and_mirrors_seq_into_corr() {
-        let frame = Frame::request_v1(Op::Ping, 0, 42, 3, vec![1, 2]);
-        let mut wire = Vec::new();
-        frame.write_to(&mut wire).unwrap();
-        // v1 keeps the 11-byte header: no correlation id on the wire.
-        assert_eq!(wire.len(), 4 + HEADER_LEN + 2);
-        let back = Frame::read_from(&mut wire.as_slice()).unwrap();
-        assert_eq!(back.version, PROTOCOL_V1);
-        assert_eq!(back.seq, 42);
-        assert_eq!(back.corr, 42, "v1 correlates by seq");
-        assert_eq!(back.payload, vec![1, 2]);
-    }
-
-    #[test]
-    fn replies_echo_version_seq_corr_and_session() {
-        let v2 = Frame::request(Op::Ping, 0, 5, 9, Vec::new()).with_corr(77);
-        let reply = Frame::reply_to(&v2, Status::Ok, vec![1]);
-        assert_eq!(
-            (reply.version, reply.seq, reply.corr, reply.session),
-            (PROTOCOL_V2, 5, 77, 9)
-        );
-        let v1 = Frame::request_v1(Op::Ping, 0, 5, 9, Vec::new());
-        let reply = Frame::error_to(&v1, ErrorCode::Busy, 32);
-        assert_eq!(reply.version, PROTOCOL_V1);
-        assert_eq!(reply.error_body(), Some((ErrorCode::Busy, 32)));
-        // Unknown future versions (parsed with the v2 layout) get v2
-        // replies — the newest layout this side knows how to emit.
-        let odd = Frame::request(Op::Ping, 0, 1, 0, Vec::new()).with_version(9);
-        assert_eq!(
-            Frame::reply_to(&odd, Status::Ok, Vec::new()).version,
-            PROTOCOL_V2
-        );
     }
 
     #[test]
@@ -875,42 +758,79 @@ mod tests {
 
     #[test]
     fn undersized_length_prefix_is_refused() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(HEADER_LEN as u32 - 1).to_be_bytes());
-        wire.extend_from_slice(&[0u8; HEADER_LEN]);
+        // An empty frame has no version byte to check, whatever follows.
+        let wire = [0, 0, 0, 0, PROTOCOL_VERSION];
         assert!(matches!(
             Frame::read_from(&mut wire.as_slice()),
-            Err(RecvError::TooShort { .. })
+            Err(RecvError::TooShort { len: 0 })
         ));
+        let mut buf = RecvBuffer::new();
+        buf.extend_from_slice(&wire[..4]);
+        assert!(matches!(
+            buf.next_frame(),
+            Err(RecvError::TooShort { len: 0 })
+        ));
+        // A current version byte, then too few header bytes.
+        for len in [1, 12, HEADER_LEN as u32 - 1] {
+            let mut wire = len.to_be_bytes().to_vec();
+            wire.push(PROTOCOL_VERSION);
+            wire.resize(4 + len as usize, 0);
+            assert!(
+                matches!(
+                    Frame::read_from(&mut wire.as_slice()),
+                    Err(RecvError::TooShort { len: l }) if l == len
+                ),
+                "len {len}"
+            );
+        }
+    }
+
+    /// The framing a foreign version byte starts, `len` bytes after the
+    /// prefix (a retired v1 PING header is 11).
+    fn foreign_frame(version: u8, len: u32) -> Vec<u8> {
+        let mut wire = len.to_be_bytes().to_vec();
+        wire.push(version);
+        wire.resize(4 + len as usize, 0);
+        wire
     }
 
     #[test]
-    fn v2_frame_shorter_than_its_header_is_too_short() {
-        // len = 12 is valid for v1 but the version byte says v2, whose
-        // header needs 15 bytes.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&12u32.to_be_bytes());
-        wire.push(PROTOCOL_V2);
-        wire.extend_from_slice(&[0u8; 11]);
-        assert!(matches!(
-            Frame::read_from(&mut wire.as_slice()),
-            Err(RecvError::TooShort { len: 12 })
-        ));
+    fn foreign_versions_are_refused_before_the_header_minimum() {
+        for version in [0u8, 1, 3, 9, 255] {
+            for len in [1u32, 11, HEADER_LEN as u32, 40] {
+                let wire = foreign_frame(version, len);
+                match Frame::read_from(&mut wire.as_slice()) {
+                    Err(RecvError::BadVersion { version: v }) => assert_eq!(v, version),
+                    other => panic!("version {version}, len {len}: got {other:?}"),
+                }
+                let mut buf = RecvBuffer::new();
+                buf.extend_from_slice(&wire);
+                assert!(
+                    matches!(buf.next_frame(), Err(RecvError::BadVersion { version: v }) if v == version),
+                    "version {version}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn v1_frame_cannot_smuggle_an_oversized_payload() {
-        // A v1 frame whose length implies payload > MAX_PAYLOAD (legal
-        // under the global MAX_FRAME_LEN, which is v2-sized) is refused.
-        let len = (HEADER_LEN + MAX_PAYLOAD + 2) as u32;
-        assert!(len as usize <= MAX_FRAME_LEN);
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&len.to_be_bytes());
-        wire.push(PROTOCOL_V1);
-        wire.extend_from_slice(&vec![0u8; len as usize - 1]);
+    fn next_frame_names_a_foreign_version_once_its_byte_arrives() {
+        // The 11-byte v1 PING: the version byte is the fifth byte on the
+        // wire, and nothing after it is needed to refuse the frame.
+        let wire = foreign_frame(1, 11);
+        let mut buf = RecvBuffer::new();
+        buf.extend_from_slice(&wire[..4]);
+        assert!(matches!(buf.next_frame(), Ok(None)));
+        buf.extend_from_slice(&wire[4..5]);
         assert!(matches!(
-            Frame::read_from(&mut wire.as_slice()),
-            Err(RecvError::TooLarge { .. })
+            buf.next_frame(),
+            Err(RecvError::BadVersion { version: 1 })
+        ));
+        // The buffer is untouched: asking again names the same byte.
+        assert_eq!(buf.len(), 5);
+        assert!(matches!(
+            buf.next_frame(),
+            Err(RecvError::BadVersion { version: 1 })
         ));
     }
 
@@ -926,14 +846,14 @@ mod tests {
         let queued = b"earlier reply".to_vec();
         for frame in [
             Frame::request(Op::XtsEncrypt, 0, 7, 3, vec![5u8; 40]).with_corr(0xC0FF_EE00),
-            Frame::request_v1(Op::Ping, 0, 42, 3, vec![1, 2]),
+            Frame::error(ErrorCode::Busy, 32, 42, 3),
         ] {
             let mut sent = Vec::new();
             frame.write_to(&mut sent).unwrap();
             let mut queue = queued.clone();
             frame.encode_into(&mut queue).unwrap();
-            assert_eq!(queue[..queued.len()], queued[..], "v{}", frame.version);
-            assert_eq!(queue[queued.len()..], sent[..], "v{}", frame.version);
+            assert_eq!(queue[..queued.len()], queued[..], "{frame:?}");
+            assert_eq!(queue[queued.len()..], sent[..], "{frame:?}");
         }
         // An unsendable frame appends nothing: a queue of whole frames
         // stays in sync.
@@ -959,7 +879,7 @@ mod tests {
     #[test]
     fn recv_buffer_handles_trickled_and_back_to_back_frames() {
         let a = Frame::request(Op::Ping, 0, 1, 0, vec![0xAA; 5]);
-        let b = Frame::request_v1(Op::GetStats, 0, 2, 9, Vec::new());
+        let b = Frame::request(Op::GetStats, 0, 2, 9, Vec::new()).with_corr(77);
         let mut wire = Vec::new();
         a.write_to(&mut wire).unwrap();
         b.write_to(&mut wire).unwrap();

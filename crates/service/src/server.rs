@@ -31,23 +31,35 @@
 //! # Pipelining
 //!
 //! Every engine op runs on the session's one executor, its
-//! [`engine::WorkerPool`]. Protocol-v2 engine ops are **submitted, not
-//! awaited**: the request's correlation id rides into
+//! [`engine::WorkerPool`], and is **submitted, not awaited**: the
+//! request's correlation id rides into
 //! [`crate::session::Session::submit`] and the reply is emitted when the
 //! job completes. Small jobs run right away on the shard thread (the
 //! pool's caller-runs lane) and are answered after the current batch of
 //! frames; bulk jobs go to the pool's worker threads, never running
 //! crypto on the shard thread, and complete in completion order, which
-//! across a multi-core farm is not submission order. A v2 client may
+//! across a multi-core farm is not submission order. A client may
 //! therefore keep an arbitrary pipeline depth per connection. Each shard
 //! parks a self-pipe wake fd in its poll set. A pool completion and a
 //! connection hand-off both write to it, so either one cuts the poll
 //! short: the reply goes out, or the new connection is admitted, at
-//! once. Version-1 frames keep their original contract to the letter:
-//! executed synchronously on the shard thread, replies in request
-//! order, one layout on the wire. Every request's reserved `flags` byte
-//! must be 0; anything else earns a typed [`ErrorCode::Malformed`] and
-//! the connection stays open.
+//! once. Every request's reserved `flags` byte must be 0; anything else
+//! earns a typed [`ErrorCode::Malformed`] and the connection stays open.
+//!
+//! # Replies
+//!
+//! `dispatch` hands each frame to one op arm, which returns the reply's
+//! bytes, an accepted engine job, or a typed `(ErrorCode, detail)`. One
+//! exit, `push_reply`, turns an outcome into the reply frame and the
+//! `service.error.<code>` tally; pipelined completions and goodbyes
+//! leave through it too. The decoder refuses broken framing — an
+//! oversized or undersized length prefix, a version other than
+//! [`crate::protocol::PROTOCOL_VERSION`] — and the connection gets a
+//! typed goodbye, then closes; `dispatch` itself never closes one.
+//! Before a re-key replaces a session, before any goodbye, and when the
+//! peer half-closes, the connection **drains**: it waits (bounded) for
+//! the session's bulk jobs and answers every one, so no accepted
+//! request is dropped with its session or answered after the goodbye.
 //!
 //! # Telemetry
 //!
@@ -87,9 +99,9 @@ use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::net::{self, PollSet};
 use crate::protocol::{
-    ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, PROTOCOL_V1, PROTOCOL_V2,
+    error_payload, ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, HEADER_LEN, MAX_PAYLOAD,
 };
-use crate::session::SessionSlot;
+use crate::session::{Session, SessionSlot};
 
 /// Readiness-poll timeout: the housekeeping tick on which an idle shard
 /// checks the shutdown flag, the idle budgets and autoscale. Connection
@@ -109,10 +121,10 @@ const WAKE_TOKEN: usize = usize::MAX;
 /// when [`ServiceConfig::elastic`] is set.
 const AUTOSCALE_TICK: Duration = Duration::from_millis(100);
 
-/// How long the graceful-shutdown drain waits for a session's pool
-/// lane to finish its in-flight bulk jobs before the goodbye frame —
-/// generous next to real job times, but bounded so a wedged backend
-/// cannot hold the whole server exit hostage.
+/// How long a connection's drain (before a re-key, a goodbye or the
+/// close after a half-close) waits for its session's pool lane to
+/// finish its in-flight bulk jobs — generous next to real job times,
+/// but bounded so a wedged backend cannot hold the shard hostage.
 const DRAIN_POOL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Write-backpressure cap: once a connection's outgoing queue holds
@@ -609,8 +621,7 @@ fn refuse_connection(mut stream: &TcpStream, shared: &Shared) {
     shared.refused.incr();
     shared.count_error(ErrorCode::TooManyConnections);
     let cap = shared.config.max_connections as u32;
-    let goodbye = Frame::error(ErrorCode::TooManyConnections, cap, 0, 0).with_version(PROTOCOL_V1);
-    let _ = goodbye.write_to(&mut stream);
+    let _ = Frame::error(ErrorCode::TooManyConnections, cap, 0, 0).write_to(&mut stream);
 }
 
 // ---------------------------------------------------------------------
@@ -665,13 +676,6 @@ impl OutBuf {
     }
 }
 
-/// Whether the connection survives the request that was just answered.
-enum Flow {
-    Continue,
-    /// Stop reading; flush the outgoing queue, then close.
-    Close,
-}
-
 /// One connection's entire state: socket, reassembly buffer, outgoing
 /// queue, session slot and liveness bookkeeping.
 struct Conn {
@@ -683,12 +687,8 @@ struct Conn {
     /// frames, not bytes, so a byte-trickling peer cannot stay alive
     /// for free).
     last_frame: Instant,
-    /// The version of the peer's most recent frame — the layout used
-    /// for unsolicited goodbyes (idle timeout, shutdown, framing
-    /// errors). Starts at v1, the conservative layout every client
-    /// parses.
-    peer_version: u8,
-    /// Set by [`Flow::Close`]: no more reads; drop once `out` drains.
+    /// Set once a goodbye is queued or the peer half-closed: no more
+    /// reads; drop once `out` drains.
     closing: bool,
     /// The owning shard's wake-pipe callback, installed into each newly
     /// keyed session's worker pool so bulk completions un-park the
@@ -707,7 +707,6 @@ impl Conn {
             out: OutBuf::default(),
             slot: SessionSlot::new(),
             last_frame: Instant::now(),
-            peer_version: PROTOCOL_V1,
             closing: false,
             notifier: None,
         })
@@ -717,12 +716,54 @@ impl Conn {
         self.slot.session_mut().map_or(0, |s| s.id())
     }
 
-    /// Queues an unsolicited goodbye in the peer's layout.
-    fn push_goodbye(&mut self, shared: &Shared, code: ErrorCode, detail: u32) {
-        shared.count_error(code);
+    /// Answers everything the session still owes: waits (bounded) for
+    /// its bulk jobs still on the pool's workers, then queues every
+    /// finished reply under the session's own id. It runs before a
+    /// re-key replaces the session, before any goodbye, and when the
+    /// peer half-closes, so no accepted request is dropped with its
+    /// session. It waits no longer than dropping the session would: a
+    /// dropped pool joins its workers after they finish every queued
+    /// job.
+    fn drain(&mut self, shared: &Shared) {
+        if let Some(session) = self.slot.session_mut().filter(|s| s.in_flight() > 0) {
+            let _ = session.quiesce(DRAIN_POOL_TIMEOUT);
+        }
+        collect_pipelined(self, shared);
+    }
+
+    /// Drains the session, queues an unsolicited goodbye (`seq` and
+    /// `corr` 0) and stops reading.
+    fn say_goodbye(&mut self, shared: &Shared, code: ErrorCode, detail: u32) {
+        self.drain(shared);
         let sid = self.live_session();
-        let frame = Frame::error(code, detail, 0, sid).with_version(self.peer_version);
-        let _ = self.out.push(&frame);
+        push_reply(&mut self.out, shared, (0, 0, sid), Err((code, detail)));
+        self.closing = true;
+    }
+
+    /// Replaces the session with one keyed on `key`, once the old one
+    /// has answered what it owes, and hooks the new session's pool
+    /// completions up to the shard's wake pipe so a finished bulk job
+    /// interrupts the poll instead of waiting out its timeout.
+    fn rekey(&mut self, key: &[u8], shared: &Shared) {
+        self.drain(shared);
+        let config = &shared.config;
+        self.slot
+            .rekey(key, &config.farm, config.queue_capacity, &shared.registry);
+        if let Some(n) = &self.notifier {
+            let session = self.slot.session_mut().expect("just rekeyed");
+            session.set_notifier(Arc::clone(n));
+        }
+    }
+}
+
+/// Drops the connection in `slot`, if any. What its session still owes
+/// (only after an I/O error or a timed-out drain) leaves the in-flight
+/// gauge with it.
+fn release(slot: &mut Option<Conn>, shared: &Shared) {
+    if let Some(mut conn) = slot.take() {
+        let owed = conn.slot.session_mut().map_or(0, |s| s.in_flight());
+        shared.inflight.sub(owed as i64);
+        shared.active.sub(1);
     }
 }
 
@@ -779,9 +820,15 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
         }
 
         if shared.shutdown.load(Ordering::Acquire) {
-            for conn in conns.iter_mut().filter_map(Option::take) {
-                drain_and_say_goodbye(conn, shared);
-                shared.active.sub(1);
+            for slot in &mut conns {
+                if let Some(conn) = slot.as_mut() {
+                    // The loop is exiting, so backpressure no longer
+                    // matters, only delivery: flush with blocking writes.
+                    conn.say_goodbye(shared, ErrorCode::ShuttingDown, 0);
+                    let _ = conn.stream.set_nonblocking(false);
+                    let _ = conn.out.flush(&mut &conn.stream);
+                }
+                release(slot, shared);
             }
             return;
         }
@@ -840,8 +887,7 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
                 alive = conn.out.flush(&mut &conn.stream).is_ok();
             }
             if !alive {
-                conns[r.token] = None;
-                shared.active.sub(1);
+                release(&mut conns[r.token], shared);
             }
         }
         if !ready.is_empty() {
@@ -863,17 +909,13 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
         }
         for slot in &mut conns {
             let Some(conn) = slot.as_mut() else { continue };
-            if conn.closing {
-                continue;
-            }
-            let finished = conn.slot.session_mut().is_some_and(|s| s.in_flight() > 0);
-            if !finished {
+            let owes = conn.slot.session_mut().is_some_and(|s| s.in_flight() > 0);
+            if !owes {
                 continue;
             }
             collect_pipelined(conn, shared);
             if !conn.out.is_empty() && conn.out.flush(&mut &conn.stream).is_err() {
-                *slot = None;
-                shared.active.sub(1);
+                release(slot, shared);
             }
         }
 
@@ -894,25 +936,13 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
         let now = Instant::now();
         for slot in &mut conns {
             let Some(conn) = slot.as_mut() else { continue };
-            if conn.closing {
-                if conn.out.is_empty() {
-                    *slot = None;
-                    shared.active.sub(1);
-                }
-                continue;
-            }
-            if now.duration_since(conn.last_frame) >= shared.config.idle_timeout {
-                conn.push_goodbye(
-                    shared,
-                    ErrorCode::IdleTimeout,
-                    idle_timeout_detail(shared.config.idle_timeout),
-                );
+            if !conn.closing && now.duration_since(conn.last_frame) >= shared.config.idle_timeout {
+                let detail = idle_timeout_detail(shared.config.idle_timeout);
+                conn.say_goodbye(shared, ErrorCode::IdleTimeout, detail);
                 let _ = conn.out.flush(&mut &conn.stream);
-                conn.closing = true;
-                if conn.out.is_empty() {
-                    *slot = None;
-                    shared.active.sub(1);
-                }
+            }
+            if conn.closing && conn.out.is_empty() {
+                release(slot, shared);
             }
         }
         // Trim trailing empty slots so long-gone bursts don't pin the
@@ -923,7 +953,7 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
     }
 }
 
-/// Drains the socket, parses every complete frame, dispatches, and
+/// Drains the socket, parses and dispatches every complete frame, and
 /// collects pipelined completions. Returns `false` when the connection
 /// must be dropped.
 fn service_readable(conn: &mut Conn, shared: &Shared, scratch: &mut [u8]) -> bool {
@@ -946,107 +976,72 @@ fn service_readable(conn: &mut Conn, shared: &Shared, scratch: &mut [u8]) -> boo
         }
     }
 
-    loop {
+    // Broken framing ends the conversation: a typed goodbye, then close.
+    let broken = loop {
         match conn.inbuf.next_frame() {
             Ok(Some(frame)) => {
                 conn.last_frame = Instant::now();
-                conn.peer_version = if frame.version >= PROTOCOL_V2 {
-                    PROTOCOL_V2
-                } else {
-                    PROTOCOL_V1
-                };
-                match dispatch(frame, conn, shared) {
-                    Flow::Continue => {}
-                    Flow::Close => {
-                        conn.closing = true;
-                        break;
-                    }
-                }
+                dispatch(frame, conn, shared);
             }
-            Ok(None) => break,
-            Err(RecvError::TooLarge { len }) => {
-                conn.push_goodbye(shared, ErrorCode::FrameTooLarge, len);
-                conn.closing = true;
-                break;
-            }
-            Err(RecvError::TooShort { len }) => {
-                conn.push_goodbye(shared, ErrorCode::Malformed, len);
-                conn.closing = true;
-                break;
+            Ok(None) => break None,
+            Err(RecvError::TooLarge { len }) => break Some((ErrorCode::FrameTooLarge, len)),
+            Err(RecvError::TooShort { len }) => break Some((ErrorCode::Malformed, len)),
+            Err(RecvError::BadVersion { version }) => {
+                break Some((ErrorCode::BadVersion, u32::from(version)))
             }
             Err(RecvError::Io(_)) => return false,
         }
+    };
+    if let Some((code, detail)) = broken {
+        conn.say_goodbye(shared, code, detail);
     }
 
-    collect_pipelined(conn, shared);
-
-    if eof && !conn.closing {
-        // Peer half: answered whatever was parsed; nothing more will
-        // arrive, so flush and drop.
+    if eof {
+        // The peer half-closed: nothing more will arrive. Answer what
+        // its session owes, then flush and drop.
+        conn.drain(shared);
         conn.closing = true;
+    } else {
+        collect_pipelined(conn, shared);
     }
     true
 }
 
-/// Emits a reply for every pipelined job the session has finished:
+/// Queues a reply for every pipelined job the session has finished:
 /// caller-side results first, then pool completions in completion
 /// order.
 fn collect_pipelined(conn: &mut Conn, shared: &Shared) {
-    let out = &mut conn.out;
     let Some(session) = conn.slot.session_mut().filter(|s| s.in_flight() > 0) else {
         return;
     };
     let sid = session.id();
     for (corr, result) in session.collect() {
         shared.inflight.sub(1);
-        let (status, payload) = match result {
-            Ok(data) => (Status::Ok, data),
-            Err(e) => {
-                let (code, detail) = engine_error_code(Error::from(e));
-                shared.count_error(code);
-                (Status::Error, error_body_bytes(code, detail))
-            }
-        };
         // Pipelined replies mirror `corr` into `seq`: correlation is the
         // contract, `seq` is diagnostics.
-        let _ = out.push(&Frame::reply(status, corr, sid, payload).with_corr(corr));
+        let outcome = result.map_err(|e| engine_error_code(Error::from(e)));
+        push_reply(&mut conn.out, shared, (corr, corr, sid), outcome);
     }
-}
-
-fn error_body_bytes(code: ErrorCode, detail: u32) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(5);
-    payload.push(code as u8);
-    payload.extend_from_slice(&detail.to_be_bytes());
-    payload
-}
-
-/// Answers every outstanding job, then says goodbye — the shutdown
-/// path. Uses blocking writes: the loop is exiting, so backpressure no
-/// longer matters, only delivery.
-fn drain_and_say_goodbye(mut conn: Conn, shared: &Shared) {
-    // v2 bulk jobs may still be executing on the session pool's worker
-    // threads, and collect's pool lane is non-blocking: wait the pool
-    // out (bounded) so every accepted request is answered before the
-    // goodbye instead of being dropped with the session.
-    if let Some(session) = conn.slot.session_mut() {
-        let _ = session.quiesce(DRAIN_POOL_TIMEOUT);
-    }
-    collect_pipelined(&mut conn, shared);
-    conn.push_goodbye(shared, ErrorCode::ShuttingDown, 0);
-    let _ = conn.stream.set_nonblocking(false);
-    let _ = (&conn.stream).write_all(&conn.out.buf[conn.out.start..]);
 }
 
 // ---------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------
 
+/// A typed failure on its way to the wire: the code and its detail.
+type Failure = (ErrorCode, u32);
+
+/// What an op arm hands the reply exit: the reply's bytes, `None` for
+/// an engine job the session accepted (its reply follows from
+/// [`collect_pipelined`]), or the typed error the request earned.
+type Answer = Result<Option<Vec<u8>>, Failure>;
+
 /// The one place engine failures become wire error codes: submission
 /// rejections keep their typed identity (`Busy` carries the capacity,
 /// `RaggedLength` the offending length, a bad IV is a malformed
 /// payload), and anything that failed *after* admission is a
 /// [`ErrorCode::JobFailed`].
-fn engine_error_code(e: Error) -> (ErrorCode, u32) {
+fn engine_error_code(e: Error) -> Failure {
     match e {
         Error::Submit(SubmitError::Busy { capacity }) => (ErrorCode::Busy, capacity as u32),
         Error::Submit(SubmitError::RaggedLength { len }) => (ErrorCode::RaggedLength, len as u32),
@@ -1055,337 +1050,185 @@ fn engine_error_code(e: Error) -> (ErrorCode, u32) {
     }
 }
 
-/// Queues a reply that echoes `req`'s version/seq/corr, carrying
-/// session id `sid`.
-fn push_reply(conn_out: &mut OutBuf, req: &Frame, status: Status, sid: u32, payload: Vec<u8>) {
-    let mut frame = Frame::reply_to(req, status, payload);
-    frame.session = sid;
-    let _ = conn_out.push(&frame);
+/// The one place GCM and key-wrap failures become wire error codes: an
+/// authentication failure is a [`ErrorCode::TagMismatch`], anything else
+/// a payload that does not parse (detail: its length).
+fn aead_error_code(e: aead::Error, payload_len: u32) -> Failure {
+    match e {
+        aead::Error::TagMismatch => (ErrorCode::TagMismatch, 0),
+        _ => (ErrorCode::Malformed, payload_len),
+    }
 }
 
-/// Tallies and queues one typed error reply — every in-band error frame
-/// leaves through here so `service.error.*` counts them all.
-fn push_error(
-    conn_out: &mut OutBuf,
+/// The one reply exit: turns an outcome into a reply frame — its bytes,
+/// or a typed error tallied under `service.error.<code>` — echoing
+/// `(seq, corr, session)`, and queues it. Every reply a shard sends
+/// leaves through here: dispatch's answers, pipelined completions and
+/// goodbyes.
+fn push_reply(
+    out: &mut OutBuf,
     shared: &Shared,
-    req: &Frame,
-    code: ErrorCode,
-    detail: u32,
-    sid: u32,
+    (seq, corr, session): (u32, u32, u32),
+    outcome: Result<Vec<u8>, Failure>,
 ) {
-    shared.count_error(code);
-    push_reply(
-        conn_out,
-        req,
-        Status::Error,
-        sid,
-        error_body_bytes(code, detail),
-    );
+    let (status, payload) = match outcome {
+        Ok(payload) => (Status::Ok, payload),
+        Err((code, detail)) => {
+            shared.count_error(code);
+            (Status::Error, error_payload(code, detail))
+        }
+    };
+    let _ = out.push(&Frame::reply(status, seq, session, payload).with_corr(corr));
 }
 
-fn dispatch(mut frame: Frame, conn: &mut Conn, shared: &Shared) -> Flow {
+/// Routes one request to its op arm and sends the answer through
+/// [`push_reply`]. The reply echoes the request's `seq` and `corr` and
+/// carries the session id that is live once the op has run.
+fn dispatch(mut frame: Frame, conn: &mut Conn, shared: &Shared) {
     shared
         .request_bytes
-        .record((frame.header_len() + frame.payload.len()) as u64);
-    let notifier = conn.notifier.clone();
-    let slot = &mut conn.slot;
-    let out = &mut conn.out;
-    let live = slot.session_mut().map_or(0, |s| s.id());
-    if frame.version != PROTOCOL_V1 && frame.version != PROTOCOL_V2 {
-        push_error(
-            out,
-            shared,
-            &frame,
-            ErrorCode::BadVersion,
-            u32::from(frame.version),
-            live,
-        );
-        return Flow::Close; // framing may differ across versions
-    }
-    let Some(op) = frame.op() else {
-        push_error(
-            out,
-            shared,
-            &frame,
-            ErrorCode::BadOp,
-            u32::from(frame.kind),
-            live,
-        );
-        return Flow::Continue;
+        .record((HEADER_LEN + frame.payload.len()) as u64);
+    let answer = match frame.op() {
+        None => Err((ErrorCode::BadOp, u32::from(frame.kind))),
+        Some(op) => {
+            shared.op_requests(op).incr();
+            if frame.flags == 0 {
+                run_op(op, &mut frame, conn, shared)
+            } else {
+                Err((ErrorCode::Malformed, u32::from(frame.flags)))
+            }
+        }
     };
-    shared.op_requests(op).incr();
-    if frame.flags != 0 {
-        push_error(
-            out,
-            shared,
-            &frame,
-            ErrorCode::Malformed,
-            u32::from(frame.flags),
-            live,
-        );
-        return Flow::Continue;
+    match answer.transpose() {
+        None => {
+            shared.inflight.add(1);
+        }
+        Some(outcome) => {
+            let sid = conn.live_session();
+            push_reply(&mut conn.out, shared, (frame.seq, frame.corr, sid), outcome);
+        }
     }
+}
 
+/// The live session a request names: [`ErrorCode::NoSession`] before
+/// any `SET_KEY`, [`ErrorCode::StaleSession`] (detail: the live id) when
+/// the request carries another id.
+fn live<'c>(conn: &'c mut Conn, frame: &Frame) -> Result<&'c mut Session, Failure> {
+    let session = conn.slot.session_mut().ok_or((ErrorCode::NoSession, 0))?;
+    if session.id() == frame.session {
+        Ok(session)
+    } else {
+        Err((ErrorCode::StaleSession, session.id()))
+    }
+}
+
+/// One op arm per request op (`flags` already checked).
+fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer {
+    let len = frame.payload.len() as u32;
+    let malformed = (ErrorCode::Malformed, len);
     match op {
-        Op::Ping => {
-            let payload = frame.payload.clone();
-            push_reply(out, &frame, Status::Ok, live, payload);
-        }
-        Op::GetStats => {
-            if !frame.payload.is_empty() {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::Malformed,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            }
-            let json = shared.registry.snapshot().to_json();
-            push_reply(out, &frame, Status::Ok, live, json.into_bytes());
-        }
+        Op::Ping => Ok(Some(std::mem::take(&mut frame.payload))),
+        Op::GetStats if !frame.payload.is_empty() => Err(malformed),
+        Op::GetStats => Ok(Some(shared.registry.snapshot().to_json().into_bytes())),
         Op::SetKey => {
-            if !matches!(frame.payload.len(), 16 | 24 | 32) {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::BadKeyLength,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
+            if !matches!(len, 16 | 24 | 32) {
+                return Err((ErrorCode::BadKeyLength, len));
             }
-            let mut key = [0u8; 32];
-            let len = frame.payload.len();
-            key[..len].copy_from_slice(&frame.payload);
-            let sid = slot.rekey(
-                &key[..len],
-                &shared.config.farm,
-                shared.config.queue_capacity,
-                &shared.registry,
-            );
-            rijndael::zeroize::wipe_bytes(&mut key);
-            // Hook the fresh session's pool completions up to this
-            // shard's wake pipe so a finished bulk job interrupts the
-            // poll instead of waiting out its timeout.
-            if let Some(n) = notifier {
-                slot.session_mut().expect("just rekeyed").set_notifier(n);
-            }
+            conn.rekey(&frame.payload, shared);
+            rijndael::zeroize::wipe_bytes(&mut frame.payload);
             // The reply carries the new id in the header only — key
             // material never appears in any reply payload.
-            push_reply(out, &frame, Status::Ok, sid, Vec::new());
+            Ok(Some(Vec::new()))
         }
         Op::SetKeyWrapped => {
-            // Needs a live session: its key is the KEK the blob was
-            // wrapped under. Every failure leaves that session live so
-            // the client can retry with a corrected blob.
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let unwrapped = slot
-                .session_mut()
-                .expect("checked live")
-                .unwrap_key(&frame.payload);
-            match unwrapped {
-                Ok(mut key) => {
-                    if !matches!(key.len(), 16 | 24 | 32) {
-                        let len = key.len() as u32;
-                        rijndael::zeroize::wipe_bytes(&mut key);
-                        push_error(out, shared, &frame, ErrorCode::BadKeyLength, len, live);
-                        return Flow::Continue;
-                    }
-                    let sid = slot.rekey(
-                        &key,
-                        &shared.config.farm,
-                        shared.config.queue_capacity,
-                        &shared.registry,
-                    );
-                    rijndael::zeroize::wipe_bytes(&mut key);
-                    if let Some(n) = notifier {
-                        slot.session_mut().expect("just rekeyed").set_notifier(n);
-                    }
-                    push_reply(out, &frame, Status::Ok, sid, Vec::new());
-                }
-                Err(aead::Error::TagMismatch) => {
-                    push_error(out, shared, &frame, ErrorCode::TagMismatch, 0, live);
-                }
-                Err(_) => {
-                    push_error(
-                        out,
-                        shared,
-                        &frame,
-                        ErrorCode::Malformed,
-                        frame.payload.len() as u32,
-                        live,
-                    );
-                }
-            }
-        }
-        Op::CmacTag => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            let tag = session.cmac_tag(&frame.payload);
-            push_reply(out, &frame, Status::Ok, live, tag.to_vec());
-        }
-        Op::CmacVerify => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            if frame.payload.len() < 16 {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::Malformed,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            let tag: [u8; 16] = frame.payload[..16].try_into().expect("16-byte slice");
-            if session.cmac_verify(&frame.payload[16..], &tag) {
-                push_reply(out, &frame, Status::Ok, live, Vec::new());
+            // The live session's key is the KEK the blob was wrapped
+            // under. Every failure leaves that session live so the
+            // client can retry with a corrected blob.
+            let session = live(conn, frame)?;
+            let mut key = session
+                .unwrap_key(&frame.payload)
+                .map_err(|e| aead_error_code(e, len))?;
+            let answer = if matches!(key.len(), 16 | 24 | 32) {
+                conn.rekey(&key, shared);
+                Ok(Some(Vec::new()))
             } else {
-                push_error(out, shared, &frame, ErrorCode::BadTag, 0, live);
+                Err((ErrorCode::BadKeyLength, key.len() as u32))
+            };
+            rijndael::zeroize::wipe_bytes(&mut key);
+            answer
+        }
+        Op::CmacTag => Ok(Some(live(conn, frame)?.cmac_tag(&frame.payload).to_vec())),
+        Op::CmacVerify => {
+            let session = live(conn, frame)?;
+            let (tag, message) = frame.payload.split_first_chunk().ok_or(malformed)?;
+            if session.cmac_verify(message, tag) {
+                Ok(Some(Vec::new()))
+            } else {
+                Err((ErrorCode::BadTag, 0))
             }
         }
         Op::Seal | Op::Open => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let Some((nonce, aad, body)) = split_aead_payload(&frame.payload) else {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::Malformed,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            };
-            let session = slot.session_mut().expect("checked live");
+            let session = live(conn, frame)?;
+            let (nonce, aad, body) = split_aead_payload(&frame.payload).ok_or(malformed)?;
             if op == Op::Seal {
-                let sealed = session.seal(&nonce, aad, body);
-                push_reply(out, &frame, Status::Ok, live, sealed);
+                Ok(Some(session.seal(&nonce, aad, body)))
             } else {
-                match session.open(&nonce, aad, body) {
-                    Ok(plaintext) => push_reply(out, &frame, Status::Ok, live, plaintext),
-                    Err(aead::Error::TagMismatch) => {
-                        push_error(out, shared, &frame, ErrorCode::TagMismatch, 0, live);
-                    }
-                    Err(_) => {
-                        push_error(
-                            out,
-                            shared,
-                            &frame,
-                            ErrorCode::Malformed,
-                            frame.payload.len() as u32,
-                            live,
-                        );
-                    }
-                }
+                let plaintext = session.open(&nonce, aad, body);
+                plaintext.map(Some).map_err(|e| aead_error_code(e, len))
             }
         }
         Op::WrapKey | Op::UnwrapKey => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let session = slot.session_mut().expect("checked live");
-            let result = if op == Op::WrapKey {
-                session.wrap_key(&frame.payload)
-            } else {
+            let session = live(conn, frame)?;
+            let result = if op == Op::UnwrapKey {
                 session.unwrap_key(&frame.payload)
+            } else if frame.payload.len() > MAX_PAYLOAD - 8 {
+                // The blob is 8 bytes longer than its input, and the
+                // reply must fit a frame.
+                return Err(malformed);
+            } else {
+                session.wrap_key(&frame.payload)
             };
-            match result {
-                Ok(data) => push_reply(out, &frame, Status::Ok, live, data),
-                Err(aead::Error::TagMismatch) => {
-                    push_error(out, shared, &frame, ErrorCode::TagMismatch, 0, live);
-                }
-                Err(_) => {
-                    push_error(
-                        out,
-                        shared,
-                        &frame,
-                        ErrorCode::Malformed,
-                        frame.payload.len() as u32,
-                        live,
-                    );
-                }
-            }
+            result.map(Some).map_err(|e| aead_error_code(e, len))
         }
         Op::XtsEncrypt | Op::XtsDecrypt => {
-            if !session_ok(out, shared, &frame, live) {
-                return Flow::Continue;
-            }
-            let Some((sector_base, sector_size, body)) = split_xts_payload(&frame.payload) else {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::Malformed,
-                    frame.payload.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
-            };
+            let session = live(conn, frame)?;
+            let (sector_base, sector_size, body) =
+                split_xts_payload(&frame.payload).ok_or(malformed)?;
             if sector_size < 16 {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::BadSectorSize,
-                    sector_size,
-                    live,
-                );
-                return Flow::Continue;
+                return Err((ErrorCode::BadSectorSize, sector_size));
             }
             if body.is_empty() || body.len() % sector_size as usize != 0 {
-                push_error(
-                    out,
-                    shared,
-                    &frame,
-                    ErrorCode::BadSectorSize,
-                    body.len() as u32,
-                    live,
-                );
-                return Flow::Continue;
+                return Err((ErrorCode::BadSectorSize, body.len() as u32));
             }
             // Validated: the sectors are processed in the request's own
             // payload, which then travels back as the reply's.
             let mut data = std::mem::take(&mut frame.payload);
             data.drain(..12);
-            let session = slot.session_mut().expect("checked live");
-            match session.xts_apply(
-                sector_base,
-                sector_size as usize,
-                data,
-                op == Op::XtsDecrypt,
-            ) {
-                Ok(data) => push_reply(out, &frame, Status::Ok, live, data),
+            let decrypt = op == Op::XtsDecrypt;
+            session
+                .xts_apply(sector_base, sector_size as usize, data, decrypt)
+                .map(Some)
                 // Unreachable after the validation above, but kept typed
                 // rather than panicking in the event loop.
-                Err(_) => {
-                    push_error(
-                        out,
-                        shared,
-                        &frame,
-                        ErrorCode::BadSectorSize,
-                        sector_size,
-                        live,
-                    );
-                }
-            }
+                .map_err(|_| (ErrorCode::BadSectorSize, sector_size))
         }
-        _ => return engine_op(frame, op, slot, out, shared, live),
+        // The five engine ops: the IV comes off the payload in place,
+        // and the job is submitted, not awaited.
+        _ => {
+            let session = live(conn, frame)?;
+            let mut data = std::mem::take(&mut frame.payload);
+            let mut iv = [0u8; 16];
+            if op.takes_iv() {
+                iv = *data.first_chunk().ok_or(malformed)?;
+                data.drain(..16);
+            }
+            let mode = op.engine_mode(iv).expect("every other op has an arm");
+            session
+                .submit(frame.corr, mode, data)
+                .map_err(|e| engine_error_code(Error::from(e)))?;
+            Ok(None)
+        }
     }
-    Flow::Continue
 }
 
 /// Splits an XTS payload — `sector_base: u64 BE` ‖ `sector_size: u32
@@ -1412,81 +1255,6 @@ fn split_aead_payload(payload: &[u8]) -> Option<([u8; aead::NONCE_LEN], &[u8], &
     }
     let (aad, body) = rest.split_at(aad_len);
     Some((nonce, aad, body))
-}
-
-/// The five engine ops: IV split, mode mapping, and the two wire
-/// disciplines — v1 executes in order, v2 is pipelined.
-fn engine_op(
-    mut frame: Frame,
-    op: Op,
-    slot: &mut SessionSlot,
-    out: &mut OutBuf,
-    shared: &Shared,
-    live: u32,
-) -> Flow {
-    if !session_ok(out, shared, &frame, live) {
-        return Flow::Continue;
-    }
-    let payload = std::mem::take(&mut frame.payload);
-    let (iv, data) = if op.takes_iv() {
-        if payload.len() < 16 {
-            push_error(
-                out,
-                shared,
-                &frame,
-                ErrorCode::Malformed,
-                payload.len() as u32,
-                live,
-            );
-            return Flow::Continue;
-        }
-        let iv: [u8; 16] = payload[..16].try_into().expect("16-byte slice");
-        (iv, payload[16..].to_vec())
-    } else {
-        ([0u8; 16], payload)
-    };
-    let mode = op
-        .engine_mode(iv)
-        .expect("dispatch routes only engine ops here");
-    let session = slot.session_mut().expect("checked live");
-
-    // v1 runs on this thread to keep its in-order reply contract. v2 is
-    // pipelined: the session runs small jobs here and hands bulk ones to
-    // its pool's workers; collect_pipelined answers both after the
-    // dispatch batch.
-    let result = if frame.version < PROTOCOL_V2 {
-        session.execute(mode, data).map(|bytes| {
-            push_reply(out, &frame, Status::Ok, live, bytes);
-        })
-    } else {
-        session
-            .submit(frame.corr, mode, data)
-            .map(|()| {
-                shared.inflight.add(1);
-            })
-            .map_err(Error::from)
-    };
-    if let Err(e) = result {
-        let (code, detail) = engine_error_code(e);
-        push_error(out, shared, &frame, code, detail, live);
-    }
-    Flow::Continue
-}
-
-/// Session gate for ops that need one: queues `NoSession` /
-/// `StaleSession` itself and returns `false` so the caller just
-/// continues. (Matches the PR 3 semantics: the error's `session` field
-/// carries the *live* id so the client can resynchronise.)
-fn session_ok(out: &mut OutBuf, shared: &Shared, frame: &Frame, live: u32) -> bool {
-    if live == 0 {
-        push_error(out, shared, frame, ErrorCode::NoSession, 0, 0);
-        return false;
-    }
-    if frame.session != live {
-        push_error(out, shared, frame, ErrorCode::StaleSession, live, live);
-        return false;
-    }
-    true
 }
 
 /// The scalar per-block XTS reference, shared with the workspace's
@@ -1551,7 +1319,6 @@ mod tests {
         assert_eq!(reply.status(), Some(Status::Ok));
         assert_eq!(reply.seq, 41);
         assert_eq!(reply.corr, 41);
-        assert_eq!(reply.version, PROTOCOL_V2);
         assert_eq!(reply.payload, vec![1, 2, 3]);
         server.shutdown();
         // After shutdown the port no longer accepts (the goodbye may or
@@ -1559,15 +1326,35 @@ mod tests {
         // join mattered here).
     }
 
-    #[test]
-    fn v1_clients_get_v1_replies() {
-        let server = tiny_server();
+    /// Writes `wire` verbatim and expects a `BadVersion` goodbye naming
+    /// `version`, then EOF.
+    fn expect_bad_version_goodbye(server: &ServiceHandle, wire: &[u8], version: u8) {
         let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let reply = call(&stream, &Frame::request_v1(Op::Ping, 0, 9, 0, vec![7]));
-        assert_eq!(reply.version, PROTOCOL_V1);
-        assert_eq!(reply.status(), Some(Status::Ok));
-        assert_eq!(reply.seq, 9);
-        assert_eq!(reply.payload, vec![7]);
+        (&stream).write_all(wire).unwrap();
+        let mut r = &stream;
+        let reply = Frame::read_from(&mut r).unwrap();
+        assert_eq!(
+            reply.error_body(),
+            Some((ErrorCode::BadVersion, u32::from(version)))
+        );
+        // The server closed: the next read sees EOF.
+        let mut rest = Vec::new();
+        assert_eq!((&stream).read_to_end(&mut rest).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_v1_ping_gets_bad_version_then_close() {
+        let server = tiny_server();
+        // The retired 11-byte layout: len, version 1, kind, flags, seq,
+        // session — and a one-byte payload.
+        let mut v1_ping = 12u32.to_be_bytes().to_vec();
+        v1_ping.extend_from_slice(&[1, Op::Ping as u8, 0]);
+        v1_ping.extend_from_slice(&9u32.to_be_bytes());
+        v1_ping.extend_from_slice(&0u32.to_be_bytes());
+        v1_ping.push(7);
+        expect_bad_version_goodbye(&server, &v1_ping, 1);
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("service.error.bad_version"), Some(1));
         server.shutdown();
     }
 
@@ -1630,13 +1417,15 @@ mod tests {
     #[test]
     fn bad_version_gets_a_typed_reply_then_close() {
         let server = tiny_server();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let evil = Frame::request(Op::Ping, 0, 1, 0, Vec::new()).with_version(9);
-        let reply = call(&stream, &evil);
-        assert_eq!(reply.error_body(), Some((ErrorCode::BadVersion, 9)));
-        // The server closed: the next read sees EOF.
-        let mut r = &stream;
-        assert!(Frame::read_from(&mut r).is_err());
+        for version in [0u8, 9, 255] {
+            // A well-formed PING in every other respect.
+            let mut wire = Vec::new();
+            Frame::request(Op::Ping, 0, 1, 0, Vec::new())
+                .write_to(&mut wire)
+                .unwrap();
+            wire[4] = version;
+            expect_bad_version_goodbye(&server, &wire, version);
+        }
         server.shutdown();
     }
 
@@ -2262,6 +2051,174 @@ mod tests {
             &Frame::request(Op::XtsEncrypt, 0, 1, 0, xts_payload(0, 16, &[0u8; 16])),
         );
         assert_eq!(reply.error_body(), Some((ErrorCode::NoSession, 0)));
+        server.shutdown();
+    }
+
+    /// Waits for every connection to be gone, then reads the in-flight
+    /// gauge: no accepted request may outlive its connection there.
+    fn inflight_once_closed(server: &ServiceHandle) -> Option<i64> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.active_connections() > 0 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.active_connections(), 0, "a connection lingers");
+        server
+            .registry()
+            .snapshot()
+            .gauge("service.pipeline.inflight")
+    }
+
+    /// The CTR keystream of `data` under an AES-128 `key`.
+    fn expected_ctr(key: &[u8; 16], iv: &[u8; 16], data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        rijndael::modes::Ctr::apply(&rijndael::Aes128::new(key), iv, &mut out);
+        out
+    }
+
+    /// A server whose one paced core holds each 4 KiB job for ~5 ms, so
+    /// a pool-lane job is still running when the next frame arrives.
+    fn paced_server() -> ServiceHandle {
+        let mut config = tiny_config();
+        config.farm = vec![BackendSpec::Paced { block_ns: 20_000 }];
+        Server::new(config).spawn("127.0.0.1:0").unwrap()
+    }
+
+    /// One write of [CTR, SET_KEY, PING] on a keyed connection: the CTR
+    /// is answered first, under the old session id and with the old
+    /// key's keystream; then the re-key and the ping.
+    fn rekey_burst_answers_every_request(server: &ServiceHandle, ctr_len: usize) {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let old_key = [0x11u8; 16];
+        let old = call(
+            &stream,
+            &Frame::request(Op::SetKey, 0, 1, 0, old_key.to_vec()),
+        )
+        .session;
+        let iv = [0xF0u8; 16];
+        let data: Vec<u8> = (0..ctr_len).map(|i| (i * 7) as u8).collect();
+        let mut burst = Vec::new();
+        for frame in [
+            Frame::request(Op::CtrApply, 0, 2, old, [&iv[..], &data].concat()),
+            Frame::request(Op::SetKey, 0, 3, old, vec![0x22; 16]),
+            Frame::request(Op::Ping, 0, 4, old, b"after".to_vec()),
+        ] {
+            frame.encode_into(&mut burst).unwrap();
+        }
+        (&stream).write_all(&burst).unwrap();
+        let mut r = &stream;
+        let ctr = Frame::read_from(&mut r).unwrap();
+        assert_eq!((ctr.corr, ctr.session), (2, old), "{:?}", ctr.error_body());
+        assert!(ctr.payload == expected_ctr(&old_key, &iv, &data));
+        let rekeyed = Frame::read_from(&mut r).unwrap();
+        assert_eq!((rekeyed.corr, rekeyed.status()), (3, Some(Status::Ok)));
+        assert_ne!(rekeyed.session, old);
+        let pong = Frame::read_from(&mut r).unwrap();
+        assert_eq!((pong.corr, pong.payload.as_slice()), (4, &b"after"[..]));
+        drop(stream);
+        assert_eq!(inflight_once_closed(server), Some(0));
+    }
+
+    #[test]
+    fn a_rekey_answers_an_inline_job_accepted_before_it() {
+        let server = tiny_server();
+        rekey_burst_answers_every_request(&server, 64);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_rekey_answers_a_pool_job_accepted_before_it() {
+        let server = paced_server();
+        rekey_burst_answers_every_request(&server, 4096);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_pool_job_is_answered_before_the_half_close_eof() {
+        let server = paced_server();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let key = [0x33u8; 16];
+        let sid = call(&stream, &Frame::request(Op::SetKey, 0, 1, 0, key.to_vec())).session;
+        let iv = [0x0Fu8; 16];
+        let data = vec![0xA5u8; 4096];
+        Frame::request(Op::CtrApply, 0, 2, sid, [&iv[..], &data].concat())
+            .write_to(&mut &stream)
+            .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let reply = Frame::read_from(&mut &stream).unwrap();
+        assert_eq!(reply.corr, 2, "{:?}", reply.error_body());
+        assert!(reply.payload == expected_ctr(&key, &iv, &data));
+        let mut rest = Vec::new();
+        assert_eq!((&stream).read_to_end(&mut rest).unwrap(), 0);
+        assert_eq!(inflight_once_closed(&server), Some(0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn replies_parked_before_a_framing_error_precede_its_goodbye() {
+        let server = tiny_server();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let key = [0x44u8; 16];
+        let sid = call(&stream, &Frame::request(Op::SetKey, 0, 1, 0, key.to_vec())).session;
+        let iv = [0x3Cu8; 16];
+        let data = vec![0x5Au8; 64];
+        let mut burst = Vec::new();
+        Frame::request(Op::CtrApply, 0, 2, sid, [&iv[..], &data].concat())
+            .encode_into(&mut burst)
+            .unwrap();
+        // A length prefix under the header, then a current version byte.
+        burst.extend_from_slice(&5u32.to_be_bytes());
+        burst.extend_from_slice(&[crate::protocol::PROTOCOL_VERSION, 0, 0, 0, 0]);
+        (&stream).write_all(&burst).unwrap();
+        let ctr = Frame::read_from(&mut &stream).unwrap();
+        assert_eq!(ctr.corr, 2, "{:?}", ctr.error_body());
+        assert!(ctr.payload == expected_ctr(&key, &iv, &data));
+        let goodbye = Frame::read_from(&mut &stream).unwrap();
+        assert_eq!(goodbye.error_body(), Some((ErrorCode::Malformed, 5)));
+        let mut rest = Vec::new();
+        assert_eq!((&stream).read_to_end(&mut rest).unwrap(), 0);
+        assert_eq!(inflight_once_closed(&server), Some(0));
+        server.shutdown();
+    }
+
+    #[test]
+    fn wrap_key_input_is_bounded_so_its_reply_fits_a_frame() {
+        // A wide idle budget: a debug build wraps 256 KiB slowly.
+        let mut config = tiny_config();
+        config.idle_timeout = Duration::from_secs(5);
+        let server = Server::new(config).spawn("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let sid = call(
+            &stream,
+            &Frame::request(Op::SetKey, 0, 1, 0, vec![0x55; 16]),
+        )
+        .session;
+        let largest: Vec<u8> = (0..MAX_PAYLOAD - 8).map(|i| (i * 13) as u8).collect();
+        let wrapped = call(
+            &stream,
+            &Frame::request(Op::WrapKey, 0, 2, sid, largest.clone()),
+        );
+        assert_eq!(
+            wrapped.status(),
+            Some(Status::Ok),
+            "{:?}",
+            wrapped.error_body()
+        );
+        assert_eq!(wrapped.payload.len(), MAX_PAYLOAD);
+        let unwrapped = call(
+            &stream,
+            &Frame::request(Op::UnwrapKey, 0, 3, sid, wrapped.payload),
+        );
+        assert!(unwrapped.payload == largest);
+        let reply = call(
+            &stream,
+            &Frame::request(Op::WrapKey, 0, 4, sid, vec![0; MAX_PAYLOAD]),
+        );
+        assert_eq!(
+            reply.error_body(),
+            Some((ErrorCode::Malformed, MAX_PAYLOAD as u32))
+        );
+        let reply = call(&stream, &Frame::request(Op::Ping, 0, 5, sid, vec![1]));
+        assert_eq!((reply.corr, reply.payload), (5, vec![1]));
         server.shutdown();
     }
 }

@@ -25,17 +25,16 @@
 //! * below [`BULK_THRESHOLD`] bytes a job runs on the caller's thread
 //!   ([`WorkerPool::run_here`]) — the shard's event loop — because
 //!   handing it to a worker would cost more than computing it;
-//! * at or above it, a pipelined job goes to the pool's worker threads,
-//!   so the event loop returns to `poll(2)` at once and one large job
-//!   never head-of-line-blocks the other connections on the shard.
+//! * at or above it, a job goes to the pool's worker threads, so the
+//!   event loop returns to `poll(2)` at once and one large job never
+//!   head-of-line-blocks the other connections on the shard.
 //!
-//! [`Session::execute`] (protocol v1) runs caller-side at every size,
-//! which is what keeps v1 replies in request order. [`Session::submit`]
-//! (protocol v2) tags each job with the request's correlation id, and
-//! [`Session::collect`] returns the finished ones: caller-side results
-//! first, then pool completions in **completion order** — which across a
-//! multi-core farm is not submission order; that is the out-of-order
-//! property the v2 wire format exists to carry.
+//! [`Session::submit`] tags each job with the request's correlation id,
+//! and [`Session::collect`] returns the finished ones: caller-side
+//! results first, then pool completions in **completion order** — which
+//! across a multi-core farm is not submission order; that is the
+//! out-of-order property the wire format's correlation id exists to
+//! carry.
 
 use std::sync::Arc;
 
@@ -136,9 +135,10 @@ impl Session {
     /// Waits (up to `timeout`) for every bulk job still executing on the
     /// worker threads to finish, so a following [`Session::collect`]
     /// returns them. Returns `true` when the pool went quiet. The
-    /// server's graceful-shutdown drain calls this before the goodbye
-    /// frame — `collect` never blocks, and dropping the session
-    /// mid-execution would silently discard an accepted request's reply.
+    /// server's connection drain calls this before a re-key, a goodbye
+    /// or the close after a half-close — `collect` never blocks, and
+    /// dropping the session mid-execution would silently discard an
+    /// accepted request's reply.
     #[must_use]
     pub fn quiesce(&self, timeout: std::time::Duration) -> bool {
         self.pool.wait_idle_timeout(timeout)
@@ -156,17 +156,6 @@ impl Session {
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.parked.len() + self.open.len()
-    }
-
-    /// Runs one operation to completion on the caller's thread and
-    /// returns its output, whatever its size — the protocol-v1 path.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Submit`] when the buffer is ragged; [`Error::Job`] when
-    /// a backend faults.
-    pub fn execute(&mut self, mode: Mode, data: Vec<u8>) -> Result<Vec<u8>, Error> {
-        self.pool.run_here(mode, data)
     }
 
     /// Accepts a pipelined job tagged with the request's correlation id;
@@ -348,7 +337,10 @@ impl SessionSlot {
     }
 
     /// Replaces the session with a freshly keyed one and returns the new
-    /// id (never 0, which the protocol reserves for "no session").
+    /// id (never 0, which the protocol reserves for "no session"). The
+    /// old session is dropped with whatever it still owes, so a caller
+    /// that has accepted requests on it collects them first (the server
+    /// drains it).
     ///
     /// # Panics
     ///
@@ -417,47 +409,56 @@ mod tests {
         got
     }
 
+    /// Submits one job and collects its bytes, on whichever lane its
+    /// size picks.
+    fn run(s: &mut Session, mode: Mode, data: Vec<u8>) -> Vec<u8> {
+        s.submit(0, mode, data).unwrap();
+        let (corr, result) = collect_n(s, 1).remove(0);
+        assert_eq!(corr, 0);
+        result.unwrap()
+    }
+
     #[test]
-    fn execute_matches_the_software_reference() {
+    fn submit_matches_the_software_reference() {
         let mut s = session(8);
         let reference = Aes128::new(&KEY);
 
         let data = sample(4 * 16);
-        let ct = s.execute(Mode::EcbEncrypt, data.clone()).unwrap();
+        let ct = run(&mut s, Mode::EcbEncrypt, data.clone());
         let mut expect = data.clone();
         Ecb::encrypt(&reference, &mut expect).unwrap();
         assert_eq!(ct, expect);
 
         let iv = [9u8; 16];
-        let ct = s.execute(Mode::CbcEncrypt(iv), data.clone()).unwrap();
+        let ct = run(&mut s, Mode::CbcEncrypt(iv), data.clone());
         let mut expect = data.clone();
         Cbc::encrypt(&reference, &iv, &mut expect).unwrap();
         assert_eq!(ct, expect);
 
-        let ct = s.execute(Mode::Ctr(iv), sample(37)).unwrap();
+        let ct = run(&mut s, Mode::Ctr(iv), sample(37));
         let mut expect = sample(37);
         Ctr::apply(&reference, &iv, &mut expect);
         assert_eq!(ct, expect);
     }
 
     #[test]
-    fn execute_runs_bulk_payloads_caller_side_too() {
+    fn bulk_payloads_match_the_reference_on_the_pool_lane() {
         let mut s = session(8);
         let reference = Aes128::new(&KEY);
 
         // 24 blocks: well past the threshold, with a ragged granule tail.
         let data = sample(24 * 16);
-        let ct = s.execute(Mode::EcbEncrypt, data.clone()).unwrap();
+        let ct = run(&mut s, Mode::EcbEncrypt, data.clone());
         let mut expect = data.clone();
         Ecb::encrypt(&reference, &mut expect).unwrap();
         assert_eq!(ct, expect);
-        let pt = s.execute(Mode::EcbDecrypt, ct).unwrap();
+        let pt = run(&mut s, Mode::EcbDecrypt, ct);
         assert_eq!(pt, data);
 
         // CTR keeps its any-length contract at bulk sizes too.
         let nonce = [0xA5u8; 16];
         let data = sample(BULK_THRESHOLD + 5);
-        let ct = s.execute(Mode::Ctr(nonce), data.clone()).unwrap();
+        let ct = run(&mut s, Mode::Ctr(nonce), data.clone());
         let mut expect = data;
         Ctr::apply(&reference, &nonce, &mut expect);
         assert_eq!(ct, expect);
@@ -468,10 +469,6 @@ mod tests {
     fn ragged_blocks_fail_typed_at_submit_on_both_lanes() {
         let mut s = session(2);
         for len in [17, BULK_THRESHOLD + 1] {
-            assert_eq!(
-                s.execute(Mode::EcbEncrypt, sample(len)),
-                Err(Error::Submit(SubmitError::RaggedLength { len }))
-            );
             assert_eq!(
                 s.submit(1, Mode::CbcEncrypt([0; 16]), sample(len)),
                 Err(SubmitError::RaggedLength { len })
@@ -602,8 +599,8 @@ mod tests {
         let reg = Registry::new();
         let mut a = Session::new(1, &KEY, &farm(), 8, &reg);
         let mut b = Session::new(2, &KEY, &farm(), 8, &reg);
-        let _ = a.execute(Mode::EcbEncrypt, sample(4 * 16)).unwrap();
-        let _ = b.execute(Mode::EcbEncrypt, sample(2 * 16)).unwrap();
+        run(&mut a, Mode::EcbEncrypt, sample(4 * 16));
+        run(&mut b, Mode::EcbEncrypt, sample(2 * 16));
         let snap = reg.snapshot();
         let stats = engine::FarmStats::from_snapshot(&snap);
         assert_eq!(stats.total_blocks(), 6);
@@ -720,7 +717,7 @@ mod tests {
         // Small payload, caller-side (the ip-core slot diverts to the
         // software fallback).
         let data = sample(2 * 16);
-        let ct = s.execute(Mode::EcbEncrypt, data.clone()).unwrap();
+        let ct = run(&mut s, Mode::EcbEncrypt, data.clone());
         let mut expect = data.clone();
         Ecb::encrypt(&reference, &mut expect).unwrap();
         assert_eq!(ct, expect);
@@ -746,14 +743,11 @@ mod tests {
         let b = slot.rekey(&[5u8; 16], &farm(), 4, &reg);
         assert_ne!(a, b);
         assert_ne!(b, 0);
-        // The parked result died with the old session.
+        // The parked result went with the old session (the server drains
+        // a session before it re-keys).
         assert_eq!(slot.session_mut().unwrap().in_flight(), 0);
         // And the new session really uses the new key.
-        let ct = slot
-            .session_mut()
-            .unwrap()
-            .execute(Mode::EcbEncrypt, vec![0u8; 16])
-            .unwrap();
+        let ct = run(slot.session_mut().unwrap(), Mode::EcbEncrypt, vec![0u8; 16]);
         let mut expect = vec![0u8; 16];
         Aes128::new(&[5u8; 16]).encrypt_in_place(&mut expect);
         assert_eq!(ct, expect);

@@ -40,10 +40,12 @@ cargo test -q --test bitslice_equivalence --locked --offline
 
 echo "==> runtime dispatch gate (forced-backend sweep)"
 # The force override is read once per process, so each backend gets a
-# fresh process: the full equivalence sweep under the pin, then a live
-# server round trip asserting GET_STATS reports the pinned name. Only
-# targeted test binaries run here — the whole suite includes tests that
-# legitimately assume an unpinned dispatch.
+# fresh process: the full equivalence sweep under the pin, the AEAD
+# KATs, the seeded wire law (every answer over a live connection
+# checked against the reference), then a live server round trip
+# asserting GET_STATS reports the pinned name. Only targeted test
+# binaries run here — the whole suite includes tests that legitimately
+# assume an unpinned dispatch.
 cargo build -q --release --locked --offline -p rijndael-bench --bin dispatch_probe
 backends="$(target/release/dispatch_probe --list)"
 [ -n "$backends" ] || { echo "dispatch_probe --list printed no backends" >&2; exit 1; }
@@ -53,6 +55,8 @@ for backend in $backends; do
         cargo test -q --test bitslice_equivalence --locked --offline
     RIJNDAEL_FORCE_BACKEND="$backend" \
         cargo test -q --test aead_kats --locked --offline
+    RIJNDAEL_FORCE_BACKEND="$backend" \
+        cargo test -q --test service_wire_law --locked --offline
     RIJNDAEL_FORCE_BACKEND="$backend" \
         target/release/dispatch_probe --check
 done
@@ -73,7 +77,7 @@ echo "==> service subsystem tests (incl. GET_STATS round trip)"
 cargo test -q -p rijndael-service --locked --offline
 cargo test -q --test service_roundtrip --locked --offline
 
-echo "==> service pipelining tests (v2 out-of-order + v1 compat)"
+echo "==> service pipelining tests (out-of-order completions + blocking beside pipelining)"
 cargo test -q --test service_pipeline --locked --offline
 
 echo "==> AEAD subsystem gate (NIST GCM / RFC 3394 / IEEE XTS KATs + XTS oracle law + service flow)"

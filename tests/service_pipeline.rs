@@ -1,15 +1,15 @@
-//! Pipelined end-to-end exercise of the v2 framed service: many frames
-//! in flight per connection completing out of order across a mixed
+//! Pipelined end-to-end exercise of the framed service: many frames in
+//! flight per connection completing out of order across a mixed
 //! multi-core farm, verified block-by-block against SP 800-38A KATs;
 //! per-job typed failures that do not poison the connection; and a
-//! version-1 single-in-flight client speaking to the same v2 server.
+//! blocking client sharing the server with a pipelining one.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use rijndael_ip::engine::BackendSpec;
 use rijndael_ip::service::client::Client;
-use rijndael_ip::service::protocol::{ErrorCode, Op, PROTOCOL_V1};
+use rijndael_ip::service::protocol::{ErrorCode, Op};
 use rijndael_ip::service::server::{Server, ServiceConfig};
 
 fn hex(s: &str) -> Vec<u8> {
@@ -34,18 +34,6 @@ const SP800_ECB_CT: &str = "3ad77bb40d7a3660a89ecaf32466ef97\
                             f5d3d58503b9699de785895a96fdbaaf\
                             43b1cd7f598ece23881b00e3ed030688\
                             7b0c785e27e8ad3f8223207104725dd4";
-const SP800_CBC_IV: &str = "000102030405060708090a0b0c0d0e0f";
-const SP800_CBC_CT: &str = "7649abac8119b246cee98e9b12e9197d\
-                            5086cb9b507219ee95db113a917678b2\
-                            73bed6b8e3c1743b7116e69e22229516\
-                            3ff1caa1681fac09120eca307586e1a7";
-const SP800_CTR_ICB: &str = "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff";
-const SP800_CTR_CT: &str = "874d6191b620e3261bef6864990db6ce\
-                            9806f66b7970fdff8617187bb9fffdff\
-                            5ae4df3edbd5d35e5b4f09020db03eab\
-                            1e031dda2fbe03d1792170a0f3009cee";
-// RFC 4493 example 2 (same key, first SP 800-38A block).
-const CMAC_TAG_1BLOCK: &str = "070a16b46b4d4144f79bdd9dd04a287c";
 
 fn spawn_server(farm: Vec<BackendSpec>, queue: usize) -> rijndael_ip::service::ServiceHandle {
     Server::new(
@@ -144,51 +132,17 @@ fn pipelined_failures_are_per_job_not_connection_fatal() {
     server.shutdown();
 }
 
-/// A version-1 client — 11-byte headers, one request in flight,
-/// replies strictly in order — runs its entire KAT conversation
-/// against the v2 server unchanged, and every reply it sees is in the
-/// v1 layout.
-#[test]
-fn v1_client_roundtrips_kats_against_the_v2_server() {
-    let server = spawn_server(vec![BackendSpec::EncDecCore, BackendSpec::Software], 8);
-    let mut client = Client::connect_v1(server.local_addr()).expect("connect v1");
-    assert_eq!(client.version(), PROTOCOL_V1);
-
-    let session = client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
-    assert_ne!(session, 0);
-
-    let pt = hex(SP800_PT);
-    let ct = client.ecb_encrypt(&pt).expect("ECB encrypt");
-    assert_eq!(ct, hex(SP800_ECB_CT), "SP 800-38A F.1.1");
-    assert_eq!(client.ecb_decrypt(&ct).expect("ECB decrypt"), pt);
-
-    let cbc = client
-        .cbc_encrypt(&hex16(SP800_CBC_IV), &pt)
-        .expect("CBC encrypt");
-    assert_eq!(cbc, hex(SP800_CBC_CT), "SP 800-38A F.2.1");
-
-    let ctr = client
-        .ctr_apply(&hex16(SP800_CTR_ICB), &pt)
-        .expect("CTR apply");
-    assert_eq!(ctr, hex(SP800_CTR_CT), "SP 800-38A F.5.1");
-
-    let tag = client.cmac_tag(&pt[..16]).expect("CMAC tag");
-    assert_eq!(tag.to_vec(), hex(CMAC_TAG_1BLOCK), "RFC 4493 example 2");
-    assert!(client.cmac_verify(&pt[..16], &tag).expect("CMAC verify"));
-    server.shutdown();
-}
-
-/// Two connections pipelining concurrently: a v2 client with a deep
-/// burst and a v1 client doing blocking calls share the server without
+/// Two connections concurrently: a client with a deep pipelined burst
+/// and a client doing blocking calls share the server without
 /// interfering — sessions, correlation ids, and replies stay per-
 /// connection.
 #[test]
-fn mixed_version_clients_share_the_server() {
+fn blocking_and_pipelining_clients_share_the_server() {
     let server = spawn_server(vec![BackendSpec::Software; 2], 32);
     let addr = server.local_addr();
 
-    let v2 = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("connect v2");
+    let pipelining = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
         client.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
         let pt = hex(SP800_PT);
         let ct = hex(SP800_ECB_CT);
@@ -206,16 +160,16 @@ fn mixed_version_clients_share_the_server() {
         }
     });
 
-    let mut v1 = Client::connect_v1(addr).expect("connect v1");
-    v1.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
+    let mut blocking = Client::connect(addr).expect("connect");
+    blocking.set_key(&hex16(SP800_KEY)).expect("SET_KEY");
     let pt = hex(SP800_PT);
     for _ in 0..8 {
         assert_eq!(
-            v1.ecb_encrypt(&pt[..16]).expect("ECB"),
+            blocking.ecb_encrypt(&pt[..16]).expect("ECB"),
             hex(SP800_ECB_CT)[..16]
         );
     }
 
-    v2.join().expect("v2 client thread");
+    pipelining.join().expect("pipelining client thread");
     server.shutdown();
 }
