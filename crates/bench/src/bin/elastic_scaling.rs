@@ -17,7 +17,7 @@
 //! 3. **Service supervision** — an in-process framed-TCP server runs
 //!    with `ServiceConfig::elastic` set; pipelined bulk traffic from a
 //!    real client drives the queue-depth gauge up, and the run asserts
-//!    the shard's autoscale tick grew the farm and later shrank it,
+//!    the server's autoscale tick grew the farm and later shrank it,
 //!    with both visible over the wire through `GET_STATS`.
 //!
 //! Results land in `BENCH_elastic.json` (override the path with
@@ -141,7 +141,7 @@ fn thread_scaling(report: &Registry, job_blocks: usize, jobs: usize) {
             .counter(&format!("bench.elastic.wall_us.workers_{workers}"))
             .add(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
         times.push((workers, elapsed));
-        pool.shutdown();
+        pool.farm().shutdown();
     }
 
     let t1 = times[0].1.as_secs_f64();
@@ -168,6 +168,7 @@ fn resize_under_load(report: &Registry, job_blocks: usize, jobs: usize) {
         .capacity(jobs * 4)
         .registry(registry.clone())
         .build(&key);
+    let farm = pool.farm();
 
     // Queue two halves' worth of work on the single worker up front.
     let total = jobs * 2;
@@ -186,16 +187,16 @@ fn resize_under_load(report: &Registry, job_blocks: usize, jobs: usize) {
             // Mid-stream: grow to 4 workers and hot-swap the original
             // slot while its queue is still full.
             for _ in 0..3 {
-                pool.add_core(PACED);
+                farm.add_core(PACED).expect("spawn a worker");
             }
-            assert!(pool.swap_core(0, PACED), "slot 0 is alive and swappable");
+            assert!(farm.swap_core(0, PACED), "slot 0 is alive and swappable");
         }
     }
 
     // Shrink back down; the retiring workers' queues are empty now.
-    while pool.workers() > 1 {
-        let victim = pool.workers() - 1;
-        assert!(pool.remove_core(victim), "grown worker retires cleanly");
+    while farm.workers() > 1 {
+        let victim = farm.workers() - 1;
+        assert!(farm.remove_core(victim), "grown worker retires cleanly");
     }
 
     let mean_gap = |window: &[Duration]| {
@@ -242,13 +243,13 @@ fn resize_under_load(report: &Registry, job_blocks: usize, jobs: usize) {
         "no job may fail across the whole resize cycle"
     );
     println!("grow/swap/shrink cycle complete: {total} jobs, 0 failures\n");
-    pool.shutdown();
+    farm.shutdown();
 }
 
-/// Act 3: the shard loop's autoscale tick, observed over the wire.
+/// Act 3: the server's autoscale tick, observed over the wire.
 fn service_supervision(report: &Registry) {
-    // One paced worker per fresh session; bulk pressure must make the
-    // supervisor grow it, and the post-traffic quiet shrink it again.
+    // A farm of one paced worker; bulk pressure must make the supervisor
+    // grow it, and the post-traffic quiet shrink it again.
     let policy = ResizePolicy {
         min_workers: 1,
         max_workers: 4,

@@ -1,18 +1,18 @@
 //! Load generator for the framed TCP crypto service, in three acts:
 //!
 //! 1. **Pipelined throughput** — loopback clients streaming depth-16
-//!    CTR bursts at servers whose per-session engine farms grow by
-//!    core count, reporting real wall-clock throughput and per-burst
-//!    latency percentiles, then auditing the server over the wire:
-//!    `GET_STATS` must report exactly the per-opcode request counts
-//!    the run generated.
+//!    CTR bursts at servers whose one worker farm, shared by every
+//!    client's session, grows by core count, reporting real wall-clock
+//!    throughput and per-burst latency percentiles, then auditing the
+//!    server over the wire: `GET_STATS` must report exactly the
+//!    per-opcode request counts the run generated.
 //! 2. **Noisy neighbor** — a client streaming 256 KiB bulk jobs shares
 //!    one shard with a client timing small CTR bursts. The bulk work
-//!    rides the session worker pool, so the run asserts the small
+//!    rides the server's worker farm, so the run asserts the small
 //!    p99 stays far below one bulk job's modeled crypto time — the
 //!    regression this guards is bulk crypto ever moving back onto the
 //!    event-loop thread. The elastic supervisor must also grow the
-//!    bulk session's farm under the queue pressure.
+//!    farm under the bulk session's queue pressure.
 //! 3. **Connection scale** — a helper child process (re-invoking this
 //!    binary with `--hold`) parks 10 000 idle connections on the
 //!    server while short-lived clients churn through bursty pipelined
@@ -177,11 +177,11 @@ fn run_load(
 /// ([`BackendSpec::Paced`]) so each bulk job models ~33 ms of crypto:
 /// if bulk ran inline on the event loop (the pre-pool design), every
 /// small burst sharing the shard would eat that stall and the small
-/// p99 would sit at tens of milliseconds. With the worker-pool lane
-/// the shard only routes completions, so the run asserts the small
-/// p99 stays under half of one modeled bulk job. The elastic policy
-/// rides along: bulk queue depth must make the supervisor grow the
-/// session's farm, visible in the same snapshot `GET_STATS` serves.
+/// p99 would sit at tens of milliseconds. With the farm lane the
+/// shard only routes completions, so the run asserts the small p99
+/// stays under half of one modeled bulk job. The elastic policy rides
+/// along: bulk queue depth must make the supervisor grow the farm,
+/// visible in the same snapshot `GET_STATS` serves.
 fn mixed_traffic(smoke: bool) {
     const BLOCK_NS: u32 = 2_000;
     let bulk_len = 256 * 1024; // MAX_PAYLOAD: 16 384 blocks ≈ 33 ms paced
@@ -285,15 +285,15 @@ fn mixed_traffic(smoke: bool) {
     println!("mixed traffic: small-burst p50 {p50:>8.2?} p99 {p99:>8.2?}");
 
     // The gate: inline bulk would pin the small p99 at or above one
-    // modeled job; the pool lane must keep it under half of one.
+    // modeled job; the farm lane must keep it under half of one.
     assert!(
         p99 < modeled_job / 2,
         "small-request p99 {p99:?} must stay under half a bulk job ({:?}) — bulk crypto may not run on the event loop",
         modeled_job / 2,
     );
 
-    // Queue pressure from the bulk lane must have grown that session's
-    // farm, and the books must balance.
+    // Queue pressure from the bulk lane must have grown the farm, and
+    // the books must balance.
     let snap = server.registry().snapshot();
     assert!(
         snap.counter("engine.resize.grow").unwrap_or(0) >= 1,
@@ -461,7 +461,7 @@ fn main() {
     let (bursts, payload_len) = if smoke { (2, 1024) } else { (12, 16 * 1024) };
 
     println!("Service load — {clients} loopback clients, {bursts} bursts of {DEPTH} pipelined CTR");
-    println!("requests each, {payload_len} B payloads, per-session farms of the paper's core\n");
+    println!("requests each, {payload_len} B payloads, one shared farm of the paper's core\n");
     println!(
         "{:<6} {:>10} {:>12} {:>10} {:>10} {:>10}",
         "cores", "requests", "throughput", "b.p50", "b.p90", "b.p99"

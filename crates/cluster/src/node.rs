@@ -90,6 +90,12 @@ impl NodeProcess {
         self.addr
     }
 
+    /// The node's OS process id.
+    #[must_use]
+    pub fn pid(&self) -> u32 {
+        self.child.id()
+    }
+
     /// Kills the node without any goodbye (SIGKILL on Unix) and reaps
     /// it. This is the node-loss failure mode: in-flight requests are
     /// simply gone.

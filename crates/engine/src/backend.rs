@@ -178,6 +178,19 @@ impl BackendSpec {
             )),
         }
     }
+
+    /// Whether the backend [`BackendSpec::build`] makes from a
+    /// `key_len`-byte key serves `dir`, decided without building it.
+    /// Only the one-direction IP cores lack a datapath, and a 24/32-byte
+    /// key diverts them to the software fallback, which has both.
+    #[must_use]
+    pub fn serves(self, key_len: usize, dir: Direction) -> bool {
+        match (self, key_len) {
+            (BackendSpec::EncryptCore, 16) => dir == Direction::Encrypt,
+            (BackendSpec::DecryptCore, 16) => dir == Direction::Decrypt,
+            _ => true,
+        }
+    }
 }
 
 impl fmt::Display for BackendSpec {
@@ -238,8 +251,9 @@ impl From<StreamError> for BackendError {
 /// One farm member: a block processor with a virtual-time cost model.
 ///
 /// The trait is object-safe; the scheduler holds `Box<dyn Backend>`.
-/// `Send` is a supertrait so a backend can move into the
-/// [`WorkerPool`](crate::WorkerPool) worker thread that owns it.
+/// `Send` is a supertrait so a backend can live in a
+/// [`Farm`](crate::Farm) worker thread or behind a
+/// [`WorkerPool`](crate::WorkerPool) handle's lock.
 pub trait Backend: Send {
     /// Short stable name for metrics and reports.
     fn name(&self) -> &'static str;
@@ -795,6 +809,24 @@ mod tests {
                     .process_block(&mut block, Direction::Encrypt)
                     .unwrap_err();
                 assert!(err.to_string().contains("cannot encrypt"), "{spec}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn serves_agrees_with_what_build_makes() {
+        let mut specs = BackendSpec::detected();
+        specs.extend([BackendSpec::Auto, BackendSpec::Paced { block_ns: 1 }]);
+        for spec in specs {
+            for key_len in [16, 24, 32] {
+                let backend = spec.build(&vec![0x5C; key_len]);
+                for dir in [Direction::Encrypt, Direction::Decrypt] {
+                    assert_eq!(
+                        spec.serves(key_len, dir),
+                        backend.supports(dir),
+                        "{spec} with a {key_len}-byte key, {dir:?}"
+                    );
+                }
             }
         }
     }

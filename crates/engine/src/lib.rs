@@ -16,22 +16,22 @@
 //!   chained modes (CBC, CFB, OFB) to one core, all in virtual time. It
 //!   drives the scaling report and the equivalence suite; the service
 //!   does not use it;
-//! * [`pool`] — the [`WorkerPool`], the executor the service runs on:
-//!   each core owned by an OS worker thread with a local deque,
-//!   work-stealing between siblings, completions over a channel, a
-//!   caller-runs lane ([`WorkerPool::run_here`]) for jobs too small to
-//!   hand to another thread, and an elastic control plane
-//!   ([`WorkerPool::add_core`] / [`WorkerPool::remove_core`] /
-//!   [`WorkerPool::swap_core`], plus telemetry-driven
-//!   [`WorkerPool::autoscale_tick`] under a [`ResizePolicy`]). It shares
-//!   the engine's shard planner and span executor;
+//! * [`pool`] — the executor the service runs on: one [`Farm`] of OS
+//!   worker threads (a local deque per core, work-stealing between
+//!   siblings) shared by keyed [`WorkerPool`] handles whose jobs carry
+//!   their key, completions over each handle's channel, a caller-runs
+//!   lane ([`WorkerPool::run_here`]) for jobs too small to hand to
+//!   another thread, and an elastic control plane ([`Farm::add_core`] /
+//!   [`Farm::remove_core`] / [`Farm::swap_core`], plus telemetry-driven
+//!   [`Farm::autoscale_tick`] under a [`ResizePolicy`]). It shares the
+//!   engine's shard planner and span executor;
 //! * [`stats`] — [`FarmStats`]: Table-2-style per-core and farm-aggregate
 //!   figures (blocks, cycles, occupancy, cycles/block) derived from the
 //!   telemetry snapshot rather than a private counter path;
 //! * [`error`] — the unified [`Error`] hierarchy folding submission
 //!   rejections and job faults into one `std::error::Error` type.
 //!
-//! Engines and pools publish their activity into a [`telemetry::Registry`]
+//! Engines and farms publish their activity into a [`telemetry::Registry`]
 //! (their own, or a shared one passed to [`EngineBuilder::registry`] /
 //! [`PoolBuilder::registry`]):
 //! per-core counters under `engine.core.<index>.<backend>.<field>`,
@@ -78,6 +78,6 @@ pub use crate::backend::{
     SoftwareBackend,
 };
 pub use crate::error::Error;
-pub use crate::pool::{PoolBuilder, ResizeAction, ResizePolicy, WorkerPool};
+pub use crate::pool::{Farm, Notifier, PoolBuilder, ResizeAction, ResizePolicy, WorkerPool};
 pub use crate::scheduler::{Engine, EngineBuilder, JobError, JobId, JobOutput, Mode, SubmitError};
 pub use crate::stats::{CoreStats, FarmStats};

@@ -1,81 +1,88 @@
-//! True thread-parallel execution: a work-stealing, elastic worker pool
-//! with a caller-runs lane — the service's one executor.
+//! True thread-parallel execution: one work-stealing, elastic worker
+//! farm, and keyed handles that submit to it — the service's one
+//! executor.
 //!
 //! The [`Engine`](crate::Engine) is the paper's cycle model: cycle
 //! counters advance in *virtual time* while every job executes inline on
-//! the caller's thread. [`WorkerPool`] is what runs in wall-clock time,
-//! in two lanes over one farm configuration:
+//! the caller's thread. This module is what runs in wall-clock time:
 //!
-//! * the **worker lane** — each [`Backend`] core gets an owning OS worker
-//!   thread with a local deque, submission goes through a shared `&self`
-//!   handle with bounded [`SubmitError::Busy`] semantics, and finished
-//!   jobs come back over a completion channel (plus an optional notifier
-//!   callback, which the TCP service wires to a self-pipe so its
-//!   `poll(2)` loops wake without spinning);
-//! * the **caller-runs lane** — [`WorkerPool::run_here`] runs one job to
-//!   completion on the calling thread and returns its bytes. Its
-//!   backends come from the same farm specs and the pool's key, keyed
-//!   lazily and picked by direction (the first spec whose datapath
-//!   serves the job), so a split encrypt/decrypt farm serves both. It
-//!   never spawns a thread and never queues; it runs through the same
-//!   panic-containing executor as the workers and publishes into the
-//!   same `engine.core.<i>.<backend>.*` and `engine.jobs.*` instruments.
-//!   Small jobs belong here: handing a microsecond of crypto to another
+//! * a [`Farm`] owns the worker threads — one per [`Backend`] slot, each
+//!   with a local deque — and holds no key. Its workers spawn when it is
+//!   built, and it grows, shrinks and hot-swaps them while jobs are in
+//!   flight ([`Farm::add_core`], [`Farm::remove_core`],
+//!   [`Farm::swap_core`]), by hand or from telemetry
+//!   ([`Farm::autoscale_tick`] under a [`ResizePolicy`]), every decision
+//!   visible as `engine.resize.*` counters and the `engine.workers`
+//!   gauge;
+//! * a [`WorkerPool`] is one keyed handle on a farm ([`Farm::handle`]).
+//!   It owns its key (wiped on its last drop), its completion channel
+//!   and notifier, and its bound on open jobs ([`SubmitError::Busy`]);
+//!   dropping it cancels its queued jobs ([`JobError::Cancelled`]).
+//!   Every job it submits carries its key, so handles with different
+//!   keys share one farm. Its caller-runs lane,
+//!   [`WorkerPool::run_here`], runs one job to completion on the calling
+//!   thread, on backends the handle keys lazily from the farm's specs.
+//!   Small jobs belong there: handing a microsecond of crypto to another
 //!   thread costs more than computing it.
 //!
-//! Worker scheduling follows the engine's plan: parallel modes (ECB, CTR)
-//! are dealt across every eligible worker's deque in the same 8-block
-//! granule spans ([`Engine::shares_batched`](crate::Engine::shares_batched)),
-//! while chained modes (CBC, CFB, OFB) are *pinned* to the least-loaded
-//! capable worker — block `i+1` depends on block `i`, so the stream must
-//! not migrate mid-job. An idle worker first drains its own deque, then
-//! the shared injector, then **steals** from the back of the longest
-//! sibling deque (never a pinned task, never a direction its datapath
-//! lacks).
+//! This is the paper's key discipline. Its IP serves every key from one
+//! datapath: `Key_In` loads a key and `KStran` derives the round keys on
+//! the fly, so a new key costs a setup, not a second core. A worker
+//! keeps the backend it built and rebuilds it only when the next task's
+//! key, or its slot's spec, differs. An idle worker that holds a
+//! schedule for a dropped handle drops it, which wipes it.
 //!
-//! The farm is *elastic* — the software analog of partial FPGA
-//! reconfiguration: [`WorkerPool::add_core`] and
-//! [`WorkerPool::remove_core`] grow and shrink the worker set while jobs
-//! are in flight, and [`WorkerPool::swap_core`] hot-swaps one worker's
-//! backend between tasks without draining the farm. A retired slot's
-//! pinned streams re-pin to a surviving capable worker; its parallel
-//! shards fall back to the injector, and injector work the narrowed
-//! farm can no longer serve fails typed instead of stranding.
-//! [`WorkerPool::autoscale_tick`] drives resizing from the pool's own
-//! open-job count and the published `engine.core.occupancy_bp`
-//! histogram under a [`ResizePolicy`], and every decision is visible as
-//! `engine.resize.*` counters and the `engine.workers` gauge.
-//!
-//! Worker threads spawn lazily on the first submission, so a pool that
-//! never sees work (an idle service session holding only a key) costs no
-//! threads.
+//! Which slots can serve a job is decided from each slot's spec and the
+//! job's key length ([`BackendSpec::serves`]), without building
+//! anything. Parallel modes (ECB, CTR) are dealt across every eligible
+//! worker's deque in the engine's 8-block granule spans
+//! ([`Engine::shares_batched`](crate::Engine::shares_batched)). Any
+//! other task — a chained stream (CBC, CFB, OFB), which must not migrate
+//! mid-job, or a parallel job with one eligible worker — queues on the
+//! least-loaded capable worker's deque. Deques are FIFO, so jobs are
+//! served in arrival order across handles. An idle worker first drains
+//! its own deque, then **steals** from the back of the longest sibling
+//! deque (never a chained stream, never a task its spec cannot serve).
+//! A retired or hot-swapped slot's queued tasks re-route the same way;
+//! a task no live worker can serve fails typed instead of stranding. A
+//! grown worker reuses the lowest retired slot whose thread has exited,
+//! so the `engine.core.<i>.*` names stay bounded however often the farm
+//! resizes.
 //!
 //! # Examples
 //!
 //! ```
+//! use std::time::Duration;
 //! use engine::{Mode, PoolBuilder, BackendSpec};
 //!
+//! // A farm of its own, with one keyed handle on it.
 //! let pool = PoolBuilder::new()
 //!     .cores(&[BackendSpec::Software; 2])
 //!     .capacity(8)
 //!     .build(&[0x2B; 16]);
 //! let id = pool.try_submit(Mode::EcbEncrypt, vec![0u8; 64]).unwrap();
-//! let out = pool.collect_timeout(std::time::Duration::from_secs(5)).unwrap();
+//! let out = pool.collect_timeout(Duration::from_secs(5)).unwrap();
 //! assert_eq!(out.id, id);
 //! assert!(out.data.is_ok());
 //!
 //! // Small jobs run on the calling thread instead.
 //! let ct = pool.run_here(Mode::EcbEncrypt, vec![0u8; 16]).unwrap();
 //! assert_eq!(ct.len(), 16);
+//!
+//! // A second handle, under another key, on the same worker threads.
+//! let other = pool.farm().handle(&[0x11; 32], 8, None);
+//! other.try_submit(Mode::EcbEncrypt, vec![0u8; 64]).unwrap();
+//! assert!(other.collect_timeout(Duration::from_secs(5)).unwrap().data.is_ok());
 //! ```
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use aes_ip::core::Direction;
@@ -97,7 +104,7 @@ const JOB_US_BOUNDS: [u64; 12] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
 ];
 
-/// What [`WorkerPool::autoscale_tick`] decided this tick.
+/// What [`Farm::autoscale_tick`] decided this tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResizeAction {
     /// A worker was added at this slot index.
@@ -106,18 +113,15 @@ pub enum ResizeAction {
     Shrank(usize),
 }
 
-/// Telemetry-driven resize policy for [`WorkerPool::autoscale_tick`].
+/// Telemetry-driven resize policy for [`Farm::autoscale_tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResizePolicy {
     /// Never shrink below this many live workers.
     pub min_workers: usize,
     /// Never grow past this many live workers.
     pub max_workers: usize,
-    /// Grow when this pool has at least this many of its *own* jobs
-    /// open (accepted, not yet delivered). The shared
-    /// `engine.queue.depth` gauge is deliberately not consulted: every
-    /// keyed session publishes into the same service registry, so a
-    /// neighbor's backlog would over-grow unrelated pools.
+    /// Grow when the farm has at least this many jobs open (accepted,
+    /// not yet delivered), summed over every handle.
     pub grow_depth: usize,
     /// Shrink only after this many *consecutive* idle ticks, so a burst
     /// gap does not flap the farm.
@@ -143,10 +147,45 @@ impl Default for ResizePolicy {
     }
 }
 
+/// A completion callback, fired once per delivered job after its output
+/// is on the handle's channel. The service points it at a shard's wake
+/// pipe, so `poll(2)` loops re-arm without polling the farm.
+pub type Notifier = Arc<dyn Fn() + Send + Sync>;
+
+/// A handle's key, shared by the handle, its queued jobs and every
+/// worker holding a schedule built from it; wiped on its last drop.
+struct Key {
+    bytes: Vec<u8>,
+    /// Cleared when the handle drops: a worker holding this key's
+    /// schedule drops it once idle.
+    live: AtomicBool,
+    /// Set once a worker builds a schedule from this key, so dropping
+    /// the handle wakes the farm only when one may still hold it.
+    on_worker: AtomicBool,
+}
+
+impl Drop for Key {
+    fn drop(&mut self) {
+        rijndael::zeroize::wipe_bytes(&mut self.bytes);
+    }
+}
+
+/// Where a handle's jobs report: its channel, its notifier and its
+/// open-job bound.
+struct Sink {
+    tx: Sender<JobOutput>,
+    notifier: Option<Notifier>,
+    capacity: usize,
+    /// Jobs accepted and not yet delivered.
+    open: Mutex<usize>,
+    /// Wakes [`WorkerPool::wait_idle`] when `open` returns to zero.
+    idle_cv: Condvar,
+}
+
 /// One unit of schedulable work: one span (or the whole) of a job.
 struct Task {
     job: Arc<JobState>,
-    /// Index into the job's `parts` this task produces.
+    /// Index into the job's parts this task produces.
     part: usize,
     /// Pinned tasks (chained streams) never migrate by stealing.
     pinned: bool,
@@ -157,8 +196,9 @@ struct Task {
 }
 
 impl Task {
-    fn dir(&self) -> Direction {
-        self.mode.direction()
+    /// Whether a worker built from `spec` can run this task.
+    fn fits(&self, spec: BackendSpec) -> bool {
+        spec.serves(self.job.key.bytes.len(), self.mode.direction())
     }
 }
 
@@ -166,212 +206,169 @@ impl Task {
 struct JobState {
     id: JobId,
     started: Instant,
+    key: Arc<Key>,
+    sink: Arc<Sink>,
+    progress: Mutex<Progress>,
+}
+
+struct Progress {
     /// One slot per shard, reassembled in order at completion.
-    parts: Mutex<Vec<Option<Vec<u8>>>>,
+    parts: Vec<Option<Vec<u8>>>,
     /// Shards still outstanding; the worker that takes this to zero
     /// assembles and delivers the output.
-    remaining: Mutex<usize>,
+    remaining: usize,
     /// First fault wins; the job reports it once every shard has landed.
-    failed: Mutex<Option<JobError>>,
-}
-
-impl JobState {
-    fn new(id: JobId, parts: usize) -> Arc<JobState> {
-        Arc::new(JobState {
-            id,
-            started: Instant::now(),
-            parts: Mutex::new(vec![None; parts]),
-            remaining: Mutex::new(parts),
-            failed: Mutex::new(None),
-        })
-    }
-}
-
-/// One configured farm spec as the caller-runs lane sees it: the
-/// backend is built (and keyed) on the first job that needs it.
-struct LocalCore {
-    spec: BackendSpec,
-    built: Option<(Box<dyn Backend>, CoreTel)>,
+    failed: Option<JobError>,
 }
 
 /// One farm slot's scheduler-visible state. The worker thread owns the
-/// backend itself; the slot mirrors just what routing decisions need.
+/// backend; the slot holds what routing decisions need.
 struct Slot {
+    /// What the worker builds its backend from; `swap_core` changes it.
+    spec: BackendSpec,
     alive: bool,
-    name: &'static str,
-    enc: bool,
-    dec: bool,
     queue: VecDeque<Task>,
-    /// A pre-built replacement backend the worker installs before its
-    /// next task (hot-swap without draining the farm).
-    swap: Option<Box<dyn Backend>>,
     busy: bool,
+    /// The worker thread, joined when a retired slot is reused or at
+    /// shutdown.
+    thread: Option<JoinHandle<()>>,
 }
 
 impl Slot {
-    fn supports(&self, dir: Direction) -> bool {
-        match dir {
-            Direction::Encrypt => self.enc,
-            Direction::Decrypt => self.dec,
-        }
-    }
-
     fn load(&self) -> usize {
         self.queue.len() + usize::from(self.busy)
+    }
+
+    /// Takes the queued tasks `pick` selects, keeping the rest in order.
+    fn take_queued(&mut self, pick: impl Fn(&Task) -> bool) -> VecDeque<Task> {
+        let (taken, kept) = std::mem::take(&mut self.queue).into_iter().partition(pick);
+        self.queue = kept;
+        taken
     }
 }
 
 struct State {
     slots: Vec<Slot>,
-    injector: VecDeque<Task>,
-    /// Specs waiting for the lazy first-submission spawn.
-    pending: Vec<BackendSpec>,
-    /// Jobs accepted and not yet delivered — the bounded-capacity count.
-    open: usize,
-    started: bool,
     shutdown: bool,
 }
 
 impl State {
-    fn eligible(&self, dir: Direction) -> Vec<usize> {
+    /// Live slots whose spec serves `dir` under a `key_len`-byte key.
+    fn eligible(&self, key_len: usize, dir: Direction) -> Vec<usize> {
         (0..self.slots.len())
-            .filter(|&i| self.slots[i].alive && self.slots[i].supports(dir))
+            .filter(|&i| self.slots[i].alive && self.slots[i].spec.serves(key_len, dir))
             .collect()
     }
 
-    fn least_loaded(&self, dir: Direction) -> Option<usize> {
-        self.eligible(dir)
-            .into_iter()
-            .min_by_key(|&i| self.slots[i].load())
-    }
-
-    /// Removes and returns every injector task whose direction no live
-    /// worker supports. Resizes that change the farm's capability set
-    /// must call this: a lone parallel job lands in the injector, and a
-    /// worker only ever takes injector work it can run — an unservable
-    /// task would otherwise sit there forever, leaking its capacity
-    /// slot and hanging `wait_idle`.
-    fn drain_unservable_injector(&mut self) -> Vec<Task> {
-        let can_enc = self.slots.iter().any(|s| s.alive && s.enc);
-        let can_dec = self.slots.iter().any(|s| s.alive && s.dec);
-        let mut stranded = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.injector.len());
-        for t in self.injector.drain(..) {
-            let ok = match t.dir() {
-                Direction::Encrypt => can_enc,
-                Direction::Decrypt => can_dec,
-            };
-            if ok {
-                kept.push_back(t);
-            } else {
-                stranded.push(t);
+    /// Queues each task on the least-loaded live worker that can run it.
+    /// Returns the tasks no live worker can run.
+    fn route(&mut self, tasks: impl IntoIterator<Item = Task>) -> Vec<Task> {
+        let mut unroutable = Vec::new();
+        for task in tasks {
+            let target = (0..self.slots.len())
+                .filter(|&i| self.slots[i].alive && task.fits(self.slots[i].spec))
+                .min_by_key(|&i| self.slots[i].load());
+            match target {
+                Some(i) => self.slots[i].queue.push_back(task),
+                None => unroutable.push(task),
             }
         }
-        self.injector = kept;
-        stranded
+        unroutable
     }
 }
 
+/// What the workers and every handle share.
 struct Inner {
     state: Mutex<State>,
-    /// Wakes workers when tasks arrive, a swap lands, or shutdown starts.
+    /// Wakes workers when tasks arrive, a slot changes, a handle whose
+    /// key a worker may hold drops, or shutdown starts.
     work_cv: Condvar,
-    /// Wakes [`WorkerPool::wait_idle`] when `open` returns to zero.
-    idle_cv: Condvar,
     registry: Registry,
-    capacity: usize,
-    /// Key bytes for building grown / swapped backends; wiped on drop.
-    key: Mutex<Vec<u8>>,
-    tx: Mutex<Sender<JobOutput>>,
-    notifier: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// Jobs accepted and not yet delivered, over every handle.
+    open: AtomicUsize,
+    submit_accepted: Counter,
+    submit_busy: Counter,
+    submit_ragged: Counter,
     jobs_completed: Counter,
     jobs_failed: Counter,
+    steals: Counter,
     queue_depth: Gauge,
+    queue_capacity: Gauge,
     job_us: Histogram,
+    occupancy_bp: Histogram,
 }
 
 impl Inner {
     /// Final delivery: publish counters, push the output down the
-    /// channel, fire the notifier, and only then release the capacity
-    /// slot — locks are never held across the callback.
-    fn deliver(&self, out: JobOutput, started: Instant) {
+    /// handle's channel, fire its notifier, and only then release the
+    /// open slot — locks are never held across the callback.
+    fn deliver(&self, sink: &Sink, out: JobOutput, started: Instant) {
         self.queue_depth.sub(1);
+        self.open.fetch_sub(1, Ordering::Relaxed);
         match &out.data {
             Ok(_) => self.jobs_completed.incr(),
             Err(_) => self.jobs_failed.incr(),
         }
         let us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.job_us.record(us);
-        let _ = self.tx.lock().expect("sender poisoned").send(out);
-        let notify = self.notifier.lock().expect("notifier poisoned").clone();
-        if let Some(f) = notify {
-            f();
+        // A dropped handle has no receiver left; its output is dropped.
+        let _ = sink.tx.send(out);
+        if let Some(notify) = &sink.notifier {
+            notify();
         }
-        // The capacity slot is released only after the output is on the
-        // channel and the notifier has fired, so `wait_idle` returning
-        // means every delivery side effect is visible.
-        let mut st = self.state.lock().expect("pool state poisoned");
-        st.open -= 1;
-        if st.open == 0 {
-            self.idle_cv.notify_all();
+        // Released last, so `wait_idle` returning means every delivery
+        // side effect is visible.
+        let mut open = sink.open.lock().expect("handle open count poisoned");
+        *open -= 1;
+        if *open == 0 {
+            sink.idle_cv.notify_all();
         }
     }
 
     /// Records one shard's result; the last shard in assembles the job
     /// and delivers it. Call *without* holding the state lock.
-    fn finish_part(&self, job: &Arc<JobState>, part: usize, result: Result<Vec<u8>, JobError>) {
-        match result {
-            Ok(bytes) => {
-                self.parts_slot(job, part, bytes);
-            }
-            Err(e) => {
-                let mut failed = job.failed.lock().expect("job fault slot poisoned");
-                if failed.is_none() {
-                    *failed = Some(e);
+    fn finish_part(&self, job: &JobState, part: usize, result: Result<Vec<u8>, JobError>) {
+        let data = {
+            let mut p = job.progress.lock().expect("job progress poisoned");
+            match result {
+                Ok(bytes) => p.parts[part] = Some(bytes),
+                Err(e) => {
+                    p.failed.get_or_insert(e);
                 }
             }
-        }
-        let last = {
-            let mut remaining = job.remaining.lock().expect("job remaining poisoned");
-            *remaining -= 1;
-            *remaining == 0
-        };
-        if !last {
-            return;
-        }
-        let fault = job.failed.lock().expect("job fault slot poisoned").take();
-        let data = match fault {
-            Some(e) => Err(e),
-            None => {
-                let mut parts = job.parts.lock().expect("job parts poisoned");
-                let total: usize = parts.iter().map(|p| p.as_ref().map_or(0, Vec::len)).sum();
-                let mut buf = Vec::with_capacity(total);
-                for p in parts.iter_mut() {
-                    buf.extend_from_slice(&p.take().expect("every shard landed"));
+            p.remaining -= 1;
+            if p.remaining > 0 {
+                return;
+            }
+            match p.failed.take() {
+                Some(e) => Err(e),
+                None => {
+                    let total = p.parts.iter().map(|s| s.as_ref().map_or(0, Vec::len)).sum();
+                    let mut buf = Vec::with_capacity(total);
+                    for part in &mut p.parts {
+                        buf.extend_from_slice(&part.take().expect("every shard landed"));
+                    }
+                    Ok(buf)
                 }
-                Ok(buf)
             }
         };
-        self.deliver(JobOutput { id: job.id, data }, job.started);
+        self.deliver(&job.sink, JobOutput { id: job.id, data }, job.started);
     }
 
-    fn parts_slot(&self, job: &Arc<JobState>, part: usize, bytes: Vec<u8>) {
-        job.parts.lock().expect("job parts poisoned")[part] = Some(bytes);
-    }
-
-    /// Fails every task in `tasks` (used when a remove/swap leaves a
-    /// direction with no capable worker). Call without the state lock.
+    /// Fails every task in `tasks`, which no live worker can serve. Call
+    /// without the state lock.
     fn fail_tasks(&self, tasks: Vec<Task>) {
         for t in tasks {
-            let dir = t.dir();
+            let dir = t.mode.direction();
             self.finish_part(&t.job, t.part, Err(JobError::NoCapableCore { dir }));
         }
     }
 }
 
-/// Builds a [`WorkerPool`] — farm composition, queue capacity, telemetry
-/// registry — mirroring [`EngineBuilder`](crate::EngineBuilder).
-#[derive(Default)]
+/// Builds a [`Farm`] — its slots and telemetry registry — or a farm of
+/// its own with one keyed handle on it, mirroring
+/// [`EngineBuilder`](crate::EngineBuilder).
+#[derive(Debug, Default)]
 pub struct PoolBuilder {
     specs: Vec<BackendSpec>,
     capacity: Option<usize>,
@@ -386,8 +383,7 @@ impl PoolBuilder {
         PoolBuilder::default()
     }
 
-    /// Adds one worker slot built from `spec` (keyed at first
-    /// submission, when the worker threads spawn).
+    /// Adds one worker slot built from `spec`.
     #[must_use]
     pub fn core(mut self, spec: BackendSpec) -> Self {
         self.specs.push(spec);
@@ -401,14 +397,15 @@ impl PoolBuilder {
         self
     }
 
-    /// Sets the bounded open-job capacity (default 8).
+    /// Sets the open-job bound of the handle [`PoolBuilder::build`]
+    /// makes (default 8).
     #[must_use]
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.capacity = Some(capacity);
         self
     }
 
-    /// Publishes the pool's instruments into `registry` instead of a
+    /// Publishes the farm's instruments into `registry` instead of a
     /// fresh private one (the same sharing semantics as engine farms:
     /// delta-pushed counters aggregate).
     #[must_use]
@@ -417,107 +414,346 @@ impl PoolBuilder {
         self
     }
 
-    /// Assembles the pool. The key is retained (and wiped on drop) so
-    /// grown and hot-swapped workers can be keyed at runtime; worker
-    /// threads spawn lazily on the first submission.
+    /// Spawns the keyless farm, one worker thread per slot. Workers key
+    /// their backends per job.
+    ///
+    /// # Errors
+    ///
+    /// A thread-spawn failure; the workers already spawned are joined.
     ///
     /// # Panics
     ///
-    /// Panics on an empty farm or a zero-capacity queue, like
+    /// Panics on an empty farm, like
     /// [`EngineBuilder::build`](crate::EngineBuilder::build).
-    #[must_use]
-    pub fn build(self, key: &[u8]) -> WorkerPool {
+    pub fn spawn(self) -> io::Result<Farm> {
         assert!(!self.specs.is_empty(), "a pool needs at least one backend");
-        let capacity = self.capacity.unwrap_or(8);
-        assert!(capacity > 0, "a zero-capacity queue rejects every job");
         let registry = self.registry.unwrap_or_default();
-        registry.gauge("engine.queue.capacity").set(capacity as i64);
-        let workers_gauge = registry.gauge("engine.workers");
-        workers_gauge.add(self.specs.len() as i64);
-        let (tx, rx) = channel();
-        let local = self
-            .specs
-            .iter()
-            .map(|&spec| LocalCore { spec, built: None })
-            .collect();
-        WorkerPool {
+        let farm = Farm {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
                     slots: Vec::new(),
-                    injector: VecDeque::new(),
-                    pending: self.specs,
-                    open: 0,
-                    started: false,
                     shutdown: false,
                 }),
                 work_cv: Condvar::new(),
-                idle_cv: Condvar::new(),
-                capacity,
-                key: Mutex::new(key.to_vec()),
-                tx: Mutex::new(tx),
-                notifier: Mutex::new(None),
+                open: AtomicUsize::new(0),
+                submit_accepted: registry.counter("engine.submit.accepted"),
+                submit_busy: registry.counter("engine.submit.busy"),
+                submit_ragged: registry.counter("engine.submit.ragged"),
                 jobs_completed: registry.counter("engine.jobs.completed"),
                 jobs_failed: registry.counter("engine.jobs.failed"),
+                steals: registry.counter("engine.pool.steals"),
                 queue_depth: registry.gauge("engine.queue.depth"),
+                queue_capacity: registry.gauge("engine.queue.capacity"),
                 job_us: registry.histogram("engine.pool.job_us", &JOB_US_BOUNDS),
+                occupancy_bp: registry.histogram("engine.core.occupancy_bp", &OCCUPANCY_BOUNDS),
                 registry: registry.clone(),
             }),
-            rx: Mutex::new(rx),
-            handles: Mutex::new(Vec::new()),
-            local: Mutex::new(local),
-            next_id: AtomicU64::new(0),
-            submit_accepted: registry.counter("engine.submit.accepted"),
-            submit_busy: registry.counter("engine.submit.busy"),
-            submit_ragged: registry.counter("engine.submit.ragged"),
-            steals: registry.counter("engine.pool.steals"),
             resize_grow: registry.counter("engine.resize.grow"),
             resize_shrink: registry.counter("engine.resize.shrink"),
             resize_swap: registry.counter("engine.resize.swap"),
-            workers_gauge,
-            occupancy_bp: registry.histogram("engine.core.occupancy_bp", &OCCUPANCY_BOUNDS),
+            workers_gauge: registry.gauge("engine.workers"),
             idle_streak: AtomicU32::new(0),
             last_occupancy: Mutex::new((0, 0)),
-            registry,
+            specs: self.specs,
+        };
+        for &spec in &farm.specs {
+            let mut st = farm.inner.state.lock().expect("pool state poisoned");
+            farm.spawn_worker(&mut st, spec)?;
+            farm.workers_gauge.add(1);
         }
+        Ok(farm)
+    }
+
+    /// A farm of its own with one handle on it, keyed with `key`; the
+    /// farm shuts down when the handle drops.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty farm, a zero capacity, a key that is not 16,
+    /// 24 or 32 bytes, or a thread-spawn failure.
+    #[must_use]
+    pub fn build(self, key: &[u8]) -> WorkerPool {
+        let capacity = self.capacity.unwrap_or(8);
+        let farm = Arc::new(self.spawn().expect("spawn engine worker threads"));
+        farm.handle(key, capacity, None)
     }
 }
 
-impl fmt::Debug for PoolBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PoolBuilder")
-            .field("specs", &self.specs)
-            .field("capacity", &self.capacity)
-            .field("shared_registry", &self.registry.is_some())
-            .finish()
-    }
-}
-
-/// The work-stealing elastic thread pool. See the [module docs](self).
-pub struct WorkerPool {
+/// The keyless worker farm. See the [module docs](self).
+pub struct Farm {
     inner: Arc<Inner>,
-    rx: Mutex<Receiver<JobOutput>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// The caller-runs lane: one entry per configured farm spec.
-    local: Mutex<Vec<LocalCore>>,
-    next_id: AtomicU64,
-    submit_accepted: Counter,
-    submit_busy: Counter,
-    submit_ragged: Counter,
-    steals: Counter,
+    /// The configured slots' specs: every handle's caller-runs lane
+    /// builds from these.
+    specs: Vec<BackendSpec>,
     resize_grow: Counter,
     resize_shrink: Counter,
     resize_swap: Counter,
     workers_gauge: Gauge,
-    occupancy_bp: Histogram,
     idle_streak: AtomicU32,
     /// `(count, sum)` of the occupancy histogram at the last autoscale
     /// tick, for the per-tick mean.
     last_occupancy: Mutex<(u64, u64)>,
-    registry: Registry,
+}
+
+impl Farm {
+    /// A handle keyed with `key`, holding at most `capacity` open jobs;
+    /// `notifier`, if any, fires once per delivered job.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero capacity, or a key that is not 16, 24 or 32
+    /// bytes.
+    #[must_use]
+    pub fn handle(
+        self: &Arc<Self>,
+        key: &[u8],
+        capacity: usize,
+        notifier: Option<Notifier>,
+    ) -> WorkerPool {
+        assert!(capacity > 0, "a zero-capacity queue rejects every job");
+        assert!(
+            matches!(key.len(), 16 | 24 | 32),
+            "key must be 16, 24, or 32 bytes"
+        );
+        self.inner.queue_capacity.set(capacity as i64);
+        let (tx, rx) = channel();
+        WorkerPool {
+            farm: Arc::clone(self),
+            key: Arc::new(Key {
+                bytes: key.to_vec(),
+                live: AtomicBool::new(true),
+                on_worker: AtomicBool::new(false),
+            }),
+            sink: Arc::new(Sink {
+                tx,
+                notifier,
+                capacity,
+                open: Mutex::new(0),
+                idle_cv: Condvar::new(),
+            }),
+            rx: Mutex::new(rx),
+            local: Mutex::new(self.specs.iter().map(|_| None).collect()),
+            next_id: AtomicU64::new(0),
+        }
+    }
+
+    /// The registry this farm publishes into.
+    #[must_use]
+    pub fn registry(&self) -> &Registry {
+        &self.inner.registry
+    }
+
+    /// Live workers.
+    #[must_use]
+    pub fn workers(&self) -> usize {
+        let st = self.inner.state.lock().expect("pool state poisoned");
+        st.slots.iter().filter(|s| s.alive).count()
+    }
+
+    /// Spawns a worker for `spec` into the lowest retired slot whose
+    /// thread has exited (joining it), or a new slot. Returns the index.
+    fn spawn_worker(&self, st: &mut State, spec: BackendSpec) -> io::Result<usize> {
+        let reuse = st
+            .slots
+            .iter()
+            .position(|s| !s.alive && s.thread.as_ref().is_none_or(JoinHandle::is_finished));
+        let index = reuse.unwrap_or(st.slots.len());
+        let inner = Arc::clone(&self.inner);
+        let thread = thread::Builder::new()
+            .name(format!("engine-worker-{index}"))
+            .spawn(move || worker_main(&inner, index))?;
+        let slot = Slot {
+            spec,
+            alive: true,
+            queue: VecDeque::new(),
+            busy: false,
+            thread: Some(thread),
+        };
+        // The new thread waits on the state lock the caller holds until
+        // its slot is in place.
+        if reuse.is_some() {
+            if let Some(exited) = std::mem::replace(&mut st.slots[index], slot).thread {
+                let _ = exited.join();
+            }
+        } else {
+            st.slots.push(slot);
+        }
+        Ok(index)
+    }
+
+    /// Adds one worker built from `spec` to the live farm, returning its
+    /// slot index. Counted as `engine.resize.grow`.
+    ///
+    /// # Errors
+    ///
+    /// A thread-spawn failure, or a farm already shut down.
+    pub fn add_core(&self, spec: BackendSpec) -> io::Result<usize> {
+        let mut st = self.inner.state.lock().expect("pool state poisoned");
+        if st.shutdown {
+            return Err(io::Error::other("the farm is shut down"));
+        }
+        let index = self.spawn_worker(&mut st, spec)?;
+        drop(st);
+        self.workers_gauge.add(1);
+        self.resize_grow.incr();
+        Ok(index)
+    }
+
+    /// Retires the worker at `index`: its queued tasks re-route to the
+    /// least-loaded surviving capable worker, and those no survivor can
+    /// serve fail with [`JobError::NoCapableCore`]. The task it is
+    /// running finishes first. Counted as `engine.resize.shrink`.
+    /// Returns `false` for an unknown or already-retired slot.
+    pub fn remove_core(&self, index: usize) -> bool {
+        let mut st = self.inner.state.lock().expect("pool state poisoned");
+        if !st.slots.get(index).is_some_and(|s| s.alive) {
+            return false;
+        }
+        st.slots[index].alive = false;
+        let orphans = std::mem::take(&mut st.slots[index].queue);
+        let unroutable = st.route(orphans);
+        drop(st);
+        self.inner.fail_tasks(unroutable);
+        self.workers_gauge.sub(1);
+        self.resize_shrink.incr();
+        self.inner.work_cv.notify_all();
+        true
+    }
+
+    /// Hot-swaps the worker at `index` to `spec` *without* draining the
+    /// farm: the task it is running finishes on the old backend, and its
+    /// next task builds from `spec` (dropping the old backend wipes its
+    /// schedule). Queued tasks `spec` cannot serve re-route like a
+    /// retired slot's. Counted as `engine.resize.swap`. Returns `false`
+    /// for an unknown or retired slot.
+    pub fn swap_core(&self, index: usize, spec: BackendSpec) -> bool {
+        let mut st = self.inner.state.lock().expect("pool state poisoned");
+        if !st.slots.get(index).is_some_and(|s| s.alive) {
+            return false;
+        }
+        st.slots[index].spec = spec;
+        let stale = st.slots[index].take_queued(|t| !t.fits(spec));
+        let unroutable = st.route(stale);
+        drop(st);
+        self.inner.fail_tasks(unroutable);
+        self.resize_swap.incr();
+        self.inner.work_cv.notify_all();
+        true
+    }
+
+    /// One supervisor tick of the elastic control plane: reads the
+    /// farm's open jobs over every handle and the
+    /// `engine.core.occupancy_bp` histogram, and grows or shrinks the
+    /// farm under `policy`. Growth needs [`ResizePolicy::grow_depth`]
+    /// open jobs; shrinking needs [`ResizePolicy::shrink_after_ticks`]
+    /// consecutive idle ticks with the cores below the saturation bar. A
+    /// grow whose thread cannot spawn changes nothing.
+    pub fn autoscale_tick(&self, policy: &ResizePolicy) -> Option<ResizeAction> {
+        let occupancy = &self.inner.occupancy_bp;
+        let (count, sum) = (occupancy.count(), occupancy.sum());
+        let (dcount, dsum) = {
+            let mut last = self.last_occupancy.lock().expect("occupancy watermark");
+            let d = (count - last.0, sum - last.1);
+            *last = (count, sum);
+            d
+        };
+        let saturated = dcount > 0 && dsum / dcount >= policy.busy_occupancy_bp;
+        let open = self.inner.open.load(Ordering::Relaxed);
+        let workers = self.workers();
+        if open >= policy.grow_depth && workers < policy.max_workers {
+            self.idle_streak.store(0, Ordering::Relaxed);
+            return self.add_core(policy.spec).ok().map(ResizeAction::Grew);
+        }
+        if open == 0 && !saturated && workers > policy.min_workers {
+            let streak = self.idle_streak.fetch_add(1, Ordering::Relaxed) + 1;
+            if streak >= policy.shrink_after_ticks {
+                self.idle_streak.store(0, Ordering::Relaxed);
+                let victim = {
+                    let st = self.inner.state.lock().expect("pool state poisoned");
+                    (0..st.slots.len()).rev().find(|&i| st.slots[i].alive)
+                };
+                if let Some(i) = victim.filter(|&i| self.remove_core(i)) {
+                    return Some(ResizeAction::Shrank(i));
+                }
+            }
+        } else {
+            self.idle_streak.store(0, Ordering::Relaxed);
+        }
+        None
+    }
+
+    /// Graceful shutdown: refuses new submissions, lets the workers
+    /// finish every queued task, joins them, and fails anything left
+    /// over typed, so no job is silently lost. Already-delivered outputs
+    /// stay collectable. Idempotent.
+    pub fn shutdown(&self) {
+        let threads: Vec<JoinHandle<()>> = {
+            let mut st = self.inner.state.lock().expect("pool state poisoned");
+            st.shutdown = true;
+            st.slots
+                .iter_mut()
+                .filter_map(|s| s.thread.take())
+                .collect()
+        };
+        self.inner.work_cv.notify_all();
+        for t in threads {
+            // Backend panics are contained per task (the held job
+            // already failed typed); joining must not re-raise.
+            let _ = t.join();
+        }
+        // A retirement racing the shutdown may have re-routed tasks to a
+        // worker that had already exited: fail them so their jobs, and
+        // the `wait_idle` callers behind them, complete.
+        let (live, leftovers) = {
+            let mut st = self.inner.state.lock().expect("pool state poisoned");
+            let live = st.slots.iter().filter(|s| s.alive).count();
+            let mut leftovers = Vec::new();
+            for s in &mut st.slots {
+                leftovers.extend(s.queue.drain(..));
+                s.alive = false;
+            }
+            (live, leftovers)
+        };
+        self.workers_gauge.sub(live as i64);
+        self.inner.fail_tasks(leftovers);
+    }
+}
+
+impl fmt::Debug for Farm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Farm")
+            .field("specs", &self.specs)
+            .field("workers", &self.workers())
+            .field("open_jobs", &self.inner.open.load(Ordering::Relaxed))
+            .finish()
+    }
+}
+
+impl Drop for Farm {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// A caller-runs backend and its counters.
+type LocalCore = (Box<dyn Backend>, CoreTel);
+
+/// One keyed handle on a [`Farm`]: the key, a completion channel and
+/// notifier, an open-job bound and a caller-runs lane. See the
+/// [module docs](self).
+pub struct WorkerPool {
+    farm: Arc<Farm>,
+    key: Arc<Key>,
+    sink: Arc<Sink>,
+    rx: Mutex<Receiver<JobOutput>>,
+    /// The caller-runs lane: one lazily keyed backend per farm spec.
+    local: Mutex<Vec<Option<LocalCore>>>,
+    next_id: AtomicU64,
 }
 
 impl WorkerPool {
-    /// Shorthand: a pool over `specs` with a private registry.
+    /// Shorthand: a farm of its own over `specs`, with a private
+    /// registry, and one handle on it.
     #[must_use]
     pub fn with_farm(key: &[u8], specs: &[BackendSpec], capacity: usize) -> WorkerPool {
         PoolBuilder::new()
@@ -526,160 +762,135 @@ impl WorkerPool {
             .build(key)
     }
 
-    /// The registry this pool publishes into.
+    /// The farm this handle submits to.
+    #[must_use]
+    pub fn farm(&self) -> &Arc<Farm> {
+        &self.farm
+    }
+
+    /// The registry the farm publishes into.
     #[must_use]
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.farm.registry()
     }
 
-    /// The bounded open-job capacity (the `Busy` detail value).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
-    /// Jobs accepted and not yet delivered.
+    /// This handle's jobs accepted and not yet delivered.
     #[must_use]
     pub fn open_jobs(&self) -> usize {
-        self.inner.state.lock().expect("pool state poisoned").open
+        *self.sink.open.lock().expect("handle open count poisoned")
     }
 
-    /// Live workers (configured-but-unspawned count before the lazy
-    /// start, alive slots after).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        let st = self.inner.state.lock().expect("pool state poisoned");
-        if st.started {
-            st.slots.iter().filter(|s| s.alive).count()
-        } else {
-            st.pending.len()
-        }
-    }
-
-    /// Installs (or replaces) the completion notifier: called once per
-    /// delivered job, after the output is in the channel. The service
-    /// points this at a shard's wake pipe so `poll(2)` loops re-arm
-    /// without polling the pool.
-    pub fn set_notifier(&self, notifier: Arc<dyn Fn() + Send + Sync>) {
-        *self.inner.notifier.lock().expect("notifier poisoned") = Some(notifier);
-    }
-
-    /// Enqueues a mode operation over `data`, applying backpressure, and
-    /// wakes a worker. The first accepted submission spawns the worker
-    /// threads.
+    /// Enqueues a mode operation over `data` under this handle's key,
+    /// applying backpressure, and wakes the workers.
     ///
     /// Parallel modes (ECB, CTR) are dealt across every eligible worker
-    /// in 8-block granules; chained modes pin to the least-loaded capable
-    /// worker. The completion surfaces from [`WorkerPool::try_collect`] /
-    /// [`WorkerPool::collect_timeout`] in completion order.
+    /// in 8-block granules; anything else queues on the least-loaded
+    /// capable worker. The completion surfaces from
+    /// [`WorkerPool::try_collect`] / [`WorkerPool::collect_timeout`] in
+    /// completion order.
     ///
     /// # Errors
     ///
-    /// * [`SubmitError::Busy`] when `capacity` jobs are already open (or
-    ///   the pool is shutting down);
+    /// * [`SubmitError::Busy`] when `capacity` of this handle's jobs are
+    ///   already open (or the farm is shutting down);
     /// * [`SubmitError::RaggedLength`] when an ECB/CBC job is not a whole
     ///   number of blocks.
-    pub fn try_submit(&self, mode: Mode, data: Vec<u8>) -> Result<JobId, SubmitError> {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        if st.shutdown || st.open >= self.inner.capacity {
-            self.submit_busy.incr();
-            return Err(SubmitError::Busy {
-                capacity: self.inner.capacity,
-            });
+    pub fn try_submit(&self, mode: Mode, mut data: Vec<u8>) -> Result<JobId, SubmitError> {
+        let inner = &self.farm.inner;
+        let mut st = inner.state.lock().expect("pool state poisoned");
+        {
+            let mut open = self.sink.open.lock().expect("handle open count poisoned");
+            if st.shutdown || *open >= self.sink.capacity {
+                inner.submit_busy.incr();
+                return Err(SubmitError::Busy {
+                    capacity: self.sink.capacity,
+                });
+            }
+            if mode.requires_full_blocks() && !data.len().is_multiple_of(BLOCK) {
+                inner.submit_ragged.incr();
+                return Err(SubmitError::RaggedLength { len: data.len() });
+            }
+            *open += 1;
         }
-        if mode.requires_full_blocks() && !data.len().is_multiple_of(BLOCK) {
-            self.submit_ragged.incr();
-            return Err(SubmitError::RaggedLength { len: data.len() });
-        }
-        self.ensure_started(&mut st);
-        self.submit_accepted.incr();
+        inner.open.fetch_add(1, Ordering::Relaxed);
+        inner.queue_depth.add(1);
+        inner.submit_accepted.incr();
         let id = JobId::from_raw(self.next_id.fetch_add(1, Ordering::Relaxed));
 
         let dir = mode.direction();
-        let eligible = st.eligible(dir);
+        let eligible = st.eligible(self.key.bytes.len(), dir);
         if eligible.is_empty() || data.is_empty() {
             // Degenerate jobs complete on the submitting thread:
-            // accepted-then-failed when the farm has no datapath for the
-            // direction (like the engine), trivially done when there are
-            // no bytes. Take the capacity slot first — deliver() releases
-            // it.
-            st.open += 1;
+            // accepted-then-failed when no live worker serves the
+            // direction under this key (like the engine), trivially done
+            // when there are no bytes.
             drop(st);
-            self.inner.queue_depth.add(1);
             let data = if eligible.is_empty() {
                 Err(JobError::NoCapableCore { dir })
             } else {
-                Ok(Vec::new())
+                Ok(data)
             };
-            self.inner.deliver(JobOutput { id, data }, Instant::now());
+            inner.deliver(&self.sink, JobOutput { id, data }, Instant::now());
             return Ok(id);
         }
-
-        st.open += 1;
-        self.inner.queue_depth.add(1);
-        if mode.is_parallel() && eligible.len() > 1 {
-            self.deal_shards(&mut st, id, mode, data, &eligible);
+        let unroutable = if mode.is_parallel() && eligible.len() > 1 {
+            // Deal the granule spans across the eligible deques, split
+            // from the tail so each shard is one allocation and the
+            // bytes are copied once.
+            let plan: Vec<(usize, usize, usize)> =
+                shard_plan(data.len().div_ceil(BLOCK), eligible.len()).collect();
+            let job = self.job(id, plan.len());
+            for (part, &(pos, first, _)) in plan.iter().enumerate().rev() {
+                let chunk = data.split_off((first * BLOCK).min(data.len()));
+                st.slots[eligible[pos]].queue.push_back(Task {
+                    job: Arc::clone(&job),
+                    part,
+                    pinned: false,
+                    mode,
+                    first_block: first as u128,
+                    data: chunk,
+                });
+            }
+            Vec::new()
         } else {
-            let task = Task {
-                job: JobState::new(id, 1),
+            st.route([Task {
+                job: self.job(id, 1),
                 part: 0,
                 pinned: !mode.is_parallel(),
                 mode,
                 first_block: 0,
                 data,
-            };
-            if task.pinned {
-                let target = st.least_loaded(dir).expect("eligible is non-empty");
-                st.slots[target].queue.push_back(task);
-            } else {
-                // A lone parallel job: any capable worker may take it.
-                st.injector.push_back(task);
-            }
-        }
+            }])
+        };
         drop(st);
-        self.inner.work_cv.notify_all();
+        inner.fail_tasks(unroutable);
+        inner.work_cv.notify_all();
         Ok(id)
     }
 
-    /// Deals a parallel job's granule spans across the eligible
-    /// workers' deques (the engine's [`shard_plan`]). Idle workers
-    /// rebalance by stealing from the back.
-    fn deal_shards(
-        &self,
-        st: &mut State,
-        id: JobId,
-        mode: Mode,
-        mut data: Vec<u8>,
-        eligible: &[usize],
-    ) {
-        let plan: Vec<(usize, usize, usize)> =
-            shard_plan(data.len().div_ceil(BLOCK), eligible.len()).collect();
-        let job = JobState::new(id, plan.len());
-        // Split from the tail so each shard is one allocation and the
-        // bytes are copied exactly once.
-        for (part, &(pos, first, _)) in plan.iter().enumerate().rev() {
-            let chunk = data.split_off((first * BLOCK).min(data.len()));
-            st.slots[eligible[pos]].queue.push_back(Task {
-                job: Arc::clone(&job),
-                part,
-                pinned: false,
-                mode,
-                first_block: first as u128,
-                data: chunk,
-            });
-        }
+    fn job(&self, id: JobId, parts: usize) -> Arc<JobState> {
+        Arc::new(JobState {
+            id,
+            started: Instant::now(),
+            key: Arc::clone(&self.key),
+            sink: Arc::clone(&self.sink),
+            progress: Mutex::new(Progress {
+                parts: vec![None; parts],
+                remaining: parts,
+                failed: None,
+            }),
+        })
     }
 
     /// Runs one job to completion on the calling thread and returns its
     /// bytes — the caller-runs lane (see the [module docs](self)).
     ///
-    /// The backend is the first configured farm spec whose datapath
-    /// serves the job's direction, built with the pool's key on first
-    /// use and kept for later calls. The job runs through the same
-    /// panic-containing executor as the workers and lands in the same
-    /// `engine.core.*` / `engine.jobs.*` instruments. It holds no
-    /// capacity slot and spawns no thread: the caller is the
-    /// backpressure.
+    /// The backend is the first farm spec that serves the job's
+    /// direction under this handle's key, keyed on first use and kept
+    /// for later calls. The job runs through the same panic-containing
+    /// executor as the workers and lands in the same `engine.core.*` /
+    /// `engine.jobs.*` instruments. It holds no open-job slot and
+    /// spawns no thread: the caller is the backpressure.
     ///
     /// # Errors
     ///
@@ -689,17 +900,29 @@ impl WorkerPool {
     ///   direction, [`JobError::Backend`] on a backend fault, and
     ///   [`JobError::WorkerPanicked`] when the backend panicked.
     pub fn run_here(&self, mode: Mode, data: Vec<u8>) -> Result<Vec<u8>, Error> {
+        let inner = &self.farm.inner;
         if mode.requires_full_blocks() && !data.len().is_multiple_of(BLOCK) {
-            self.submit_ragged.incr();
+            inner.submit_ragged.incr();
             return Err(SubmitError::RaggedLength { len: data.len() }.into());
         }
-        self.submit_accepted.incr();
+        inner.submit_accepted.incr();
         let dir = mode.direction();
+        let key = &self.key.bytes;
+        let serving = self
+            .farm
+            .specs
+            .iter()
+            .position(|s| s.serves(key.len(), dir));
         let mut local = self.local.lock().expect("caller lane poisoned");
-        let result = match self.local_core(&mut local, dir) {
+        let result = match serving {
             None => Err(JobError::NoCapableCore { dir }),
             Some(_) if data.is_empty() => Ok(data),
-            Some((backend, tel)) => {
+            Some(index) => {
+                let (backend, tel) = local[index].get_or_insert_with(|| {
+                    let backend = self.farm.specs[index].build(key);
+                    let tel = CoreTel::register(inner, index, backend.name());
+                    (backend, tel)
+                });
                 let result = execute(backend.as_mut(), mode, 0, data);
                 tel.sync(backend.as_ref());
                 result
@@ -707,241 +930,10 @@ impl WorkerPool {
         };
         drop(local);
         match &result {
-            Ok(_) => self.inner.jobs_completed.incr(),
-            Err(_) => self.inner.jobs_failed.incr(),
+            Ok(_) => inner.jobs_completed.incr(),
+            Err(_) => inner.jobs_failed.incr(),
         }
         result.map_err(Error::from)
-    }
-
-    /// The caller-runs backend for `dir`: walks the configured specs in
-    /// farm order, keying each on first use, and returns the first whose
-    /// datapath serves `dir`. Its counters share the worker slot's
-    /// `engine.core.<index>.<backend>.*` names.
-    fn local_core<'a>(
-        &self,
-        cores: &'a mut [LocalCore],
-        dir: Direction,
-    ) -> Option<&'a mut (Box<dyn Backend>, CoreTel)> {
-        for (index, core) in cores.iter_mut().enumerate() {
-            let spec = core.spec;
-            let built = core.built.get_or_insert_with(|| {
-                let backend = spec.build(&self.inner.key.lock().expect("pool key poisoned"));
-                let tel = CoreTel::register(
-                    &self.registry,
-                    index,
-                    backend.name(),
-                    self.occupancy_bp.clone(),
-                );
-                (backend, tel)
-            });
-            if built.0.supports(dir) {
-                return Some(built);
-            }
-        }
-        None
-    }
-
-    /// Spawns the configured workers on the first submission.
-    fn ensure_started(&self, st: &mut State) {
-        if st.started {
-            return;
-        }
-        st.started = true;
-        let pending = std::mem::take(&mut st.pending);
-        let key = self.inner.key.lock().expect("pool key poisoned").clone();
-        for spec in pending {
-            self.spawn_worker(st, spec.build(&key));
-        }
-    }
-
-    /// Registers a slot for `backend` and spawns its owning thread.
-    /// Returns the new slot index.
-    fn spawn_worker(&self, st: &mut State, backend: Box<dyn Backend>) -> usize {
-        let index = st.slots.len();
-        st.slots.push(Slot {
-            alive: true,
-            name: backend.name(),
-            enc: backend.supports(Direction::Encrypt),
-            dec: backend.supports(Direction::Decrypt),
-            queue: VecDeque::new(),
-            swap: None,
-            busy: false,
-        });
-        let inner = Arc::clone(&self.inner);
-        let steals = self.steals.clone();
-        let occupancy = self.occupancy_bp.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("engine-worker-{index}"))
-            .spawn(move || worker_main(inner, index, backend, steals, occupancy))
-            .expect("spawn engine worker thread");
-        self.handles
-            .lock()
-            .expect("pool handles poisoned")
-            .push(handle);
-        index
-    }
-
-    /// Adds one worker built from `spec` (with the pool's key) to the
-    /// live farm, returning its slot index. Counted as
-    /// `engine.resize.grow`.
-    pub fn add_core(&self, spec: BackendSpec) -> usize {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        let index = if st.started {
-            let key = self.inner.key.lock().expect("pool key poisoned").clone();
-            self.spawn_worker(&mut st, spec.build(&key))
-        } else {
-            st.pending.push(spec);
-            st.pending.len() - 1
-        };
-        drop(st);
-        self.workers_gauge.add(1);
-        self.resize_grow.incr();
-        self.inner.work_cv.notify_all();
-        index
-    }
-
-    /// Retires the worker at `index`: its pinned streams re-pin to a
-    /// surviving capable worker, its parallel shards fall back to the
-    /// injector, and tasks no surviving worker can serve fail with
-    /// [`JobError::NoCapableCore`]. Counted as `engine.resize.shrink`.
-    /// Returns `false` for an unknown or already-retired slot.
-    pub fn remove_core(&self, index: usize) -> bool {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        if !st.started {
-            if index < st.pending.len() {
-                st.pending.remove(index);
-                drop(st);
-                self.workers_gauge.sub(1);
-                self.resize_shrink.incr();
-                return true;
-            }
-            return false;
-        }
-        if index >= st.slots.len() || !st.slots[index].alive {
-            return false;
-        }
-        st.slots[index].alive = false;
-        let orphans: Vec<Task> = st.slots[index].queue.drain(..).collect();
-        let mut unroutable = reroute(&mut st, orphans);
-        unroutable.extend(st.drain_unservable_injector());
-        drop(st);
-        self.inner.fail_tasks(unroutable);
-        self.workers_gauge.sub(1);
-        self.resize_shrink.incr();
-        self.inner.work_cv.notify_all();
-        true
-    }
-
-    /// Hot-swaps the backend of the worker at `index` to one freshly
-    /// built from `spec` with the pool's key, *without* draining the
-    /// farm: the worker installs the replacement before its next task;
-    /// the task it is executing right now finishes on the old backend.
-    /// Queued tasks the new backend cannot serve are re-routed first.
-    /// Counted as `engine.resize.swap`. Returns `false` for an unknown
-    /// or retired slot.
-    pub fn swap_core(&self, index: usize, spec: BackendSpec) -> bool {
-        let key = self.inner.key.lock().expect("pool key poisoned").clone();
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        if !st.started {
-            if index < st.pending.len() {
-                st.pending[index] = spec;
-                drop(st);
-                self.resize_swap.incr();
-                return true;
-            }
-            return false;
-        }
-        if index >= st.slots.len() || !st.slots[index].alive {
-            return false;
-        }
-        let backend = spec.build(&key);
-        let (enc, dec) = (
-            backend.supports(Direction::Encrypt),
-            backend.supports(Direction::Decrypt),
-        );
-        st.slots[index].name = backend.name();
-        st.slots[index].enc = enc;
-        st.slots[index].dec = dec;
-        st.slots[index].swap = Some(backend);
-        // The slot's queue may hold directions the new backend lacks
-        // (e.g. encdec -> encrypt-only): migrate them before the worker
-        // blindly pops its own deque.
-        let stale: Vec<Task> = {
-            let queue = &mut st.slots[index].queue;
-            let mut kept = VecDeque::with_capacity(queue.len());
-            let mut moved = Vec::new();
-            for t in queue.drain(..) {
-                let ok = match t.dir() {
-                    Direction::Encrypt => enc,
-                    Direction::Decrypt => dec,
-                };
-                if ok {
-                    kept.push_back(t);
-                } else {
-                    moved.push(t);
-                }
-            }
-            *queue = kept;
-            moved
-        };
-        let mut unroutable = reroute(&mut st, stale);
-        unroutable.extend(st.drain_unservable_injector());
-        drop(st);
-        self.inner.fail_tasks(unroutable);
-        self.resize_swap.incr();
-        self.inner.work_cv.notify_all();
-        true
-    }
-
-    /// One supervisor tick of the elastic control plane: reads this
-    /// pool's own open-job count (the per-pool analog of the
-    /// `engine.queue.depth` gauge, which is registry-wide and would let
-    /// a neighbor session's backlog grow this farm) and the
-    /// `engine.core.occupancy_bp` histogram, and grows or shrinks the
-    /// farm under `policy`. Growth requires this pool's own queue
-    /// pressure; shrinking requires
-    /// [`ResizePolicy::shrink_after_ticks`] consecutive idle ticks with
-    /// the cores below the saturation bar.
-    pub fn autoscale_tick(&self, policy: &ResizePolicy) -> Option<ResizeAction> {
-        let (count, sum) = (self.occupancy_bp.count(), self.occupancy_bp.sum());
-        let (dcount, dsum) = {
-            let mut last = self.last_occupancy.lock().expect("occupancy watermark");
-            let d = (count - last.0, sum - last.1);
-            *last = (count, sum);
-            d
-        };
-        let saturated = dcount > 0 && dsum / dcount >= policy.busy_occupancy_bp;
-        let (own_open, workers) = {
-            let st = self.inner.state.lock().expect("pool state poisoned");
-            let live = if st.started {
-                st.slots.iter().filter(|s| s.alive).count()
-            } else {
-                st.pending.len()
-            };
-            (st.open, live)
-        };
-        if own_open >= policy.grow_depth && workers < policy.max_workers {
-            self.idle_streak.store(0, Ordering::Relaxed);
-            return Some(ResizeAction::Grew(self.add_core(policy.spec)));
-        }
-        if own_open == 0 && !saturated && workers > policy.min_workers {
-            let streak = self.idle_streak.fetch_add(1, Ordering::Relaxed) + 1;
-            if streak >= policy.shrink_after_ticks {
-                self.idle_streak.store(0, Ordering::Relaxed);
-                let victim = {
-                    let st = self.inner.state.lock().expect("pool state poisoned");
-                    (0..st.slots.len()).rev().find(|&i| st.slots[i].alive)
-                };
-                if let Some(i) = victim {
-                    if self.remove_core(i) {
-                        return Some(ResizeAction::Shrank(i));
-                    }
-                }
-            }
-        } else {
-            self.idle_streak.store(0, Ordering::Relaxed);
-        }
-        None
     }
 
     /// A finished job, if one is ready — non-blocking, completion order.
@@ -964,168 +956,76 @@ impl WorkerPool {
             .ok()
     }
 
-    /// Blocks until no jobs are open (all accepted work delivered).
+    /// Blocks until none of this handle's jobs are open.
     pub fn wait_idle(&self) {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        while st.open > 0 {
-            st = self.inner.idle_cv.wait(st).expect("pool state poisoned");
+        let mut open = self.sink.open.lock().expect("handle open count poisoned");
+        while *open > 0 {
+            open = self
+                .sink
+                .idle_cv
+                .wait(open)
+                .expect("handle open count poisoned");
         }
     }
 
     /// Like [`WorkerPool::wait_idle`], but gives up after `timeout`.
-    /// Returns `true` when the pool went idle (every accepted job
-    /// delivered), `false` on timeout — the graceful-shutdown bound for
-    /// callers that must not hang on a wedged backend.
+    /// Returns `true` when every accepted job was delivered, `false` on
+    /// timeout — the graceful-shutdown bound for callers that must not
+    /// hang on a wedged backend.
     #[must_use]
     pub fn wait_idle_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        while st.open > 0 {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, _) = self
-                .inner
-                .idle_cv
-                .wait_timeout(st, left)
-                .expect("pool state poisoned");
-            st = guard;
-        }
-        true
-    }
-
-    /// Graceful shutdown: refuses new submissions, lets the workers
-    /// finish everything they can serve, fails anything left over
-    /// (typed, so no job is silently lost), and joins the threads.
-    /// Already-delivered outputs stay collectable. Idempotent.
-    pub fn shutdown(&self) {
-        {
-            let mut st = self.inner.state.lock().expect("pool state poisoned");
-            st.shutdown = true;
-        }
-        self.inner.work_cv.notify_all();
-        let handles: Vec<JoinHandle<()>> = self
-            .handles
-            .lock()
-            .expect("pool handles poisoned")
-            .drain(..)
-            .collect();
-        for h in handles {
-            // Worker panics are contained by the catch_unwind in the
-            // run loop (the held job already failed typed); joining
-            // must not re-raise during teardown.
-            let _ = h.join();
-        }
-        // Workers exit past injector tasks they cannot serve (e.g. a
-        // decrypt stranded by an earlier capability-narrowing resize):
-        // fail every leftover task so its job completes and `wait_idle`
-        // callers — and the clients behind them — are released.
-        let (live, leftovers) = {
-            let mut st = self.inner.state.lock().expect("pool state poisoned");
-            let live = st.slots.iter().filter(|s| s.alive).count() + st.pending.len();
-            let mut leftovers: Vec<Task> = st.injector.drain(..).collect();
-            for s in st.slots.iter_mut() {
-                leftovers.extend(s.queue.drain(..));
-                s.alive = false;
-            }
-            st.pending.clear();
-            (live, leftovers)
-        };
-        if live > 0 {
-            self.workers_gauge.sub(live as i64);
-        }
-        self.inner.fail_tasks(leftovers);
+        let open = self.sink.open.lock().expect("handle open count poisoned");
+        let (open, _) = self
+            .sink
+            .idle_cv
+            .wait_timeout_while(open, timeout, |open| *open > 0)
+            .expect("handle open count poisoned");
+        *open == 0
     }
 }
 
 impl fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers())
             .field("open_jobs", &self.open_jobs())
-            .field("capacity", &self.inner.capacity)
+            .field("capacity", &self.sink.capacity)
             .finish()
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        if let Ok(mut key) = self.key.lock() {
-            rijndael::zeroize::wipe_bytes(&mut key);
+        self.key.live.store(false, Ordering::SeqCst);
+        let inner = &self.farm.inner;
+        // Nobody can collect this handle's queued jobs: they leave the
+        // deques instead of waiting ahead of another handle's, and fail
+        // so the farm's counts balance. Taking the lock also orders the
+        // wake after any idle worker's check of `live`: none goes to
+        // sleep holding the schedule.
+        let mut st = inner.state.lock().expect("pool state poisoned");
+        let mine = |t: &Task| Arc::ptr_eq(&t.job.sink, &self.sink);
+        let cancelled: Vec<Task> = st
+            .slots
+            .iter_mut()
+            .flat_map(|s| s.take_queued(mine))
+            .collect();
+        drop(st);
+        if self.key.on_worker.load(Ordering::SeqCst) {
+            inner.work_cv.notify_all();
+        }
+        for t in cancelled {
+            inner.finish_part(&t.job, t.part, Err(JobError::Cancelled));
         }
     }
 }
 
-/// Re-homes orphaned tasks: pinned streams to the least-loaded surviving
-/// capable worker, parallel shards to the injector (when anyone can still
-/// serve them). Returns the tasks nobody can run.
-fn reroute(st: &mut State, tasks: Vec<Task>) -> Vec<Task> {
-    let mut unroutable = Vec::new();
-    for t in tasks {
-        let dir = t.dir();
-        if t.pinned {
-            match st.least_loaded(dir) {
-                Some(target) => st.slots[target].queue.push_back(t),
-                None => unroutable.push(t),
-            }
-        } else if st.eligible(dir).is_empty() {
-            unroutable.push(t);
-        } else {
-            st.injector.push_back(t);
-        }
-    }
-    unroutable
-}
-
-/// What the worker loop decided to do next (chosen under the state lock,
-/// acted on outside it).
-enum Action {
-    Run(Task),
-    Install(Box<dyn Backend>),
-    Exit,
-}
-
-/// Finds runnable work for worker `me`: own deque front, then the first
-/// capable injector task, then a steal from the back of the longest
-/// sibling deque (unpinned, capable tasks only). Returns whether the
-/// task was stolen.
-fn find_task(st: &mut State, me: usize) -> Option<(Task, bool)> {
-    if let Some(t) = st.slots[me].queue.pop_front() {
-        return Some((t, false));
-    }
-    let (enc, dec) = (st.slots[me].enc, st.slots[me].dec);
-    let can = |dir: Direction| match dir {
-        Direction::Encrypt => enc,
-        Direction::Decrypt => dec,
-    };
-    if let Some(pos) = st.injector.iter().position(|t| can(t.dir())) {
-        return st.injector.remove(pos).map(|t| (t, false));
-    }
-    let mut victims: Vec<usize> = (0..st.slots.len())
-        .filter(|&i| i != me && st.slots[i].alive && !st.slots[i].queue.is_empty())
-        .collect();
-    victims.sort_by_key(|&i| std::cmp::Reverse(st.slots[i].queue.len()));
-    for v in victims {
-        let queue = &mut st.slots[v].queue;
-        for pos in (0..queue.len()).rev() {
-            if !queue[pos].pinned && can(queue[pos].dir()) {
-                return queue.remove(pos).map(|t| (t, true));
-            }
-        }
-    }
-    None
-}
-
-/// Per-worker delta push of the owned backend's counters into the shared
+/// Per-backend delta push of the backend's counters into the shared
 /// registry — the same bookkeeping as `Engine::sync_telemetry`, owned by
-/// the worker thread so no lock guards the authoritative counters.
+/// the thread running the backend so no lock guards the authoritative
+/// counters.
 struct CoreTel {
+    /// The backend name the counters are registered under.
+    name: &'static str,
     blocks: Counter,
     cycles: Counter,
     setup_cycles: Counter,
@@ -1135,14 +1035,16 @@ struct CoreTel {
 }
 
 impl CoreTel {
-    fn register(registry: &Registry, index: usize, name: &str, occupancy: Histogram) -> CoreTel {
+    fn register(inner: &Inner, index: usize, name: &'static str) -> CoreTel {
         let prefix = format!("engine.core.{index}.{name}");
+        let registry = &inner.registry;
         CoreTel {
+            name,
             blocks: registry.counter(&format!("{prefix}.blocks")),
             cycles: registry.counter(&format!("{prefix}.cycles")),
             setup_cycles: registry.counter(&format!("{prefix}.setup_cycles")),
             busy_cycles: registry.counter(&format!("{prefix}.busy_cycles")),
-            occupancy,
+            occupancy: inner.occupancy_bp.clone(),
             last: (0, 0, 0, 0),
         }
     }
@@ -1171,65 +1073,128 @@ impl CoreTel {
     }
 }
 
-fn worker_main(
-    inner: Arc<Inner>,
-    me: usize,
-    mut backend: Box<dyn Backend>,
-    steals: Counter,
-    occupancy: Histogram,
-) {
-    let mut tel = CoreTel::register(&inner.registry, me, backend.name(), occupancy.clone());
+/// A worker's backend and what it was built from: its slot's spec and
+/// the key of the task that needed it.
+struct Held {
+    key: Arc<Key>,
+    spec: BackendSpec,
+    backend: Box<dyn Backend>,
+    tel: CoreTel,
+}
+
+/// What the worker loop decided to do next (chosen under the state lock,
+/// acted on outside it).
+enum Action {
+    /// Run this task on a backend built from this spec.
+    Run(Task, BackendSpec),
+    /// Drop the held schedule: its handle is gone.
+    Evict,
+    Exit,
+}
+
+/// Finds runnable work for worker `me`: its own deque's front, else a
+/// steal from the back of the longest sibling deque (unpinned tasks its
+/// spec can run). Returns whether the task was stolen.
+fn find_task(st: &mut State, me: usize) -> Option<(Task, bool)> {
+    if let Some(t) = st.slots[me].queue.pop_front() {
+        return Some((t, false));
+    }
+    let spec = st.slots[me].spec;
+    let mut victims: Vec<usize> = (0..st.slots.len())
+        .filter(|&i| i != me && !st.slots[i].queue.is_empty())
+        .collect();
+    victims.sort_by_key(|&i| std::cmp::Reverse(st.slots[i].queue.len()));
+    for v in victims {
+        let queue = &mut st.slots[v].queue;
+        if let Some(pos) = queue.iter().rposition(|t| !t.pinned && t.fits(spec)) {
+            return queue.remove(pos).map(|t| (t, true));
+        }
+    }
+    None
+}
+
+fn worker_main(inner: &Inner, me: usize) {
+    let mut held: Option<Held> = None;
     loop {
         let action = {
             let mut st = inner.state.lock().expect("pool state poisoned");
             loop {
-                if let Some(next) = st.slots[me].swap.take() {
-                    break Action::Install(next);
-                }
                 if !st.slots[me].alive {
                     break Action::Exit;
                 }
                 if let Some((task, stolen)) = find_task(&mut st, me) {
                     st.slots[me].busy = true;
                     if stolen {
-                        steals.incr();
+                        inner.steals.incr();
                     }
-                    break Action::Run(task);
+                    break Action::Run(task, st.slots[me].spec);
                 }
                 if st.shutdown {
                     break Action::Exit;
                 }
+                if held
+                    .as_ref()
+                    .is_some_and(|h| !h.key.live.load(Ordering::SeqCst))
+                {
+                    break Action::Evict;
+                }
                 st = inner.work_cv.wait(st).expect("pool state poisoned");
             }
         };
-        match action {
-            Action::Run(task) => {
-                let Task {
-                    job,
-                    part,
-                    mode,
-                    first_block,
-                    data,
-                    ..
-                } = task;
-                let result = execute(backend.as_mut(), mode, first_block, data);
-                tel.sync(backend.as_ref());
-                inner.state.lock().expect("pool state poisoned").slots[me].busy = false;
-                inner.finish_part(&job, part, result);
+        let (task, spec) = match action {
+            Action::Run(task, spec) => (task, spec),
+            Action::Evict => {
+                held = None;
+                continue;
             }
-            Action::Install(next) => {
-                // Push the retiring backend's final deltas, drop it (IP
-                // cores zero-reload their key schedule on drop), and
-                // re-register counters under the new backend's name.
-                tel.sync(backend.as_ref());
-                backend = next;
-                tel = CoreTel::register(&inner.registry, me, backend.name(), occupancy.clone());
-            }
-            Action::Exit => {
-                tel.sync(backend.as_ref());
-                return;
-            }
+            Action::Exit => return,
+        };
+        let Task {
+            job,
+            part,
+            mode,
+            first_block,
+            data,
+            ..
+        } = task;
+        if !held
+            .as_ref()
+            .is_some_and(|h| h.spec == spec && Arc::ptr_eq(&h.key, &job.key))
+        {
+            // Drop (and so wipe) the old schedule before keying the new
+            // one; its counters carry over to a new backend of the same
+            // name, which counts from zero. A spec that cannot build
+            // fails the task, not the worker.
+            let old = held.take().map(|h| h.tel);
+            held = catch_unwind(AssertUnwindSafe(|| {
+                let backend = spec.build(&job.key.bytes);
+                job.key.on_worker.store(true, Ordering::SeqCst);
+                let tel = match old {
+                    Some(mut tel) if tel.name == backend.name() => {
+                        tel.last = (0, 0, 0, 0);
+                        tel
+                    }
+                    _ => CoreTel::register(inner, me, backend.name()),
+                };
+                Held {
+                    key: Arc::clone(&job.key),
+                    spec,
+                    backend,
+                    tel,
+                }
+            }))
+            .ok();
         }
+        let result = match held.as_mut() {
+            Some(h) => {
+                let result = execute(h.backend.as_mut(), mode, first_block, data);
+                h.tel.sync(h.backend.as_ref());
+                result
+            }
+            None => Err(JobError::WorkerPanicked),
+        };
+        inner.state.lock().expect("pool state poisoned").slots[me].busy = false;
+        inner.finish_part(&job, part, result);
     }
 }
 
@@ -1257,8 +1222,8 @@ mod tests {
     use super::*;
     use crate::backend::BackendError;
     use rijndael::modes::{Cbc, Ctr, Ecb};
-    use rijndael::Aes128;
-    use std::collections::BTreeMap;
+    use rijndael::{Aes128, Rijndael};
+    use std::collections::{BTreeMap, BTreeSet};
 
     const KEY: [u8; 16] = [
         0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F,
@@ -1269,6 +1234,10 @@ mod tests {
 
     fn sample(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    fn farm(specs: &[BackendSpec]) -> Arc<Farm> {
+        Arc::new(PoolBuilder::new().cores(specs).spawn().unwrap())
     }
 
     fn collect_n(pool: &WorkerPool, n: usize) -> BTreeMap<JobId, Result<Vec<u8>, JobError>> {
@@ -1308,6 +1277,31 @@ mod tests {
     }
 
     #[test]
+    fn handles_with_different_keys_share_one_farm() {
+        // One worker: every alternation between the handles re-keys it.
+        let farm = farm(&[BackendSpec::EncDecCore]);
+        let long_key: Vec<u8> = (0..32u8).collect();
+        let short = farm.handle(&KEY, 8, None);
+        let long = farm.handle(&long_key, 8, None);
+        for round in 0..4 {
+            let data = sample(16 * (9 + round));
+            short.try_submit(Mode::EcbEncrypt, data.clone()).unwrap();
+            long.try_submit(Mode::EcbEncrypt, data.clone()).unwrap();
+            for (pool, key) in [(&short, &KEY[..]), (&long, &long_key[..])] {
+                let mut expect = data.clone();
+                Ecb::encrypt(&Rijndael::<4>::new(key).unwrap(), &mut expect).unwrap();
+                let out = pool.collect_timeout(WAIT).unwrap();
+                assert_eq!(out.data.unwrap(), expect, "round {round}");
+            }
+        }
+        // The 16-byte key keyed the IP core; the 32-byte one diverted the
+        // same slot to the software fallback.
+        let snap = farm.registry().snapshot();
+        assert!(snap.counter("engine.core.0.ip-encdec.blocks") > Some(0));
+        assert!(snap.counter("engine.core.0.soft-fallback.blocks") > Some(0));
+    }
+
+    #[test]
     fn busy_and_ragged_surface_at_the_submit_boundary() {
         let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software], 2);
         assert_eq!(
@@ -1317,7 +1311,7 @@ mod tests {
         pool.try_submit(Mode::Ctr([0; 16]), sample(5)).unwrap();
         pool.try_submit(Mode::Ctr([0; 16]), sample(5)).unwrap();
         // The third submission may race the workers draining the first
-        // two; only assert Busy when the pool is genuinely full.
+        // two; only assert Busy when the handle is genuinely full.
         if pool.open_jobs() >= 2 {
             assert_eq!(
                 pool.try_submit(Mode::Ctr([0; 16]), sample(5)),
@@ -1327,6 +1321,24 @@ mod tests {
         pool.wait_idle();
         assert!(pool.try_submit(Mode::Ctr([0; 16]), sample(5)).is_ok());
         assert_eq!(collect_n(&pool, 3).len(), 3);
+    }
+
+    #[test]
+    fn a_full_handle_does_not_hold_back_another() {
+        // 50 ms a block: the first job is still open at the second submit.
+        let farm = farm(&[BackendSpec::Paced {
+            block_ns: 50_000_000,
+        }]);
+        let full = farm.handle(&KEY, 1, None);
+        let other = farm.handle(&KEY, 1, None);
+        full.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
+        assert_eq!(
+            full.try_submit(Mode::EcbEncrypt, sample(16)),
+            Err(SubmitError::Busy { capacity: 1 })
+        );
+        other.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
+        assert!(full.collect_timeout(WAIT).unwrap().data.is_ok());
+        assert!(other.collect_timeout(WAIT).unwrap().data.is_ok());
     }
 
     #[test]
@@ -1344,6 +1356,11 @@ mod tests {
         // Forward-datapath CTR still runs.
         pool.try_submit(Mode::Ctr([3; 16]), sample(32)).unwrap();
         assert!(pool.collect_timeout(WAIT).unwrap().data.is_ok());
+        // A 32-byte key diverts the same slots to the software fallback,
+        // which decrypts.
+        let long = pool.farm().handle(&[7; 32], 4, None);
+        long.try_submit(Mode::EcbDecrypt, sample(32)).unwrap();
+        assert!(long.collect_timeout(WAIT).unwrap().data.is_ok());
     }
 
     #[test]
@@ -1356,6 +1373,34 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_parallel_job_is_not_overtaken_by_later_chained_jobs() {
+        // One worker, so the ECB job has exactly one eligible worker,
+        // while each collected CBC stream is replaced by a new one.
+        let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Paced { block_ns: 500_000 }], 64);
+        let cbc = || {
+            pool.try_submit(Mode::CbcEncrypt([1; 16]), sample(2 * 16))
+                .unwrap()
+        };
+        for _ in 0..3 {
+            cbc();
+        }
+        let ecb = pool.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
+        let mut cbcs = 3;
+        let mut order = Vec::new();
+        while order.len() < 41 {
+            let out = pool.collect_timeout(WAIT).expect("a job completes");
+            assert!(out.data.is_ok());
+            order.push(out.id);
+            if out.id != ecb && cbcs < 40 {
+                cbc();
+                cbcs += 1;
+            }
+        }
+        let at = order.iter().position(|&id| id == ecb).unwrap();
+        assert!(at < 4, "the ECB job completed {} of 41", at + 1);
+    }
+
+    #[test]
     fn grow_shrink_and_swap_under_load_lose_nothing() {
         let reg = Registry::new();
         let pool = PoolBuilder::new()
@@ -1363,6 +1408,7 @@ mod tests {
             .capacity(64)
             .registry(reg.clone())
             .build(&KEY);
+        let farm = pool.farm();
         let reference = Aes128::new(&KEY);
         let mut expected = BTreeMap::new();
         let mut submit = |pool: &WorkerPool, i: usize| {
@@ -1375,17 +1421,17 @@ mod tests {
         for i in 0..8 {
             submit(&pool, i);
         }
-        let grown = pool.add_core(BackendSpec::Software);
-        assert_eq!(pool.workers(), 2);
+        let grown = farm.add_core(BackendSpec::Software).unwrap();
+        assert_eq!(farm.workers(), 2);
         for i in 8..16 {
             submit(&pool, i);
         }
-        assert!(pool.swap_core(grown, BackendSpec::Bitsliced));
+        assert!(farm.swap_core(grown, BackendSpec::Bitsliced));
         for i in 16..24 {
             submit(&pool, i);
         }
-        assert!(pool.remove_core(grown));
-        assert_eq!(pool.workers(), 1);
+        assert!(farm.remove_core(grown));
+        assert_eq!(farm.workers(), 1);
         for i in 24..32 {
             submit(&pool, i);
         }
@@ -1403,16 +1449,52 @@ mod tests {
     }
 
     #[test]
+    fn grow_shrink_cycles_reuse_retired_slots() {
+        let reg = Registry::new();
+        let pool = PoolBuilder::new()
+            .core(BackendSpec::Ttable)
+            .registry(reg.clone())
+            .build(&KEY);
+        let farm = pool.farm();
+        let thread_exited = |i: usize| {
+            let st = farm.inner.state.lock().unwrap();
+            st.slots[i]
+                .thread
+                .as_ref()
+                .is_none_or(JoinHandle::is_finished)
+        };
+        for cycle in 0..20 {
+            let grown = farm.add_core(BackendSpec::Software).unwrap();
+            // Sixteen blocks deal one granule span to each worker, so
+            // the grown slot names its counters.
+            pool.try_submit(Mode::EcbEncrypt, sample(16 * 16)).unwrap();
+            assert!(pool.collect_timeout(WAIT).unwrap().data.is_ok());
+            assert!(farm.remove_core(grown));
+            while !thread_exited(grown) {
+                thread::yield_now();
+            }
+            let named: BTreeSet<usize> = crate::FarmStats::from_snapshot(&reg.snapshot())
+                .per_core
+                .iter()
+                .map(|c| c.index)
+                .collect();
+            assert!(named.len() <= 2, "cycle {cycle}: cores {named:?}");
+            let st = farm.inner.state.lock().unwrap();
+            let kept = st.slots.iter().filter(|s| s.thread.is_some()).count();
+            assert!(kept <= 2, "cycle {cycle}: {kept} join handles kept");
+        }
+    }
+
+    #[test]
     fn removing_the_last_capable_worker_fails_orphaned_work_typed() {
         let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::EncDecCore], 16);
-        // Force the worker to start, then retire it with work queued.
         pool.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
         pool.wait_idle();
         for _ in 0..4 {
             pool.try_submit(Mode::CbcEncrypt([0; 16]), sample(16 * 16))
                 .unwrap();
         }
-        pool.remove_core(0);
+        pool.farm().remove_core(0);
         let mut seen = 0;
         let mut failed = 0;
         while let Some(out) = pool.collect_timeout(WAIT) {
@@ -1436,21 +1518,20 @@ mod tests {
     }
 
     #[test]
-    fn removing_the_last_decryptor_fails_stranded_injector_work() {
-        // A decrypt job with exactly one eligible worker goes to the
-        // injector as an unpinned Whole task. Retiring that worker must
-        // not strand it there: either the worker ran it first, or the
-        // removal fails it typed — never a hang.
+    fn removing_the_last_decryptor_fails_its_queued_work_typed() {
+        // A decrypt job with exactly one eligible worker queues on that
+        // worker. Retiring it must not strand the job: either the worker
+        // ran it first, or the removal fails it typed — never a hang.
         let pool = WorkerPool::with_farm(
             &KEY,
             &[BackendSpec::EncryptCore, BackendSpec::EncDecCore],
             16,
         );
         let id = pool.try_submit(Mode::EcbDecrypt, sample(32)).unwrap();
-        assert!(pool.remove_core(1));
+        assert!(pool.farm().remove_core(1));
         let out = pool
             .collect_timeout(WAIT)
-            .expect("the injector job completes despite the removal");
+            .expect("the queued job completes despite the removal");
         assert_eq!(out.id, id);
         if let Err(e) = out.data {
             assert_eq!(
@@ -1460,59 +1541,25 @@ mod tests {
                 }
             );
         }
-        pool.wait_idle(); // the capacity slot was released either way
+        pool.wait_idle(); // the open slot was released either way
     }
 
     #[test]
-    fn swapping_away_the_last_decryptor_fails_stranded_injector_work() {
+    fn swapping_away_the_last_decryptor_fails_its_queued_work_typed() {
         let pool = WorkerPool::with_farm(
             &KEY,
             &[BackendSpec::EncryptCore, BackendSpec::EncDecCore],
             16,
         );
         let id = pool.try_submit(Mode::EcbDecrypt, sample(32)).unwrap();
-        assert!(pool.swap_core(1, BackendSpec::EncryptCore));
+        assert!(pool.farm().swap_core(1, BackendSpec::EncryptCore));
         let out = pool
             .collect_timeout(WAIT)
-            .expect("the injector job completes despite the swap");
+            .expect("the queued job completes despite the swap");
         assert_eq!(out.id, id);
         pool.wait_idle();
         // And shutdown still drains cleanly afterwards.
-        pool.shutdown();
-    }
-
-    #[test]
-    fn autoscale_ignores_neighbor_pool_backlog() {
-        // Two session pools share one service registry. A's backlog
-        // drives the shared engine.queue.depth gauge high; B, nearly
-        // idle, must not grow on its neighbor's pressure.
-        let reg = Registry::new();
-        let a = PoolBuilder::new()
-            .core(BackendSpec::Ttable)
-            .capacity(64)
-            .registry(reg.clone())
-            .build(&KEY);
-        let b = PoolBuilder::new()
-            .core(BackendSpec::Ttable)
-            .capacity(64)
-            .registry(reg.clone())
-            .build(&KEY);
-        for _ in 0..16 {
-            a.try_submit(Mode::EcbEncrypt, sample(64 * 16)).unwrap();
-        }
-        b.try_submit(Mode::EcbEncrypt, sample(64 * 16)).unwrap();
-        let policy = ResizePolicy {
-            grow_depth: 4,
-            spec: BackendSpec::Software,
-            ..ResizePolicy::default()
-        };
-        assert_eq!(
-            b.autoscale_tick(&policy),
-            None,
-            "one own open job is below grow_depth, whatever the shared gauge says"
-        );
-        a.wait_idle();
-        b.wait_idle();
+        pool.farm().shutdown();
     }
 
     #[test]
@@ -1525,10 +1572,10 @@ mod tests {
             .build(&KEY);
         pool.try_submit(Mode::EcbEncrypt, sample(8 * 16)).unwrap();
         pool.wait_idle();
-        pool.swap_core(0, BackendSpec::Software);
+        pool.farm().swap_core(0, BackendSpec::Software);
         pool.try_submit(Mode::EcbEncrypt, sample(8 * 16)).unwrap();
         pool.wait_idle();
-        pool.shutdown();
+        pool.farm().shutdown();
         let stats = crate::FarmStats::from_snapshot(&reg.snapshot());
         let lines: Vec<(usize, &str, u64)> = stats
             .per_core
@@ -1550,6 +1597,7 @@ mod tests {
             .capacity(64)
             .registry(reg.clone())
             .build(&KEY);
+        let farm = pool.farm();
         let policy = ResizePolicy {
             min_workers: 1,
             max_workers: 3,
@@ -1562,32 +1610,63 @@ mod tests {
             pool.try_submit(Mode::EcbEncrypt, sample(32 * 16)).unwrap();
         }
         // Depth is high: the tick must grow (possibly repeatedly).
-        let grew = pool.autoscale_tick(&policy);
+        let grew = farm.autoscale_tick(&policy);
         assert!(matches!(grew, Some(ResizeAction::Grew(_))), "{grew:?}");
         pool.wait_idle();
-        for _ in 0..16 {
-            let _ = pool.try_collect();
-        }
         // Idle: two consecutive ticks shrink back.
-        assert_eq!(pool.autoscale_tick(&policy), None);
+        assert_eq!(farm.autoscale_tick(&policy), None);
         assert!(matches!(
-            pool.autoscale_tick(&policy),
+            farm.autoscale_tick(&policy),
             Some(ResizeAction::Shrank(_))
         ));
-        assert_eq!(pool.workers(), 1);
+        assert_eq!(farm.workers(), 1);
         assert!(reg.snapshot().counter("engine.resize.grow") >= Some(1));
         assert_eq!(reg.snapshot().counter("engine.resize.shrink"), Some(1));
     }
 
     #[test]
+    fn autoscale_ignores_neighbor_pool_backlog() {
+        // Two farms share one registry. A's backlog drives the shared
+        // engine.queue.depth gauge high; B, nearly idle, must not grow
+        // on its neighbor's pressure.
+        let reg = Registry::new();
+        let a = PoolBuilder::new()
+            .core(BackendSpec::Ttable)
+            .capacity(64)
+            .registry(reg.clone())
+            .build(&KEY);
+        let b = PoolBuilder::new()
+            .core(BackendSpec::Ttable)
+            .capacity(64)
+            .registry(reg.clone())
+            .build(&KEY);
+        for _ in 0..16 {
+            a.try_submit(Mode::EcbEncrypt, sample(64 * 16)).unwrap();
+        }
+        b.try_submit(Mode::EcbEncrypt, sample(64 * 16)).unwrap();
+        let policy = ResizePolicy {
+            grow_depth: 4,
+            spec: BackendSpec::Software,
+            ..ResizePolicy::default()
+        };
+        assert_eq!(
+            b.farm().autoscale_tick(&policy),
+            None,
+            "one own open job is below grow_depth, whatever the shared gauge says"
+        );
+        a.wait_idle();
+        b.wait_idle();
+    }
+
+    #[test]
     fn notifier_fires_once_per_completion() {
         use std::sync::atomic::AtomicUsize;
-        let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software; 2], 8);
         let fired = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&fired);
-        pool.set_notifier(Arc::new(move || {
+        let notifier: Notifier = Arc::new(move || {
             counter.fetch_add(1, Ordering::SeqCst);
-        }));
+        });
+        let pool = farm(&[BackendSpec::Software; 2]).handle(&KEY, 8, Some(notifier));
         for _ in 0..5 {
             pool.try_submit(Mode::Ctr([0; 16]), sample(40)).unwrap();
         }
@@ -1597,23 +1676,98 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_handles_key_dies_once_the_farm_is_idle() {
+        let farm = farm(&[BackendSpec::Software; 2]);
+        let pool = farm.handle(&KEY, 8, None);
+        let key = Arc::downgrade(&pool.key);
+        pool.try_submit(Mode::EcbEncrypt, sample(64 * 16)).unwrap();
+        assert!(pool.collect_timeout(WAIT).unwrap().data.is_ok());
+        pool.wait_idle();
+        // The workers that ran the job keep its schedule for the next
+        // job under this key.
+        assert!(key.strong_count() > 1, "a worker holds the key");
+        drop(pool);
+        let deadline = Instant::now() + WAIT;
+        while key.strong_count() > 0 {
+            assert!(Instant::now() < deadline, "a worker kept the key");
+            thread::yield_now();
+        }
+        assert_eq!(farm.workers(), 2);
+    }
+
+    #[test]
+    fn a_dropped_handles_queued_jobs_leave_the_farm() {
+        // One worker at 20 ms a block: A fills its capacity and drops
+        // while its first job runs. B's job then waits for that job at
+        // most, not for the three A queued behind it.
+        let farm = farm(&[BackendSpec::Paced {
+            block_ns: 20_000_000,
+        }]);
+        let a = farm.handle(&KEY, 4, None);
+        for _ in 0..4 {
+            a.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
+        }
+        drop(a);
+        let b = farm.handle(&KEY, 4, None);
+        b.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
+        assert!(b.collect_timeout(WAIT).unwrap().data.is_ok());
+        let snap = farm.registry().snapshot();
+        let completed = snap.counter("engine.jobs.completed").unwrap_or(0);
+        assert!(
+            completed <= 2,
+            "{completed} jobs ran, B's after A's backlog"
+        );
+        assert!(snap.counter("engine.jobs.failed") >= Some(3));
+        // The cancelled jobs left the farm's counts balanced.
+        assert_eq!(farm.inner.open.load(Ordering::Relaxed), 0);
+        assert_eq!(snap.gauge("engine.queue.depth"), Some(0));
+    }
+
+    #[test]
+    fn counters_stay_exact_when_one_worker_rekeys() {
+        // One worker alternates between two keys, rebuilding a backend
+        // of the same name each time; every block is counted once.
+        let reg = Registry::new();
+        let farm = Arc::new(
+            PoolBuilder::new()
+                .core(BackendSpec::Software)
+                .registry(reg.clone())
+                .spawn()
+                .unwrap(),
+        );
+        let a = farm.handle(&KEY, 4, None);
+        let b = farm.handle(&[9; 16], 4, None);
+        for _ in 0..4 {
+            for (pool, blocks) in [(&a, 3), (&b, 5)] {
+                pool.try_submit(Mode::EcbEncrypt, sample(blocks * 16))
+                    .unwrap();
+                assert!(pool.collect_timeout(WAIT).unwrap().data.is_ok());
+            }
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("engine.core.0.soft-ref.blocks"), Some(32));
+    }
+
+    #[test]
     fn shutdown_finishes_queued_work_and_refuses_new_jobs() {
         let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Ttable], 16);
         for _ in 0..6 {
             pool.try_submit(Mode::EcbEncrypt, sample(16 * 16)).unwrap();
         }
-        pool.shutdown();
+        pool.farm().shutdown();
         assert_eq!(
             pool.try_submit(Mode::EcbEncrypt, sample(16)),
             Err(SubmitError::Busy { capacity: 16 })
         );
         assert_eq!(collect_n(&pool, 6).len(), 6);
+        assert!(pool.farm().add_core(BackendSpec::Ttable).is_err());
     }
 
     #[test]
     fn pool_is_send_and_sync() {
         fn assert_both<T: Send + Sync>() {}
         assert_both::<WorkerPool>();
+        assert_both::<Farm>();
         assert_both::<ResizePolicy>();
     }
 
@@ -1624,12 +1778,13 @@ mod tests {
     }
 
     #[test]
-    fn caller_lane_serves_a_split_farm_in_both_directions_without_threads() {
-        let pool = WorkerPool::with_farm(
-            &KEY,
-            &[BackendSpec::EncryptCore, BackendSpec::DecryptCore],
-            2,
-        );
+    fn caller_lane_serves_a_split_farm_in_both_directions() {
+        let reg = Registry::new();
+        let pool = PoolBuilder::new()
+            .cores(&[BackendSpec::EncryptCore, BackendSpec::DecryptCore])
+            .capacity(2)
+            .registry(reg.clone())
+            .build(&KEY);
         let reference = Aes128::new(&KEY);
         let data = sample(4 * 16);
         let ct = pool.run_here(Mode::EcbEncrypt, data.clone()).unwrap();
@@ -1643,10 +1798,9 @@ mod tests {
         Ctr::apply(&reference, &[0xF0; 16], &mut expect);
         assert_eq!(ctr, expect);
 
-        // No worker thread started and no capacity slot was taken.
-        assert!(!pool.inner.state.lock().unwrap().started);
+        // No job was queued and no open slot was taken.
         assert_eq!(pool.open_jobs(), 0);
-        let snap = pool.registry().snapshot();
+        let snap = reg.snapshot();
         assert_eq!(snap.counter("engine.jobs.completed"), Some(3));
         let lines: Vec<(usize, String, u64)> = crate::FarmStats::from_snapshot(&snap)
             .per_core
@@ -1719,32 +1873,23 @@ mod tests {
     #[test]
     fn caller_lane_contains_a_backend_panic_and_stays_usable() {
         let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software; 2], 4);
-        pool.local.lock().unwrap()[0].built = Some((
-            Box::new(Panicky),
-            CoreTel::register(
-                pool.registry(),
-                0,
-                "mock-panicky",
-                pool.occupancy_bp.clone(),
-            ),
-        ));
+        let tel = CoreTel::register(&pool.farm.inner, 0, "mock-panicky");
+        pool.local.lock().unwrap()[0] = Some((Box::new(Panicky), tel));
         assert_eq!(
             pool.run_here(Mode::EcbEncrypt, sample(32)),
             Err(Error::Job(JobError::WorkerPanicked))
         );
-        // The lane is not poisoned: the next spec serves the direction
-        // the panicking core lacks, and a second panic is contained too.
-        let data = sample(32);
-        let mut expect = data.clone();
-        Ecb::decrypt(&Aes128::new(&KEY), &mut expect).unwrap();
-        assert_eq!(pool.run_here(Mode::EcbDecrypt, data).unwrap(), expect);
+        // The lane is not poisoned: a second panic is contained too.
         assert_eq!(
             pool.run_here(Mode::Ctr([0; 16]), sample(5)),
             Err(Error::Job(JobError::WorkerPanicked))
         );
         // The worker lane builds its own backends and is unaffected.
-        pool.try_submit(Mode::EcbEncrypt, sample(32)).unwrap();
-        assert!(pool.collect_timeout(WAIT).unwrap().data.is_ok());
+        let data = sample(32);
+        let mut expect = data.clone();
+        Ecb::encrypt(&Aes128::new(&KEY), &mut expect).unwrap();
+        pool.try_submit(Mode::EcbEncrypt, data).unwrap();
+        assert_eq!(pool.collect_timeout(WAIT).unwrap().data, Ok(expect));
         assert_eq!(
             pool.registry().snapshot().counter("engine.jobs.failed"),
             Some(2)

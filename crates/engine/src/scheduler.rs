@@ -216,6 +216,9 @@ pub enum JobError {
     /// the pool's caller-runs lane); the panic was contained and the
     /// backend stays in service, but the job's bytes are gone.
     WorkerPanicked,
+    /// The job's pool handle was dropped before a worker started it, so
+    /// nobody could collect its output.
+    Cancelled,
 }
 
 impl fmt::Display for JobError {
@@ -230,6 +233,7 @@ impl fmt::Display for JobError {
             }
             JobError::Backend(e) => write!(f, "{e}"),
             JobError::WorkerPanicked => write!(f, "a pool worker panicked mid-job"),
+            JobError::Cancelled => write!(f, "the job's handle was dropped before it ran"),
         }
     }
 }

@@ -1,16 +1,18 @@
-//! Concurrency stress: the worker pool under simultaneous submission,
-//! elastic resize, hot-swap, and shutdown.
+//! Concurrency stress: the worker farm under simultaneous submission
+//! from two keyed handles, elastic resize, hot-swap, and shutdown.
 //!
-//! The invariants the pool must hold whatever the interleaving:
+//! The invariants the farm must hold whatever the interleaving:
 //!
 //! 1. **No lost completions** — every `JobId` that `try_submit` accepted
-//!    surfaces exactly once from the completion channel, even when the
-//!    worker that held its shards was retired mid-job.
+//!    surfaces exactly once from its handle's completion channel, even
+//!    when the worker that held its shards was retired mid-job.
 //! 2. **No duplicates** — a job never completes twice (shard re-routing
 //!    must not double-deliver).
-//! 3. **Ciphertext equivalence** — successful jobs byte-match the
-//!    single-threaded `rijndael` reference regardless of how many workers
-//!    shards migrated across.
+//! 3. **Ciphertext equivalence under its own key** — successful jobs
+//!    byte-match the single-threaded `rijndael` reference under the key
+//!    of the handle that submitted them (one handle holds a 16-byte key,
+//!    the other a 32-byte one), regardless of how many workers shards
+//!    migrated across or how often a worker re-keyed between them.
 //!
 //! The whole suite runs once per detected backend (the same sweep the
 //! scheduler's own tests use), so the soft paths, the cycle-accurate IP
@@ -25,10 +27,17 @@ use std::time::Duration;
 
 use engine::{BackendSpec, JobId, Mode, PoolBuilder, WorkerPool};
 use rijndael::modes::{Cbc, Ctr, Ecb};
-use rijndael::Aes128;
+use rijndael::Rijndael;
 
 const KEY: [u8; 16] = [
     0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C,
+];
+
+/// The second handle's AES-256 key: the IP-core slots serve it through
+/// the software fallback.
+const LONG_KEY: [u8; 32] = [
+    0x60, 0x3D, 0xEB, 0x10, 0x15, 0xCA, 0x71, 0xBE, 0x2B, 0x73, 0xAE, 0xF0, 0x85, 0x7D, 0x77, 0x81,
+    0x1F, 0x35, 0x2C, 0x07, 0x3B, 0x61, 0x08, 0xD7, 0x2D, 0x98, 0x10, 0xA3, 0x09, 0x14, 0xDF, 0xF4,
 ];
 
 const SUBMITTERS: usize = 4;
@@ -42,9 +51,9 @@ fn sample(seed: usize, len: usize) -> Vec<u8> {
 }
 
 /// The single-threaded reference result for the job a submitter derives
-/// from `(thread, iteration)`.
-fn reference(mode: &Mode, data: &[u8]) -> Vec<u8> {
-    let cipher = Aes128::new(&KEY);
+/// from `(thread, iteration)`, under `key`.
+fn reference(key: &[u8], mode: &Mode, data: &[u8]) -> Vec<u8> {
+    let cipher = Rijndael::<4>::new(key).unwrap();
     let mut out = data.to_vec();
     match mode {
         Mode::EcbEncrypt => Ecb::encrypt(&cipher, &mut out).unwrap(),
@@ -79,34 +88,39 @@ fn plan(encrypt: bool, thread: usize, i: usize) -> (Mode, Vec<u8>) {
     (mode, data)
 }
 
-/// Runs the full stress against one backend spec: submitters race a
-/// chaos thread that grows, swaps, and shrinks the farm until everyone
-/// is done, then shutdown drains the rest.
+/// Runs the full stress against one backend spec: submitters on two
+/// handles with different keys race a chaos thread that grows, swaps,
+/// and shrinks the farm until everyone is done, then shutdown drains the
+/// rest.
 fn stress(spec: BackendSpec) {
     let encrypt = spec.build(&KEY).supports(aes_ip::core::Direction::Encrypt);
-    let pool = Arc::new(
-        PoolBuilder::new()
-            .cores(&[spec; 2])
-            .capacity(SUBMITTERS * 4)
-            .build(&KEY),
-    );
-    let expected: Arc<Mutex<BTreeMap<JobId, Vec<u8>>>> = Arc::new(Mutex::new(BTreeMap::new()));
+    let farm = Arc::new(PoolBuilder::new().cores(&[spec; 2]).spawn().unwrap());
+    let keys: [&'static [u8]; 2] = [&KEY, &LONG_KEY];
+    let pools: Vec<Arc<WorkerPool>> = keys
+        .iter()
+        .map(|key| Arc::new(farm.handle(key, SUBMITTERS * 2, None)))
+        .collect();
+    // Receipts per handle: each handle's ids are its own.
+    type Receipts = Arc<Mutex<BTreeMap<(usize, JobId), Vec<u8>>>>;
+    let expected: Receipts = Arc::new(Mutex::new(BTreeMap::new()));
     let done = Arc::new(AtomicBool::new(false));
 
     let mut submitters = Vec::new();
     for t in 0..SUBMITTERS {
-        let pool = Arc::clone(&pool);
+        let h = t % 2;
+        let pool = Arc::clone(&pools[h]);
+        let key = keys[h];
         let expected = Arc::clone(&expected);
         submitters.push(thread::spawn(move || {
             for i in 0..JOBS_PER_SUBMITTER {
                 let (mode, data) = plan(encrypt, t, i);
-                let want = reference(&mode, &data);
+                let want = reference(key, &mode, &data);
                 loop {
                     match pool.try_submit(mode, data.clone()) {
                         Ok(id) => {
                             // Record *after* acceptance: the id is the
-                            // receipt the pool must honor exactly once.
-                            expected.lock().unwrap().insert(id, want);
+                            // receipt the farm must honor exactly once.
+                            expected.lock().unwrap().insert((h, id), want);
                             break;
                         }
                         Err(engine::SubmitError::Busy { .. }) => {
@@ -121,7 +135,7 @@ fn stress(spec: BackendSpec) {
 
     // Chaos: resize and hot-swap the farm while the submitters hammer it.
     let chaos = {
-        let pool = Arc::clone(&pool);
+        let farm = Arc::clone(&farm);
         let done = Arc::clone(&done);
         thread::spawn(move || {
             let alternates = [BackendSpec::Software, BackendSpec::Ttable, spec];
@@ -129,13 +143,16 @@ fn stress(spec: BackendSpec) {
             let mut grown: Vec<usize> = Vec::new();
             while !done.load(Ordering::Relaxed) {
                 match round % 4 {
-                    0 => grown.push(pool.add_core(alternates[round % alternates.len()])),
+                    0 => grown.push(
+                        farm.add_core(alternates[round % alternates.len()])
+                            .expect("spawn a worker"),
+                    ),
                     1 => {
-                        pool.swap_core(round % 2, alternates[(round + 1) % alternates.len()]);
+                        farm.swap_core(round % 2, alternates[(round + 1) % alternates.len()]);
                     }
                     2 => {
                         if let Some(idx) = grown.pop() {
-                            pool.remove_core(idx);
+                            farm.remove_core(idx);
                         }
                     }
                     _ => {
@@ -148,40 +165,49 @@ fn stress(spec: BackendSpec) {
             }
             // Leave the farm in a sane shape for the drain.
             for idx in grown {
-                pool.remove_core(idx);
+                farm.remove_core(idx);
             }
         })
     };
 
-    // Collector: drain completions concurrently so capacity keeps
+    // Collector: drain both handles concurrently so capacity keeps
     // turning over.
     let total = SUBMITTERS * JOBS_PER_SUBMITTER;
-    let mut got: BTreeMap<JobId, Result<Vec<u8>, engine::JobError>> = BTreeMap::new();
+    let mut got: BTreeMap<(usize, JobId), Result<Vec<u8>, engine::JobError>> = BTreeMap::new();
+    let deadline = std::time::Instant::now() + WAIT;
     while got.len() < total {
-        let out = pool
-            .collect_timeout(WAIT)
-            .expect("a completion arrives while work is outstanding");
         assert!(
-            got.insert(out.id, out.data).is_none(),
-            "duplicate completion for {}",
-            out.id
+            std::time::Instant::now() < deadline,
+            "a completion arrives while work is outstanding"
         );
+        for (h, pool) in pools.iter().enumerate() {
+            if let Some(out) = pool.collect_timeout(Duration::from_millis(1)) {
+                assert!(
+                    got.insert((h, out.id), out.data).is_none(),
+                    "duplicate completion for {} on handle {h}",
+                    out.id
+                );
+            }
+        }
     }
     for s in submitters {
         s.join().unwrap();
     }
     done.store(true, Ordering::Relaxed);
     chaos.join().unwrap();
-    pool.shutdown();
+    farm.shutdown();
 
     // Every accepted id completed exactly once, and nothing extra came
     // back.
     let expected = expected.lock().unwrap();
     assert_eq!(got.len(), expected.len(), "lost or phantom completions");
     let mut failures = 0usize;
-    for (id, want) in expected.iter() {
-        match got.get(id).expect("accepted job completed") {
-            Ok(bytes) => assert_eq!(bytes, want, "ciphertext mismatch for {id} under {spec:?}"),
+    for (&(h, id), want) in expected.iter() {
+        match got.get(&(h, id)).expect("accepted job completed") {
+            Ok(bytes) => assert_eq!(
+                bytes, want,
+                "ciphertext mismatch for {id} on handle {h} under {spec:?}"
+            ),
             // A job sharded onto a worker retired at the wrong moment may
             // legitimately fail typed when nobody else could serve it —
             // the chaos thread only guarantees at least one worker
@@ -225,7 +251,7 @@ fn shutdown_races_submitters_without_losing_receipts() {
     }
     // Shut down mid-flight.
     thread::sleep(Duration::from_millis(2));
-    pool.shutdown();
+    pool.farm().shutdown();
     for h in handles {
         h.join().unwrap();
     }

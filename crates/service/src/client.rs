@@ -28,8 +28,8 @@
 //! * **pipelined** — [`Client::pipeline`] sends without waiting
 //!   (depth-N in flight per connection), [`Client::collect_next`] /
 //!   [`Client::collect_all`] receive completions in whatever order the
-//!   session finished them; a pool at capacity answers the job with a
-//!   typed `Busy`, to be retried after collecting.
+//!   session finished them; a session at capacity answers the job with
+//!   a typed `Busy`, to be retried after collecting.
 //!
 //! Every frame uses the one wire layout ([`crate::protocol`]). The raw
 //! [`Client::send_raw`] / [`Client::recv_raw`] pair is for protocol

@@ -10,10 +10,12 @@
 //!   ping, stats), strict frame size limits, typed error replies instead
 //!   of disconnects, and a correlation id that makes request pipelining
 //!   with out-of-order replies well-defined;
-//! * [`session`] — per-connection key management: `SET_KEY` builds a
-//!   fresh [`engine::WorkerPool`], the session's one executor (small
-//!   jobs on the caller's thread, bulk jobs on its workers); key
-//!   material is never echoed and wipes itself on teardown or re-key;
+//! * [`session`] — per-connection key management: `SET_KEY` makes a
+//!   fresh [`engine::WorkerPool`] handle on the server's one worker
+//!   farm, the session's executor (small jobs on the caller's thread,
+//!   bulk jobs on the farm's workers, each keyed with its session's
+//!   key); key material is never echoed and wipes itself on teardown or
+//!   re-key;
 //! * [`net`] — the std-only readiness shim (`poll(2)` by direct FFI)
 //!   that lets the server watch thousands of nonblocking sockets
 //!   without external crates;
@@ -32,8 +34,8 @@
 //!   the cluster router, so callers swap between them without code
 //!   changes.
 //!
-//! Every server owns a [`telemetry::Registry`] that its session pools
-//! publish into; `GET_STATS` ([`Client::stats`]) returns one snapshot of
+//! Every server owns a [`telemetry::Registry`] that its farm publishes
+//! into; `GET_STATS` ([`Client::stats`]) returns one snapshot of
 //! it as the stable `telemetry/1` JSON document, and every reply —
 //! bytes or a typed [`ErrorCode`] — leaves the server through one exit
 //! that also keeps the error tallies.

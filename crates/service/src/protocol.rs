@@ -65,8 +65,8 @@ pub const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD;
 #[repr(u8)]
 pub enum Op {
     /// Load an AES key (16, 24 or 32 bytes — AES-128/192/256): creates a
-    /// fresh session with its own worker pool and invalidates
-    /// the previous one. Payload: the key (any other length is
+    /// fresh session, with its own keyed handle on the server's worker
+    /// farm, and invalidates the previous one. Payload: the key (any other length is
     /// [`ErrorCode::BadKeyLength`]). Reply: [`Status::Ok`] with the new
     /// session id in the header's `session` field.
     SetKey = 0x01,
@@ -76,8 +76,8 @@ pub enum Op {
     /// Fetch the server's telemetry snapshot. Payload: empty (anything
     /// else is [`ErrorCode::Malformed`]). Reply: [`Status::Ok`] whose
     /// payload is the `telemetry/1` JSON document (UTF-8) — per-opcode
-    /// request counts, error tallies, connection gauges, and every
-    /// session pool's `engine.*` instruments. Needs no session.
+    /// request counts, error tallies, connection gauges, and the worker
+    /// farm's `engine.*` instruments. Needs no session.
     GetStats = 0x04,
     /// Re-key from an RFC 3394 wrapped blob: the server unwraps the
     /// payload under the **live session's** key (which acts as the KEK)
@@ -261,8 +261,8 @@ pub enum ErrorCode {
     /// The request's `session` field does not name the live session
     /// (stale pipelined request after a re-key). Detail: the live id.
     StaleSession = 6,
-    /// The session's worker pool already holds its capacity of
-    /// unfinished bulk jobs — collect outstanding replies and retry.
+    /// The session already holds its capacity of unfinished bulk jobs
+    /// on the worker farm — collect outstanding replies and retry.
     /// Detail: the capacity.
     Busy = 7,
     /// ECB/CBC payload is not a whole number of 16-byte blocks. Detail:
@@ -353,7 +353,7 @@ impl fmt::Display for ErrorCode {
             ErrorCode::FrameTooLarge => "frame exceeds the size limit",
             ErrorCode::NoSession => "no session: SET_KEY first",
             ErrorCode::StaleSession => "stale session id",
-            ErrorCode::Busy => "session pool full: collect replies and retry",
+            ErrorCode::Busy => "session queue full: collect replies and retry",
             ErrorCode::RaggedLength => "payload is not whole 16-byte blocks",
             ErrorCode::BadTag => "CMAC verification failed",
             ErrorCode::JobFailed => "backend fault while running the job",

@@ -30,21 +30,24 @@
 //!
 //! # Pipelining
 //!
-//! Every engine op runs on the session's one executor, its
-//! [`engine::WorkerPool`], and is **submitted, not awaited**: the
-//! request's correlation id rides into
-//! [`crate::session::Session::submit`] and the reply is emitted when the
-//! job completes. Small jobs run right away on the shard thread (the
-//! pool's caller-runs lane) and are answered after the current batch of
-//! frames; bulk jobs go to the pool's worker threads, never running
-//! crypto on the shard thread, and complete in completion order, which
-//! across a multi-core farm is not submission order. A client may
-//! therefore keep an arbitrary pipeline depth per connection. Each shard
-//! parks a self-pipe wake fd in its poll set. A pool completion and a
-//! connection hand-off both write to it, so either one cuts the poll
-//! short: the reply goes out, or the new connection is admitted, at
-//! once. Every request's reserved `flags` byte must be 0; anything else
-//! earns a typed [`ErrorCode::Malformed`] and the connection stays open.
+//! `Server::spawn` builds one worker [`engine::Farm`] from
+//! [`ServiceConfig::farm`], and every keyed session submits to it
+//! through its own [`engine::WorkerPool`] handle, which carries the
+//! session's key: the thread count is fixed however many sessions are
+//! open. Every engine op is **submitted, not awaited**: the request's
+//! correlation id rides into [`crate::session::Session::submit`] and
+//! the reply is emitted when the job completes. Small jobs run right
+//! away on the shard thread (the handle's caller-runs lane) and are
+//! answered after the current batch of frames; bulk jobs go to the
+//! farm's workers, never running crypto on the shard thread, and
+//! complete in completion order, which across a multi-core farm is not
+//! submission order. A client may therefore keep an arbitrary pipeline
+//! depth per connection. Each shard parks a self-pipe wake fd in its
+//! poll set. A farm completion and a connection hand-off both write to
+//! it, so either one cuts the poll short: the reply goes out, or the
+//! new connection is admitted, at once. Every request's reserved
+//! `flags` byte must be 0; anything else earns a typed
+//! [`ErrorCode::Malformed`] and the connection stays open.
 //!
 //! # Replies
 //!
@@ -58,8 +61,9 @@
 //! typed goodbye, then closes; `dispatch` itself never closes one.
 //! Before a re-key replaces a session, before any goodbye, and when the
 //! peer half-closes, the connection **drains**: it waits (bounded) for
-//! the session's bulk jobs and answers every one, so no accepted
-//! request is dropped with its session or answered after the goodbye.
+//! the session's bulk jobs — behind whatever the farm queued before
+//! them — and answers every one, so no accepted request is dropped with
+//! its session or answered after the goodbye.
 //!
 //! # Telemetry
 //!
@@ -70,11 +74,11 @@
 //! (`service.loop.events_per_poll`, `service.loop.dispatch_micros`), a
 //! request frame-size histogram, admission refusals, the hand-off wait
 //! from `accept()` to shard admission (`service.admission.handoff_us`),
-//! and — because each session's pool is built against the same registry
-//! — the full `engine.*` instrument set. `GET_STATS` serialises one
-//! snapshot of that registry as the `telemetry/1` JSON document;
-//! [`ServiceHandle::registry`] exposes the same registry in-process, so
-//! there is exactly one counter path. `dispatch` resolves each opcode's
+//! and — because the farm is built against the same registry — the full
+//! `engine.*` instrument set, describing the one farm. `GET_STATS`
+//! serialises one snapshot of that registry as the `telemetry/1` JSON
+//! document; [`ServiceHandle::registry`] exposes the same registry
+//! in-process, so there is exactly one counter path. `dispatch` resolves each opcode's
 //! counter and the frame-size histogram once, so the per-frame path
 //! never takes the registry's map lock.
 //!
@@ -83,7 +87,7 @@
 //! pipelined job, sends an [`ErrorCode::ShuttingDown`] goodbye, and
 //! exits;
 //! [`ServiceHandle::shutdown`] joins the acceptor, which joins every
-//! shard — no threads outlive the handle.
+//! shard and then the farm's workers — no threads outlive the handle.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -93,7 +97,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use engine::{BackendSpec, Error, ResizePolicy, SubmitError};
+use engine::{BackendSpec, Error, Farm, Notifier, PoolBuilder, ResizePolicy, SubmitError};
 use rijndael::aead;
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
@@ -104,10 +108,10 @@ use crate::protocol::{
 use crate::session::{Session, SessionSlot};
 
 /// Readiness-poll timeout: the housekeeping tick on which an idle shard
-/// checks the shutdown flag, the idle budgets and autoscale. Connection
-/// hand-offs and pool completions wake a shard through its wake pipe,
-/// so no request waits on this tick unless the platform gave the shard
-/// no pipe.
+/// checks the shutdown flag and the idle budgets. Connection hand-offs
+/// and farm completions wake a shard through its wake pipe, so no
+/// request waits on this tick unless the platform gave the shard no
+/// pipe.
 const POLL: Duration = Duration::from_millis(10);
 
 /// How long the acceptor waits in its listener poll.
@@ -117,14 +121,14 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// slot indices, so the all-ones pattern can never collide with one.
 const WAKE_TOKEN: usize = usize::MAX;
 
-/// How often a shard runs the elastic policy over its keyed sessions
-/// when [`ServiceConfig::elastic`] is set.
+/// How often the acceptor runs the elastic policy over the farm when
+/// [`ServiceConfig::elastic`] is set.
 const AUTOSCALE_TICK: Duration = Duration::from_millis(100);
 
 /// How long a connection's drain (before a re-key, a goodbye or the
-/// close after a half-close) waits for its session's pool lane to
-/// finish its in-flight bulk jobs — generous next to real job times,
-/// but bounded so a wedged backend cannot hold the shard hostage.
+/// close after a half-close) waits for its session's bulk jobs on the
+/// farm — generous next to real job times, but bounded so a wedged
+/// backend cannot hold the shard hostage.
 const DRAIN_POOL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Write-backpressure cap: once a connection's outgoing queue holds
@@ -162,14 +166,17 @@ const DISPATCH_BOUNDS: [u64; 8] = [10, 50, 100, 500, 1_000, 5_000, 10_000, 100_0
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// Backend farm of every session's worker pool (each connection keys
-    /// its own copy, so farms are not shared across clients). The default is
-    /// [`BackendSpec::Auto`] slots: the runtime dispatch decision, so a
-    /// portable binary still lands on AES-NI/AVX2 where the serving CPU
-    /// has them.
+    /// The server's one worker farm: one worker thread per slot, spawned
+    /// by [`Server::spawn`] and shared by every session, each job keyed
+    /// with its session's key. The default is [`BackendSpec::Auto`]
+    /// slots: the runtime dispatch decision, so a portable binary still
+    /// lands on AES-NI/AVX2 where the serving CPU has them.
     pub farm: Vec<BackendSpec>,
     /// Bound on each session's unfinished bulk jobs; exceeding it earns
-    /// a typed [`ErrorCode::Busy`] reply.
+    /// a typed [`ErrorCode::Busy`] reply. The farm serves jobs FIFO
+    /// across sessions, so this also bounds how many of one session's
+    /// jobs can sit ahead of another's; a closed session's queued jobs
+    /// are cancelled.
     pub queue_capacity: usize,
     /// Connection admission cap.
     pub max_connections: usize,
@@ -179,12 +186,11 @@ pub struct ServiceConfig {
     /// Shard event-loop threads the connections are spread across
     /// (clamped to at least 1).
     pub event_threads: usize,
-    /// Elastic worker-pool supervision: when set, each shard ticks every
-    /// keyed session's pool against this policy (~10×/s), growing it
-    /// under queue pressure and shrinking it when idle; the decisions
-    /// surface as `engine.resize.*` / `engine.workers` telemetry in
-    /// `GET_STATS`. `None` (the default) leaves every session's pool at
-    /// its configured size.
+    /// Elastic farm supervision: when set, the acceptor ticks the farm
+    /// against this policy (~10×/s), growing it under queue pressure
+    /// and shrinking it when idle; the decisions surface as
+    /// `engine.resize.*` / `engine.workers` telemetry in `GET_STATS`.
+    /// `None` (the default) leaves the farm at its configured size.
     pub elastic: Option<ResizePolicy>,
 }
 
@@ -226,7 +232,7 @@ pub enum ConfigError {
     ZeroQueueCapacity,
     /// Zero connection admission cap: every connect would be refused.
     ZeroConnections,
-    /// Contradictory elastic bounds: the pool could never hold a legal
+    /// Contradictory elastic bounds: the farm could never hold a legal
     /// worker count.
     ElasticBounds {
         /// The policy's floor (zero, or above the ceiling).
@@ -265,8 +271,7 @@ pub struct ServiceConfigBuilder {
 }
 
 impl ServiceConfigBuilder {
-    /// The engine farm built for every session (one backend slot per
-    /// entry).
+    /// The server's worker farm (one backend slot per entry).
     #[must_use]
     pub fn farm(mut self, farm: &[BackendSpec]) -> Self {
         self.config.farm = farm.to_vec();
@@ -301,7 +306,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Elastic worker-pool supervision policy (see
+    /// Elastic farm supervision policy (see
     /// [`ServiceConfig::elastic`]).
     #[must_use]
     pub fn elastic(mut self, policy: ResizePolicy) -> Self {
@@ -354,6 +359,8 @@ fn idle_timeout_detail(idle_timeout: Duration) -> u32 {
 struct Shared {
     config: ServiceConfig,
     registry: Registry,
+    /// The one worker farm every session submits to.
+    farm: Arc<Farm>,
     shutdown: AtomicBool,
     /// `service.connections.active` — connections currently served.
     active: Gauge,
@@ -405,8 +412,9 @@ impl Server {
     }
 
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor and shard threads. The returned handle owns every
-    /// thread the server will ever start.
+    /// farm's workers, the acceptor and the shard threads. The returned
+    /// handle owns every thread the server will ever start; only an
+    /// elastic grow adds a worker later, from the acceptor.
     ///
     /// # Errors
     ///
@@ -433,7 +441,12 @@ impl Server {
         registry
             .gauge("rijndael.dispatch.forced")
             .set(i64::from(dispatch.forced));
+        let farm = PoolBuilder::new()
+            .cores(&self.config.farm)
+            .registry(registry.clone())
+            .spawn()?;
         let shared = Arc::new(Shared {
+            farm: Arc::new(farm),
             shutdown: AtomicBool::new(false),
             active: registry.gauge("service.connections.active"),
             served: registry.counter("service.connections.served"),
@@ -494,7 +507,7 @@ impl ServiceHandle {
     }
 
     /// The server's telemetry registry — the same one `GET_STATS`
-    /// snapshots, and the one every session engine publishes into.
+    /// snapshots, and the one the farm publishes into.
     #[must_use]
     pub fn registry(&self) -> &Registry {
         &self.shared.registry
@@ -582,6 +595,7 @@ fn accept_loop(
 ) {
     let mut poll = PollSet::new();
     let mut next_shard = 0usize;
+    let mut last_scale = Instant::now();
     while !shared.shutdown.load(Ordering::Acquire) {
         // Burst-accept everything pending; a sequential connect storm
         // must drain faster than the kernel backlog fills.
@@ -606,6 +620,14 @@ fn accept_loop(
                 }
             }
         }
+        // Elastic supervision: tick the farm against the configured
+        // policy roughly ten times a second.
+        if let Some(policy) = &shared.config.elastic {
+            if last_scale.elapsed() >= AUTOSCALE_TICK {
+                last_scale = Instant::now();
+                let _ = shared.farm.autoscale_tick(policy);
+            }
+        }
         // Sleep until the next pending connection (or the poll tick).
         poll.clear();
         poll.register(net::socket_fd(listener), 0, true, false);
@@ -614,6 +636,7 @@ fn accept_loop(
     for shard in shards {
         let _ = shard.join();
     }
+    shared.farm.shutdown();
 }
 
 /// Best-effort typed refusal for connections over the admission cap.
@@ -690,11 +713,11 @@ struct Conn {
     /// Set once a goodbye is queued or the peer half-closed: no more
     /// reads; drop once `out` drains.
     closing: bool,
-    /// The owning shard's wake-pipe callback, installed into each newly
-    /// keyed session's worker pool so bulk completions un-park the
-    /// shard's `poll(2)` immediately. `None` when the platform gave the
-    /// shard no pipe (the loop then falls back to its poll timeout).
-    notifier: Option<Arc<dyn Fn() + Send + Sync>>,
+    /// The owning shard's wake-pipe callback, given to each newly keyed
+    /// session's farm handle so bulk completions un-park the shard's
+    /// `poll(2)` immediately. `None` when the platform gave the shard no
+    /// pipe (the loop then falls back to its poll timeout).
+    notifier: Option<Notifier>,
 }
 
 impl Conn {
@@ -717,13 +740,10 @@ impl Conn {
     }
 
     /// Answers everything the session still owes: waits (bounded) for
-    /// its bulk jobs still on the pool's workers, then queues every
-    /// finished reply under the session's own id. It runs before a
-    /// re-key replaces the session, before any goodbye, and when the
-    /// peer half-closes, so no accepted request is dropped with its
-    /// session. It waits no longer than dropping the session would: a
-    /// dropped pool joins its workers after they finish every queued
-    /// job.
+    /// its bulk jobs still on the farm, then queues every finished reply
+    /// under the session's own id. It runs before a re-key replaces the
+    /// session, before any goodbye, and when the peer half-closes, so no
+    /// accepted request is dropped with its session.
     fn drain(&mut self, shared: &Shared) {
         if let Some(session) = self.slot.session_mut().filter(|s| s.in_flight() > 0) {
             let _ = session.quiesce(DRAIN_POOL_TIMEOUT);
@@ -741,24 +761,20 @@ impl Conn {
     }
 
     /// Replaces the session with one keyed on `key`, once the old one
-    /// has answered what it owes, and hooks the new session's pool
-    /// completions up to the shard's wake pipe so a finished bulk job
-    /// interrupts the poll instead of waiting out its timeout.
+    /// has answered what it owes. Its farm handle carries the shard's
+    /// wake pipe, so a finished bulk job interrupts the poll instead of
+    /// waiting out its timeout.
     fn rekey(&mut self, key: &[u8], shared: &Shared) {
         self.drain(shared);
-        let config = &shared.config;
+        let capacity = shared.config.queue_capacity;
         self.slot
-            .rekey(key, &config.farm, config.queue_capacity, &shared.registry);
-        if let Some(n) = &self.notifier {
-            let session = self.slot.session_mut().expect("just rekeyed");
-            session.set_notifier(Arc::clone(n));
-        }
+            .rekey(key, &shared.farm, capacity, self.notifier.clone());
     }
 }
 
 /// Drops the connection in `slot`, if any. What its session still owes
 /// (only after an I/O error or a timed-out drain) leaves the in-flight
-/// gauge with it.
+/// gauge with it, and its jobs still queued on the farm are cancelled.
 fn release(slot: &mut Option<Conn>, shared: &Shared) {
     if let Some(mut conn) = slot.take() {
         let owed = conn.slot.session_mut().map_or(0, |s| s.in_flight());
@@ -786,16 +802,15 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
         .histogram("service.admission.handoff_us", &DISPATCH_BOUNDS);
 
     // Self-pipe wakeup: the acceptor writes to it when a hand-off lands
-    // in an empty inbox, and session worker pools call the notifier when
-    // a bulk job finishes. Either makes the pipe readable so a parked
+    // in an empty inbox, and the farm calls a session's notifier when
+    // one of its bulk jobs finishes. Either makes the pipe readable so a parked
     // poll(2) returns immediately instead of waiting out its timeout.
     // The pipe is registered under a reserved token no connection slot
     // can reach.
-    let shard_notifier: Option<Arc<dyn Fn() + Send + Sync>> = wake.as_ref().map(|w| {
+    let shard_notifier: Option<Notifier> = wake.as_ref().map(|w| {
         let n = w.notifier();
-        Arc::new(move || n.wake()) as Arc<dyn Fn() + Send + Sync>
+        Arc::new(move || n.wake()) as Notifier
     });
-    let mut last_scale = Instant::now();
 
     loop {
         // Admit handed-off sockets into free slots. This drain runs every
@@ -919,19 +934,6 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
             }
         }
 
-        // Elastic supervision: tick each keyed session's worker pool
-        // against the configured policy roughly ten times a second.
-        if let Some(policy) = shared.config.elastic {
-            if last_scale.elapsed() >= AUTOSCALE_TICK {
-                last_scale = Instant::now();
-                for conn in conns.iter_mut().filter_map(Option::as_mut) {
-                    if let Some(session) = conn.slot.session_mut() {
-                        let _ = session.autoscale(&policy);
-                    }
-                }
-            }
-        }
-
         // Idle sweep and closing-drain cleanup.
         let now = Instant::now();
         for slot in &mut conns {
@@ -1008,7 +1010,7 @@ fn service_readable(conn: &mut Conn, shared: &Shared, scratch: &mut [u8]) -> boo
 }
 
 /// Queues a reply for every pipelined job the session has finished:
-/// caller-side results first, then pool completions in completion
+/// caller-side results first, then farm completions in completion
 /// order.
 fn collect_pipelined(conn: &mut Conn, shared: &Shared) {
     let Some(session) = conn.slot.session_mut().filter(|s| s.in_flight() > 0) else {

@@ -1,37 +1,39 @@
-//! Per-connection sessions: one key, one executor.
+//! Per-connection sessions: one key, one handle on the server's farm.
 //!
-//! A `SET_KEY` request creates a [`Session`]: a [`WorkerPool`] keyed with
-//! the submitted key — the session's one executor for the engine ops —
+//! A `SET_KEY` request creates a [`Session`]: a [`WorkerPool`] handle
+//! keyed with the submitted key on the server's one worker
+//! [`Farm`](engine::Farm) — the session's executor for the engine ops —
 //! plus a software [`TtableAes`] for the CMAC and key-wrap ops, a
 //! dispatched [`Gcm`] lane for the authenticated-encryption ops and an
-//! [`Xts`] lane for the sector ops. Keys may be 16, 24 or 32 bytes
-//! (AES-128/192/256); the modeled IP cores are AES-128-only, so longer
-//! keys divert their farm slots to the software fallback backend. The key
-//! is never echoed on the wire and the only raw copy kept is the pool's
-//! (it keys the pool's backends lazily, including grown and hot-swapped
-//! workers); when the session is dropped — connection teardown, idle
-//! expiry, or a re-key replacing it — that copy and the expanded
-//! schedules wipe themselves (`rijndael::zeroize`) and the hardware
-//! backends reload an all-zero key.
+//! [`Xts`] lane for the sector ops. Keys may be 16, 24 or 32 bytes (AES-128/192/256); the
+//! modeled IP cores are AES-128-only, so longer keys divert their farm
+//! slots to the software fallback backend. The key is never echoed on
+//! the wire and the only raw copy kept is the handle's: every bulk job
+//! carries it to the worker that runs it, and the handle keys its
+//! caller-side backends lazily. When the session is dropped —
+//! connection teardown, idle expiry, or a re-key replacing it — that
+//! copy and the expanded schedules wipe themselves
+//! (`rijndael::zeroize`), the hardware backends reload an all-zero key,
+//! a worker still holding a schedule under the key drops it once idle,
+//! and the session's bulk jobs still queued on the farm are cancelled.
 //!
-//! The pool publishes into the registry handed to [`Session::new`] — the
-//! server passes its service-wide [`telemetry::Registry`], so the
+//! The farm publishes into the server's [`telemetry::Registry`], so the
 //! `engine.core.*` counters a `GET_STATS` reply carries aggregate over
 //! every session the server ever keyed.
 //!
-//! The block-mode ops take one of the pool's two lanes, and the size threshold
-//! that picks the lane lives here and nowhere else:
+//! The block-mode ops take one of the handle's two lanes, and the size
+//! threshold that picks the lane lives here and nowhere else:
 //!
 //! * below [`BULK_THRESHOLD`] bytes a job runs on the caller's thread
 //!   ([`WorkerPool::run_here`]) — the shard's event loop — because
 //!   handing it to a worker would cost more than computing it;
-//! * at or above it, a job goes to the pool's worker threads, so the
+//! * at or above it, a job goes to the farm's worker threads, so the
 //!   event loop returns to `poll(2)` at once and one large job never
 //!   head-of-line-blocks the other connections on the shard.
 //!
 //! [`Session::submit`] tags each job with the request's correlation id,
 //! and [`Session::collect`] returns the finished ones: caller-side
-//! results first, then pool completions in **completion order** — which
+//! results first, then farm completions in **completion order** — which
 //! across a multi-core farm is not submission order; that is the
 //! out-of-order property the wire format's correlation id exists to
 //! carry.
@@ -39,8 +41,7 @@
 use std::sync::Arc;
 
 use engine::{
-    BackendSpec, Error, JobError, JobId, Mode, PoolBuilder, ResizeAction, ResizePolicy,
-    SubmitError, WorkerPool,
+    BackendSpec, Error, Farm, JobError, JobId, Mode, Notifier, PoolBuilder, SubmitError, WorkerPool,
 };
 use rijndael::aead::{self, Aead, Gcm, Xts, NONCE_LEN};
 use rijndael::dispatch::Kind;
@@ -49,15 +50,15 @@ use rijndael::{cmac, AutoCipher};
 use telemetry::Registry;
 
 /// Payload size (eight 16-byte blocks) from which pipelined engine ops
-/// run on the session pool's worker threads instead of the caller's.
+/// run on the farm's worker threads instead of the caller's.
 pub const BULK_THRESHOLD: usize = 8 * 16;
 
 /// One finished pipelined job: its correlation id and its bytes or
 /// typed fault.
 type Finished = (u32, Result<Vec<u8>, JobError>);
 
-/// One keyed session: the worker pool, a CMAC cipher, the AEAD and XTS
-/// lanes, and the bookkeeping for pipelined jobs.
+/// One keyed session: its handle on the farm, a CMAC cipher, the AEAD
+/// and XTS lanes, and the bookkeeping for pipelined jobs.
 pub struct Session {
     id: u32,
     mac: TtableAes,
@@ -71,10 +72,9 @@ pub struct Session {
     /// client can reproduce the stream with
     /// `Xts::new(C::new(k), C::new(k))`.
     xts: Xts<AutoCipher>,
-    /// The session's one executor for the engine ops. Worker threads
-    /// spawn on the first bulk job and caller-side backends are keyed
-    /// on the first small one, so a session holding only a key costs
-    /// neither.
+    /// The session's handle on the farm, its executor for the engine
+    /// ops. Caller-side backends are keyed on the first small job, so a
+    /// session holding only a key costs none.
     pool: WorkerPool,
     /// Caller-side results awaiting the next [`Session::collect`].
     parked: Vec<Finished>,
@@ -83,17 +83,15 @@ pub struct Session {
 }
 
 impl Session {
-    /// Keys a new session: builds the worker pool over `farm`, the
-    /// CMAC/key-wrap cipher and the AEAD/XTS lanes from `key`, wiring
-    /// the pool's telemetry into `registry`. The caller owns (and should
-    /// wipe) its copy of the key bytes; this type keeps only the pool's
-    /// copy and expanded material, all of which self-wipe on drop.
+    /// Keys a session on a farm of its own over `farm`, publishing into
+    /// `registry`; the farm's threads are joined when the session drops.
+    /// The server keys its sessions on its one farm with
+    /// [`Session::on_farm`] instead.
     ///
     /// # Panics
     ///
-    /// Panics if `key.len()` is not 16, 24 or 32 bytes — the server
-    /// validates lengths at the protocol boundary
-    /// (`ErrorCode::BadKeyLength`) before constructing a session.
+    /// Panics if `key.len()` is not 16, 24 or 32 bytes, or a worker
+    /// thread cannot spawn.
     #[must_use]
     pub fn new(
         id: u32,
@@ -102,43 +100,53 @@ impl Session {
         queue_capacity: usize,
         registry: &Registry,
     ) -> Session {
+        let farm = PoolBuilder::new()
+            .cores(farm)
+            .registry(registry.clone())
+            .spawn()
+            .expect("spawn engine worker threads");
+        Session::on_farm(id, key, &Arc::new(farm), queue_capacity, None)
+    }
+
+    /// Keys a session on `farm`: its handle holds at most
+    /// `queue_capacity` open jobs and fires `notifier` per delivered job,
+    /// and the same `key` keys the CMAC/key-wrap cipher and the AEAD/XTS
+    /// lanes. The caller owns (and should wipe) its copy of the key; this
+    /// type keeps only the handle's copy and expanded material, all of
+    /// which self-wipe on drop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key.len()` is not 16, 24 or 32 bytes — the server
+    /// validates lengths at the protocol boundary
+    /// (`ErrorCode::BadKeyLength`) before constructing a session — or on
+    /// a zero `queue_capacity`.
+    #[must_use]
+    pub fn on_farm(
+        id: u32,
+        key: &[u8],
+        farm: &Arc<Farm>,
+        queue_capacity: usize,
+        notifier: Option<Notifier>,
+    ) -> Session {
         Session {
             id,
             mac: TtableAes::new(key).expect("key length validated by the caller"),
             aead: Gcm::new(dispatched_cipher(key)),
             xts: Xts::new(dispatched_cipher(key), dispatched_cipher(key)),
-            pool: PoolBuilder::new()
-                .cores(farm)
-                .capacity(queue_capacity)
-                .registry(registry.clone())
-                .build(key),
+            pool: farm.handle(key, queue_capacity, notifier),
             parked: Vec::new(),
             open: Vec::new(),
         }
     }
 
-    /// Installs the completion callback the pool fires once per finished
-    /// bulk job — the server points this at its shard's wake pipe so a
-    /// parked `poll(2)` loop re-arms the connection without waiting out
-    /// its timeout. Call after every re-key (a new session starts with
-    /// no notifier).
-    pub fn set_notifier(&self, notifier: Arc<dyn Fn() + Send + Sync>) {
-        self.pool.set_notifier(notifier);
-    }
-
-    /// One elastic supervisor tick over the session's worker pool; see
-    /// [`WorkerPool::autoscale_tick`]. Returns what changed, if anything.
-    pub fn autoscale(&self, policy: &ResizePolicy) -> Option<ResizeAction> {
-        self.pool.autoscale_tick(policy)
-    }
-
-    /// Waits (up to `timeout`) for every bulk job still executing on the
-    /// worker threads to finish, so a following [`Session::collect`]
-    /// returns them. Returns `true` when the pool went quiet. The
-    /// server's connection drain calls this before a re-key, a goodbye
-    /// or the close after a half-close — `collect` never blocks, and
-    /// dropping the session mid-execution would silently discard an
-    /// accepted request's reply.
+    /// Waits (up to `timeout`) for every bulk job of this session still
+    /// queued or executing on the farm to finish, so a following
+    /// [`Session::collect`] returns them. Returns `true` when they all
+    /// did. The server's connection drain calls this before a re-key, a
+    /// goodbye or the close after a half-close — `collect` never
+    /// blocks, and dropping the session mid-execution would silently
+    /// discard an accepted request's reply.
     #[must_use]
     pub fn quiesce(&self, timeout: std::time::Duration) -> bool {
         self.pool.wait_idle_timeout(timeout)
@@ -151,7 +159,7 @@ impl Session {
     }
 
     /// Pipelined jobs not yet delivered (parked caller-side results plus
-    /// open pool jobs) — the per-session contribution to the server's
+    /// open farm jobs) — the per-session contribution to the server's
     /// in-flight gauge, and the server's cue to collect.
     #[must_use]
     pub fn in_flight(&self) -> usize {
@@ -161,7 +169,7 @@ impl Session {
     /// Accepts a pipelined job tagged with the request's correlation id;
     /// its result surfaces from a later [`Session::collect`].
     ///
-    /// Payloads of [`BULK_THRESHOLD`] bytes or more go to the pool's
+    /// Payloads of [`BULK_THRESHOLD`] bytes or more go to the farm's
     /// worker threads. Smaller ones run right here on the caller's thread
     /// and their result is parked for the next collect.
     ///
@@ -169,7 +177,7 @@ impl Session {
     ///
     /// [`SubmitError`] verbatim: `RaggedLength` for a ragged ECB/CBC
     /// buffer at any size, and `Busy` — the per-session backpressure
-    /// signal the server forwards as a typed reply — when the pool
+    /// signal the server forwards as a typed reply — when the session
     /// already holds its capacity of unfinished bulk jobs.
     pub fn submit(&mut self, corr: u32, mode: Mode, data: Vec<u8>) -> Result<(), SubmitError> {
         if data.len() >= BULK_THRESHOLD {
@@ -187,7 +195,7 @@ impl Session {
     }
 
     /// Returns every finished pipelined job, tagged with its
-    /// correlation id: parked caller-side results first, then the pool
+    /// correlation id: parked caller-side results first, then the farm
     /// completions ready right now, in completion order. Never blocks.
     pub fn collect(&mut self) -> Vec<Finished> {
         let mut done = std::mem::take(&mut self.parked);
@@ -336,28 +344,29 @@ impl SessionSlot {
         }
     }
 
-    /// Replaces the session with a freshly keyed one and returns the new
-    /// id (never 0, which the protocol reserves for "no session"). The
-    /// old session is dropped with whatever it still owes, so a caller
-    /// that has accepted requests on it collects them first (the server
+    /// Replaces the session with one keyed on `key` whose engine jobs
+    /// run on `farm` (see [`Session::on_farm`]), and returns the new id
+    /// (never 0, which the protocol reserves for "no session"). The old
+    /// session is dropped with whatever it still owes, so a caller that
+    /// has accepted requests on it collects them first (the server
     /// drains it).
     ///
     /// # Panics
     ///
     /// Panics if `key.len()` is not 16, 24 or 32 bytes (validated at the
-    /// protocol boundary).
+    /// protocol boundary), or on a zero `queue_capacity`.
     pub fn rekey(
         &mut self,
         key: &[u8],
-        farm: &[BackendSpec],
+        farm: &Arc<Farm>,
         queue_capacity: usize,
-        registry: &Registry,
+        notifier: Option<Notifier>,
     ) -> u32 {
         let id = self.next_id.max(1);
         self.next_id = id.wrapping_add(1);
-        // Assigning drops the previous session first-class: its pool
-        // backends and cipher schedules wipe their key material on drop.
-        self.current = Some(Session::new(id, key, farm, queue_capacity, registry));
+        // Assigning drops the previous session first-class: its handle
+        // and cipher schedules wipe their key material on drop.
+        self.current = Some(Session::on_farm(id, key, farm, queue_capacity, notifier));
         id
     }
 
@@ -534,12 +543,14 @@ mod tests {
     #[test]
     fn pool_lane_notifier_fires_on_bulk_completion() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut s = session(8);
+        use std::sync::Arc;
         let fired = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&fired);
-        s.set_notifier(Arc::new(move || {
+        let farm = Arc::new(PoolBuilder::new().cores(&farm()).spawn().unwrap());
+        let notifier: engine::Notifier = Arc::new(move || {
             counter.fetch_add(1, Ordering::SeqCst);
-        }));
+        });
+        let mut s = Session::on_farm(1, &KEY, &farm, 8, Some(notifier));
         s.submit(1, Mode::Ctr([0; 16]), sample(BULK_THRESHOLD))
             .unwrap();
         assert_eq!(collect_n(&mut s, 1).len(), 1);
@@ -560,13 +571,6 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 0xD1);
         assert!(got[0].1.is_ok());
-    }
-
-    #[test]
-    fn autoscale_is_callable_through_the_session() {
-        let s = session(8);
-        // An idle, min-sized pool has nothing to do.
-        assert_eq!(s.autoscale(&engine::ResizePolicy::default()), None);
     }
 
     #[test]
@@ -732,25 +736,31 @@ mod tests {
 
     #[test]
     fn rekey_replaces_the_session_and_advances_the_id() {
-        let reg = Registry::new();
+        let farm = std::sync::Arc::new(PoolBuilder::new().cores(&farm()).spawn().unwrap());
         let mut slot = SessionSlot::new();
         assert!(slot.session_mut().is_none());
-        let a = slot.rekey(&KEY, &farm(), 4, &reg);
+        let a = slot.rekey(&KEY, &farm, 4, None);
         slot.session_mut()
             .unwrap()
             .submit(1, Mode::EcbEncrypt, sample(16))
             .unwrap();
-        let b = slot.rekey(&[5u8; 16], &farm(), 4, &reg);
+        let b = slot.rekey(&[5u8; 16], &farm, 4, None);
         assert_ne!(a, b);
         assert_ne!(b, 0);
         // The parked result went with the old session (the server drains
         // a session before it re-keys).
         assert_eq!(slot.session_mut().unwrap().in_flight(), 0);
-        // And the new session really uses the new key.
+        // And the new session really uses the new key, on both lanes.
         let ct = run(slot.session_mut().unwrap(), Mode::EcbEncrypt, vec![0u8; 16]);
         let mut expect = vec![0u8; 16];
         Aes128::new(&[5u8; 16]).encrypt_in_place(&mut expect);
         assert_eq!(ct, expect);
+        let bulk = run(
+            slot.session_mut().unwrap(),
+            Mode::EcbEncrypt,
+            vec![0u8; BULK_THRESHOLD],
+        );
+        assert!(bulk.chunks(16).all(|b| b == expect.as_slice()));
         slot.clear();
         assert!(slot.session_mut().is_none());
     }

@@ -41,11 +41,13 @@ cargo test -q --test bitslice_equivalence --locked --offline
 echo "==> runtime dispatch gate (forced-backend sweep)"
 # The force override is read once per process, so each backend gets a
 # fresh process: the full equivalence sweep under the pin, the AEAD
-# KATs, the seeded wire law (every answer over a live connection
-# checked against the reference), then a live server round trip
-# asserting GET_STATS reports the pinned name. Only targeted test
-# binaries run here — the whole suite includes tests that legitimately
-# assume an unpinned dispatch.
+# KATs, the seeded wire laws (every answer over a live connection
+# checked against the reference; the two-key law shares one farm
+# between a 16-byte and a 32-byte session, so under ip-core it covers
+# the IP model for 16-byte keys and soft-fallback for 32-byte ones),
+# then a live server round trip asserting GET_STATS reports the pinned
+# name. Only targeted test binaries run here — the whole suite includes
+# tests that legitimately assume an unpinned dispatch.
 cargo build -q --release --locked --offline -p rijndael-bench --bin dispatch_probe
 backends="$(target/release/dispatch_probe --list)"
 [ -n "$backends" ] || { echo "dispatch_probe --list printed no backends" >&2; exit 1; }

@@ -40,6 +40,15 @@
 //! The GCM answers come from `aead::Gcm`, the code the server runs; the
 //! NIST vectors in `aead_kats` guard that kernel, and this law checks
 //! routing, framing and accounting.
+//!
+//! A second law holds two connections on one server, one under a
+//! 16-byte key and one under a 32-byte key, and writes a burst of
+//! farm-lane ECB, CBC and CTR jobs (128 B–1 KiB, both directions) on
+//! each, back to back, before reading either. Some bursts end in a
+//! re-key to a fresh key of the same length. Every answer must equal
+//! its own key's `Rijndael::<4>` reference, under the session live when
+//! the request ran. It runs on a one-worker farm, whose worker re-keys
+//! on every alternation, and on a two-worker farm.
 
 #[path = "support/xts_oracle.rs"]
 mod xts_oracle;
@@ -510,8 +519,12 @@ impl Model {
 }
 
 fn spawn_server() -> ServiceHandle {
+    spawn_on(&[BackendSpec::Auto; 2])
+}
+
+fn spawn_on(farm: &[BackendSpec]) -> ServiceHandle {
     let config = ServiceConfig::builder()
-        .farm(&[BackendSpec::Auto; 2])
+        .farm(farm)
         .event_threads(1)
         .queue_capacity(MAX_BURST)
         .max_connections(4)
@@ -692,4 +705,175 @@ forall!(cases = 32, fn one_connection_obeys_the_wire_law(
     ending in 0usize..=2,
 ) {
     run_case(&script, ending);
+});
+
+/// One request of a two-key burst: `(kind, size, seed)`. `kind` picks a
+/// farm-lane ECB, CBC or CTR job in either direction or, one time in
+/// eight, a re-key that ends its burst.
+type Job = (u8, u16, u64);
+
+/// What a two-key request earns: these bytes, or a fresh session under
+/// this key.
+enum Due {
+    Bytes(Vec<u8>),
+    Rekey(Vec<u8>),
+}
+
+/// One connection of the two-key law: its socket, live session and key.
+struct Peer {
+    stream: TcpStream,
+    sid: u32,
+    key: Vec<u8>,
+}
+
+impl Peer {
+    /// Connects and loads `key`.
+    fn keyed(server: &ServiceHandle, key: Vec<u8>) -> Peer {
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut peer = Peer {
+            stream,
+            sid: 0,
+            key: Vec::new(),
+        };
+        let mut wire = Vec::new();
+        Frame::request(Op::SetKey, 0, 1, 0, key.clone())
+            .encode_into(&mut wire)
+            .expect("a small frame");
+        (&peer.stream).write_all(&wire).expect("send SET_KEY");
+        peer.check(vec![(1, Due::Rekey(key))], "SET_KEY");
+        peer
+    }
+
+    /// Encodes a burst and what each request earns under the key live
+    /// when it runs. A re-key ends the burst.
+    fn plan(&self, jobs: &[Job], corr: &mut u32) -> (Vec<u8>, Vec<(u32, Due)>) {
+        let c = cipher(&self.key);
+        let mut wire = Vec::new();
+        let mut plan = Vec::new();
+        for &(kind, size, seed) in jobs {
+            *corr += 1;
+            let size = usize::from(size);
+            let blocks = bytes(seed, 16 * (BULK_THRESHOLD / 16 + size % 57));
+            let iv = bytes(!seed ^ 0x5A, 16);
+            let decrypt = kind & 1 == 1;
+            let (op, payload, due) = match kind % 8 {
+                7 => {
+                    let key = key_bytes(seed, self.key.len());
+                    (Op::SetKey, key.clone(), Due::Rekey(key))
+                }
+                0 | 1 => {
+                    let mut out = blocks.clone();
+                    let op = if decrypt {
+                        Ecb::decrypt(&c, &mut out).expect("whole blocks");
+                        Op::EcbDecrypt
+                    } else {
+                        Ecb::encrypt(&c, &mut out).expect("whole blocks");
+                        Op::EcbEncrypt
+                    };
+                    (op, blocks, Due::Bytes(out))
+                }
+                2 | 3 => {
+                    let payload = [&iv[..], &blocks].concat();
+                    let mut out = blocks;
+                    let op = if decrypt {
+                        Cbc::decrypt(&c, &iv, &mut out).expect("whole blocks");
+                        Op::CbcDecrypt
+                    } else {
+                        Cbc::encrypt(&c, &iv, &mut out).expect("whole blocks");
+                        Op::CbcEncrypt
+                    };
+                    (op, payload, Due::Bytes(out))
+                }
+                _ => {
+                    let mut out = bytes(seed, BULK_THRESHOLD + size % (1024 - BULK_THRESHOLD + 1));
+                    let payload = [&iv[..], &out].concat();
+                    Ctr::apply(&c, &iv, &mut out);
+                    (Op::CtrApply, payload, Due::Bytes(out))
+                }
+            };
+            Frame::request(op, 0, *corr, self.sid, payload)
+                .encode_into(&mut wire)
+                .expect("payloads stay small");
+            let rekey = matches!(due, Due::Rekey(_));
+            plan.push((*corr, due));
+            if rekey {
+                break;
+            }
+        }
+        (wire, plan)
+    }
+
+    /// Reads one reply per planned request and checks it against what
+    /// the request earned; a re-key's reply moves the peer to its new
+    /// session and key.
+    fn check(&mut self, plan: Vec<(u32, Due)>, at: &str) {
+        let mut replies = BTreeMap::new();
+        for _ in 0..plan.len() {
+            let reply = Frame::read_from(&mut &self.stream)
+                .unwrap_or_else(|e| panic!("{at}: reply missing: {e}"));
+            let corr = reply.corr;
+            assert!(replies.insert(corr, reply).is_none(), "{at}: second reply");
+        }
+        let old = self.sid;
+        for (corr, due) in plan {
+            let reply = replies
+                .remove(&corr)
+                .unwrap_or_else(|| panic!("{at}: no reply for corr {corr}"));
+            let at = format!("{at}, corr {corr}");
+            assert_eq!(reply.error_body(), None, "{at}");
+            match due {
+                Due::Bytes(want) => {
+                    assert_eq!(reply.session, old, "{at}: session");
+                    assert!(reply.payload == want, "{at}: not its own key's answer");
+                }
+                Due::Rekey(key) => {
+                    assert_ne!(reply.session, old, "{at}: a fresh session");
+                    self.sid = reply.session;
+                    self.key = key;
+                }
+            }
+        }
+    }
+}
+
+/// Runs one two-key script on a server over `farm`.
+fn two_key_case(rounds: &[(Vec<Job>, Vec<Job>)], farm: &[BackendSpec]) {
+    let server = spawn_on(farm);
+    let mut peers = [
+        Peer::keyed(&server, key_bytes(1, 16)),
+        Peer::keyed(&server, key_bytes(2, 32)),
+    ];
+    let mut corr = 10;
+    for (r, (a, b)) in rounds.iter().enumerate() {
+        let plans: Vec<Vec<(u32, Due)>> = [a, b]
+            .into_iter()
+            .zip(&peers)
+            .map(|(jobs, peer)| {
+                let (wire, plan) = peer.plan(jobs, &mut corr);
+                (&peer.stream).write_all(&wire).expect("send burst");
+                plan
+            })
+            .collect();
+        for (p, (peer, plan)) in peers.iter_mut().zip(plans).enumerate() {
+            peer.check(plan, &format!("{farm:?} round {r} connection {p}"));
+        }
+    }
+    drop(peers);
+    wait_closed(&server);
+    assert_eq!(inflight(&server), Some(0), "inflight once closed");
+    server.shutdown();
+}
+
+forall!(cases = 16, fn two_connections_get_answers_under_their_own_keys(
+    rounds in vec_of(
+        (vec_of(any::<Job>(), 1..MAX_BURST + 1), vec_of(any::<Job>(), 1..MAX_BURST + 1)),
+        1..7,
+    ),
+) {
+    for farm in [&[BackendSpec::Auto][..], &[BackendSpec::Auto; 2]] {
+        two_key_case(&rounds, farm);
+    }
 });
