@@ -6,7 +6,10 @@
 //! open, each having loaded a key and run one 256 KiB ECB job on the
 //! farm, and after each step reads the process's `Threads:` from
 //! `/proc/<pid>/status`. It also reads `engine.workers` over the wire.
-//! `VmRSS` is printed beside the thread count but not gated.
+//! `VmRSS` is printed beside the thread count, and its growth from 10
+//! to 50 sessions may be at most 160 KiB per session: an idle session
+//! holds no bulk buffer once its reply is written (about 520 KiB each
+//! when the receive buffer and reply queue kept their 256 KiB frames).
 
 #![cfg(target_os = "linux")]
 
@@ -17,6 +20,9 @@ use service::Client;
 
 /// Main + acceptor + 2 shards + 4 farm workers.
 const THREADS: u64 = 8;
+
+/// Most `VmRSS` growth per session held, in KiB.
+const RSS_PER_SESSION_KIB: u64 = 160;
 
 /// One field of `/proc/<pid>/status`, e.g. `Threads:`.
 fn status_field(pid: u32, field: &str) -> String {
@@ -42,6 +48,7 @@ fn a_nodes_thread_count_does_not_follow_its_session_count() {
         .expect("node process starts");
     let bulk = vec![0u8; 256 * 1024];
     let mut held: Vec<Client> = Vec::new();
+    let mut rss_at_10 = 0;
     for step in [1usize, 10, 50] {
         while held.len() < step {
             let mut client = Client::connect(node.addr()).expect("connect");
@@ -56,6 +63,22 @@ fn a_nodes_thread_count_does_not_follow_its_session_count() {
         let rss = status_field(node.pid(), "VmRSS:");
         println!("{step:>2} sessions: {threads} threads, VmRSS {rss}");
         assert_eq!(threads, THREADS, "threads with {step} sessions open");
+        let rss_kib: u64 = rss
+            .strip_suffix(" kB")
+            .and_then(|kib| kib.trim().parse().ok())
+            .unwrap_or_else(|| panic!("VmRSS {rss:?} is not in kB"));
+        match step {
+            10 => rss_at_10 = rss_kib,
+            50 => {
+                let per_session = rss_kib.saturating_sub(rss_at_10) / 40;
+                println!("VmRSS growth from 10 to 50 sessions: {per_session} KiB per session");
+                assert!(
+                    per_session <= RSS_PER_SESSION_KIB,
+                    "{per_session} KiB of VmRSS per session (bound {RSS_PER_SESSION_KIB} KiB)"
+                );
+            }
+            _ => {}
+        }
         let stats = held[0].stats().expect("GET_STATS");
         assert_eq!(
             json_gauge(&stats, "engine.workers"),

@@ -326,7 +326,10 @@ impl Inner {
     }
 
     /// Records one shard's result; the last shard in assembles the job
-    /// and delivers it. Call *without* holding the state lock.
+    /// and delivers it. Assembly appends parts 1.. onto part 0, which
+    /// is the submitted buffer and kept its full capacity, so it never
+    /// reallocates; a one-part job is delivered as it is. Call *without*
+    /// holding the state lock.
     fn finish_part(&self, job: &JobState, part: usize, result: Result<Vec<u8>, JobError>) {
         let data = {
             let mut p = job.progress.lock().expect("job progress poisoned");
@@ -343,10 +346,10 @@ impl Inner {
             match p.failed.take() {
                 Some(e) => Err(e),
                 None => {
-                    let total = p.parts.iter().map(|s| s.as_ref().map_or(0, Vec::len)).sum();
-                    let mut buf = Vec::with_capacity(total);
-                    for part in &mut p.parts {
-                        buf.extend_from_slice(&part.take().expect("every shard landed"));
+                    let mut parts = p.parts.iter_mut().map(|part| part.take());
+                    let mut buf = parts.next().flatten().expect("every shard landed");
+                    for part in parts {
+                        buf.extend_from_slice(&part.expect("every shard landed"));
                     }
                     Ok(buf)
                 }
@@ -835,13 +838,18 @@ impl WorkerPool {
         }
         let unroutable = if mode.is_parallel() && eligible.len() > 1 {
             // Deal the granule spans across the eligible deques, split
-            // from the tail so each shard is one allocation and the
-            // bytes are copied once.
+            // from the tail: each later shard is one allocation and one
+            // copy, and shard 0 takes the submitted buffer itself, whose
+            // capacity assembly then appends the others into.
             let plan: Vec<(usize, usize, usize)> =
                 shard_plan(data.len().div_ceil(BLOCK), eligible.len()).collect();
             let job = self.job(id, plan.len());
             for (part, &(pos, first, _)) in plan.iter().enumerate().rev() {
-                let chunk = data.split_off((first * BLOCK).min(data.len()));
+                let chunk = if first == 0 {
+                    std::mem::take(&mut data)
+                } else {
+                    data.split_off((first * BLOCK).min(data.len()))
+                };
                 st.slots[eligible[pos]].queue.push_back(Task {
                     job: Arc::clone(&job),
                     part,

@@ -31,16 +31,32 @@
 //!   session finished them; a session at capacity answers the job with
 //!   a typed `Busy`, to be retried after collecting.
 //!
-//! Every frame uses the one wire layout ([`crate::protocol`]). The raw
+//! Every frame uses the one wire layout ([`crate::protocol`]), and no
+//! call copies the caller's bytes: a request leaves as its head, its
+//! fixed prefix (an IV; a nonce and AAD length; a sector header) and the
+//! caller's own slices in one vectored write, and a reply body is read
+//! straight into the payload the call returns. The raw
 //! [`Client::send_raw`] / [`Client::recv_raw`] pair is for protocol
 //! tests that need to send deliberately malformed traffic.
 
 use std::collections::HashSet;
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::protocol::{ErrorCode, Frame, Op, RecvError, Status};
+use crate::protocol::{
+    encode_head, write_parts, ErrorCode, Frame, Op, RecvBuffer, RecvError, Status,
+};
+
+/// Bytes of the per-connection read buffer that small replies arrive
+/// through. It is allocated per connection, and a cluster router opens
+/// a connection per session, so it stays small: a bulk reply body does
+/// not pass through it.
+const READ_BUF: usize = 16 * 1024;
+
+/// Most payload parts one request carries: a fixed prefix and up to two
+/// caller slices.
+const MAX_PARTS: usize = 3;
 
 /// Failure of a client call.
 #[derive(Debug)]
@@ -131,9 +147,16 @@ pub struct PipelinedJob {
 /// top; `rijndael-cluster`'s router drives one `NodeConn`-backed
 /// client per node, so single-node and cluster traffic share one
 /// framing implementation.
-#[derive(Debug)]
+///
+/// Replies arrive through a [`RecvBuffer`] fed by a 16 KiB read
+/// buffer, so small replies — pipelined ones included — are parsed out
+/// of one `read`; a reply body still arriving when its head is parsed
+/// is read straight into its own payload, sized from the head, with no
+/// staging copy.
 pub struct NodeConn {
     stream: TcpStream,
+    inbuf: RecvBuffer,
+    read_buf: Box<[u8]>,
     seq: u32,
     session: u32,
     /// Correlation ids of pipelined requests still awaiting replies.
@@ -145,6 +168,20 @@ pub struct NodeConn {
     /// Stashed replies dropped at the cap (their correlation ids are
     /// forgotten with them).
     stash_evicted: u64,
+}
+
+impl fmt::Debug for NodeConn {
+    /// The conversation's state, not its buffers' bytes.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeConn")
+            .field("stream", &self.stream)
+            .field("seq", &self.seq)
+            .field("session", &self.session)
+            .field("in_flight", &self.pending.len())
+            .field("stashed", &self.stash.len())
+            .field("buffered", &self.inbuf.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl NodeConn {
@@ -164,6 +201,8 @@ impl NodeConn {
         stream.set_nodelay(true)?;
         Ok(NodeConn {
             stream,
+            inbuf: RecvBuffer::new(),
+            read_buf: vec![0u8; READ_BUF].into_boxed_slice(),
             seq: 0,
             session: 0,
             pending: HashSet::new(),
@@ -200,8 +239,19 @@ impl NodeConn {
         self.seq
     }
 
-    fn request(&self, op: Op, seq: u32, payload: Vec<u8>) -> Frame {
-        Frame::request(op, 0, seq, self.session, payload)
+    /// Sends one request under the live session, its payload the
+    /// concatenation of `parts` (at most three), straight from the
+    /// caller's slices in one vectored write. Returns its sequence
+    /// number, which is also its correlation id.
+    fn send(&mut self, op: Op, parts: &[&[u8]]) -> io::Result<u32> {
+        let seq = self.next_seq();
+        let len = parts.iter().map(|p| p.len()).sum();
+        let head = encode_head(op as u8, 0, seq, self.session, seq, len)?;
+        let mut all: [&[u8]; 1 + MAX_PARTS] = [&[]; 1 + MAX_PARTS];
+        all[0] = &head;
+        all[1..=parts.len()].copy_from_slice(parts);
+        write_parts(&mut self.stream, all)?;
+        Ok(seq)
     }
 
     /// Sends a frame verbatim (protocol-test escape hatch).
@@ -221,7 +271,22 @@ impl NodeConn {
     ///
     /// Transport or framing errors.
     pub fn recv_raw(&mut self) -> Result<Frame, RecvError> {
-        Frame::read_from(&mut self.stream)
+        loop {
+            if let Some(frame) = self.inbuf.next_frame()? {
+                return Ok(frame);
+            }
+            if self.inbuf.start_body(|len, _| Vec::with_capacity(len)) {
+                self.inbuf.read_body(&self.stream)?;
+                continue;
+            }
+            let n = match (&self.stream).read(&mut self.read_buf) {
+                Ok(0) => return Err(RecvError::Io(io::ErrorKind::UnexpectedEof.into())),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            };
+            self.inbuf.extend_from_slice(&self.read_buf[..n]);
+        }
     }
 
     /// Stashes an out-of-order reply, evicting the oldest stashed frame
@@ -259,31 +324,15 @@ impl NodeConn {
         }
     }
 
-    /// Request/reply round trip; typed `Error` replies become
-    /// [`ClientError::Service`].
-    fn call(&mut self, op: Op, payload: Vec<u8>) -> Result<Frame, ClientError> {
-        let seq = self.next_seq();
-        let request = self.request(op, seq, payload);
-        self.send_raw(&request)?;
+    /// Request/reply round trip over `parts` (see [`NodeConn::send`]);
+    /// typed `Error` replies become [`ClientError::Service`].
+    fn call(&mut self, op: Op, parts: &[&[u8]]) -> Result<Frame, ClientError> {
+        let seq = self.send(op, parts)?;
         let reply = self.recv_matched(seq)?;
         if let Some((code, detail)) = reply.error_body() {
             return Err(ClientError::Service { code, detail });
         }
         Ok(reply)
-    }
-
-    /// Sends a request **without waiting for the reply** and returns
-    /// its correlation id.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures on the send.
-    fn pipeline_op(&mut self, op: Op, payload: Vec<u8>) -> Result<u32, ClientError> {
-        let corr = self.next_seq();
-        let request = self.request(op, corr, payload);
-        self.send_raw(&request)?;
-        self.pending.insert(corr);
-        Ok(corr)
     }
 
     /// Receives the next pipelined completion (stashed replies first,
@@ -380,11 +429,6 @@ impl Client {
         self.conn.stash_evictions()
     }
 
-    #[cfg(test)]
-    fn request(&self, op: Op, seq: u32, payload: Vec<u8>) -> Frame {
-        self.conn.request(op, seq, payload)
-    }
-
     /// Sends a frame verbatim (protocol-test escape hatch).
     ///
     /// # Errors
@@ -410,8 +454,15 @@ impl Client {
         self.conn.recv_matched(want)
     }
 
-    fn call(&mut self, op: Op, payload: Vec<u8>) -> Result<Frame, ClientError> {
-        self.conn.call(op, payload)
+    fn call(&mut self, op: Op, parts: &[&[u8]]) -> Result<Frame, ClientError> {
+        self.conn.call(op, parts)
+    }
+
+    /// A round trip whose reply must be `Ok`; returns its payload.
+    fn call_ok(&mut self, op: Op, parts: &[&[u8]]) -> Result<Vec<u8>, ClientError> {
+        let reply = self.call(op, parts)?;
+        Self::expect_ok(&reply)?;
+        Ok(reply.payload)
     }
 
     fn expect_ok(reply: &Frame) -> Result<(), ClientError> {
@@ -434,7 +485,7 @@ impl Client {
     /// Typed service errors (`BadKeyLength` for any other length) or
     /// transport failures.
     pub fn set_key(&mut self, key: &[u8]) -> Result<u32, ClientError> {
-        let reply = self.call(Op::SetKey, key.to_vec())?;
+        let reply = self.call(Op::SetKey, &[key])?;
         Self::expect_ok(&reply)?;
         self.conn.session = reply.session;
         Ok(reply.session)
@@ -452,7 +503,7 @@ impl Client {
     /// unwraps to a non-key) or transport failures; every failure
     /// leaves the current session live.
     pub fn set_key_wrapped(&mut self, wrapped: &[u8]) -> Result<u32, ClientError> {
-        let reply = self.call(Op::SetKeyWrapped, wrapped.to_vec())?;
+        let reply = self.call(Op::SetKeyWrapped, &[wrapped])?;
         Self::expect_ok(&reply)?;
         self.conn.session = reply.session;
         Ok(reply.session)
@@ -464,18 +515,7 @@ impl Client {
     ///
     /// Typed service errors or transport failures.
     pub fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::Ping, payload.to_vec())?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
-    }
-
-    fn engine_payload(iv: Option<&[u8; 16]>, data: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(16 + data.len());
-        if let Some(iv) = iv {
-            payload.extend_from_slice(iv);
-        }
-        payload.extend_from_slice(data);
-        payload
+        self.call_ok(Op::Ping, &[payload])
     }
 
     fn engine_call(
@@ -484,9 +524,7 @@ impl Client {
         iv: Option<&[u8; 16]>,
         data: &[u8],
     ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(op, Self::engine_payload(iv, data))?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
+        self.call_ok(op, &[iv.map_or(&[], |iv| iv), data])
     }
 
     /// ECB-encrypts whole blocks under the session key.
@@ -549,9 +587,7 @@ impl Client {
     /// Typed service errors or transport failures;
     /// [`ClientError::Protocol`] if the payload is not UTF-8.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        let reply = self.call(Op::GetStats, Vec::new())?;
-        Self::expect_ok(&reply)?;
-        String::from_utf8(reply.payload)
+        String::from_utf8(self.call_ok(Op::GetStats, &[])?)
             .map_err(|_| ClientError::Protocol("non-UTF-8 stats payload".into()))
     }
 
@@ -561,13 +597,10 @@ impl Client {
     ///
     /// Typed service errors or transport failures.
     pub fn cmac_tag(&mut self, message: &[u8]) -> Result<[u8; 16], ClientError> {
-        let reply = self.call(Op::CmacTag, message.to_vec())?;
-        Self::expect_ok(&reply)?;
-        reply
-            .payload
-            .as_slice()
+        let tag = self.call_ok(Op::CmacTag, &[message])?;
+        tag.as_slice()
             .try_into()
-            .map_err(|_| ClientError::Protocol(format!("{}-byte CMAC tag", reply.payload.len())))
+            .map_err(|_| ClientError::Protocol(format!("{}-byte CMAC tag", tag.len())))
     }
 
     /// Verifies an AES-CMAC tag; `Ok(false)` on a well-formed mismatch.
@@ -576,10 +609,7 @@ impl Client {
     ///
     /// Typed service errors other than `BadTag`, or transport failures.
     pub fn cmac_verify(&mut self, message: &[u8], tag: &[u8; 16]) -> Result<bool, ClientError> {
-        let mut payload = Vec::with_capacity(16 + message.len());
-        payload.extend_from_slice(tag);
-        payload.extend_from_slice(message);
-        match self.call(Op::CmacVerify, payload) {
+        match self.call(Op::CmacVerify, &[tag, message]) {
             Ok(reply) => Self::expect_ok(&reply).map(|()| true),
             Err(ClientError::Service {
                 code: ErrorCode::BadTag,
@@ -589,13 +619,13 @@ impl Client {
         }
     }
 
-    fn aead_payload(nonce: &[u8; 12], aad: &[u8], body: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(16 + aad.len() + body.len());
-        payload.extend_from_slice(nonce);
-        payload.extend_from_slice(&(aad.len() as u32).to_be_bytes());
-        payload.extend_from_slice(aad);
-        payload.extend_from_slice(body);
-        payload
+    /// The fixed prefix of a SEAL/OPEN payload: the nonce and the AAD
+    /// length (the AAD and the body follow as the caller's slices).
+    fn aead_prefix(nonce: &[u8; 12], aad: &[u8]) -> [u8; 16] {
+        let mut prefix = [0u8; 16];
+        prefix[..12].copy_from_slice(nonce);
+        prefix[12..].copy_from_slice(&(aad.len() as u32).to_be_bytes());
+        prefix
     }
 
     /// AES-GCM seal under the session key: returns ciphertext ‖ 16-byte
@@ -611,9 +641,8 @@ impl Client {
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::Seal, Self::aead_payload(nonce, aad, plaintext))?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
+        let prefix = Self::aead_prefix(nonce, aad);
+        self.call_ok(Op::Seal, &[&prefix, aad, plaintext])
     }
 
     /// AES-GCM open; `Ok(None)` on a well-formed authentication failure
@@ -630,7 +659,8 @@ impl Client {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.call(Op::Open, Self::aead_payload(nonce, aad, sealed)) {
+        let prefix = Self::aead_prefix(nonce, aad);
+        match self.call(Op::Open, &[&prefix, aad, sealed]) {
             Ok(reply) => Self::expect_ok(&reply).map(|()| Some(reply.payload)),
             Err(ClientError::Service {
                 code: ErrorCode::TagMismatch,
@@ -648,9 +678,7 @@ impl Client {
     /// Typed service errors (`Malformed` unless `key_data` is ≥ 16
     /// bytes and a multiple of 8) or transport failures.
     pub fn wrap_key(&mut self, key_data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(Op::WrapKey, key_data.to_vec())?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
+        self.call_ok(Op::WrapKey, &[key_data])
     }
 
     /// Unwraps an RFC 3394 blob; `Ok(None)` when the integrity check
@@ -661,7 +689,7 @@ impl Client {
     /// Typed service errors other than `TagMismatch`, or transport
     /// failures.
     pub fn unwrap_key(&mut self, wrapped: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.call(Op::UnwrapKey, wrapped.to_vec()) {
+        match self.call(Op::UnwrapKey, &[wrapped]) {
             Ok(reply) => Self::expect_ok(&reply).map(|()| Some(reply.payload)),
             Err(ClientError::Service {
                 code: ErrorCode::TagMismatch,
@@ -671,12 +699,18 @@ impl Client {
         }
     }
 
-    fn xts_payload(sector_base: u64, sector_size: u32, body: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(12 + body.len());
-        payload.extend_from_slice(&sector_base.to_be_bytes());
-        payload.extend_from_slice(&sector_size.to_be_bytes());
-        payload.extend_from_slice(body);
-        payload
+    /// An XTS call: the sector header, then the caller's `data`.
+    fn xts_call(
+        &mut self,
+        op: Op,
+        sector_base: u64,
+        sector_size: u32,
+        data: &[u8],
+    ) -> Result<Vec<u8>, ClientError> {
+        let mut header = [0u8; 12];
+        header[..8].copy_from_slice(&sector_base.to_be_bytes());
+        header[8..].copy_from_slice(&sector_size.to_be_bytes());
+        self.call_ok(op, &[&header, data])
     }
 
     /// XTS-encrypts `data` as consecutive `sector_size`-byte sectors
@@ -694,12 +728,7 @@ impl Client {
         sector_size: u32,
         data: &[u8],
     ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(
-            Op::XtsEncrypt,
-            Self::xts_payload(sector_base, sector_size, data),
-        )?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
+        self.xts_call(Op::XtsEncrypt, sector_base, sector_size, data)
     }
 
     /// XTS-decrypts `data`; the inverse of [`Client::xts_encrypt`]
@@ -714,12 +743,7 @@ impl Client {
         sector_size: u32,
         data: &[u8],
     ) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(
-            Op::XtsDecrypt,
-            Self::xts_payload(sector_base, sector_size, data),
-        )?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
+        self.xts_call(Op::XtsDecrypt, sector_base, sector_size, data)
     }
 
     /// Sends an engine op **without waiting for the reply** and returns
@@ -739,7 +763,9 @@ impl Client {
         iv: Option<&[u8; 16]>,
         data: &[u8],
     ) -> Result<u32, ClientError> {
-        self.conn.pipeline_op(op, Self::engine_payload(iv, data))
+        let corr = self.conn.send(op, &[iv.map_or(&[], |iv| iv), data])?;
+        self.conn.pending.insert(corr);
+        Ok(corr)
     }
 
     /// Receives the next pipelined completion (stashed replies first,
@@ -770,6 +796,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::TcpListener;
     use std::thread;
 
@@ -842,7 +869,7 @@ mod tests {
         // nothing.
         let first = client.collect_next().unwrap();
         assert_eq!(first.corr, 1);
-        let request = client.request(Op::Ping, 99, Vec::new());
+        let request = Frame::request(Op::Ping, 0, 99, client.session(), Vec::new());
         client.send_raw(&request).unwrap();
         match client.recv_matched(99) {
             Err(ClientError::StrayReply { corr: 1 }) => {}
@@ -921,6 +948,76 @@ mod tests {
         assert!(jobs.iter().all(|j| j.corr != 1));
         assert_eq!(client.in_flight(), 0);
         server.join().unwrap();
+    }
+
+    /// Replies written in seeded fragments — a 256 KiB body among small
+    /// replies, cut anywhere, heads included, with a pause after each
+    /// piece — reach the client in many partial reads; each one must be
+    /// delivered whole, by correlation id.
+    #[test]
+    fn fragmented_replies_reassemble_by_correlation_id() {
+        let bulk: Vec<u8> = (0..crate::protocol::MAX_PAYLOAD)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        for seed in 1..=4u64 {
+            let payloads: Vec<Vec<u8>> = (1..=6u8)
+                .map(|corr| {
+                    if u64::from(corr) == seed + 1 {
+                        bulk.clone()
+                    } else {
+                        vec![corr; usize::from(corr) * 7]
+                    }
+                })
+                .collect();
+            let mut wire = Vec::new();
+            for (i, payload) in payloads.iter().enumerate().rev() {
+                ok_reply(i as u32 + 1, payload.clone())
+                    .encode_into(&mut wire)
+                    .unwrap();
+            }
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                stream.set_nodelay(true).unwrap();
+                for _ in 0..6 {
+                    Frame::read_from(&mut stream).unwrap();
+                }
+                let mut x = seed;
+                let mut rest = &wire[..];
+                while !rest.is_empty() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Mostly short pieces, so heads split too, and now
+                    // and then a long run of a body.
+                    let cut = match x % 4 {
+                        0 => 1 + (x >> 8) as usize % 30_000,
+                        _ => 1 + (x >> 8) as usize % 40,
+                    };
+                    let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                    stream.write_all(piece).unwrap();
+                    stream.flush().unwrap();
+                    thread::sleep(std::time::Duration::from_micros(200));
+                    rest = tail;
+                }
+            });
+            let mut client = Client::connect(addr).unwrap();
+            for _ in 0..6 {
+                client.pipeline(Op::EcbEncrypt, None, &[0u8; 16]).unwrap();
+            }
+            for _ in 0..6 {
+                let job = client.collect_next().unwrap();
+                let want = &payloads[job.corr as usize - 1];
+                assert!(
+                    job.result.as_ref() == Ok(want),
+                    "seed {seed}: corr {} came back wrong",
+                    job.corr
+                );
+            }
+            assert_eq!(client.in_flight(), 0);
+            server.join().unwrap();
+        }
     }
 
     #[test]

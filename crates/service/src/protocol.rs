@@ -36,10 +36,20 @@
 //! O(n²) memmove exactly when a pipelining burst parks many frames in
 //! one buffer. `RecvBuffer` advances a cursor instead and compacts
 //! amortised-O(1), so parsing `k` buffered frames moves each byte a
-//! bounded number of times no matter how large `k` gets.
+//! bounded number of times no matter how large `k` gets. A frame whose
+//! head has arrived but whose body has not can switch the buffer to
+//! **body mode** ([`RecvBuffer::start_body`]): the body then lands in its
+//! own payload buffer, read straight from the socket one `read` at a
+//! time by a nonblocking reader ([`RecvBuffer::fill_body`]) or in one
+//! call by a blocking one ([`RecvBuffer::read_body`]), so a bulk body is
+//! never staged in the cursor buffer and copied out again.
+//!
+//! Sending is copy-free too: [`write_parts`] writes a frame's
+//! [`encode_head`] and the caller's payload slices with vectored writes,
+//! and [`Frame::write_to`] is that call over the frame's own payload.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use engine::Mode;
 
@@ -58,6 +68,10 @@ pub const MAX_PAYLOAD: usize = 256 * 1024;
 
 /// Hard cap on the post-prefix frame length: a maximal-payload frame.
 pub const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD;
+
+/// Bytes that open every frame on the wire: the length prefix and the
+/// header.
+pub const HEAD_LEN: usize = 4 + HEADER_LEN;
 
 /// Request operation codes (`kind` with the high bit clear). Code 0x02
 /// is reserved (a retired drain op) and decodes to `None`.
@@ -452,9 +466,19 @@ impl Frame {
         Some((code, detail))
     }
 
+    /// The frame's [`HEAD_LEN`] opening bytes (see [`encode_head`]).
+    fn head(&self) -> io::Result<[u8; HEAD_LEN]> {
+        encode_head(
+            self.kind,
+            self.flags,
+            self.seq,
+            self.session,
+            self.corr,
+            self.payload.len(),
+        )
+    }
+
     /// Appends the serialised frame (length prefix included) to `buf`.
-    /// An outgoing queue encodes replies straight into itself this way,
-    /// with no per-frame temporary.
     ///
     /// # Errors
     ///
@@ -462,41 +486,28 @@ impl Frame {
     /// [`MAX_PAYLOAD`]; `buf` is then left exactly as it was, so a
     /// queue of whole frames stays in sync.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> io::Result<()> {
-        if self.payload.len() > MAX_PAYLOAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("payload of {} exceeds MAX_PAYLOAD", self.payload.len()),
-            ));
-        }
-        let len = (HEADER_LEN + self.payload.len()) as u32;
-        buf.reserve(4 + HEADER_LEN + self.payload.len());
-        buf.extend_from_slice(&len.to_be_bytes());
-        buf.push(PROTOCOL_VERSION);
-        buf.push(self.kind);
-        buf.push(self.flags);
-        buf.extend_from_slice(&self.seq.to_be_bytes());
-        buf.extend_from_slice(&self.session.to_be_bytes());
-        buf.extend_from_slice(&self.corr.to_be_bytes());
+        let head = self.head()?;
+        buf.reserve(HEAD_LEN + self.payload.len());
+        buf.extend_from_slice(&head);
         buf.extend_from_slice(&self.payload);
         Ok(())
     }
 
-    /// Serialises the frame (see [`Self::encode_into`]) and sends it
-    /// with one `write_all`, so a socket sees the frame in one write.
+    /// Sends the frame's head and its payload with vectored writes
+    /// ([`write_parts`]): no serialised copy of the frame is built.
     ///
     /// # Errors
     ///
     /// I/O errors from `w`; [`io::ErrorKind::InvalidInput`] when the
     /// payload exceeds [`MAX_PAYLOAD`] (the frame is not sent).
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut buf = Vec::new();
-        self.encode_into(&mut buf)?;
-        w.write_all(&buf)
+        write_parts(w, [&self.head()?, &self.payload])
     }
 
-    /// Decodes one complete post-prefix frame body that passed
-    /// [`check_framing`].
-    fn decode_body(body: &[u8]) -> Frame {
+    /// Decodes the header fields of a post-prefix frame body that passed
+    /// [`check_framing`] (at least [`HEADER_LEN`] bytes), around
+    /// `payload`.
+    fn decode_header(body: &[u8], payload: Vec<u8>) -> Frame {
         let word = |at: usize| u32::from_be_bytes(body[at..at + 4].try_into().expect("4 bytes"));
         Frame {
             kind: body[1],
@@ -504,8 +515,14 @@ impl Frame {
             seq: word(3),
             session: word(7),
             corr: word(11),
-            payload: body[HEADER_LEN..].to_vec(),
+            payload,
         }
+    }
+
+    /// Decodes one complete post-prefix frame body that passed
+    /// [`check_framing`].
+    fn decode_body(body: &[u8]) -> Frame {
+        Frame::decode_header(body, body[HEADER_LEN..].to_vec())
     }
 
     /// Reads one frame, enforcing [`MAX_FRAME_LEN`] and the version
@@ -558,6 +575,63 @@ fn check_framing(len: u32, version: Option<u8>) -> Result<bool, RecvError> {
     Ok(true)
 }
 
+/// The [`HEAD_LEN`] bytes that open a frame carrying a `payload_len`-byte
+/// payload: the length prefix, [`PROTOCOL_VERSION`] and the header
+/// fields.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] when `payload_len` exceeds
+/// [`MAX_PAYLOAD`].
+pub fn encode_head(
+    kind: u8,
+    flags: u8,
+    seq: u32,
+    session: u32,
+    corr: u32,
+    payload_len: usize,
+) -> io::Result<[u8; HEAD_LEN]> {
+    if payload_len > MAX_PAYLOAD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("payload of {payload_len} exceeds MAX_PAYLOAD"),
+        ));
+    }
+    let mut head = [0u8; HEAD_LEN];
+    head[..4].copy_from_slice(&((HEADER_LEN + payload_len) as u32).to_be_bytes());
+    head[4] = PROTOCOL_VERSION;
+    head[5] = kind;
+    head[6] = flags;
+    head[7..11].copy_from_slice(&seq.to_be_bytes());
+    head[11..15].copy_from_slice(&session.to_be_bytes());
+    head[15..19].copy_from_slice(&corr.to_be_bytes());
+    Ok(head)
+}
+
+/// Sends `parts` in order with vectored writes, straight from the
+/// caller's slices: a frame is its head (from [`encode_head`], for the
+/// payload parts' total length) followed by the parts whose
+/// concatenation is its payload, so a socket sees it in one `writev`
+/// and no encoded copy is built. Empty parts are allowed.
+///
+/// # Errors
+///
+/// I/O errors from `w` (`WriteZero` when it stops accepting bytes).
+pub fn write_parts<W: Write, const N: usize>(w: &mut W, parts: [&[u8]; N]) -> io::Result<()> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut slices = &mut slices[..];
+    IoSlice::advance_slices(&mut slices, 0);
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// The `code: u8` ‖ `detail: u32 BE` body of a [`Status::Error`] reply.
 pub(crate) fn error_payload(code: ErrorCode, detail: u32) -> Vec<u8> {
     let mut payload = Vec::with_capacity(5);
@@ -567,7 +641,8 @@ pub(crate) fn error_payload(code: ErrorCode, detail: u32) -> Vec<u8> {
 }
 
 /// Incremental frame reassembly for non-blocking readers: a
-/// consumed-offset cursor over the connection's receive bytes.
+/// consumed-offset cursor over the connection's receive bytes, plus a
+/// body mode for frames whose payload is still arriving.
 ///
 /// Append raw socket bytes with [`RecvBuffer::extend_from_slice`], then
 /// pull complete frames with [`RecvBuffer::next_frame`] until it parks
@@ -579,6 +654,14 @@ pub(crate) fn error_payload(code: ErrorCode, detail: u32) -> Vec<u8> {
 /// when the dead prefix dominates the live bytes, keeping the memmove
 /// amortised O(1) per byte ([`RecvBuffer::compacted_bytes`] counts the
 /// bytes actually moved so tests can pin the bound).
+///
+/// When `next_frame` parks on a frame whose head has arrived (and
+/// passed the framing checks) but whose body has not,
+/// [`RecvBuffer::start_body`] moves the body bytes already buffered into
+/// a payload buffer the caller supplies, and [`RecvBuffer::read_body`]
+/// reads the rest straight into it; `next_frame` returns the frame once
+/// its payload is whole. Frames that arrive whole are decoded from the
+/// cursor as before.
 #[derive(Debug, Default)]
 pub struct RecvBuffer {
     buf: Vec<u8>,
@@ -586,7 +669,28 @@ pub struct RecvBuffer {
     start: usize,
     /// Total bytes ever memmoved by compaction (regression metric).
     compacted: u64,
+    /// The frame in body mode, if any.
+    body: Option<Body>,
 }
+
+/// A frame whose payload is being read straight into its own buffer.
+#[derive(Debug)]
+struct Body {
+    /// The decoded header fields around the payload buffer. Bytes
+    /// `filled..` of `frame.payload` are initialized filler (a recycled
+    /// buffer's old contents, or zeros) that reads overwrite; they never
+    /// leave in a frame.
+    frame: Frame,
+    /// Payload bytes received so far.
+    filled: usize,
+    /// The declared payload length.
+    want: usize,
+}
+
+/// The read size the service's readers plan around: the server's
+/// scratch read, and the step by which a body's initialized region
+/// grows when a read finds it full.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// Compact only once the dead prefix is at least this large *and* at
 /// least as large as the live remainder — both conditions together make
@@ -600,8 +704,11 @@ impl RecvBuffer {
         RecvBuffer::default()
     }
 
-    /// Appends raw bytes from the transport.
+    /// Appends raw bytes from the transport. Not for a buffer in body
+    /// mode: the body's bytes go through [`RecvBuffer::fill_body`] or
+    /// [`RecvBuffer::read_body`].
     pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        debug_assert!(self.body.is_none(), "a body in progress reads directly");
         if self.start == self.buf.len() {
             // Everything already parsed: reset for free.
             self.buf.clear();
@@ -612,10 +719,13 @@ impl RecvBuffer {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Unconsumed bytes currently buffered.
+    /// Bytes received and not yet returned in a frame: the unconsumed
+    /// cursor bytes, or the head and payload so far of a body in
+    /// progress.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.len() - self.start
+        let body = self.body.as_ref().map_or(0, |b| HEAD_LEN + b.filled);
+        self.buf.len() - self.start + body
     }
 
     /// `true` when no unconsumed bytes remain.
@@ -641,11 +751,12 @@ impl RecvBuffer {
         self.start = 0;
     }
 
-    /// Parses one complete frame off the cursor, or returns `Ok(None)`
-    /// when more bytes are needed. The length prefix is validated as
-    /// soon as it is visible and the version byte as soon as it arrives,
-    /// so an oversized or foreign frame is refused before its body
-    /// accumulates.
+    /// Parses one complete frame — the body in progress once its
+    /// payload is whole, or the next frame off the cursor — or returns
+    /// `Ok(None)` when more bytes are needed. The length prefix is
+    /// validated as soon as it is visible and the version byte as soon
+    /// as it arrives, so an oversized or foreign frame is refused before
+    /// its body accumulates.
     ///
     /// # Errors
     ///
@@ -653,6 +764,12 @@ impl RecvBuffer {
     /// [`RecvError::TooShort`] on broken framing; the buffer is left
     /// untouched so the caller can report and close.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, RecvError> {
+        if let Some(body) = &self.body {
+            if body.filled < body.want {
+                return Ok(None);
+            }
+            return Ok(self.body.take().map(|body| body.frame));
+        }
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
             return Ok(None);
@@ -665,6 +782,112 @@ impl RecvBuffer {
         let frame = Frame::decode_body(&avail[4..total]);
         self.start += total;
         Ok(Some(frame))
+    }
+
+    /// Switches to body mode when the cursor holds a frame whose head
+    /// has arrived and passed the framing checks but whose body has not
+    /// (call it once [`RecvBuffer::next_frame`] parks). `payload` is
+    /// called with the frame's declared payload length and the payload
+    /// bytes already buffered, and returns the buffer the body will
+    /// fill — any contents it has are kept as filler up to the declared
+    /// length; the buffered bytes move into its front, and the cursor is
+    /// then empty. Returns whether a body was started: never for a frame
+    /// that is already whole, a head still arriving, broken framing or a
+    /// body already in progress.
+    pub fn start_body(&mut self, payload: impl FnOnce(usize, usize) -> Vec<u8>) -> bool {
+        let avail = &self.buf[self.start..];
+        if self.body.is_some() || avail.len() < HEAD_LEN {
+            return false;
+        }
+        let len = u32::from_be_bytes(avail[..4].try_into().expect("4-byte slice"));
+        let total = 4 + len as usize;
+        if !matches!(check_framing(len, Some(avail[4])), Ok(true)) || avail.len() >= total {
+            return false;
+        }
+        let (want, buffered) = (total - HEAD_LEN, &avail[HEAD_LEN..]);
+        let mut buffer = payload(want, buffered.len());
+        buffer.truncate(want);
+        if buffer.len() < buffered.len() {
+            buffer.clear();
+            buffer.extend_from_slice(buffered);
+        } else {
+            buffer[..buffered.len()].copy_from_slice(buffered);
+        }
+        self.body = Some(Body {
+            frame: Frame::decode_header(&avail[4..HEAD_LEN], buffer),
+            filled: buffered.len(),
+            want,
+        });
+        self.buf.clear();
+        self.start = 0;
+        true
+    }
+
+    /// Payload bytes the body in progress still misses (0 when no body
+    /// is in progress).
+    #[must_use]
+    pub fn body_missing(&self) -> usize {
+        self.body.as_ref().map_or(0, |b| b.want - b.filled)
+    }
+
+    /// Makes one `read` from `reader` straight into the body in
+    /// progress and returns the bytes read (0 at EOF, or when no body
+    /// is in progress). The read lands in the payload's initialized
+    /// region past the bytes received; when that region is used up it
+    /// first grows, zero-filled, by 64 KiB (`READ_CHUNK`) or by doubling,
+    /// whichever is more — straight to the declared length once less
+    /// than a chunk would be left, and never past it. A nonblocking
+    /// reader issues exactly one read per call, so the caller can
+    /// count and budget them; a recycled payload buffer is never
+    /// zeroed again.
+    ///
+    /// # Errors
+    ///
+    /// The reader's error (`WouldBlock` on a drained nonblocking
+    /// socket); nothing was read.
+    pub fn fill_body<R: Read>(&mut self, mut reader: R) -> io::Result<usize> {
+        let Some(body) = self.body.as_mut().filter(|b| b.filled < b.want) else {
+            return Ok(0);
+        };
+        let payload = &mut body.frame.payload;
+        if payload.len() == body.filled {
+            let mut grown = (body.filled + READ_CHUNK).max(2 * body.filled);
+            if grown + READ_CHUNK > body.want {
+                grown = body.want;
+            }
+            payload.reserve_exact(grown - payload.len());
+            payload.resize(grown, 0);
+        }
+        let n = reader.read(&mut payload[body.filled..])?;
+        body.filled += n;
+        Ok(n)
+    }
+
+    /// Reads the rest of the body in progress from `reader` straight
+    /// into its payload — `Read::take` bounds the read at the bytes it
+    /// misses, and `Read::read_to_end` fills the payload's spare
+    /// capacity without zeroing it. On a blocking reader the call
+    /// returns once the body is whole.
+    ///
+    /// # Errors
+    ///
+    /// The reader's error, or `UnexpectedEof` when it ends first; the
+    /// bytes it delivered stay in the body.
+    pub fn read_body<R: Read>(&mut self, reader: R) -> io::Result<()> {
+        let Some(body) = self.body.as_mut() else {
+            return Ok(());
+        };
+        let payload = &mut body.frame.payload;
+        payload.truncate(body.filled);
+        let result = reader
+            .take((body.want - body.filled) as u64)
+            .read_to_end(payload);
+        body.filled = payload.len();
+        result?;
+        if body.filled < body.want {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        Ok(())
     }
 }
 
@@ -955,6 +1178,120 @@ mod tests {
             buf.compacted_bytes(),
             wire.len()
         );
+    }
+
+    #[test]
+    fn write_parts_sends_what_encode_into_builds() {
+        let frame = Frame::request(Op::Seal, 0, 9, 4, (0..40u8).collect()).with_corr(77);
+        let mut whole = Vec::new();
+        frame.encode_into(&mut whole).unwrap();
+        let head = encode_head(frame.kind, 0, 9, 4, 77, 40).unwrap();
+        let (a, b) = frame.payload.split_at(16);
+        let mut sent = Vec::new();
+        write_parts(&mut sent, [&head, &[], a, &[], b]).unwrap();
+        assert_eq!(sent, whole);
+        let err = encode_head(0, 0, 0, 0, 0, MAX_PAYLOAD + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A reader that hands out at most `step` bytes per `read`.
+    struct Trickle<'a> {
+        rest: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_body_in_progress_fills_its_own_buffer() {
+        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 253) as u8).collect();
+        let frame = Frame::request(Op::Ping, 0, 5, 0, payload.clone()).with_corr(6);
+        let mut wire = Vec::new();
+        frame.write_to(&mut wire).unwrap();
+        let next = Frame::request(Op::Ping, 0, 7, 0, vec![1, 2]);
+        next.write_to(&mut wire).unwrap();
+
+        // A recycled buffer: longer than the body, with old contents.
+        for recycled in [Vec::new(), vec![0xFF; 300_000]] {
+            let mut buf = RecvBuffer::new();
+            buf.extend_from_slice(&wire[..HEAD_LEN + 1000]);
+            assert!(buf.next_frame().unwrap().is_none());
+            let mut asked = None;
+            assert!(buf.start_body(|len, buffered| {
+                asked = Some((len, buffered));
+                recycled
+            }));
+            assert_eq!(asked, Some((payload.len(), 1000)));
+            assert_eq!(buf.len(), HEAD_LEN + 1000);
+            assert_eq!(buf.body_missing(), payload.len() - 1000);
+            // A body in progress never starts another.
+            assert!(!buf.start_body(|_, _| unreachable!()));
+            let mut reader = Trickle {
+                rest: &wire[HEAD_LEN + 1000..],
+                step: 70_000,
+            };
+            let mut reads = 0;
+            while buf.body_missing() > 0 {
+                assert!(buf.next_frame().unwrap().is_none());
+                assert!(buf.fill_body(&mut reader).unwrap() > 0);
+                reads += 1;
+            }
+            assert!(reads <= 5, "{reads} reads for a 200 KB body");
+            assert_eq!(buf.next_frame().unwrap(), Some(frame.clone()));
+            assert!(buf.is_empty());
+            // The stream continues on the cursor after the body.
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            buf.extend_from_slice(&rest);
+            assert_eq!(buf.next_frame().unwrap(), Some(next.clone()));
+        }
+
+        // The blocking path reads the rest in one call, into capacity
+        // sized from the head; an early EOF is an error.
+        let mut buf = RecvBuffer::new();
+        buf.extend_from_slice(&wire[..HEAD_LEN + 10]);
+        assert!(buf.start_body(|len, _| Vec::with_capacity(len)));
+        buf.read_body(&wire[HEAD_LEN + 10..]).unwrap();
+        assert_eq!(buf.next_frame().unwrap(), Some(frame.clone()));
+        let mut buf = RecvBuffer::new();
+        buf.extend_from_slice(&wire[..HEAD_LEN + 10]);
+        assert!(buf.start_body(|len, _| Vec::with_capacity(len)));
+        let short = &wire[HEAD_LEN + 10..HEAD_LEN + 5000];
+        let err = buf.read_body(short).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(buf.body_missing(), payload.len() - 5000);
+    }
+
+    #[test]
+    fn only_a_checked_head_with_a_missing_body_starts_a_body() {
+        let mut wire = Vec::new();
+        Frame::request(Op::Ping, 0, 1, 0, vec![9; 64])
+            .write_to(&mut wire)
+            .unwrap();
+        // A head still arriving, and a frame already whole.
+        for have in [HEAD_LEN - 1, wire.len()] {
+            let mut buf = RecvBuffer::new();
+            buf.extend_from_slice(&wire[..have]);
+            assert!(!buf.start_body(|_, _| unreachable!()), "{have} bytes");
+        }
+        // Broken framing is reported by next_frame; no buffer is taken.
+        let mut oversized = wire.clone();
+        oversized[..4].copy_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+        let mut foreign = wire.clone();
+        foreign[4] = 1;
+        for broken in [oversized, foreign] {
+            let mut buf = RecvBuffer::new();
+            buf.extend_from_slice(&broken[..HEAD_LEN + 1]);
+            assert!(buf.next_frame().is_err());
+            assert!(!buf.start_body(|_, _| unreachable!()));
+        }
     }
 
     #[test]

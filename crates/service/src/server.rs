@@ -20,13 +20,27 @@
 //!
 //! Each connection owns a [`crate::protocol::RecvBuffer`] (incremental
 //! reassembly: a slow peer that trickles bytes never desynchronises the
-//! stream), an outgoing byte queue, and a [`SessionSlot`]. Readable →
-//! drain the socket, parse every complete frame, dispatch; writable →
-//! flush the outgoing queue. Replies are serialised into the queue and
-//! written opportunistically; when a peer stops reading, the queue
+//! stream), an outgoing reply queue, and a [`SessionSlot`]. Readable →
+//! read until the socket is drained or a byte budget is spent, and
+//! after every read dispatch the frames it completed; writable → flush
+//! the reply queue with `writev`. When a peer stops reading, the queue
 //! grows until the write-backpressure cap, at which point the server
 //! stops *reading* from that peer until the queue drains — slow
 //! consumers throttle themselves without unbounded buffering.
+//!
+//! # Buffers
+//!
+//! A bulk body crosses the shard once. A frame whose head has arrived
+//! but whose body has not reads its body straight into a payload buffer
+//! taken from the shard's spare list; the payload is encrypted in place,
+//! queued as the reply's payload beside its 19-byte head (moved, never
+//! copied), written from where it lies, and then parked in the spare
+//! list for the next body. Request payloads an op does not send back
+//! are parked too; a key load's never is. The list keeps buffers of at
+//! least one 64 KiB read and at most the write-backpressure cap of
+//! capacity per shard; a body that finds no fitting spare reserves what
+//! has arrived plus one read and grows as bytes arrive. Frames that
+//! arrive whole are parsed from the scratch read as before.
 //!
 //! # Pipelining
 //!
@@ -74,7 +88,10 @@
 //! (`service.loop.events_per_poll`, `service.loop.dispatch_micros`), a
 //! request frame-size histogram, admission refusals, the hand-off wait
 //! from `accept()` to shard admission (`service.admission.handoff_us`),
-//! and — because the farm is built against the same registry — the full
+//! the shards' socket calls (`service.io.syscalls`), the bytes buffered
+//! in connections (`service.conn.buffered_bytes`) and parked in spare
+//! lists (`service.buffers.spare_bytes`), and — because the farm is
+//! built against the same registry — the full
 //! `engine.*` instrument set, describing the one farm. `GET_STATS`
 //! serialises one snapshot of that registry as the `telemetry/1` JSON
 //! document; [`ServiceHandle::registry`] exposes the same registry
@@ -89,8 +106,9 @@
 //! [`ServiceHandle::shutdown`] joins the acceptor, which joins every
 //! shard and then the farm's workers — no threads outlive the handle.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -103,7 +121,8 @@ use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::net::{self, PollSet};
 use crate::protocol::{
-    error_payload, ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, HEADER_LEN, MAX_PAYLOAD,
+    encode_head, error_payload, ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, HEADER_LEN,
+    HEAD_LEN, MAX_PAYLOAD, READ_CHUNK,
 };
 use crate::session::{Session, SessionSlot};
 
@@ -133,12 +152,18 @@ const DRAIN_POOL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Write-backpressure cap: once a connection's outgoing queue holds
 /// this many bytes the server stops reading from that peer until the
-/// queue drains below it again.
+/// queue drains below it again. It also bounds the capacity a shard
+/// keeps in its spare payload buffers.
 const OUTBUF_SOFT_CAP: usize = 1 << 20;
 
-/// Reads drained from one socket per readiness event before yielding to
-/// the other connections (each read is one scratch buffer).
-const READ_BURST: usize = 64;
+/// Bytes read from one socket per readiness event before yielding to
+/// the other connections: 64 scratch-sized reads' worth, whether they
+/// land in the scratch buffer or straight in a body.
+const READ_BUDGET: usize = 64 * READ_CHUNK;
+
+/// Most queued replies one `writev` gathers (two slices each: head and
+/// payload).
+const WRITE_BATCH: usize = 32;
 
 /// Bucket upper bounds for the `service.frame.request_bytes` histogram
 /// (whole frames, header included; the overflow bucket catches anything
@@ -378,6 +403,15 @@ struct Shared {
     /// `service.frame.request_bytes` — whole request frames, header
     /// included.
     request_bytes: Histogram,
+    /// `service.io.syscalls` — socket reads and writes the shards issued.
+    syscalls: Counter,
+    /// `service.conn.buffered_bytes` — request bytes received and not
+    /// yet dispatched, plus reply bytes queued and not yet written, over
+    /// every connection.
+    buffered: Gauge,
+    /// `service.buffers.spare_bytes` — capacity parked in the shards'
+    /// spare payload buffers.
+    spare_bytes: Gauge,
 }
 
 impl Shared {
@@ -454,6 +488,9 @@ impl Server {
             inflight: registry.gauge("service.pipeline.inflight"),
             op_requests: std::array::from_fn(|_| OnceLock::new()),
             request_bytes: registry.histogram("service.frame.request_bytes", &FRAME_SIZE_BOUNDS),
+            syscalls: registry.counter("service.io.syscalls"),
+            buffered: registry.gauge("service.conn.buffered_bytes"),
+            spare_bytes: registry.gauge("service.buffers.spare_bytes"),
             config: self.config,
             registry,
         });
@@ -651,51 +688,158 @@ fn refuse_connection(mut stream: &TcpStream, shared: &Shared) {
 // Connection state machine
 // ---------------------------------------------------------------------
 
-/// The outgoing byte queue: serialised reply frames waiting for the
-/// socket's send buffer, consumed through an offset cursor like the
-/// receive side.
+/// A shard's spare payload buffers. A reply's payload lands here once
+/// it has been written, and so does a request payload the op did not
+/// send back; the next body that arrives in pieces takes one instead of
+/// a fresh allocation, so a bulk body reuses memory the shard has
+/// already touched rather than page-faulting through new pages. Only
+/// buffers of at least one scratch read (64 KiB) are kept, at most
+/// [`OUTBUF_SOFT_CAP`] bytes of capacity in all; a buffer keeps its
+/// length, so its old contents serve as the initialized filler a body
+/// reads over (see [`RecvBuffer::fill_body`]) and it is never zeroed
+/// again. A key load's payload never comes here. The shard loop owns
+/// the list.
+struct Spares {
+    bufs: Vec<Vec<u8>>,
+    /// Capacity held in `bufs`, mirrored into `service.buffers.spare_bytes`.
+    bytes: usize,
+    gauge: Gauge,
+}
+
+impl Spares {
+    fn new(gauge: Gauge) -> Spares {
+        Spares {
+            bufs: Vec::new(),
+            bytes: 0,
+            gauge,
+        }
+    }
+
+    /// Parks `buf` if it is large enough to serve a body and the list
+    /// has room for it; drops it otherwise.
+    fn give(&mut self, buf: Vec<u8>) {
+        let capacity = buf.capacity();
+        if capacity >= READ_CHUNK && self.bytes + capacity <= OUTBUF_SOFT_CAP {
+            self.bytes += capacity;
+            self.gauge.add(capacity as i64);
+            self.bufs.push(buf);
+        }
+    }
+
+    /// A buffer for a body of `len` payload bytes, `buffered` of which
+    /// have arrived: the most recently parked spare that can hold it, or
+    /// else a fresh one with room for the buffered bytes plus one more
+    /// scratch read (never more than `len`), which grows as more bytes
+    /// arrive. A bare header therefore never reserves a whole frame.
+    fn take(&mut self, len: usize, buffered: usize) -> Vec<u8> {
+        match self.bufs.iter().rposition(|b| b.capacity() >= len) {
+            Some(i) => {
+                let buf = self.bufs.swap_remove(i);
+                self.bytes -= buf.capacity();
+                self.gauge.sub(buf.capacity() as i64);
+                buf
+            }
+            None => Vec::with_capacity(len.min(buffered + READ_CHUNK)),
+        }
+    }
+}
+
+impl Drop for Spares {
+    fn drop(&mut self) {
+        self.gauge.sub(self.bytes as i64);
+    }
+}
+
+/// The outgoing queue: each reply's head beside its payload, which is
+/// moved in whole and never copied, consumed through an offset into the
+/// front reply and written with `writev`.
 #[derive(Debug, Default)]
 struct OutBuf {
-    buf: Vec<u8>,
-    start: usize,
+    replies: VecDeque<([u8; HEAD_LEN], Vec<u8>)>,
+    /// Bytes of the front reply already written.
+    sent: usize,
+    /// Unwritten bytes over every queued reply.
+    len: usize,
 }
 
 impl OutBuf {
     fn len(&self) -> usize {
-        self.buf.len() - self.start
+        self.len
     }
 
     fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Encodes `frame` straight onto the queue. `false` only when the
-    /// frame itself is unsendable (payload over the wire limit); the
-    /// queue is then unchanged.
-    fn push(&mut self, frame: &Frame) -> bool {
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        }
-        frame.encode_into(&mut self.buf).is_ok()
+    /// Queues a reply frame. `false` only when the reply itself is
+    /// unsendable (payload over the wire limit); the queue is then
+    /// unchanged.
+    fn push(
+        &mut self,
+        status: Status,
+        (seq, corr, session): (u32, u32, u32),
+        payload: Vec<u8>,
+    ) -> bool {
+        let Ok(head) = encode_head(status as u8, 0, seq, session, corr, payload.len()) else {
+            return false;
+        };
+        self.len += HEAD_LEN + payload.len();
+        self.replies.push_back((head, payload));
+        true
     }
 
-    /// Writes as much of the queue as the socket accepts right now.
-    /// `Ok(())` leaves any unwritten remainder queued for the next
-    /// writable event.
-    fn flush(&mut self, stream: &mut &TcpStream) -> io::Result<()> {
-        while self.start < self.buf.len() {
-            match stream.write(&self.buf[self.start..]) {
+    /// Writes as much of the queue as the socket accepts right now,
+    /// [`WRITE_BATCH`] replies per `writev`, and hands each fully written
+    /// payload to `spares`. `Ok(())` leaves any unwritten remainder
+    /// queued for the next writable event.
+    fn flush(
+        &mut self,
+        mut stream: &TcpStream,
+        shared: &Shared,
+        spares: &mut Spares,
+    ) -> io::Result<()> {
+        while !self.is_empty() {
+            let mut slices = [IoSlice::new(&[]); 2 * WRITE_BATCH];
+            let mut used = 0;
+            let mut skip = self.sent;
+            for (head, payload) in self.replies.iter().take(WRITE_BATCH) {
+                for part in [&head[..], &payload[..]] {
+                    if skip >= part.len() {
+                        skip -= part.len();
+                    } else {
+                        slices[used] = IoSlice::new(&part[skip..]);
+                        skip = 0;
+                        used += 1;
+                    }
+                }
+            }
+            shared.syscalls.incr();
+            match stream.write_vectored(&slices[..used]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.start += n,
+                Ok(n) => self.consume(n, spares),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        self.buf.clear();
-        self.start = 0;
         Ok(())
+    }
+
+    /// Advances past `n` written bytes, retiring the replies they finish.
+    fn consume(&mut self, mut n: usize, spares: &mut Spares) {
+        self.len -= n;
+        while n > 0 {
+            let (_, payload) = self.replies.front().expect("written bytes were queued");
+            let left = HEAD_LEN + payload.len() - self.sent;
+            if n < left {
+                self.sent += n;
+                return;
+            }
+            n -= left;
+            self.sent = 0;
+            let (_, payload) = self.replies.pop_front().expect("checked above");
+            spares.give(payload);
+        }
     }
 }
 
@@ -718,6 +862,9 @@ struct Conn {
     /// `poll(2)` immediately. `None` when the platform gave the shard no
     /// pipe (the loop then falls back to its poll timeout).
     notifier: Option<Notifier>,
+    /// This connection's share of `service.conn.buffered_bytes` as last
+    /// published.
+    buffered: usize,
 }
 
 impl Conn {
@@ -732,11 +879,21 @@ impl Conn {
             last_frame: Instant::now(),
             closing: false,
             notifier: None,
+            buffered: 0,
         })
     }
 
     fn live_session(&mut self) -> u32 {
         self.slot.session_mut().map_or(0, |s| s.id())
+    }
+
+    /// Moves `service.conn.buffered_bytes` by the change in this
+    /// connection's unanswered request bytes and unwritten reply bytes
+    /// since it last published.
+    fn publish_buffered(&mut self, shared: &Shared) {
+        let now = self.inbuf.len() + self.out.len();
+        shared.buffered.add(now as i64 - self.buffered as i64);
+        self.buffered = now;
     }
 
     /// Answers everything the session still owes: waits (bounded) for
@@ -774,11 +931,13 @@ impl Conn {
 
 /// Drops the connection in `slot`, if any. What its session still owes
 /// (only after an I/O error or a timed-out drain) leaves the in-flight
-/// gauge with it, and its jobs still queued on the farm are cancelled.
+/// gauge with it, its buffered bytes leave the buffered gauge, and its
+/// jobs still queued on the farm are cancelled.
 fn release(slot: &mut Option<Conn>, shared: &Shared) {
     if let Some(mut conn) = slot.take() {
         let owed = conn.slot.session_mut().map_or(0, |s| s.in_flight());
         shared.inflight.sub(owed as i64);
+        shared.buffered.sub(conn.buffered as i64);
         shared.active.sub(1);
     }
 }
@@ -790,7 +949,8 @@ fn release(slot: &mut Option<Conn>, shared: &Shared) {
 fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePipe>) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut poll = PollSet::new();
-    let mut scratch = vec![0u8; 64 * 1024];
+    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut spares = Spares::new(shared.spare_bytes.clone());
     let events_hist = shared
         .registry
         .histogram("service.loop.events_per_poll", &EVENTS_BOUNDS);
@@ -841,7 +1001,7 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
                     // matters, only delivery: flush with blocking writes.
                     conn.say_goodbye(shared, ErrorCode::ShuttingDown, 0);
                     let _ = conn.stream.set_nonblocking(false);
-                    let _ = conn.out.flush(&mut &conn.stream);
+                    let _ = conn.out.flush(&conn.stream, shared, &mut spares);
                 }
                 release(slot, shared);
             }
@@ -888,10 +1048,10 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
             };
             let mut alive = true;
             if r.writable && !conn.out.is_empty() {
-                alive = conn.out.flush(&mut &conn.stream).is_ok();
+                alive = conn.out.flush(&conn.stream, shared, &mut spares).is_ok();
             }
             if alive && (r.readable || r.error) && !conn.closing {
-                alive = service_readable(conn, shared, &mut scratch);
+                alive = service_readable(conn, shared, &mut scratch, &mut spares);
             } else if alive && r.error && conn.closing {
                 // Peer vanished while we were flushing its goodbye.
                 alive = false;
@@ -899,7 +1059,7 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
             if alive {
                 // Push replies at the socket now instead of waiting
                 // for the next writable event.
-                alive = conn.out.flush(&mut &conn.stream).is_ok();
+                alive = conn.out.flush(&conn.stream, shared, &mut spares).is_ok();
             }
             if !alive {
                 release(&mut conns[r.token], shared);
@@ -929,20 +1089,22 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
                 continue;
             }
             collect_pipelined(conn, shared);
-            if !conn.out.is_empty() && conn.out.flush(&mut &conn.stream).is_err() {
+            if !conn.out.is_empty() && conn.out.flush(&conn.stream, shared, &mut spares).is_err() {
                 release(slot, shared);
             }
         }
 
-        // Idle sweep and closing-drain cleanup.
+        // Idle sweep, buffered-bytes accounting and closing-drain
+        // cleanup.
         let now = Instant::now();
         for slot in &mut conns {
             let Some(conn) = slot.as_mut() else { continue };
             if !conn.closing && now.duration_since(conn.last_frame) >= shared.config.idle_timeout {
                 let detail = idle_timeout_detail(shared.config.idle_timeout);
                 conn.say_goodbye(shared, ErrorCode::IdleTimeout, detail);
-                let _ = conn.out.flush(&mut &conn.stream);
+                let _ = conn.out.flush(&conn.stream, shared, &mut spares);
             }
+            conn.publish_buffered(shared);
             if conn.closing && conn.out.is_empty() {
                 release(slot, shared);
             }
@@ -955,35 +1117,79 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
     }
 }
 
-/// Drains the socket, parses and dispatches every complete frame, and
-/// collects pipelined completions. Returns `false` when the connection
-/// must be dropped.
-fn service_readable(conn: &mut Conn, shared: &Shared, scratch: &mut [u8]) -> bool {
+/// Reads what the socket holds — into the scratch buffer, or straight
+/// into a body in progress — and dispatches the frames each read
+/// completes, until the socket is drained, [`READ_BUDGET`] bytes have
+/// been read, the reply queue reaches the backpressure cap or a goodbye
+/// is queued; then collects pipelined completions. Returns `false` when
+/// the connection must be dropped.
+fn service_readable(
+    conn: &mut Conn,
+    shared: &Shared,
+    scratch: &mut [u8],
+    spares: &mut Spares,
+) -> bool {
+    let mut budget = READ_BUDGET;
     let mut eof = false;
-    for _ in 0..READ_BURST {
-        match (&conn.stream).read(scratch) {
+    while budget > 0 && !conn.closing && conn.out.len() < OUTBUF_SOFT_CAP {
+        let in_body = conn.inbuf.body_missing() > 0;
+        shared.syscalls.incr();
+        let read = if in_body {
+            conn.inbuf.fill_body(&conn.stream)
+        } else {
+            (&conn.stream).read(scratch)
+        };
+        let n = match read {
             Ok(0) => {
                 eof = true;
                 break;
             }
-            Ok(n) => {
-                conn.inbuf.extend_from_slice(&scratch[..n]);
-                if n < scratch.len() {
-                    break;
-                }
-            }
+            Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return false,
+        };
+        if !in_body {
+            conn.inbuf.extend_from_slice(&scratch[..n]);
+        }
+        budget = budget.saturating_sub(n);
+        if !dispatch_buffered(conn, shared, spares) {
+            return false;
+        }
+        // A read that came back short drained the socket: another would
+        // only block.
+        let drained = if in_body {
+            conn.inbuf.body_missing() > 0
+        } else {
+            n < scratch.len()
+        };
+        if drained {
+            break;
         }
     }
 
-    // Broken framing ends the conversation: a typed goodbye, then close.
+    if eof {
+        // The peer half-closed: nothing more will arrive. Answer what
+        // its session owes, then flush and drop.
+        conn.drain(shared);
+        conn.closing = true;
+    } else {
+        collect_pipelined(conn, shared);
+    }
+    true
+}
+
+/// Dispatches every complete frame the receive buffer holds; broken
+/// framing ends the conversation with a typed goodbye. A frame whose
+/// head has arrived but whose body has not then starts its body in a
+/// buffer from the shard's spare list, and later reads go straight into
+/// it. Returns `false` when the connection must be dropped.
+fn dispatch_buffered(conn: &mut Conn, shared: &Shared, spares: &mut Spares) -> bool {
     let broken = loop {
         match conn.inbuf.next_frame() {
             Ok(Some(frame)) => {
                 conn.last_frame = Instant::now();
-                dispatch(frame, conn, shared);
+                dispatch(frame, conn, shared, spares);
             }
             Ok(None) => break None,
             Err(RecvError::TooLarge { len }) => break Some((ErrorCode::FrameTooLarge, len)),
@@ -994,17 +1200,12 @@ fn service_readable(conn: &mut Conn, shared: &Shared, scratch: &mut [u8]) -> boo
             Err(RecvError::Io(_)) => return false,
         }
     };
-    if let Some((code, detail)) = broken {
-        conn.say_goodbye(shared, code, detail);
-    }
-
-    if eof {
-        // The peer half-closed: nothing more will arrive. Answer what
-        // its session owes, then flush and drop.
-        conn.drain(shared);
-        conn.closing = true;
-    } else {
-        collect_pipelined(conn, shared);
+    match broken {
+        Some((code, detail)) => conn.say_goodbye(shared, code, detail),
+        None => {
+            conn.inbuf
+                .start_body(|len, buffered| spares.take(len, buffered));
+        }
     }
     true
 }
@@ -1080,13 +1281,15 @@ fn push_reply(
             (Status::Error, error_payload(code, detail))
         }
     };
-    let _ = out.push(&Frame::reply(status, seq, session, payload).with_corr(corr));
+    let _ = out.push(status, (seq, corr, session), payload);
 }
 
 /// Routes one request to its op arm and sends the answer through
 /// [`push_reply`]. The reply echoes the request's `seq` and `corr` and
-/// carries the session id that is live once the op has run.
-fn dispatch(mut frame: Frame, conn: &mut Conn, shared: &Shared) {
+/// carries the session id that is live once the op has run. A request
+/// payload the op did not keep — as its reply, or as its job's buffer —
+/// goes to the spare list, unless it loaded a key.
+fn dispatch(mut frame: Frame, conn: &mut Conn, shared: &Shared, spares: &mut Spares) {
     shared
         .request_bytes
         .record((HEADER_LEN + frame.payload.len()) as u64);
@@ -1109,6 +1312,9 @@ fn dispatch(mut frame: Frame, conn: &mut Conn, shared: &Shared) {
             let sid = conn.live_session();
             push_reply(&mut conn.out, shared, (frame.seq, frame.corr, sid), outcome);
         }
+    }
+    if !matches!(frame.op(), Some(Op::SetKey | Op::SetKeyWrapped)) {
+        spares.give(std::mem::take(&mut frame.payload));
     }
 }
 
@@ -1311,6 +1517,47 @@ mod tests {
             idle_timeout_detail(Duration::from_secs(100 * 24 * 3600)),
             u32::MAX
         );
+    }
+
+    /// Partial writes retire replies exactly at their boundaries; a
+    /// retired payload large enough to serve a body is parked, and the
+    /// spare list keeps to its byte bound.
+    #[test]
+    fn the_reply_queue_retires_payloads_into_the_spare_list() {
+        let registry = Registry::new();
+        let mut spares = Spares::new(registry.gauge("spare"));
+        let mut out = OutBuf::default();
+        let big = 250_000;
+        let sizes = [0, big, 5, READ_CHUNK, big, big, big, big];
+        for (i, &size) in sizes.iter().enumerate() {
+            assert!(out.push(Status::Ok, (i as u32, i as u32, 1), vec![7; size]));
+        }
+        let total: usize = sizes.iter().map(|s| HEAD_LEN + s).sum();
+        assert_eq!(out.len(), total);
+        let mut written = 0;
+        for chunk in [HEAD_LEN, 1, big - 1, HEAD_LEN + 17, 3] {
+            out.consume(chunk, &mut spares);
+            written += chunk;
+            assert_eq!(out.len(), total - written);
+        }
+        // Two replies retired whole; only the big payload is worth
+        // keeping.
+        assert_eq!(out.replies.len(), sizes.len() - 2);
+        assert_eq!(spares.bufs.len(), 1);
+        out.consume(total - written, &mut spares);
+        assert!(out.is_empty() && out.replies.is_empty());
+        assert!(spares.bytes <= OUTBUF_SOFT_CAP);
+        assert_eq!(spares.bufs.len(), 4, "three big ones and one of 64 KiB");
+        assert_eq!(
+            registry.snapshot().gauge("spare"),
+            Some(spares.bytes as i64)
+        );
+        // A body takes the most recent spare that fits, else a fresh
+        // buffer sized to what has arrived plus one read.
+        assert!(spares.take(200_000, 10).capacity() >= 200_000);
+        assert_eq!(spares.take(400_000, 10).capacity(), 10 + READ_CHUNK);
+        drop(spares);
+        assert_eq!(registry.snapshot().gauge("spare"), Some(0));
     }
 
     #[test]
@@ -1772,6 +2019,57 @@ mod tests {
             snap.counter("engine.jobs.completed").unwrap_or(0) >= u64::from(depth),
             "bulk v2 jobs must complete through the worker pool"
         );
+        server.shutdown();
+    }
+
+    /// Once a pipelined burst of bulk requests has been answered and
+    /// read, no connection holds buffered bytes, the spare lists stay
+    /// within their bound, and the socket calls were counted — all
+    /// visible in `GET_STATS`.
+    #[test]
+    fn get_stats_shows_io_calls_buffered_and_spare_bytes() {
+        let mut config = tiny_config();
+        config.farm = vec![BackendSpec::Auto];
+        config.queue_capacity = 8;
+        config.idle_timeout = Duration::from_secs(10);
+        let server = Server::new(config).spawn("127.0.0.1:0").unwrap();
+        let mut client = crate::Client::connect(server.local_addr()).unwrap();
+        client.set_key(&[0x61; 16]).unwrap();
+        let syscalls = || {
+            let snap = server.registry().snapshot();
+            snap.counter("service.io.syscalls").unwrap()
+        };
+        let before = syscalls();
+        let bulk = vec![0x3Cu8; MAX_PAYLOAD];
+        for _ in 0..3 {
+            for _ in 0..6 {
+                client.pipeline(Op::EcbEncrypt, None, &bulk).unwrap();
+            }
+            for job in client.collect_all().unwrap() {
+                assert_eq!(job.result.map(|ct| ct.len()), Ok(bulk.len()));
+            }
+        }
+        let json = client.stats().unwrap();
+        for name in [
+            "service.io.syscalls",
+            "service.conn.buffered_bytes",
+            "service.buffers.spare_bytes",
+        ] {
+            assert!(json.contains(&format!("\"name\":\"{name}\"")), "{name}");
+        }
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.gauge("service.conn.buffered_bytes"), Some(0));
+        let spare = snap.gauge("service.buffers.spare_bytes").unwrap();
+        let bound = server.shared.config.event_threads * OUTBUF_SOFT_CAP;
+        assert!(
+            spare > 0 && spare as usize <= bound,
+            "spare {spare}, bound {bound}"
+        );
+        // At least a read and a write per request, and well under one
+        // call per KiB moved.
+        let calls = syscalls() - before;
+        assert!((36..18 * 256).contains(&calls), "{calls} socket calls");
+        drop(client);
         server.shutdown();
     }
 

@@ -2,15 +2,25 @@
 //! every answer checked against a client-side reference.
 //!
 //! A script is a list of bursts of 1–16 requests. The client writes a
-//! burst in one go and reads every reply before it sends the next. The
-//! requests cover each op on its good and bad paths — key loads of
-//! every length, wrapped re-keys under the live key and corrupted ones,
-//! ECB/CBC/CTR on both sides of `BULK_THRESHOLD` (ragged blocks and
-//! short IVs included), CMAC with good and bad tags, SEAL/OPEN with
-//! tampered input, XTS with good and bad geometry, WRAP/UNWRAP, PING,
-//! GET_STATS with a payload — and any of them may carry a stale session
-//! id, non-zero flags or an unknown opcode. A re-key may land anywhere
-//! inside a burst.
+//! burst in seeded fragments — cut points from the case's `cuts` seed,
+//! each piece flushed and followed by a short pause — so the server
+//! sees partial heads and partial bodies, and reads every reply before
+//! it sends the next burst. The requests cover each op on its good and
+//! bad paths — key loads of every length, wrapped re-keys under the
+//! live key and corrupted ones, ECB/CBC/CTR on both sides of
+//! `BULK_THRESHOLD` (ragged blocks and short IVs included), CMAC with
+//! good and bad tags, SEAL/OPEN with tampered input, XTS with good and
+//! bad geometry, WRAP/UNWRAP, PING, GET_STATS with a payload — and any
+//! of them may carry a stale session id, non-zero flags or an unknown
+//! opcode. A re-key may land anywhere inside a burst. One ECB, CTR,
+//! XTS, SEAL/OPEN or PING request in 32 comes in a bulk size class, from
+//! a quarter of `MAX_PAYLOAD` up to the whole of it, so frames straddle
+//! the server's reads and bodies land in its payload buffers (the
+//! references are computed in debug builds, so bulk requests stay
+//! rare). At most `BULK_PER_BURST` of them ride in one burst, which
+//! keeps every burst under the server's 1 MiB write-backpressure cap:
+//! the law writes a whole burst before it reads, so a larger one could
+//! deadlock.
 //!
 //! Before a reply is read, the client computes the answer the request's
 //! shape earns: its bytes, from `Rijndael::<4>` with `rijndael::modes`,
@@ -29,11 +39,12 @@
 //! * at the end, every `service.op.<op>.requests` and
 //!   `service.error.<code>` counter equals the client's own tally.
 //!
-//! Each case ends in one of three ways, appended to its last burst: a
+//! Each case ends in one of four ways, appended to its last burst: a
 //! version-1 frame (every request is answered, then a `BadVersion 1`
 //! goodbye, then EOF), a truncated frame and a half-close (every
-//! complete frame is answered, then EOF), or nothing. A fresh
-//! connection must then answer a PING: no shard died.
+//! complete frame is answered, then EOF), a bulk frame cut mid-body and
+//! a half-close (the same), or nothing. A fresh connection must then
+//! answer a PING: no shard died.
 //!
 //! The server runs one event thread and a queue capacity of 16, the
 //! longest burst, so `Busy` cannot occur and the law is deterministic.
@@ -56,6 +67,7 @@ mod xts_oracle;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use rijndael_ip::engine::BackendSpec;
@@ -64,7 +76,7 @@ use rijndael_ip::rijndael::cmac;
 use rijndael_ip::rijndael::modes::{Cbc, Ctr, Ecb};
 use rijndael_ip::rijndael::{Aead, Gcm, Rijndael};
 use rijndael_ip::service::client::Client;
-use rijndael_ip::service::protocol::{ErrorCode, Frame, Op, Status};
+use rijndael_ip::service::protocol::{ErrorCode, Frame, Op, Status, MAX_PAYLOAD};
 use rijndael_ip::service::server::{Server, ServiceConfig, ServiceHandle};
 use rijndael_ip::service::session::BULK_THRESHOLD;
 use testkit::forall;
@@ -78,6 +90,10 @@ type Step = (u8, u8, u16, u64);
 
 /// The longest burst, and the server's queue capacity.
 const MAX_BURST: usize = 16;
+
+/// Most bulk-class requests in one burst: three maximal frames and 13
+/// small ones stay under the server's 1 MiB write-backpressure cap.
+const BULK_PER_BURST: usize = 3;
 
 /// A session id as the client can know it when it writes a request:
 /// already learned, or carried by the reply to request `i` of the
@@ -166,6 +182,13 @@ fn block_len(size: u16, class: u8) -> usize {
     }
 }
 
+/// A bulk-class length, from a quarter of `MAX_PAYLOAD` up to
+/// `MAX_PAYLOAD - fixed` (room for the op's fixed fields).
+fn bulk_len(size: u16, fixed: usize) -> usize {
+    let low = MAX_PAYLOAD / 4;
+    low + usize::from(size) * 7919 % (MAX_PAYLOAD - fixed - low + 1)
+}
+
 /// Flips one bit of `data`, chosen by `seed`.
 fn flip(mut data: Vec<u8>, seed: u64) -> Vec<u8> {
     let at = (seed as usize) % data.len();
@@ -174,15 +197,20 @@ fn flip(mut data: Vec<u8>, seed: u64) -> Vec<u8> {
 }
 
 impl Model {
-    /// Builds request `i` of a burst, stamped with session id `stamped`,
-    /// and returns it with the answer it earns. Updates the model as the
+    /// Builds request `i` of a burst, stamped with session id `stamped`
+    /// (in the bulk size class where the op has one, when `bulk`), and
+    /// returns it with the answer it earns. Updates the model as the
     /// server would.
-    fn plan(&mut self, step: Step, i: usize, corr: u32, stamped: u32) -> (Frame, Want) {
+    fn plan(
+        &mut self,
+        step: Step,
+        (i, corr, stamped): (usize, u32, u32),
+        bulk: bool,
+    ) -> (Frame, Want) {
         let (kind, twist, size, seed) = step;
         let fault = twist & 0x0F;
         let variant = twist >> 4;
-        let size = usize::from(size);
-        let (op, payload, earns) = self.shape(kind, variant, size, seed);
+        let (op, payload, earns) = self.shape(kind, variant, size, seed, bulk);
         let session = if fault == 1 {
             // Ids this connection hands out stay far below this one.
             stamped.wrapping_add(0x10_0000)
@@ -230,8 +258,17 @@ impl Model {
     }
 
     /// The op, its payload, and what it earns once it passes the
-    /// opcode, flags and session checks.
-    fn shape(&self, kind: u8, variant: u8, size: usize, seed: u64) -> (Op, Vec<u8>, Earns) {
+    /// opcode, flags and session checks. `bulk` picks the bulk size
+    /// class for ECB, CTR, SEAL/OPEN, XTS and PING.
+    fn shape(
+        &self,
+        kind: u8,
+        variant: u8,
+        size16: u16,
+        seed: u64,
+        bulk: bool,
+    ) -> (Op, Vec<u8>, Earns) {
+        let size = usize::from(size16);
         let key = self
             .live
             .as_ref()
@@ -279,7 +316,12 @@ impl Model {
                 } else {
                     Op::EcbEncrypt
                 };
-                let mut out = data(block_len(size as u16, variant >> 1));
+                let len = if bulk {
+                    bulk_len(size16, 0) / 16 * 16
+                } else {
+                    block_len(size16, variant >> 1)
+                };
+                let mut out = data(len);
                 let payload = out.clone();
                 let result = if decrypt {
                     Ecb::decrypt(&c, &mut out)
@@ -309,7 +351,7 @@ impl Model {
                     );
                 }
                 let iv = bytes(seed ^ 0x1F, 16);
-                let mut out = data(block_len(size as u16, variant >> 1));
+                let mut out = data(block_len(size16, variant >> 1));
                 let payload = [&iv[..], &out].concat();
                 let result = if decrypt {
                     Cbc::decrypt(&c, &iv, &mut out)
@@ -332,8 +374,11 @@ impl Model {
                         Earns::Answer(Want::Error(ErrorCode::Malformed, len)),
                     );
                 }
-                // Either side of BULK_THRESHOLD, any length.
-                let len = if v % 2 == 0 {
+                // Either side of BULK_THRESHOLD, or the bulk class; any
+                // length.
+                let len = if bulk {
+                    bulk_len(size16, 16)
+                } else if v % 2 == 0 {
                     size % BULK_THRESHOLD
                 } else {
                     BULK_THRESHOLD + size % (1000 - BULK_THRESHOLD)
@@ -378,7 +423,12 @@ impl Model {
                 let gcm = Gcm::new(cipher(&key));
                 let nonce: [u8; 12] = bytes(seed ^ 0x3D, 12).try_into().expect("12 bytes");
                 let aad = bytes(seed ^ 0x4C, size % 48);
-                let plaintext = data(size % 700);
+                // Room for the nonce, AAD length, AAD and tag.
+                let plaintext = data(if bulk {
+                    bulk_len(size16, 16 + 48 + 16)
+                } else {
+                    size % 700
+                });
                 let sealed = gcm.seal(&nonce, &aad, &plaintext);
                 let frame =
                     |aad: &[u8], body: &[u8]| [&nonce[..], &be32(aad.len()), aad, body].concat();
@@ -420,7 +470,12 @@ impl Model {
                     u64::MAX - (seed % 4)
                 };
                 let sector_size = 16 + size % 60;
-                let mut body = data(sector_size * (1 + size % 4));
+                let sectors = if bulk {
+                    bulk_len(size16, 12) / sector_size
+                } else {
+                    1 + size % 4
+                };
+                let mut body = data(sector_size * sectors);
                 let header =
                     |sector_size: usize| [&base.to_be_bytes()[..], &be32(sector_size)].concat();
                 let (payload, want) = match v >> 2 {
@@ -484,7 +539,11 @@ impl Model {
                 (op, payload, Earns::Answer(want))
             }
             9 => {
-                let payload = data(size % 200);
+                let payload = data(if bulk {
+                    bulk_len(size16, 0)
+                } else {
+                    size % 200
+                });
                 (
                     Op::Ping,
                     payload.clone(),
@@ -560,45 +619,85 @@ fn v1_ping() -> Vec<u8> {
     wire
 }
 
-/// The first half of a well-formed PING frame.
-fn truncated_ping() -> Vec<u8> {
+/// The first `keep` bytes of a well-formed PING frame whose payload is
+/// `len` bytes.
+fn truncated_ping(len: usize, keep: usize) -> Vec<u8> {
     let mut wire = Vec::new();
-    Frame::request(Op::Ping, 0, 0, 0, vec![0xEE; 20])
+    Frame::request(Op::Ping, 0, 0, 0, vec![0xEE; len])
         .encode_into(&mut wire)
-        .expect("a small frame");
-    wire.truncate(wire.len() / 2);
+        .expect("a frame within the limit");
+    wire.truncate(keep);
     wire
 }
 
+/// A generator step (xorshift64).
+fn next(x: &mut u64) -> u64 {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    *x
+}
+
+/// Writes `wire` in pieces cut at points drawn from `cuts`, flushing
+/// each and pausing briefly after it, so the server's reads end inside
+/// heads and bodies. Most pieces are a few bytes; some run for tens of
+/// KiB.
+fn write_fragments(stream: &TcpStream, wire: &[u8], cuts: &mut u64) {
+    let mut rest = wire;
+    while !rest.is_empty() {
+        let x = next(cuts);
+        let limit = if x.is_multiple_of(4) { 48 * 1024 } else { 24 };
+        let (piece, tail) = rest.split_at((1 + (x >> 8) as usize % limit).min(rest.len()));
+        let mut w = stream;
+        w.write_all(piece).expect("send piece");
+        w.flush().expect("flush piece");
+        thread::sleep(Duration::from_micros(100));
+        rest = tail;
+    }
+}
+
 /// Runs one script against a fresh server and checks the law. The last
-/// burst ends with nothing (`ending` 0), a version-1 frame (1), or a
-/// truncated frame and a half-close (2).
-fn run_case(script: &[Vec<Step>], ending: usize) {
+/// burst ends with nothing (`ending` 0), a version-1 frame (1), a
+/// truncated small frame and a half-close (2), or a bulk frame cut
+/// mid-body and a half-close (3). `cuts` seeds where every burst is cut
+/// into pieces on the wire.
+fn run_case(script: &[Vec<Step>], ending: usize, mut cuts: u64) {
     let server = spawn_server();
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    cuts |= 1;
     let mut model = Model::default();
     let mut corr = 0u32;
     for (b, burst) in script.iter().enumerate() {
+        let last = b + 1 == script.len();
         let stamped = model.stamped();
         let mut wire = Vec::new();
         let mut plan = Vec::with_capacity(burst.len());
+        // The cut-off bulk frame of ending 3 counts against the burst.
+        let mut bulk_left = BULK_PER_BURST - usize::from(last && ending == 3);
         for (i, &step) in burst.iter().enumerate() {
             corr += 1;
-            let (frame, want) = model.plan(step, i, corr, stamped);
-            frame.encode_into(&mut wire).expect("payloads stay small");
+            let bulk = bulk_left > 0 && step.3.is_multiple_of(32);
+            bulk_left -= usize::from(bulk);
+            let (frame, want) = model.plan(step, (i, corr, stamped), bulk);
+            frame.encode_into(&mut wire).expect("payloads fit a frame");
             plan.push((corr, want, model.reply_sid()));
         }
-        let last = b + 1 == script.len();
         match ending {
             1 if last => wire.extend_from_slice(&v1_ping()),
-            2 if last => wire.extend_from_slice(&truncated_ping()),
+            2 if last => wire.extend_from_slice(&truncated_ping(20, 19)),
+            3 if last => {
+                let len = bulk_len(next(&mut cuts) as u16, 0);
+                let keep = 19 + 1 + next(&mut cuts) as usize % (len - 1);
+                wire.extend_from_slice(&truncated_ping(len, keep));
+            }
             _ => {}
         }
-        (&stream).write_all(&wire).expect("send burst");
-        if last && ending == 2 {
+        write_fragments(&stream, &wire, &mut cuts);
+        if last && ending >= 2 {
             stream.shutdown(Shutdown::Write).expect("half-close");
         }
 
@@ -702,9 +801,10 @@ fn run_case(script: &[Vec<Step>], ending: usize) {
 
 forall!(cases = 32, fn one_connection_obeys_the_wire_law(
     script in vec_of(vec_of(any::<Step>(), 1..MAX_BURST + 1), 1..7),
-    ending in 0usize..=2,
+    ending in 0usize..=3,
+    cuts in any::<u64>(),
 ) {
-    run_case(&script, ending);
+    run_case(&script, ending, cuts);
 });
 
 /// One request of a two-key burst: `(kind, size, seed)`. `kind` picks a
