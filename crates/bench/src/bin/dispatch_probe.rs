@@ -88,6 +88,7 @@ fn check() {
     use engine::BackendSpec;
     use service::client::Client;
     use service::server::{Server, ServiceConfig};
+    use service::transport::Transport;
     use std::time::Duration;
 
     let sel = dispatch::selection();

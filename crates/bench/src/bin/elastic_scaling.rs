@@ -30,6 +30,7 @@ use engine::{BackendSpec, Mode, PoolBuilder, ResizePolicy};
 use service::client::Client;
 use service::protocol::Op;
 use service::server::{Server, ServiceConfig};
+use service::transport::Transport;
 use telemetry::Registry;
 
 /// Modeled per-block processing time for the paced cores. Large enough

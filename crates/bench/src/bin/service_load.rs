@@ -39,6 +39,7 @@ use engine::BackendSpec;
 use service::client::Client;
 use service::protocol::Op;
 use service::server::{Server, ServiceConfig};
+use service::transport::Transport;
 
 /// Frames in flight per connection during a pipelined burst.
 const DEPTH: usize = 16;

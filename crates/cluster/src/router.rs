@@ -23,14 +23,22 @@
 //!   with chain replay on the same node; if the node stays dead it is
 //!   marked `Down` and the call returns the typed
 //!   [`ClientError::NodeUnreachable`] instead of a raw I/O error.
-//!   Sessions on other nodes are untouched.
+//!   If the dead connection still owed pipelined replies, the fresh
+//!   connection is installed but the call is not replayed: it returns
+//!   the error that found the connection dead, so no accepted job
+//!   vanishes without an answer. Sessions on other nodes are untouched.
+//!
+//! The router implements only [`Transport`]'s required core; the typed
+//! ops are the trait's provided methods over [`Transport::call`], the
+//! same codec a single-node [`Client`] runs, and each session's
+//! connection is one such `Client`.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
-use service::{Client, ClientError, Op, PipelinedJob, Transport};
+use service::{Client, ClientError, Frame, Op, PipelinedJob, Transport};
 
 use crate::ring::HashRing;
 use crate::stats;
@@ -259,7 +267,11 @@ impl ClusterClient {
     /// Runs `f` against the current session's connection, transparently
     /// retrying once through a reconnect + chain replay on a transport
     /// error. A node that stays dead surfaces as
-    /// [`ClientError::NodeUnreachable`].
+    /// [`ClientError::NodeUnreachable`]. When the dead connection still
+    /// owed pipelined replies, the fresh connection is installed but `f`
+    /// is not replayed: those jobs are lost, and the error that found the
+    /// connection dead says so instead of a replay on a connection that
+    /// owes nothing.
     fn with_current<R>(
         &mut self,
         f: impl Fn(&mut Client) -> Result<R, ClientError>,
@@ -275,8 +287,11 @@ impl ClusterClient {
         if matches!(result, Err(ClientError::Io(_) | ClientError::Recv(_))) {
             match self.establish(entry.node, &entry.chain) {
                 Ok(fresh) => {
+                    let owed = entry.client.in_flight() > 0;
                     entry.client = fresh;
-                    result = f(&mut entry.client);
+                    if !owed {
+                        result = f(&mut entry.client);
+                    }
                 }
                 Err(e) => {
                     self.sessions.insert(label, entry);
@@ -395,29 +410,8 @@ impl ClusterClient {
         out
     }
 
-    /// Fetches and merges every reachable node's `GET_STATS` document
-    /// (see [`stats::aggregate`] for the merge semantics).
-    ///
-    /// # Errors
-    ///
-    /// Never fails outright — unreachable nodes appear as
-    /// `cluster.node.<i>.up = 0` — but the signature stays fallible to
-    /// match the `Transport` surface.
-    pub fn aggregated_stats(&mut self) -> Result<String, ClientError> {
-        let docs: Vec<Option<String>> = (0..self.nodes.len())
-            .map(|node| {
-                if self.nodes[node].state == NodeState::Down {
-                    return None;
-                }
-                Client::connect(self.nodes[node].addr)
-                    .ok()
-                    .and_then(|mut probe| probe.stats().ok())
-            })
-            .collect();
-        Ok(stats::aggregate(&docs))
-    }
-
-    /// A connection to any `Up` node for session-less ops (ping).
+    /// A connection to any `Up` node for session-less ops (`PING`,
+    /// `GET_STATS`).
     fn any_up(&mut self) -> Result<Client, ClientError> {
         let candidates: Vec<usize> = (0..self.nodes.len())
             .filter(|&n| self.nodes[n].state == NodeState::Up)
@@ -441,6 +435,10 @@ impl std::fmt::Debug for ClusterClient {
     }
 }
 
+/// The cluster's core: every exchange routes to the current session's
+/// home node, under the reconnect rule of the [module docs](self); the
+/// typed ops are [`Transport`]'s own, provided on top of
+/// [`Transport::call`].
 impl Transport for ClusterClient {
     /// Opens a **new cluster session** (placement, KEK wrap, re-key)
     /// and makes it current — the cluster analogue of a fresh
@@ -450,128 +448,64 @@ impl Transport for ClusterClient {
         Ok(self.sessions[&label].client.session())
     }
 
+    /// Re-keys the current session and extends its chain, so migration
+    /// and reconnect replay the re-key.
     fn set_key_wrapped(&mut self, wrapped: &[u8]) -> Result<u32, ClientError> {
         let sid = self.with_current(|c| c.set_key_wrapped(wrapped))?;
         let label = self.current.expect("with_current verified this");
         if let Some(entry) = self.sessions.get_mut(&label) {
-            // Extend the chain so migration can replay the re-key.
             entry.chain.push(wrapped.to_vec());
         }
         Ok(sid)
     }
 
-    fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        if self.current.is_some() {
-            self.with_current(|c| c.ping(payload))
-        } else {
-            self.any_up()?.ping(payload)
+    /// Routes to the current session's node. Before any session is
+    /// open, `PING` and `GET_STATS` go to any `Up` node. A re-key must
+    /// go through [`Transport::set_key`] or [`Transport::set_key_wrapped`],
+    /// which keep the chain that migration replays, so `call` refuses
+    /// `SET_KEY` and `SET_KEY_WRAPPED`.
+    fn call(&mut self, op: Op, parts: &[&[u8]]) -> Result<Frame, ClientError> {
+        match op {
+            Op::SetKey | Op::SetKeyWrapped => Err(ClientError::Protocol(format!(
+                "{} on a cluster goes through set_key / set_key_wrapped",
+                op.name()
+            ))),
+            Op::Ping | Op::GetStats if self.current.is_none() => self.any_up()?.call(op, parts),
+            _ => self.with_current(|c| c.call(op, parts)),
         }
     }
 
-    fn ecb_encrypt(&mut self, plaintext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.ecb_encrypt(plaintext))
-    }
-
-    fn ecb_decrypt(&mut self, ciphertext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.ecb_decrypt(ciphertext))
-    }
-
-    fn cbc_encrypt(&mut self, iv: &[u8; 16], plaintext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.cbc_encrypt(iv, plaintext))
-    }
-
-    fn cbc_decrypt(&mut self, iv: &[u8; 16], ciphertext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.cbc_decrypt(iv, ciphertext))
-    }
-
-    fn ctr_apply(&mut self, counter: &[u8; 16], data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.ctr_apply(counter, data))
-    }
-
-    fn cmac_tag(&mut self, message: &[u8]) -> Result<[u8; 16], ClientError> {
-        self.with_current(|c| c.cmac_tag(message))
-    }
-
-    fn cmac_verify(&mut self, message: &[u8], tag: &[u8; 16]) -> Result<bool, ClientError> {
-        self.with_current(|c| c.cmac_verify(message, tag))
-    }
-
-    fn seal(
-        &mut self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        plaintext: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.seal(nonce, aad, plaintext))
-    }
-
-    fn open(
-        &mut self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        sealed: &[u8],
-    ) -> Result<Option<Vec<u8>>, ClientError> {
-        self.with_current(|c| c.open(nonce, aad, sealed))
-    }
-
-    fn wrap_key(&mut self, key_data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.wrap_key(key_data))
-    }
-
-    fn unwrap_key(&mut self, wrapped: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        self.with_current(|c| c.unwrap_key(wrapped))
-    }
-
-    fn xts_encrypt(
-        &mut self,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.xts_encrypt(sector_base, sector_size, data))
-    }
-
-    fn xts_decrypt(
-        &mut self,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.with_current(|c| c.xts_decrypt(sector_base, sector_size, data))
-    }
-
     /// Cluster-wide: the merged `telemetry/1` document across all
-    /// reachable nodes, not one node's snapshot.
+    /// reachable nodes (see [`stats::aggregate`] for the merge
+    /// semantics), not one node's snapshot. Never fails outright:
+    /// unreachable nodes appear as `cluster.node.<i>.up = 0`.
     fn stats(&mut self) -> Result<String, ClientError> {
-        self.aggregated_stats()
+        let docs: Vec<Option<String>> = (0..self.nodes.len())
+            .map(|node| {
+                if self.nodes[node].state == NodeState::Down {
+                    return None;
+                }
+                Client::connect(self.nodes[node].addr)
+                    .ok()
+                    .and_then(|mut probe| probe.stats().ok())
+            })
+            .collect();
+        Ok(stats::aggregate(&docs))
     }
 
     fn pipeline(&mut self, op: Op, iv: Option<&[u8; 16]>, data: &[u8]) -> Result<u32, ClientError> {
         self.with_current(|c| c.pipeline(op, iv, data))
     }
 
+    /// Completions rescued during a drain come first, in their original
+    /// arrival order; then the current session's connection.
     fn collect_next(&mut self) -> Result<PipelinedJob, ClientError> {
-        if let Some(label) = self.current {
-            if let Some(entry) = self.sessions.get_mut(&label) {
-                if !entry.parked.is_empty() {
-                    // Completions rescued during a drain come first, in
-                    // their original arrival order.
-                    return Ok(entry.parked.remove(0));
-                }
+        if let Some(entry) = self.current.and_then(|label| self.sessions.get_mut(&label)) {
+            if !entry.parked.is_empty() {
+                return Ok(entry.parked.remove(0));
             }
         }
         self.with_current(|c| c.collect_next())
-    }
-
-    fn collect_all(&mut self) -> Result<Vec<PipelinedJob>, ClientError> {
-        let mut jobs = Vec::new();
-        if let Some(label) = self.current {
-            if let Some(entry) = self.sessions.get_mut(&label) {
-                jobs.append(&mut entry.parked);
-            }
-        }
-        jobs.extend(self.with_current(|c| c.collect_all())?);
-        Ok(jobs)
     }
 
     fn in_flight(&self) -> usize {

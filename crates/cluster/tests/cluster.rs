@@ -13,7 +13,10 @@
 //!   session key crossed the wire to exactly one node**; the migration
 //!   target saw only wrapped material;
 //! * SIGKILL-ing a node makes only *that node's* sessions fail, with
-//!   the typed [`ClientError::NodeUnreachable`] verdict.
+//!   the typed [`ClientError::NodeUnreachable`] verdict;
+//! * a node that dies and comes back on its address while a pipelined
+//!   job is in flight costs that job a typed error, never a silent
+//!   loss, and the session then serves on the respawned node.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -374,9 +377,54 @@ fn killing_a_node_fails_only_its_sessions_with_a_typed_verdict() {
 }
 
 #[test]
+fn a_reconnect_that_loses_pipelined_jobs_reports_them() {
+    let exe = env!("CARGO_BIN_EXE_cluster_node");
+    let mut node = NodeProcess::spawn(Command::new(exe)).expect("node process starts");
+    let addr = node.addr();
+    let mut fleet = ClusterClient::connect(&[addr], &KEK).expect("cluster connects");
+    fleet.open_session(&[0x5E; 16]).expect("session opens");
+    let want = fleet.ecb_encrypt(&[0xA7; 16]).expect("ECB before the kill");
+
+    node.kill();
+    let _node = NodeProcess::spawn({
+        let mut respawn = Command::new(exe);
+        respawn.arg(addr.to_string());
+        respawn
+    })
+    .expect("node respawns on its address");
+
+    // The dead connection still takes the write: the job is accepted.
+    fleet
+        .pipeline(Op::EcbEncrypt, None, &[0xA7; 16])
+        .expect("the send succeeds");
+    assert_eq!(fleet.in_flight(), 1);
+    // Its reply died with the node; collecting it must say so.
+    match fleet.collect_all() {
+        Err(ClientError::Io(_)) => {}
+        other => panic!("expected the transport error that found the node dead, got {other:?}"),
+    }
+    assert_eq!(fleet.in_flight(), 0);
+    // The reconnect kept the session: the respawned node serves it.
+    assert_eq!(
+        fleet.ecb_encrypt(&[0xA7; 16]).expect("ECB after respawn"),
+        want
+    );
+}
+
+#[test]
 fn cluster_stats_aggregate_every_nodes_counters() {
     let (handles, addrs) = spawn_nodes(3);
     let mut fleet = ClusterClient::connect(&addrs, &KEK).expect("cluster connects");
+
+    // Before any session, PING and GET_STATS reach some Up node; a raw
+    // re-key is refused, since only set_key keeps the migration chain.
+    assert_eq!(fleet.ping(b"sessionless").expect("ping"), b"sessionless");
+    let one = fleet.call(Op::GetStats, &[]).expect("one node's stats");
+    assert!(one.payload.starts_with(b"{\"schema\":\"telemetry/1\""));
+    match fleet.call(Op::SetKey, &[&KEK]) {
+        Err(ClientError::Protocol(_)) => {}
+        other => panic!("a raw SET_KEY through the router must be refused, got {other:?}"),
+    }
 
     // Put one session's worth of traffic on every node by opening
     // enough sessions to cover the ring.

@@ -16,7 +16,7 @@
 use std::process::Command;
 
 use rijndael_cluster::NodeProcess;
-use service::Client;
+use service::{Client, Transport};
 
 /// Main + acceptor + 2 shards + 4 farm workers.
 const THREADS: u64 = 8;

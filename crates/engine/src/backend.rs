@@ -423,7 +423,7 @@ impl<C: CycleCore + Send> Backend for IpCoreBackend<C> {
 /// A software cipher as a [`Backend`]: no clock, so virtual time is a
 /// nominal one cycle per block (occupancy is by definition 100%).
 ///
-/// Key hygiene rides on the wrapped cipher: [`Aes128`] and [`TtableAes`]
+/// Key hygiene rides on the wrapped cipher: [`Rijndael`] and [`TtableAes`]
 /// wipe their expanded schedules when the backend is dropped (see
 /// `rijndael::zeroize`).
 #[derive(Debug, Clone)]

@@ -36,7 +36,7 @@
 //! job's key length ([`BackendSpec::serves`]), without building
 //! anything. Parallel modes (ECB, CTR) are dealt across every eligible
 //! worker's deque in the engine's 8-block granule spans
-//! ([`Engine::shares_batched`](crate::Engine::shares_batched)). Any
+//! (`Engine::shares_batched`). Any
 //! other task — a chained stream (CBC, CFB, OFB), which must not migrate
 //! mid-job, or a parallel job with one eligible worker — queues on the
 //! least-loaded capable worker's deque. Deques are FIFO, so jobs are

@@ -7,7 +7,7 @@
 //! `engine_equivalence` suite and the engine bench measure Table-2
 //! cycles through it. Real traffic runs on the
 //! [`WorkerPool`](crate::WorkerPool), which shares this module's shard
-//! planner ([`Engine::shares_batched`]) and span executor. Jobs are
+//! planner (`Engine::shares_batched`) and span executor. Jobs are
 //! whole mode operations (ECB/CBC/CTR/CFB/OFB over a byte buffer); the
 //! scheduler shards counter-mode and ECB work evenly across every capable
 //! core (each core pipelines its share through the decoupled bus at one

@@ -280,7 +280,7 @@ impl<C: core::fmt::Debug> core::fmt::Debug for Gcm<C> {
 ///
 /// The tweak chain runs at full width: the running tweak is one
 /// little-endian `u128`, and each block's whitening is a single 128-bit
-/// XOR. A sector goes through the data cipher in [`KEYSTREAM_BATCH`]
+/// XOR. A sector goes through the data cipher in `KEYSTREAM_BATCH`-block
 /// spans — whiten, one [`BatchCipher`] call, un-whiten — with the span's
 /// tweaks in a stack buffer that is wiped once the sector is done.
 ///

@@ -316,7 +316,7 @@ mod simd {
 /// one (see [`crate::dispatch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WideLane {
-    /// Four AVX2 registers per plane ([`simd::Avx2`]); requires the
+    /// Four AVX2 registers per plane (`simd::Avx2`); requires the
     /// runtime probe to find AVX2.
     Avx2,
     /// The portable `[u64; 4]` plane; available everywhere.

@@ -108,7 +108,7 @@ fn probe() -> CpuFeatures {
 pub enum Kind {
     /// x86 AES-NI instructions ([`crate::aesni`]).
     AesNi,
-    /// ARMv8 Cryptography Extension ([`crate::neon`]).
+    /// ARMv8 Cryptography Extension (the `neon` module, aarch64 only).
     Neon,
     /// Bitsliced, AVX2 wide plane ([`crate::bitslice`]).
     BitslicedWide,

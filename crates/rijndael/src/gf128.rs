@@ -1,6 +1,6 @@
 //! Carry-less multiplication in GF(2^128) for GHASH (NIST SP 800-38D).
 //!
-//! The GHASH field is GF(2)[x] / (x^128 + x^7 + x^2 + x + 1) with SP
+//! The GHASH field is GF(2)\[x\] / (x^128 + x^7 + x^2 + x + 1) with SP
 //! 800-38D's *reflected* bit order: bit 0 of a block (the MSB of byte 0)
 //! is the coefficient of x^0, and bit 127 (the LSB of byte 15) is the
 //! coefficient of x^127. Loading a block with `u128::from_be_bytes` puts
@@ -102,7 +102,7 @@ impl GfTable {
 
     /// `X · H` via the 4-bit walk: nibbles of `x` from the highest
     /// degree (low nibble of byte 15) down, shifting the accumulator by
-    /// x^4 and folding the four overflow bits with [`REM_4BIT`].
+    /// x^4 and folding the four overflow bits with `REM_4BIT`.
     #[must_use]
     pub fn mul(&self, x: u128) -> u128 {
         let bytes = x.to_be_bytes();

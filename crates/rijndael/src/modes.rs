@@ -536,7 +536,7 @@ impl Cbc {
     /// # Panics
     ///
     /// Panics if `iv.len()` differs from the cipher's block length, or if
-    /// that length exceeds [`MAX_BLOCK`] bytes.
+    /// that length exceeds `MAX_BLOCK` (32) bytes.
     pub fn encrypt<C: BlockCipher + ?Sized>(
         cipher: &C,
         iv: &[u8],
@@ -574,7 +574,7 @@ impl Cbc {
     /// # Panics
     ///
     /// Panics if `iv.len()` differs from the cipher's block length, or if
-    /// that length exceeds [`MAX_BLOCK`] bytes.
+    /// that length exceeds `MAX_BLOCK` (32) bytes.
     pub fn decrypt<C: BlockCipher + ?Sized>(
         cipher: &C,
         iv: &[u8],
@@ -655,7 +655,7 @@ impl Ctr {
     /// # Panics
     ///
     /// Panics if `nonce.len()` differs from the cipher's block length, or
-    /// if that length exceeds [`MAX_BLOCK`] bytes.
+    /// if that length exceeds `MAX_BLOCK` (32) bytes.
     pub fn apply_at<C: BlockCipher + ?Sized>(
         cipher: &C,
         nonce: &[u8],
@@ -681,9 +681,10 @@ impl Ctr {
     }
 
     /// XORs the keystream into `data` through the cipher's batch path:
-    /// counter blocks are precomputed [`CTR_BATCH`] at a time (via the
-    /// same incrementing function as [`Ctr::apply_at`]) and encrypted in
-    /// one [`BatchCipher::encrypt_blocks`] call, so a bitsliced cipher
+    /// counter blocks are precomputed `CTR_BATCH` (one
+    /// [`WIDE`](crate::bitslice::WIDE) batch) at a time (via the same
+    /// incrementing function as [`Ctr::apply_at`]) and encrypted in one
+    /// [`BatchCipher::encrypt_blocks`] call, so a bitsliced cipher
     /// fills whole passes. Byte-identical to
     /// `apply_at(cipher, nonce, first_block, data)` on any data length.
     pub fn apply_batched<C: BatchCipher + ?Sized>(
@@ -748,7 +749,7 @@ impl Cfb {
     /// # Panics
     ///
     /// Panics if `iv.len()` differs from the cipher's block length, or if
-    /// that length exceeds [`MAX_BLOCK`] bytes.
+    /// that length exceeds `MAX_BLOCK` (32) bytes.
     pub fn encrypt<C: BlockCipher + ?Sized>(cipher: &C, iv: &[u8], data: &mut [u8]) {
         let bl = cipher.block_len();
         assert_eq!(iv.len(), bl, "IV must be one block long");
@@ -770,7 +771,7 @@ impl Cfb {
     /// # Panics
     ///
     /// Panics if `iv.len()` differs from the cipher's block length, or if
-    /// that length exceeds [`MAX_BLOCK`] bytes.
+    /// that length exceeds `MAX_BLOCK` (32) bytes.
     pub fn decrypt<C: BlockCipher + ?Sized>(cipher: &C, iv: &[u8], data: &mut [u8]) {
         let bl = cipher.block_len();
         assert_eq!(iv.len(), bl, "IV must be one block long");
@@ -801,7 +802,7 @@ impl Ofb {
     /// # Panics
     ///
     /// Panics if `iv.len()` differs from the cipher's block length, or if
-    /// that length exceeds [`MAX_BLOCK`] bytes.
+    /// that length exceeds `MAX_BLOCK` (32) bytes.
     pub fn apply<C: BlockCipher + ?Sized>(cipher: &C, iv: &[u8], data: &mut [u8]) {
         let bl = cipher.block_len();
         assert_eq!(iv.len(), bl, "IV must be one block long");

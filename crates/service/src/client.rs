@@ -1,12 +1,14 @@
 //! Blocking loopback client with a pipelined submit/collect API: one
-//! [`Client`] per connection, typed methods over the raw frame layer.
+//! [`Client`] per TCP connection to one service node.
 //!
-//! The wire discipline lives in [`NodeConn`] — one TCP connection to
-//! one service node, owning the sequence counter, the live session id,
-//! correlation matching and the bounded stray-reply stash. [`Client`]
-//! wraps a `NodeConn` with typed per-op methods; the cluster router
-//! drives one connection per node through the same core, which is why
-//! the two never disagree about framing.
+//! A `Client` owns everything a correct conversation needs — the
+//! sequence counter, the live session id, the set of outstanding
+//! correlation ids and the bounded stash of out-of-order replies — and
+//! implements the [`Transport`] core over it. The typed ops
+//! ([`Transport::ping`], [`Transport::ecb_encrypt`], ...) are written
+//! once, on that trait; the cluster router drives one `Client` per
+//! session through the same core, which is why the two never disagree
+//! about framing.
 //!
 //! The client maps [`Status::Error`] replies into
 //! [`ClientError::Service`], and matches every reply to its request by
@@ -16,20 +18,20 @@
 //! call asks for it, and only a reply that matches *nothing*
 //! outstanding is an error ([`ClientError::StrayReply`] — the old
 //! client failed hard on any sequence mismatch, with no way to
-//! resynchronise). The stash is bounded at [`NodeConn::STASH_CAP`]
+//! resynchronise). The stash is bounded at [`Client::STASH_CAP`]
 //! frames: a caller that abandons correlation ids can no longer grow
 //! it without limit — the oldest stashed reply is dropped instead and
-//! counted in [`NodeConn::stash_evictions`].
+//! counted in [`Client::stash_evictions`].
 //!
 //! Two request disciplines are exposed:
 //!
-//! * **blocking** — [`Client::ping`], [`Client::ecb_encrypt`], ... :
-//!   send one request, wait for its reply;
+//! * **blocking** — [`Transport::call`] and the typed ops over it: send
+//!   one request, wait for its reply;
 //! * **pipelined** — [`Client::pipeline`] sends without waiting
 //!   (depth-N in flight per connection), [`Client::collect_next`] /
-//!   [`Client::collect_all`] receive completions in whatever order the
-//!   session finished them; a session at capacity answers the job with
-//!   a typed `Busy`, to be retried after collecting.
+//!   [`Transport::collect_all`] receive completions in whatever order
+//!   the session finished them; a session at capacity answers the job
+//!   with a typed `Busy`, to be retried after collecting.
 //!
 //! Every frame uses the one wire layout ([`crate::protocol`]), and no
 //! call copies the caller's bytes: a request leaves as its head, its
@@ -47,6 +49,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use crate::protocol::{
     encode_head, write_parts, ErrorCode, Frame, Op, RecvBuffer, RecvError, Status,
 };
+use crate::transport::Transport;
 
 /// Bytes of the per-connection read buffer that small replies arrive
 /// through. It is allocated per connection, and a cluster router opens
@@ -138,22 +141,16 @@ pub struct PipelinedJob {
     pub result: Result<Vec<u8>, (ErrorCode, u32)>,
 }
 
-/// The wire core: one TCP connection to one service node.
-///
-/// `NodeConn` owns everything a correct conversation needs — the
-/// sequence counter, the live session id, the set of outstanding
-/// correlation ids and the bounded stash of
-/// out-of-order replies. [`Client`] layers the typed per-op methods on
-/// top; `rijndael-cluster`'s router drives one `NodeConn`-backed
-/// client per node, so single-node and cluster traffic share one
-/// framing implementation.
+/// A blocking connection to one service node; see the [module
+/// docs](self) for the wire discipline and [`Transport`] for the typed
+/// ops.
 ///
 /// Replies arrive through a [`RecvBuffer`] fed by a 16 KiB read
 /// buffer, so small replies — pipelined ones included — are parsed out
 /// of one `read`; a reply body still arriving when its head is parsed
 /// is read straight into its own payload, sized from the head, with no
 /// staging copy.
-pub struct NodeConn {
+pub struct Client {
     stream: TcpStream,
     inbuf: RecvBuffer,
     read_buf: Box<[u8]>,
@@ -163,17 +160,17 @@ pub struct NodeConn {
     pending: HashSet<u32>,
     /// Out-of-order pipelined replies received while waiting for
     /// something else, in arrival order; never longer than
-    /// [`NodeConn::STASH_CAP`].
+    /// [`Client::STASH_CAP`].
     stash: Vec<Frame>,
     /// Stashed replies dropped at the cap (their correlation ids are
     /// forgotten with them).
     stash_evicted: u64,
 }
 
-impl fmt::Debug for NodeConn {
+impl fmt::Debug for Client {
     /// The conversation's state, not its buffers' bytes.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NodeConn")
+        f.debug_struct("Client")
             .field("stream", &self.stream)
             .field("seq", &self.seq)
             .field("session", &self.session)
@@ -184,22 +181,22 @@ impl fmt::Debug for NodeConn {
     }
 }
 
-impl NodeConn {
+impl Client {
     /// Most out-of-order replies held for later collection before the
     /// oldest is dropped. A caller that abandons correlation ids (sends
     /// pipelined work and never collects) previously grew the stash
     /// without bound; now it saturates here.
     pub const STASH_CAP: usize = 1024;
 
-    /// Connects (with `TCP_NODELAY`).
+    /// Connects (with `TCP_NODELAY`), sequence numbering starting at 1.
     ///
     /// # Errors
     ///
     /// Propagates connect/setsockopt failures.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<NodeConn> {
+    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(NodeConn {
+        Ok(Client {
             stream,
             inbuf: RecvBuffer::new(),
             read_buf: vec![0u8; READ_BUF].into_boxed_slice(),
@@ -211,7 +208,7 @@ impl NodeConn {
         })
     }
 
-    /// The live session id (0 before the first `SET_KEY`).
+    /// The live session id (0 before the first [`Client::set_key`]).
     #[must_use]
     pub fn session(&self) -> u32 {
         self.session
@@ -227,31 +224,82 @@ impl NodeConn {
         self.pending.len()
     }
 
-    /// Stashed replies dropped at [`NodeConn::STASH_CAP`] over the
+    /// Stashed replies dropped at [`Client::STASH_CAP`] over the
     /// connection's lifetime.
     #[must_use]
     pub fn stash_evictions(&self) -> u64 {
         self.stash_evicted
     }
 
-    fn next_seq(&mut self) -> u32 {
-        self.seq = self.seq.wrapping_add(1);
-        self.seq
+    /// Loads an AES key; see [`Transport::set_key`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::set_key`].
+    pub fn set_key(&mut self, key: &[u8]) -> Result<u32, ClientError> {
+        Ok(self.call(Op::SetKey, &[key])?.session)
     }
 
-    /// Sends one request under the live session, its payload the
-    /// concatenation of `parts` (at most three), straight from the
-    /// caller's slices in one vectored write. Returns its sequence
-    /// number, which is also its correlation id.
-    fn send(&mut self, op: Op, parts: &[&[u8]]) -> io::Result<u32> {
-        let seq = self.next_seq();
-        let len = parts.iter().map(|p| p.len()).sum();
-        let head = encode_head(op as u8, 0, seq, self.session, seq, len)?;
-        let mut all: [&[u8]; 1 + MAX_PARTS] = [&[]; 1 + MAX_PARTS];
-        all[0] = &head;
-        all[1..=parts.len()].copy_from_slice(parts);
-        write_parts(&mut self.stream, all)?;
-        Ok(seq)
+    /// Fetches the node's telemetry snapshot; see [`Transport::stats`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::stats`].
+    pub fn stats(&mut self) -> Result<String, ClientError> {
+        String::from_utf8(self.call(Op::GetStats, &[])?.payload)
+            .map_err(|_| ClientError::Protocol("non-UTF-8 stats payload".into()))
+    }
+
+    /// Sends an engine op without waiting for its reply; see
+    /// [`Transport::pipeline`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::pipeline`].
+    pub fn pipeline(
+        &mut self,
+        op: Op,
+        iv: Option<&[u8; 16]>,
+        data: &[u8],
+    ) -> Result<u32, ClientError> {
+        let corr = self.send(op, &[iv.map_or(&[], |iv| iv), data])?;
+        self.pending.insert(corr);
+        Ok(corr)
+    }
+
+    /// Receives the next pipelined completion; see
+    /// [`Transport::collect_next`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::collect_next`].
+    pub fn collect_next(&mut self) -> Result<PipelinedJob, ClientError> {
+        if self.pending.is_empty() && self.stash.is_empty() {
+            return Err(ClientError::Protocol(
+                "collect_next with no pipelined request in flight".into(),
+            ));
+        }
+        let reply = if self.stash.is_empty() {
+            self.recv_raw()?
+        } else {
+            self.stash.remove(0)
+        };
+        if !self.pending.remove(&reply.corr) {
+            if reply.corr == 0 {
+                if let Some((code, detail)) = reply.error_body() {
+                    return Err(ClientError::Service { code, detail });
+                }
+            }
+            return Err(ClientError::StrayReply { corr: reply.corr });
+        }
+        let result = match reply.error_body() {
+            Some((code, detail)) => Err((code, detail)),
+            None => Ok(reply.payload),
+        };
+        Ok(PipelinedJob {
+            corr: reply.corr,
+            result,
+        })
     }
 
     /// Sends a frame verbatim (protocol-test escape hatch).
@@ -289,6 +337,29 @@ impl NodeConn {
         }
     }
 
+    /// Sends one request under the live session, its payload the
+    /// concatenation of `parts`, straight from the caller's slices in
+    /// one vectored write. Returns its sequence number, which is also
+    /// its correlation id. More than [`MAX_PARTS`] parts is refused
+    /// before anything is sent.
+    fn send(&mut self, op: Op, parts: &[&[u8]]) -> Result<u32, ClientError> {
+        if parts.len() > MAX_PARTS {
+            return Err(ClientError::Protocol(format!(
+                "{} payload parts in one request; at most {MAX_PARTS}",
+                parts.len()
+            )));
+        }
+        let seq = self.seq.wrapping_add(1);
+        self.seq = seq;
+        let len = parts.iter().map(|p| p.len()).sum();
+        let head = encode_head(op as u8, 0, seq, self.session, seq, len)?;
+        let mut all: [&[u8]; 1 + MAX_PARTS] = [&[]; 1 + MAX_PARTS];
+        all[0] = &head;
+        all[1..=parts.len()].copy_from_slice(parts);
+        write_parts(&mut self.stream, all)?;
+        Ok(seq)
+    }
+
     /// Stashes an out-of-order reply, evicting the oldest stashed frame
     /// (and forgetting its correlation id) once the cap is reached.
     fn stash_reply(&mut self, reply: Frame) {
@@ -323,473 +394,52 @@ impl NodeConn {
             return Err(ClientError::StrayReply { corr: reply.corr });
         }
     }
+}
 
-    /// Request/reply round trip over `parts` (see [`NodeConn::send`]);
-    /// typed `Error` replies become [`ClientError::Service`].
+/// The core over one connection: a `SET_KEY` or `SET_KEY_WRAPPED` that
+/// succeeds through [`Transport::call`] makes its reply's session the
+/// live one, whichever method sent it.
+impl Transport for Client {
+    fn set_key(&mut self, key: &[u8]) -> Result<u32, ClientError> {
+        Client::set_key(self, key)
+    }
+
+    fn set_key_wrapped(&mut self, wrapped: &[u8]) -> Result<u32, ClientError> {
+        Ok(self.call(Op::SetKeyWrapped, &[wrapped])?.session)
+    }
+
     fn call(&mut self, op: Op, parts: &[&[u8]]) -> Result<Frame, ClientError> {
         let seq = self.send(op, parts)?;
         let reply = self.recv_matched(seq)?;
         if let Some((code, detail)) = reply.error_body() {
             return Err(ClientError::Service { code, detail });
         }
+        if reply.status() != Some(Status::Ok) {
+            return Err(ClientError::Protocol(format!(
+                "expected Ok, got kind {:#04x}",
+                reply.kind
+            )));
+        }
+        if matches!(op, Op::SetKey | Op::SetKeyWrapped) {
+            self.session = reply.session;
+        }
         Ok(reply)
     }
 
-    /// Receives the next pipelined completion (stashed replies first,
-    /// then the wire), blocking until one arrives.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::collect_next`].
+    fn stats(&mut self) -> Result<String, ClientError> {
+        Client::stats(self)
+    }
+
+    fn pipeline(&mut self, op: Op, iv: Option<&[u8; 16]>, data: &[u8]) -> Result<u32, ClientError> {
+        Client::pipeline(self, op, iv, data)
+    }
+
     fn collect_next(&mut self) -> Result<PipelinedJob, ClientError> {
-        if self.pending.is_empty() && self.stash.is_empty() {
-            return Err(ClientError::Protocol(
-                "collect_next with no pipelined request in flight".into(),
-            ));
-        }
-        let reply = if self.stash.is_empty() {
-            self.recv_raw()?
-        } else {
-            self.stash.remove(0)
-        };
-        if !self.pending.remove(&reply.corr) {
-            if reply.corr == 0 {
-                if let Some((code, detail)) = reply.error_body() {
-                    return Err(ClientError::Service { code, detail });
-                }
-            }
-            return Err(ClientError::StrayReply { corr: reply.corr });
-        }
-        let result = match reply.error_body() {
-            Some((code, detail)) => Err((code, detail)),
-            None => Ok(reply.payload),
-        };
-        Ok(PipelinedJob {
-            corr: reply.corr,
-            result,
-        })
+        Client::collect_next(self)
     }
 
-    /// Collects every outstanding pipelined completion, in arrival
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::collect_all`].
-    fn collect_all(&mut self) -> Result<Vec<PipelinedJob>, ClientError> {
-        let mut jobs = Vec::with_capacity(self.in_flight());
-        while self.in_flight() > 0 {
-            jobs.push(self.collect_next()?);
-        }
-        Ok(jobs)
-    }
-}
-
-/// A blocking connection to the service: typed per-op methods over a
-/// [`NodeConn`].
-#[derive(Debug)]
-pub struct Client {
-    conn: NodeConn,
-}
-
-impl Client {
-    /// Connects (with `TCP_NODELAY`), sequence numbering starting at 1.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/setsockopt failures.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Ok(Client {
-            conn: NodeConn::connect(addr)?,
-        })
-    }
-
-    /// The underlying wire connection.
-    #[must_use]
-    pub fn conn(&self) -> &NodeConn {
-        &self.conn
-    }
-
-    /// The live session id (0 before the first [`Client::set_key`]).
-    #[must_use]
-    pub fn session(&self) -> u32 {
-        self.conn.session()
-    }
-
-    /// Pipelined requests sent and not yet collected.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.conn.in_flight()
-    }
-
-    /// Stashed replies dropped at [`NodeConn::STASH_CAP`] over the
-    /// connection's lifetime.
-    #[must_use]
-    pub fn stash_evictions(&self) -> u64 {
-        self.conn.stash_evictions()
-    }
-
-    /// Sends a frame verbatim (protocol-test escape hatch).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors only.
-    pub fn send_raw(&mut self, frame: &Frame) -> io::Result<()> {
-        self.conn.send_raw(frame)
-    }
-
-    /// Reads the next reply frame verbatim (protocol-test escape
-    /// hatch). Bypasses correlation matching — mixing this with
-    /// outstanding pipelined requests will misroute replies.
-    ///
-    /// # Errors
-    ///
-    /// Transport or framing errors.
-    pub fn recv_raw(&mut self) -> Result<Frame, RecvError> {
-        self.conn.recv_raw()
-    }
-
-    #[cfg(test)]
-    fn recv_matched(&mut self, want: u32) -> Result<Frame, ClientError> {
-        self.conn.recv_matched(want)
-    }
-
-    fn call(&mut self, op: Op, parts: &[&[u8]]) -> Result<Frame, ClientError> {
-        self.conn.call(op, parts)
-    }
-
-    /// A round trip whose reply must be `Ok`; returns its payload.
-    fn call_ok(&mut self, op: Op, parts: &[&[u8]]) -> Result<Vec<u8>, ClientError> {
-        let reply = self.call(op, parts)?;
-        Self::expect_ok(&reply)?;
-        Ok(reply.payload)
-    }
-
-    fn expect_ok(reply: &Frame) -> Result<(), ClientError> {
-        if reply.status() == Some(Status::Ok) {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!(
-                "expected Ok, got kind {:#04x}",
-                reply.kind
-            )))
-        }
-    }
-
-    /// Loads an AES key (16, 24 or 32 bytes), creating a fresh
-    /// server-side session; returns the new session id (used on every
-    /// subsequent request automatically).
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`BadKeyLength` for any other length) or
-    /// transport failures.
-    pub fn set_key(&mut self, key: &[u8]) -> Result<u32, ClientError> {
-        let reply = self.call(Op::SetKey, &[key])?;
-        Self::expect_ok(&reply)?;
-        self.conn.session = reply.session;
-        Ok(reply.session)
-    }
-
-    /// Re-keys from an RFC 3394 blob wrapped under the **live**
-    /// session's key: the server unwraps it in place and the unwrapped
-    /// key becomes the new session key, so raw key bytes never cross
-    /// this connection. Returns the fresh session id.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`NoSession` without a live session,
-    /// `TagMismatch` on a tampered blob, `BadKeyLength` when the blob
-    /// unwraps to a non-key) or transport failures; every failure
-    /// leaves the current session live.
-    pub fn set_key_wrapped(&mut self, wrapped: &[u8]) -> Result<u32, ClientError> {
-        let reply = self.call(Op::SetKeyWrapped, &[wrapped])?;
-        Self::expect_ok(&reply)?;
-        self.conn.session = reply.session;
-        Ok(reply.session)
-    }
-
-    /// Liveness probe; the server echoes `payload`.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors or transport failures.
-    pub fn ping(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.call_ok(Op::Ping, &[payload])
-    }
-
-    fn engine_call(
-        &mut self,
-        op: Op,
-        iv: Option<&[u8; 16]>,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.call_ok(op, &[iv.map_or(&[], |iv| iv), data])
-    }
-
-    /// ECB-encrypts whole blocks under the session key.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`NoSession`, `RaggedLength`, `Busy`...) or
-    /// transport failures.
-    pub fn ecb_encrypt(&mut self, plaintext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::EcbEncrypt, None, plaintext)
-    }
-
-    /// ECB-decrypts whole blocks under the session key.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::ecb_encrypt`].
-    pub fn ecb_decrypt(&mut self, ciphertext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::EcbDecrypt, None, ciphertext)
-    }
-
-    /// CBC-encrypts whole blocks under the session key.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::ecb_encrypt`].
-    pub fn cbc_encrypt(&mut self, iv: &[u8; 16], plaintext: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::CbcEncrypt, Some(iv), plaintext)
-    }
-
-    /// CBC-decrypts whole blocks under the session key.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::ecb_encrypt`].
-    pub fn cbc_decrypt(
-        &mut self,
-        iv: &[u8; 16],
-        ciphertext: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::CbcDecrypt, Some(iv), ciphertext)
-    }
-
-    /// Applies the CTR keystream (encrypt = decrypt, any length).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::ecb_encrypt`].
-    pub fn ctr_apply(&mut self, counter: &[u8; 16], data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.engine_call(Op::CtrApply, Some(counter), data)
-    }
-
-    /// Fetches the server's telemetry snapshot: the `telemetry/1` JSON
-    /// document with per-opcode request counts, error tallies,
-    /// connection gauges and every session engine's `engine.*`
-    /// instruments. Works without a session.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors or transport failures;
-    /// [`ClientError::Protocol`] if the payload is not UTF-8.
-    pub fn stats(&mut self) -> Result<String, ClientError> {
-        String::from_utf8(self.call_ok(Op::GetStats, &[])?)
-            .map_err(|_| ClientError::Protocol("non-UTF-8 stats payload".into()))
-    }
-
-    /// Computes the AES-CMAC tag of `message` under the session key.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors or transport failures.
-    pub fn cmac_tag(&mut self, message: &[u8]) -> Result<[u8; 16], ClientError> {
-        let tag = self.call_ok(Op::CmacTag, &[message])?;
-        tag.as_slice()
-            .try_into()
-            .map_err(|_| ClientError::Protocol(format!("{}-byte CMAC tag", tag.len())))
-    }
-
-    /// Verifies an AES-CMAC tag; `Ok(false)` on a well-formed mismatch.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors other than `BadTag`, or transport failures.
-    pub fn cmac_verify(&mut self, message: &[u8], tag: &[u8; 16]) -> Result<bool, ClientError> {
-        match self.call(Op::CmacVerify, &[tag, message]) {
-            Ok(reply) => Self::expect_ok(&reply).map(|()| true),
-            Err(ClientError::Service {
-                code: ErrorCode::BadTag,
-                ..
-            }) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The fixed prefix of a SEAL/OPEN payload: the nonce and the AAD
-    /// length (the AAD and the body follow as the caller's slices).
-    fn aead_prefix(nonce: &[u8; 12], aad: &[u8]) -> [u8; 16] {
-        let mut prefix = [0u8; 16];
-        prefix[..12].copy_from_slice(nonce);
-        prefix[12..].copy_from_slice(&(aad.len() as u32).to_be_bytes());
-        prefix
-    }
-
-    /// AES-GCM seal under the session key: returns ciphertext ‖ 16-byte
-    /// tag. The nonce must be unique per (key, message) — reuse forfeits
-    /// both confidentiality and authenticity.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors or transport failures.
-    pub fn seal(
-        &mut self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        plaintext: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        let prefix = Self::aead_prefix(nonce, aad);
-        self.call_ok(Op::Seal, &[&prefix, aad, plaintext])
-    }
-
-    /// AES-GCM open; `Ok(None)` on a well-formed authentication failure
-    /// (a tampered ciphertext, AAD, nonce or tag), mirroring
-    /// [`Client::cmac_verify`]'s verdict-not-error shape.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors other than `TagMismatch`, or transport
-    /// failures.
-    pub fn open(
-        &mut self,
-        nonce: &[u8; 12],
-        aad: &[u8],
-        sealed: &[u8],
-    ) -> Result<Option<Vec<u8>>, ClientError> {
-        let prefix = Self::aead_prefix(nonce, aad);
-        match self.call(Op::Open, &[&prefix, aad, sealed]) {
-            Ok(reply) => Self::expect_ok(&reply).map(|()| Some(reply.payload)),
-            Err(ClientError::Service {
-                code: ErrorCode::TagMismatch,
-                ..
-            }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Wraps `key_data` (RFC 3394) under the session key; the result is
-    /// 8 bytes longer than the input.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`Malformed` unless `key_data` is ≥ 16
-    /// bytes and a multiple of 8) or transport failures.
-    pub fn wrap_key(&mut self, key_data: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.call_ok(Op::WrapKey, &[key_data])
-    }
-
-    /// Unwraps an RFC 3394 blob; `Ok(None)` when the integrity check
-    /// fails.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors other than `TagMismatch`, or transport
-    /// failures.
-    pub fn unwrap_key(&mut self, wrapped: &[u8]) -> Result<Option<Vec<u8>>, ClientError> {
-        match self.call(Op::UnwrapKey, &[wrapped]) {
-            Ok(reply) => Self::expect_ok(&reply).map(|()| Some(reply.payload)),
-            Err(ClientError::Service {
-                code: ErrorCode::TagMismatch,
-                ..
-            }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// An XTS call: the sector header, then the caller's `data`.
-    fn xts_call(
-        &mut self,
-        op: Op,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        let mut header = [0u8; 12];
-        header[..8].copy_from_slice(&sector_base.to_be_bytes());
-        header[8..].copy_from_slice(&sector_size.to_be_bytes());
-        self.call_ok(op, &[&header, data])
-    }
-
-    /// XTS-encrypts `data` as consecutive `sector_size`-byte sectors
-    /// starting at sector number `sector_base` (sector `i` uses tweak
-    /// `sector_base + i`, wrapping). `data` must be a non-empty whole
-    /// number of sectors and `sector_size` at least one AES block.
-    ///
-    /// # Errors
-    ///
-    /// Typed service errors (`BadSectorSize` on bad geometry,
-    /// `NoSession`, ...) or transport failures.
-    pub fn xts_encrypt(
-        &mut self,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.xts_call(Op::XtsEncrypt, sector_base, sector_size, data)
-    }
-
-    /// XTS-decrypts `data`; the inverse of [`Client::xts_encrypt`]
-    /// under the same sector geometry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::xts_encrypt`].
-    pub fn xts_decrypt(
-        &mut self,
-        sector_base: u64,
-        sector_size: u32,
-        data: &[u8],
-    ) -> Result<Vec<u8>, ClientError> {
-        self.xts_call(Op::XtsDecrypt, sector_base, sector_size, data)
-    }
-
-    /// Sends an engine op **without waiting for the reply** and returns
-    /// its correlation id. Any number of pipelined requests may be in
-    /// flight; collect them with [`Client::collect_next`] /
-    /// [`Client::collect_all`] — completions arrive in engine order,
-    /// not submission order.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures on the send. Server-side failures (`Busy`,
-    /// `RaggedLength`, stale session, ...) come back as the job's
-    /// [`PipelinedJob::result`] at collection time.
-    pub fn pipeline(
-        &mut self,
-        op: Op,
-        iv: Option<&[u8; 16]>,
-        data: &[u8],
-    ) -> Result<u32, ClientError> {
-        let corr = self.conn.send(op, &[iv.map_or(&[], |iv| iv), data])?;
-        self.conn.pending.insert(corr);
-        Ok(corr)
-    }
-
-    /// Receives the next pipelined completion (stashed replies first,
-    /// then the wire), blocking until one arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Protocol`] when nothing is in flight;
-    /// [`ClientError::StrayReply`] on a duplicate or unknown
-    /// correlation id; unsolicited goodbyes surface as
-    /// [`ClientError::Service`]; transport failures.
-    pub fn collect_next(&mut self) -> Result<PipelinedJob, ClientError> {
-        self.conn.collect_next()
-    }
-
-    /// Collects every outstanding pipelined completion, in arrival
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::collect_next`]; already-collected jobs are not
-    /// re-delivered after an error.
-    pub fn collect_all(&mut self) -> Result<Vec<PipelinedJob>, ClientError> {
-        self.conn.collect_all()
+    fn in_flight(&self) -> usize {
+        Client::in_flight(self)
     }
 }
 
@@ -922,7 +572,7 @@ mod tests {
         // before the blocking ping the client is actually waiting on.
         // The oldest stashed reply must be dropped (and its correlation
         // id forgotten) instead of growing the stash without bound.
-        let depth = NodeConn::STASH_CAP + 1;
+        let depth = Client::STASH_CAP + 1;
         let mut replies: Vec<Frame> = (1..=depth as u32)
             .map(|corr| ok_reply(corr, vec![0xCC]))
             .collect();
@@ -941,9 +591,9 @@ mod tests {
         // Exactly one eviction: the cap-sized stash plus the dropped
         // oldest account for every pipelined reply.
         assert_eq!(client.stash_evictions(), 1);
-        assert_eq!(client.in_flight(), NodeConn::STASH_CAP);
+        assert_eq!(client.in_flight(), Client::STASH_CAP);
         let jobs = client.collect_all().unwrap();
-        assert_eq!(jobs.len(), NodeConn::STASH_CAP);
+        assert_eq!(jobs.len(), Client::STASH_CAP);
         // Correlation id 1 was the evicted one.
         assert!(jobs.iter().all(|j| j.corr != 1));
         assert_eq!(client.in_flight(), 0);
@@ -972,7 +622,7 @@ mod tests {
             let mut wire = Vec::new();
             for (i, payload) in payloads.iter().enumerate().rev() {
                 ok_reply(i as u32 + 1, payload.clone())
-                    .encode_into(&mut wire)
+                    .write_to(&mut wire)
                     .unwrap();
             }
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1018,6 +668,25 @@ mod tests {
             assert_eq!(client.in_flight(), 0);
             server.join().unwrap();
         }
+    }
+
+    #[test]
+    fn a_call_with_four_parts_is_a_typed_error_and_sends_nothing() {
+        // The peer answers one ping, correlated 1: the refused call must
+        // have written no bytes and spent no sequence number.
+        let (addr, server) = scripted_server(1, vec![ok_reply(1, b"pong".to_vec())]);
+        let mut client = Client::connect(addr).unwrap();
+        let part = [0u8; 4];
+        match client.call(Op::Ping, &[&part, &part, &part, &part]) {
+            Err(ClientError::Protocol(what)) => assert!(what.contains("4 payload parts"), "{what}"),
+            other => panic!("expected a Protocol error, got {other:?}"),
+        }
+        assert_eq!(client.ping(b"pong").unwrap(), b"pong");
+        let seen = server.join().unwrap();
+        assert_eq!(
+            (seen[0].corr, seen[0].payload.as_slice()),
+            (1, &b"pong"[..])
+        );
     }
 
     #[test]

@@ -25,14 +25,16 @@
 //!   backpressure mapped onto `WorkerPool::try_submit` (typed `Busy`
 //!   replies), write-backpressure, idle timeouts and a graceful
 //!   shutdown that answers every in-flight pipelined job;
-//! * [`client`] — a blocking loopback client with a pipelined
-//!   submit/collect API, used by the integration tests and the
-//!   `service_load` load generator; its wire core ([`NodeConn`]) is
-//!   reused per-node by the `rijndael-cluster` router;
+//! * [`client`] — a blocking loopback [`Client`], one per connection,
+//!   with a pipelined submit/collect API, used by the integration tests,
+//!   the `service_load` load generator and, one per session, the
+//!   `rijndael-cluster` router;
 //! * [`transport`] — the object-safe [`Transport`] trait: the one
 //!   client surface implemented by both the single-node [`Client`] and
 //!   the cluster router, so callers swap between them without code
-//!   changes.
+//!   changes. Its implementations supply a small core (re-keys, one
+//!   request/reply `call`, stats, pipelining); every typed op is written
+//!   once, on the trait.
 //!
 //! Every server owns a [`telemetry::Registry`] that its farm publishes
 //! into; `GET_STATS` ([`Client::stats`]) returns one snapshot of
@@ -45,6 +47,7 @@
 //! ```
 //! use rijndael_service::client::Client;
 //! use rijndael_service::server::{Server, ServiceConfig};
+//! use rijndael_service::transport::Transport;
 //!
 //! let handle = Server::new(ServiceConfig::default())
 //!     .spawn("127.0.0.1:0")
@@ -68,7 +71,7 @@ pub mod server;
 pub mod session;
 pub mod transport;
 
-pub use client::{Client, ClientError, NodeConn, PipelinedJob};
+pub use client::{Client, ClientError, PipelinedJob};
 pub use protocol::{ErrorCode, Frame, Op, RecvBuffer, RecvError, Status};
 pub use server::{ConfigError, Server, ServiceConfig, ServiceConfigBuilder, ServiceHandle};
 pub use session::{Session, SessionSlot};

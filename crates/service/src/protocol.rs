@@ -478,21 +478,6 @@ impl Frame {
         )
     }
 
-    /// Appends the serialised frame (length prefix included) to `buf`.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidInput`] when the payload exceeds
-    /// [`MAX_PAYLOAD`]; `buf` is then left exactly as it was, so a
-    /// queue of whole frames stays in sync.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) -> io::Result<()> {
-        let head = self.head()?;
-        buf.reserve(HEAD_LEN + self.payload.len());
-        buf.extend_from_slice(&head);
-        buf.extend_from_slice(&self.payload);
-        Ok(())
-    }
-
     /// Sends the frame's head and its payload with vectored writes
     /// ([`write_parts`]): no serialised copy of the frame is built.
     ///
@@ -1065,24 +1050,24 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_appends_exactly_what_write_to_sends() {
+    fn write_to_appends_one_whole_frame_or_nothing() {
         let queued = b"earlier reply".to_vec();
         for frame in [
             Frame::request(Op::XtsEncrypt, 0, 7, 3, vec![5u8; 40]).with_corr(0xC0FF_EE00),
             Frame::error(ErrorCode::Busy, 32, 42, 3),
         ] {
-            let mut sent = Vec::new();
-            frame.write_to(&mut sent).unwrap();
             let mut queue = queued.clone();
-            frame.encode_into(&mut queue).unwrap();
+            frame.write_to(&mut queue).unwrap();
             assert_eq!(queue[..queued.len()], queued[..], "{frame:?}");
-            assert_eq!(queue[queued.len()..], sent[..], "{frame:?}");
+            let mut rest = &queue[queued.len()..];
+            assert_eq!(Frame::read_from(&mut rest).unwrap(), frame);
+            assert!(rest.is_empty(), "{frame:?}");
         }
-        // An unsendable frame appends nothing: a queue of whole frames
+        // An unsendable frame writes nothing: a queue of whole frames
         // stays in sync.
         let oversized = Frame::request(Op::Ping, 0, 0, 0, vec![0u8; MAX_PAYLOAD + 1]);
         let mut queue = queued.clone();
-        let err = oversized.encode_into(&mut queue).unwrap_err();
+        let err = oversized.write_to(&mut queue).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(queue, queued);
     }
@@ -1181,10 +1166,10 @@ mod tests {
     }
 
     #[test]
-    fn write_parts_sends_what_encode_into_builds() {
+    fn write_parts_sends_what_write_to_sends() {
         let frame = Frame::request(Op::Seal, 0, 9, 4, (0..40u8).collect()).with_corr(77);
         let mut whole = Vec::new();
-        frame.encode_into(&mut whole).unwrap();
+        frame.write_to(&mut whole).unwrap();
         let head = encode_head(frame.kind, 0, 9, 4, 77, 40).unwrap();
         let (a, b) = frame.payload.split_at(16);
         let mut sent = Vec::new();

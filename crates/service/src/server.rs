@@ -14,7 +14,7 @@
 //! `poll(2)` shim) over its connections: there are no per-connection
 //! threads, so the connection budget is bounded by descriptors, not
 //! stacks — tens of thousands of mostly-idle connections cost two file
-//! descriptors and a [`Conn`] struct each.
+//! descriptors and a `Conn` struct each.
 //!
 //! # Per-connection state machine
 //!
@@ -1476,6 +1476,7 @@ mod tests {
     use super::*;
     use crate::protocol::MAX_FRAME_LEN;
     use crate::session::BULK_THRESHOLD;
+    use crate::transport::Transport;
 
     fn tiny_config() -> ServiceConfig {
         ServiceConfig::builder()
@@ -2402,7 +2403,7 @@ mod tests {
             Frame::request(Op::SetKey, 0, 3, old, vec![0x22; 16]),
             Frame::request(Op::Ping, 0, 4, old, b"after".to_vec()),
         ] {
-            frame.encode_into(&mut burst).unwrap();
+            frame.write_to(&mut burst).unwrap();
         }
         (&stream).write_all(&burst).unwrap();
         let mut r = &stream;
@@ -2463,7 +2464,7 @@ mod tests {
         let data = vec![0x5Au8; 64];
         let mut burst = Vec::new();
         Frame::request(Op::CtrApply, 0, 2, sid, [&iv[..], &data].concat())
-            .encode_into(&mut burst)
+            .write_to(&mut burst)
             .unwrap();
         // A length prefix under the header, then a current version byte.
         burst.extend_from_slice(&5u32.to_be_bytes());

@@ -2,7 +2,7 @@
 //!
 //! A `SET_KEY` request creates a [`Session`]: a [`WorkerPool`] handle
 //! keyed with the submitted key on the server's one worker
-//! [`Farm`](engine::Farm) — the session's executor for the engine ops —
+//! [`Farm`] — the session's executor for the engine ops —
 //! plus a software [`TtableAes`] for the CMAC and key-wrap ops, a
 //! dispatched [`Gcm`] lane for the authenticated-encryption ops and an
 //! [`Xts`] lane for the sector ops. Keys may be 16, 24 or 32 bytes (AES-128/192/256); the

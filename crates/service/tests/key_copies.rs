@@ -1,6 +1,6 @@
 //! The client leaves no unwiped heap copy of a raw key.
 //!
-//! `Client::set_key` and `Client::wrap_key` send the caller's key
+//! `Client::set_key` and `Transport::wrap_key` send the caller's key
 //! straight from its own slice, so no heap block ever holds it. A
 //! global allocator scans every block as it is freed (or moved by a
 //! reallocation) for a 32-byte marker key and counts the blocks that
@@ -16,6 +16,7 @@ use std::thread;
 
 use rijndael_service::client::Client;
 use rijndael_service::protocol::{Frame, Status, HEADER_LEN};
+use rijndael_service::transport::Transport;
 
 /// The length prefix and the header.
 const HEAD: usize = 4 + HEADER_LEN;

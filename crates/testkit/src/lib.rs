@@ -10,7 +10,7 @@
 //! * [`prop`] — a property-test harness ([`forall!`]) running N
 //!   deterministic cases with seed reporting and bisection shrinking,
 //!   replacing `proptest`;
-//! * [`bench`] — a warmup + median-of-K micro-benchmark harness with
+//! * [`bench`](mod@bench) — a warmup + median-of-K micro-benchmark harness with
 //!   JSON output, replacing `criterion`;
 //! * [`json`] — the hand-rolled JSON string/number writer the bench
 //!   harness and the telemetry snapshots share (no `serde`).

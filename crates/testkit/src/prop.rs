@@ -1,7 +1,7 @@
 //! A minimal deterministic property-test harness (hermetic `proptest`
 //! replacement).
 //!
-//! [`forall!`] runs a property over N pseudo-random cases. Every case seed
+//! [`forall!`](crate::forall) runs a property over N pseudo-random cases. Every case seed
 //! is derived from one base seed, so a failure is reproducible bit-for-bit
 //! on any machine; the base seed can be overridden with the `TESTKIT_SEED`
 //! environment variable and is printed in every failure report. On
@@ -172,7 +172,7 @@ arbitrary_tuple! {
 // ---------------------------------------------------------------------------
 
 /// A value generator with an attached shrinker — the binding form the
-/// [`forall!`] macro consumes (`x in <strategy>`).
+/// [`forall!`](crate::forall) macro consumes (`x in <strategy>`).
 pub trait Strategy {
     /// The type of generated values.
     type Value: Clone + Debug;
@@ -383,7 +383,7 @@ fn base_seed() -> u64 {
 }
 
 /// Executes `cases` deterministic cases of a property. Used through the
-/// [`forall!`] macro; exposed for harness self-tests.
+/// [`forall!`](crate::forall) macro; exposed for harness self-tests.
 ///
 /// # Panics
 /// Panics with a seed-bearing report (original input, shrunk input,

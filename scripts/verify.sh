@@ -15,6 +15,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings, broken intra-doc links included, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
+
 echo "==> cargo build --release"
 cargo build --release --locked --offline
 

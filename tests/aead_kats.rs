@@ -16,6 +16,7 @@ use rijndael_ip::rijndael::ttable::TtableAes;
 use rijndael_ip::rijndael::{Aead, AutoCipher, Gcm};
 use rijndael_ip::service::client::Client;
 use rijndael_ip::service::server::{Server, ServiceConfig};
+use rijndael_ip::service::transport::Transport;
 use testkit::forall;
 use testkit::prop::{any, vec_of};
 

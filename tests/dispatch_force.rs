@@ -16,6 +16,7 @@ use rijndael_ip::rijndael::dispatch::{self, AutoCipher, Kind};
 use rijndael_ip::rijndael::{Aes128, BatchCipher};
 use rijndael_ip::service::client::Client;
 use rijndael_ip::service::server::{Server, ServiceConfig};
+use rijndael_ip::service::transport::Transport;
 
 /// Pulls one counter's value out of a `telemetry/1` JSON document with
 /// plain string surgery — auditing the wire bytes, not the accessors.

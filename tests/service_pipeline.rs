@@ -11,6 +11,7 @@ use rijndael_ip::engine::BackendSpec;
 use rijndael_ip::service::client::Client;
 use rijndael_ip::service::protocol::{ErrorCode, Op};
 use rijndael_ip::service::server::{Server, ServiceConfig};
+use rijndael_ip::service::transport::Transport;
 
 fn hex(s: &str) -> Vec<u8> {
     let s: String = s.chars().filter(|c| !c.is_whitespace()).collect();

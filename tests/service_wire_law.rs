@@ -79,6 +79,7 @@ use rijndael_ip::service::client::Client;
 use rijndael_ip::service::protocol::{ErrorCode, Frame, Op, Status, MAX_PAYLOAD};
 use rijndael_ip::service::server::{Server, ServiceConfig, ServiceHandle};
 use rijndael_ip::service::session::BULK_THRESHOLD;
+use rijndael_ip::service::transport::Transport;
 use testkit::forall;
 use testkit::prop::{any, vec_of};
 
@@ -624,7 +625,7 @@ fn v1_ping() -> Vec<u8> {
 fn truncated_ping(len: usize, keep: usize) -> Vec<u8> {
     let mut wire = Vec::new();
     Frame::request(Op::Ping, 0, 0, 0, vec![0xEE; len])
-        .encode_into(&mut wire)
+        .write_to(&mut wire)
         .expect("a frame within the limit");
     wire.truncate(keep);
     wire
@@ -683,7 +684,7 @@ fn run_case(script: &[Vec<Step>], ending: usize, mut cuts: u64) {
             let bulk = bulk_left > 0 && step.3.is_multiple_of(32);
             bulk_left -= usize::from(bulk);
             let (frame, want) = model.plan(step, (i, corr, stamped), bulk);
-            frame.encode_into(&mut wire).expect("payloads fit a frame");
+            frame.write_to(&mut wire).expect("payloads fit a frame");
             plan.push((corr, want, model.reply_sid()));
         }
         match ending {
@@ -840,7 +841,7 @@ impl Peer {
         };
         let mut wire = Vec::new();
         Frame::request(Op::SetKey, 0, 1, 0, key.clone())
-            .encode_into(&mut wire)
+            .write_to(&mut wire)
             .expect("a small frame");
         (&peer.stream).write_all(&wire).expect("send SET_KEY");
         peer.check(vec![(1, Due::Rekey(key))], "SET_KEY");
@@ -895,7 +896,7 @@ impl Peer {
                 }
             };
             Frame::request(op, 0, *corr, self.sid, payload)
-                .encode_into(&mut wire)
+                .write_to(&mut wire)
                 .expect("payloads stay small");
             let rekey = matches!(due, Due::Rekey(_));
             plan.push((*corr, due));
