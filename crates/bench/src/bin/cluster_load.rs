@@ -36,7 +36,7 @@ use engine::BackendSpec;
 use service::protocol::Op;
 use service::server::ServiceConfig;
 use service::Transport;
-use telemetry::Registry;
+use telemetry::{Registry, Snapshot};
 
 /// Modeled per-block time of each node's single paced core.
 const BLOCK_NS: u32 = 50_000;
@@ -238,31 +238,22 @@ fn drain_under_load(report: &Registry, addrs: &[SocketAddr], depth: usize) {
 fn fleet_audit(report: &Registry, addrs: &[SocketAddr], ctr_ops: usize, depth: usize) {
     let mut fleet = ClusterClient::connect(addrs, &KEK).expect("cluster connects");
     let merged = fleet.stats().expect("aggregate stats");
-    let scraped = cluster::stats::scrape(&merged);
-    let get = |name: &str| {
-        scraped
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("aggregate missing {name}"))
-    };
+    let merged = Snapshot::from_json(&merged).expect("the fleet document parses");
     assert_eq!(
-        get("cluster.nodes.reachable"),
-        cluster::stats::Scraped::Gauge(addrs.len() as i64),
+        merged.gauge("cluster.nodes.reachable"),
+        Some(addrs.len() as i64),
         "every node must answer the stats poll"
     );
-    let ctr = match get("service.op.ctr_apply.requests") {
-        cluster::stats::Scraped::Counter(v) => v,
-        other => panic!("ctr counter wrong shape: {other:?}"),
-    };
+    let ctr = merged
+        .counter("service.op.ctr_apply.requests")
+        .expect("aggregate CTR counter");
     assert!(
         ctr >= ctr_ops as u64,
         "summed CTR counter {ctr} cannot cover the {ctr_ops} ops the load sent"
     );
-    let ecb = match get("service.op.ecb_encrypt.requests") {
-        cluster::stats::Scraped::Counter(v) => v,
-        other => panic!("ecb counter wrong shape: {other:?}"),
-    };
+    let ecb = merged
+        .counter("service.op.ecb_encrypt.requests")
+        .expect("aggregate ECB counter");
     assert!(
         ecb >= depth as u64,
         "summed ECB counter {ecb} cannot cover the {depth} pipelined jobs"

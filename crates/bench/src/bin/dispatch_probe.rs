@@ -11,11 +11,11 @@
 //! * `--check` — end-to-end assertion that the dispatch decision
 //!   (honoring `RIJNDAEL_FORCE_BACKEND`) is what a live service reports:
 //!   spawns a server with an `Auto` farm, runs bulk and small ECB work
-//!   through a client, scrapes `GET_STATS` off the wire, and exits
+//!   through a client, reads `GET_STATS` off the wire, and exits
 //!   non-zero unless the selected backend's telemetry is present.
 
 use rijndael::dispatch::{self, Kind};
-use telemetry::Registry;
+use telemetry::{Registry, Snapshot};
 
 fn main() {
     match std::env::args().nth(1).as_deref() {
@@ -117,19 +117,23 @@ fn check() {
     // Small payload rides the engine farm; bulk rides the session lane.
     client.ecb_encrypt(&[0u8; 16]).expect("small ECB");
     client.ecb_encrypt(&[0u8; 64 * 16]).expect("bulk ECB");
-    let stats = client.stats().expect("GET_STATS");
+    let json = client.stats().expect("GET_STATS");
     drop(client);
     server.shutdown();
 
+    let stats = Snapshot::from_json(&json).expect("GET_STATS is a telemetry/1 document");
     let headline = format!("rijndael.dispatch.backend.{}", sel.bulk.token());
     assert!(
-        stats.contains(&headline),
-        "GET_STATS does not report the dispatch decision {headline}: {stats}"
+        stats.counter(&headline).is_some(),
+        "GET_STATS does not report the dispatch decision {headline}: {json}"
     );
     let core_name = format!("engine.core.0.{}.", sel.bulk.backend_name());
     assert!(
-        stats.contains(&core_name),
-        "GET_STATS does not report core telemetry under {core_name}: {stats}"
+        stats
+            .entries()
+            .iter()
+            .any(|e| e.name.starts_with(&core_name)),
+        "GET_STATS does not report core telemetry under {core_name}: {json}"
     );
     println!(
         "dispatch check ok: {} (forced={}) visible in GET_STATS as {} and {}",

@@ -31,7 +31,7 @@ use service::client::Client;
 use service::protocol::Op;
 use service::server::{Server, ServiceConfig};
 use service::transport::Transport;
-use telemetry::Registry;
+use telemetry::{Registry, Snapshot};
 
 /// Modeled per-block processing time for the paced cores. Large enough
 /// that pacing dwarfs both the real T-table arithmetic and the OS
@@ -314,13 +314,14 @@ fn service_supervision(report: &Registry) {
     // The same figures a real operator sees: GET_STATS carries the
     // resize counters and the live worker gauge.
     let stats_json = client.stats().expect("GET_STATS");
+    let wire = Snapshot::from_json(&stats_json).expect("GET_STATS is a telemetry/1 document");
     for needle in [
         "engine.resize.grow",
         "engine.resize.shrink",
         "engine.workers",
     ] {
         assert!(
-            stats_json.contains(&format!("\"name\":\"{needle}\"")),
+            wire.entries().iter().any(|e| e.name == needle),
             "GET_STATS must expose {needle}"
         );
     }

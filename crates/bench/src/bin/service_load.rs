@@ -40,6 +40,7 @@ use service::client::Client;
 use service::protocol::Op;
 use service::server::{Server, ServiceConfig};
 use service::transport::Transport;
+use telemetry::Snapshot;
 
 /// Frames in flight per connection during a pipelined burst.
 const DEPTH: usize = 16;
@@ -158,12 +159,11 @@ fn run_load(
         snap.counter("service.op.set_key.requests"),
         Some(clients as u64)
     );
-    let needle = format!(
-        "{{\"name\":\"service.op.ctr_apply.requests\",\"type\":\"counter\",\"value\":{expected}}}"
-    );
-    assert!(
-        stats_json.contains(&needle),
-        "GET_STATS JSON must carry the same tally: missing {needle}"
+    let wire = Snapshot::from_json(&stats_json).expect("GET_STATS is a telemetry/1 document");
+    assert_eq!(
+        wire.counter("service.op.ctr_apply.requests"),
+        Some(expected),
+        "GET_STATS JSON must carry the same tally"
     );
     drop(auditor);
 

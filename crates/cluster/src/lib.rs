@@ -11,10 +11,11 @@
 //!   [`service::Transport`]: session placement, wrapped-key
 //!   distribution (a raw session key reaches exactly one node; every
 //!   other node is keyed from a KEK-wrapped blob), drain/migration
-//!   without losing accepted work, typed `NodeUnreachable` failure, and
-//!   `GET_STATS`-driven health supervision;
-//! * [`stats`] — cluster-wide `GET_STATS` aggregation into a single
-//!   `telemetry/1` document;
+//!   without losing accepted work, typed `NodeUnreachable` failure,
+//!   `GET_STATS`-driven health supervision, and the fleet `GET_STATS`
+//!   document: every node's snapshot parsed back with
+//!   [`telemetry::Snapshot::from_json`] and summed by
+//!   [`telemetry::Snapshot::merge`], histograms included;
 //! * [`node`] — running and supervising node child processes (the
 //!   `cluster_node` binary, handshake parsing, SIGKILL for node-loss
 //!   tests).
@@ -28,7 +29,6 @@
 pub mod node;
 pub mod ring;
 pub mod router;
-pub mod stats;
 
 pub use node::{run_node, NodeProcess, LISTENING_PREFIX};
 pub use ring::HashRing;

@@ -39,9 +39,9 @@ use std::thread;
 use std::time::Duration;
 
 use service::{Client, ClientError, Frame, Op, PipelinedJob, Transport};
+use telemetry::{Registry, Snapshot};
 
 use crate::ring::HashRing;
-use crate::stats;
 
 /// Availability of one cluster node, as the router sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,8 @@ pub struct NodeHealth {
     pub node: usize,
     /// The router's availability verdict after this poll.
     pub state: NodeState,
-    /// Whether `GET_STATS` answered on this poll.
+    /// Whether `GET_STATS` answered with a `telemetry/1` document on
+    /// this poll.
     pub reachable: bool,
     /// The node's `service.connections.active` gauge, when reachable.
     pub active_connections: Option<i64>,
@@ -331,12 +332,15 @@ impl ClusterClient {
                 .expect("label collected from the live map");
             // Nothing accepted may be lost: pull every in-flight
             // pipelined completion off the old connection before it
-            // goes away.
-            match entry.client.collect_all() {
-                Ok(jobs) => entry.parked.extend(jobs),
-                Err(e) => {
-                    self.sessions.insert(label, entry);
-                    return Err(e);
+            // goes away, parking each as it arrives so a failure part
+            // way still owes the caller the ones already read.
+            while entry.client.in_flight() > 0 {
+                match entry.client.collect_next() {
+                    Ok(job) => entry.parked.push(job),
+                    Err(e) => {
+                        self.sessions.insert(label, entry);
+                        return Err(e);
+                    }
                 }
             }
             let target = match self.place(label) {
@@ -371,43 +375,39 @@ impl ClusterClient {
 
     /// Polls every non-`Down` node's `GET_STATS` over a transient
     /// connection: reachability, the active-connection gauge and the
-    /// pipeline-inflight gauge. A node that does not answer is marked
-    /// `Down` (a `Draining` node that answers stays `Draining`).
+    /// pipeline-inflight gauge. A node that does not answer with a
+    /// `telemetry/1` document is marked `Down` (a `Draining` node that
+    /// answers stays `Draining`).
     #[must_use]
     pub fn poll_health(&mut self) -> Vec<NodeHealth> {
         let mut out = Vec::with_capacity(self.nodes.len());
         for node in 0..self.nodes.len() {
-            let mut reachable = false;
-            let mut active = None;
-            let mut inflight = None;
-            if self.nodes[node].state != NodeState::Down {
-                if let Ok(mut probe) = Client::connect(self.nodes[node].addr) {
-                    if let Ok(json) = probe.stats() {
-                        reachable = true;
-                        for (name, value) in stats::scrape(&json) {
-                            if let stats::Scraped::Gauge(v) = value {
-                                match name.as_str() {
-                                    "service.connections.active" => active = Some(v),
-                                    "service.pipeline.inflight" => inflight = Some(v),
-                                    _ => {}
-                                }
-                            }
-                        }
-                    }
-                }
-                if !reachable {
-                    self.nodes[node].state = NodeState::Down;
-                }
+            let snap = self.node_snapshot(node);
+            if snap.is_none() {
+                self.nodes[node].state = NodeState::Down;
             }
             out.push(NodeHealth {
                 node,
                 state: self.nodes[node].state,
-                reachable,
-                active_connections: active,
-                inflight,
+                reachable: snap.is_some(),
+                active_connections: snap
+                    .as_ref()
+                    .and_then(|s| s.gauge("service.connections.active")),
+                inflight: snap.and_then(|s| s.gauge("service.pipeline.inflight")),
             });
         }
         out
+    }
+
+    /// `node`'s `GET_STATS` over a transient connection, parsed; `None`
+    /// for a `Down` node, one that does not answer, or a reply that is
+    /// not a `telemetry/1` document.
+    fn node_snapshot(&self, node: usize) -> Option<Snapshot> {
+        if self.nodes[node].state == NodeState::Down {
+            return None;
+        }
+        let json = Client::connect(self.nodes[node].addr).ok()?.stats().ok()?;
+        Snapshot::from_json(&json).ok()
     }
 
     /// A connection to any `Up` node for session-less ops (`PING`,
@@ -475,22 +475,30 @@ impl Transport for ClusterClient {
         }
     }
 
-    /// Cluster-wide: the merged `telemetry/1` document across all
-    /// reachable nodes (see [`stats::aggregate`] for the merge
-    /// semantics), not one node's snapshot. Never fails outright:
-    /// unreachable nodes appear as `cluster.node.<i>.up = 0`.
+    /// Cluster-wide: one `telemetry/1` document for the fleet, not one
+    /// node's. Every reachable node's reply is parsed back into a
+    /// [`Snapshot`] and the snapshots are summed by [`Snapshot::merge`]:
+    /// counters, gauges and histogram buckets add by name, so fleet
+    /// histograms are exact. The document also carries a
+    /// `cluster.node.<i>.up` gauge per node and a
+    /// `cluster.nodes.reachable` gauge. Never fails outright: a node
+    /// that is `Down`, does not answer, or answers with a reply that
+    /// does not parse reads `up = 0`.
     fn stats(&mut self) -> Result<String, ClientError> {
-        let docs: Vec<Option<String>> = (0..self.nodes.len())
-            .map(|node| {
-                if self.nodes[node].state == NodeState::Down {
-                    return None;
-                }
-                Client::connect(self.nodes[node].addr)
-                    .ok()
-                    .and_then(|mut probe| probe.stats().ok())
-            })
-            .collect();
-        Ok(stats::aggregate(&docs))
+        let reach = Registry::new();
+        let mut parts = Vec::with_capacity(self.nodes.len() + 1);
+        for node in 0..self.nodes.len() {
+            let snap = self.node_snapshot(node);
+            reach
+                .gauge(&format!("cluster.node.{node}.up"))
+                .set(i64::from(snap.is_some()));
+            parts.extend(snap);
+        }
+        reach
+            .gauge("cluster.nodes.reachable")
+            .set(parts.len() as i64);
+        parts.push(reach.snapshot());
+        Ok(Snapshot::merge(&parts).to_json())
     }
 
     fn pipeline(&mut self, op: Op, iv: Option<&[u8; 16]>, data: &[u8]) -> Result<u32, ClientError> {

@@ -16,16 +16,21 @@
 //!   the typed [`ClientError::NodeUnreachable`] verdict;
 //! * a node that dies and comes back on its address while a pipelined
 //!   job is in flight costs that job a typed error, never a silent
-//!   loss, and the session then serves on the respawned node.
+//!   loss, and the session then serves on the respawned node;
+//! * a drain that fails part way still delivers the replies it had
+//!   already read;
+//! * the fleet `GET_STATS` document sums every node's counters and
+//!   carries histograms equal to the exact merge of the nodes' own.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::Command;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
 use rijndael_cluster::{ClusterClient, NodeProcess, NodeState};
-use service::{Client, ClientError, Op, Server, ServiceConfig, ServiceHandle, Transport};
+use service::{Client, ClientError, Frame, Op, Server, ServiceConfig, ServiceHandle, Transport};
+use telemetry::Snapshot;
 
 const KEK: [u8; 16] = *b"cluster-kek-0123";
 
@@ -411,6 +416,76 @@ fn a_reconnect_that_loses_pipelined_jobs_reports_them() {
     );
 }
 
+/// A proxy in front of `backend` that forwards the first `replies`
+/// reply frames of every connection and then closes it, like a node
+/// that dies part way through a pipeline.
+fn cut_proxy(backend: SocketAddr, replies: usize) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("proxy binds");
+    let addr = listener.local_addr().expect("proxy addr");
+    thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(client) = conn else { break };
+            let Ok(server) = TcpStream::connect(backend) else {
+                continue;
+            };
+            let (mut c_read, mut s_write) = (
+                client.try_clone().expect("clone"),
+                server.try_clone().expect("clone"),
+            );
+            thread::spawn(move || {
+                let _ = std::io::copy(&mut c_read, &mut s_write);
+                let _ = s_write.shutdown(Shutdown::Write);
+            });
+            let (mut s_read, mut c_write) = (server, client);
+            thread::spawn(move || {
+                for _ in 0..replies {
+                    let Ok(frame) = Frame::read_from(&mut s_read) else {
+                        break;
+                    };
+                    if frame.write_to(&mut c_write).is_err() {
+                        break;
+                    }
+                }
+                let _ = c_write.shutdown(Shutdown::Both);
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_drain_that_fails_part_way_still_delivers_the_replies_it_read() {
+    let (handles, addrs) = spawn_nodes(1);
+    // Three replies key a session (SET_KEY with the KEK, WRAP_KEY,
+    // SET_KEY_WRAPPED); the fourth answers the first pipelined job.
+    let proxy = cut_proxy(addrs[0], 4);
+    let mut fleet = ClusterClient::connect(&[proxy], &KEK).expect("cluster connects");
+    let key = [0x42u8; 16];
+    fleet.open_session(&key).expect("session opens");
+    let first = fleet
+        .pipeline(Op::EcbEncrypt, None, &[0x17; 16])
+        .expect("first job sent");
+    fleet
+        .pipeline(Op::EcbEncrypt, None, &[0x18; 16])
+        .expect("second job sent");
+
+    assert!(
+        fleet.drain(0).is_err(),
+        "the connection closes before the second reply"
+    );
+    let job = fleet
+        .collect_next()
+        .expect("the reply the drain read is still owed");
+    assert_eq!(job.corr, first);
+    let want = rijndael::Aes128::new(&key).encrypt_block(&[0x17; 16]);
+    assert_eq!(job.result.expect("the first job completed"), want);
+
+    drop(fleet);
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
 #[test]
 fn cluster_stats_aggregate_every_nodes_counters() {
     let (handles, addrs) = spawn_nodes(3);
@@ -420,7 +495,8 @@ fn cluster_stats_aggregate_every_nodes_counters() {
     // re-key is refused, since only set_key keeps the migration chain.
     assert_eq!(fleet.ping(b"sessionless").expect("ping"), b"sessionless");
     let one = fleet.call(Op::GetStats, &[]).expect("one node's stats");
-    assert!(one.payload.starts_with(b"{\"schema\":\"telemetry/1\""));
+    let one = std::str::from_utf8(&one.payload).expect("UTF-8 stats");
+    Snapshot::from_json(one).expect("one node's snapshot");
     match fleet.call(Op::SetKey, &[&KEK]) {
         Err(ClientError::Protocol(_)) => {}
         other => panic!("a raw SET_KEY through the router must be refused, got {other:?}"),
@@ -434,40 +510,35 @@ fn cluster_stats_aggregate_every_nodes_counters() {
     }
 
     let merged = fleet.stats().expect("aggregate stats");
-    assert!(merged.starts_with("{\"schema\":\"telemetry/1\""));
-    let scraped = rijndael_cluster::stats::scrape(&merged);
-    let get = |name: &str| {
-        scraped
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("missing {name}"))
-    };
-    assert_eq!(
-        get("cluster.nodes.reachable"),
-        rijndael_cluster::stats::Scraped::Gauge(3)
-    );
+    let nodes: Vec<Snapshot> = handles.iter().map(|h| h.registry().snapshot()).collect();
+    let merged = Snapshot::from_json(&merged).expect("the fleet document parses");
+    assert_eq!(merged.gauge("cluster.nodes.reachable"), Some(3));
     for node in 0..3 {
-        assert_eq!(
-            get(&format!("cluster.node.{node}.up")),
-            rijndael_cluster::stats::Scraped::Gauge(1)
-        );
+        assert_eq!(merged.gauge(&format!("cluster.node.{node}.up")), Some(1));
     }
     // Every node served at least its health probe + session traffic:
     // the summed served counter must exceed what any single node could
     // have seen (each session is its own connection).
-    match get("service.connections.served") {
-        rijndael_cluster::stats::Scraped::Counter(served) => {
-            assert!(served >= 12, "summed served counter too low: {served}")
-        }
-        other => panic!("served should be a counter, got {other:?}"),
-    }
-    match get("service.op.ping.requests") {
-        rijndael_cluster::stats::Scraped::Counter(pings) => {
-            assert!(pings >= 12, "summed ping counter too low: {pings}")
-        }
-        other => panic!("ping counter wrong shape: {other:?}"),
-    }
+    let served = merged
+        .counter("service.connections.served")
+        .expect("served is a counter");
+    assert!(served >= 12, "summed served counter too low: {served}");
+    let pings = merged
+        .counter("service.op.ping.requests")
+        .expect("the ping counter is a counter");
+    assert!(pings >= 12, "summed ping counter too low: {pings}");
+    // Fleet histograms are exact: bounds, buckets, count and sum of the
+    // fleet's frame sizes are the merge of the three nodes' own, read in
+    // process once the fleet document is in (it counts its own
+    // GET_STATS frames, and nothing reaches the nodes after it).
+    let frames = merged
+        .histogram("service.frame.request_bytes")
+        .expect("the fleet document carries histograms");
+    assert_eq!(
+        Some(frames),
+        Snapshot::merge(&nodes).histogram("service.frame.request_bytes")
+    );
+    assert!(frames.count >= 12 * 4, "{frames:?}");
 
     // The health supervisor sees the same picture: every node answers,
     // stays Up, and reports a live-connection gauge (each open session

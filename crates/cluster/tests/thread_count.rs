@@ -17,6 +17,7 @@ use std::process::Command;
 
 use rijndael_cluster::NodeProcess;
 use service::{Client, Transport};
+use telemetry::Snapshot;
 
 /// Main + acceptor + 2 shards + 4 farm workers.
 const THREADS: u64 = 8;
@@ -33,13 +34,6 @@ fn status_field(pid: u32, field: &str) -> String {
         .unwrap_or_else(|| panic!("no {field} in /proc/{pid}/status"))
         .trim()
         .to_string()
-}
-
-/// A gauge's value in a `telemetry/1` document.
-fn json_gauge(json: &str, name: &str) -> Option<i64> {
-    let needle = format!("{{\"name\":\"{name}\",\"type\":\"gauge\",\"value\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    rest[..rest.find('}')?].parse().ok()
 }
 
 #[test]
@@ -80,11 +74,8 @@ fn a_nodes_thread_count_does_not_follow_its_session_count() {
             _ => {}
         }
         let stats = held[0].stats().expect("GET_STATS");
-        assert_eq!(
-            json_gauge(&stats, "engine.workers"),
-            Some(4),
-            "{step} sessions"
-        );
+        let stats = Snapshot::from_json(&stats).expect("a telemetry/1 reply");
+        assert_eq!(stats.gauge("engine.workers"), Some(4), "{step} sessions");
     }
     drop(held);
     node.shutdown();

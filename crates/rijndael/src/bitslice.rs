@@ -947,7 +947,7 @@ fn lane_stats() -> &'static LaneStats {
     STATS.get_or_init(|| {
         let reg = telemetry::Registry::global();
         // A gauge has no natural string value, so the lane kind is encoded
-        // in a counter name holding 1 — stable to scrape, zero overhead.
+        // in a counter name holding 1 — stable to read, zero overhead.
         reg.counter(&format!("rijndael.bitslice.lane.wide.kind.{}", wide_lane()))
             .incr();
         LaneStats {

@@ -13,9 +13,12 @@
 //!   clonable handles; registration takes a lock once, the hot paths are
 //!   pure atomics;
 //! * [`Snapshot`] — a point-in-time copy that subtracts ([`Snapshot::delta`]),
-//!   renders as aligned human text, and serializes to the stable
-//!   `telemetry/1` JSON schema via [`testkit::json`] — the same writer the
-//!   bench harness uses, so bench output and live stats cannot drift.
+//!   sums across registries ([`Snapshot::merge`]), renders as aligned
+//!   human text, and serializes to the stable `telemetry/1` JSON schema
+//!   via [`testkit::json`] — the same writer the bench harness uses, so
+//!   bench output and live stats cannot drift. [`Snapshot::from_json`]
+//!   is the one reader of that schema: every consumer of a `GET_STATS`
+//!   reply, a node's or a fleet's, parses it back into a `Snapshot`.
 //!
 //! Handles are `Arc`-backed: cloning one is a pointer copy, and updates
 //! from any thread are visible to every snapshot. Instruments are
@@ -42,7 +45,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use testkit::json::{json_f64, json_string};
+use testkit::json::{json_f64, json_string, Json};
 
 /// A monotonically increasing event counter.
 ///
@@ -304,6 +307,80 @@ pub enum Value {
     Histogram(HistogramSnapshot),
 }
 
+impl Value {
+    /// `self + other`, wrapping as the instruments' own atomic adds do,
+    /// or `None` when the kinds or the histogram bounds differ.
+    fn plus(self, other: &Value) -> Option<Value> {
+        Some(match (self, other) {
+            (Value::Counter(a), Value::Counter(b)) => Value::Counter(a.wrapping_add(*b)),
+            (Value::Gauge(a), Value::Gauge(b)) => Value::Gauge(a.wrapping_add(*b)),
+            (Value::Histogram(mut a), Value::Histogram(b)) if a.bounds == b.bounds => {
+                for (x, y) in a.buckets.iter_mut().zip(&b.buckets) {
+                    *x = x.wrapping_add(*y);
+                }
+                a.count = a.count.wrapping_add(b.count);
+                a.sum = a.sum.wrapping_add(b.sum);
+                Value::Histogram(a)
+            }
+            _ => return None,
+        })
+    }
+
+    /// One element of a `telemetry/1` document's `instruments` array,
+    /// as [`Snapshot::to_json`] writes it.
+    fn from_json(name: &str, item: &Json) -> Result<Value, String> {
+        let uint = |field: &Json, what: &str| {
+            field
+                .as_u64()
+                .ok_or_else(|| format!("{name:?}: {what} is not a u64"))
+        };
+        let member = |key: &str| {
+            item.get(key)
+                .ok_or_else(|| format!("{name:?}: no {key:?} member"))
+        };
+        Ok(match item.get("type").and_then(Json::as_str) {
+            Some("counter") => Value::Counter(uint(member("value")?, "value")?),
+            Some("gauge") => Value::Gauge(
+                member("value")?
+                    .as_i64()
+                    .ok_or_else(|| format!("{name:?}: value is not an i64"))?,
+            ),
+            Some("histogram") => {
+                let buckets = member("buckets")?
+                    .as_array()
+                    .ok_or_else(|| format!("{name:?}: buckets is not an array"))?;
+                // Every bucket but the last has a finite bound; the last
+                // is the overflow bucket, `le:null`. `mean` is derived.
+                let Some((overflow, finite)) = buckets.split_last() else {
+                    return Err(format!("{name:?}: no buckets"));
+                };
+                if overflow.get("le") != Some(&Json::Null) {
+                    return Err(format!("{name:?}: last bucket is not le:null"));
+                }
+                let mut bounds = Vec::with_capacity(finite.len());
+                for bucket in finite {
+                    let le = uint(bucket.get("le").unwrap_or(&Json::Null), "le")?;
+                    if bounds.last().is_some_and(|&prev| prev >= le) {
+                        return Err(format!("{name:?}: bounds are not strictly increasing"));
+                    }
+                    bounds.push(le);
+                }
+                let counts = buckets
+                    .iter()
+                    .map(|b| uint(b.get("count").unwrap_or(&Json::Null), "bucket count"))
+                    .collect::<Result<_, _>>()?;
+                Value::Histogram(HistogramSnapshot {
+                    bounds,
+                    buckets: counts,
+                    count: uint(member("count")?, "count")?,
+                    sum: uint(member("sum")?, "sum")?,
+                })
+            }
+            _ => return Err(format!("{name:?}: unknown instrument type")),
+        })
+    }
+}
+
 /// Captured state of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -532,6 +609,34 @@ impl Snapshot {
         Snapshot { entries }
     }
 
+    /// Sums snapshots of several registries — one per node of a fleet —
+    /// into one: counters, gauges, and histogram buckets, counts and
+    /// sums add by name. Sums wrap as the instruments' atomic adds do,
+    /// so the merge of registries that each saw part of the observations
+    /// equals the snapshot of one registry that saw them all. An
+    /// instrument whose kind or histogram bounds differ anywhere in
+    /// `parts` is left out, so a merged histogram is exact or absent.
+    /// The result does not depend on the order of `parts`.
+    #[must_use]
+    pub fn merge(parts: &[Snapshot]) -> Snapshot {
+        let mut sums: BTreeMap<&str, Option<Value>> = BTreeMap::new();
+        for e in parts.iter().flat_map(|s| &s.entries) {
+            sums.entry(&e.name)
+                .and_modify(|sum| *sum = sum.take().and_then(|sum| sum.plus(&e.value)))
+                .or_insert_with(|| Some(e.value.clone()));
+        }
+        let entries = sums
+            .into_iter()
+            .filter_map(|(name, value)| {
+                Some(Entry {
+                    name: name.to_string(),
+                    value: value?,
+                })
+            })
+            .collect();
+        Snapshot { entries }
+    }
+
     /// Renders the snapshot as aligned human-readable text, one
     /// instrument per line.
     #[must_use]
@@ -623,6 +728,50 @@ impl Snapshot {
             .collect::<Vec<_>>()
             .join(",");
         format!("{{\"schema\":\"telemetry/1\",\"instruments\":[{body}]}}")
+    }
+
+    /// Reads a `telemetry/1` document back: the inverse of
+    /// [`Snapshot::to_json`], so `from_json(&s.to_json()) == Ok(s)`.
+    ///
+    /// Counters parse as `u64` and gauges as `i64` straight from their
+    /// text. A histogram is rebuilt from its buckets' `le`/`count`, the
+    /// last bucket (`le:null`) being the overflow bucket; `mean` is
+    /// ignored. Members this version does not know are ignored too, as
+    /// the schema's additive changes require. Entries come back sorted
+    /// by name.
+    ///
+    /// # Errors
+    ///
+    /// A message for text that is not JSON or not `telemetry/1`, and for
+    /// a duplicate name, an unknown instrument type, a value out of its
+    /// kind's range, or malformed histogram buckets.
+    pub fn from_json(doc: &str) -> Result<Snapshot, String> {
+        let json = Json::parse(doc)?;
+        if json.get("schema").and_then(Json::as_str) != Some("telemetry/1") {
+            return Err("not a telemetry/1 document".into());
+        }
+        let items = json
+            .get("instruments")
+            .and_then(Json::as_array)
+            .ok_or("telemetry/1 document without an instruments array")?;
+        let mut entries = items
+            .iter()
+            .map(|item| {
+                let name = item
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .ok_or("instrument without a name")?;
+                Ok(Entry {
+                    name: name.to_string(),
+                    value: Value::from_json(name, item)?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
+        if let Some(pair) = entries.windows(2).find(|w| w[0].name == w[1].name) {
+            return Err(format!("instrument {:?} appears twice", pair[0].name));
+        }
+        Ok(Snapshot { entries })
     }
 }
 

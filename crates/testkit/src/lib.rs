@@ -12,8 +12,10 @@
 //!   replacing `proptest`;
 //! * [`bench`](mod@bench) — a warmup + median-of-K micro-benchmark harness with
 //!   JSON output, replacing `criterion`;
-//! * [`json`] — the hand-rolled JSON string/number writer the bench
-//!   harness and the telemetry snapshots share (no `serde`).
+//! * [`json`] — the hand-rolled JSON writer the bench harness and the
+//!   telemetry snapshots share, and the one JSON reader ([`json::Json`])
+//!   the telemetry snapshots and the gate's `json_check` parse with
+//!   (no `serde`).
 //!
 //! Determinism is the point: every random workload in the repository is
 //! reproducible bit-for-bit from a printed seed, which is what the

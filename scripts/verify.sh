@@ -50,8 +50,11 @@ echo "==> runtime dispatch gate (forced-backend sweep)"
 # the IP model for 16-byte keys and soft-fallback for 32-byte ones),
 # then a live server round trip asserting GET_STATS reports the pinned
 # name. Only targeted test binaries run here — the whole suite includes
-# tests that legitimately assume an unpinned dispatch.
-cargo build -q --release --locked --offline -p rijndael-bench --bin dispatch_probe
+# tests that legitimately assume an unpinned dispatch. json_check, the
+# workspace's own JSON reader, checks every document the benches below
+# write.
+cargo build -q --release --locked --offline -p rijndael-bench \
+    --bin dispatch_probe --bin json_check
 backends="$(target/release/dispatch_probe --list)"
 [ -n "$backends" ] || { echo "dispatch_probe --list printed no backends" >&2; exit 1; }
 for backend in $backends; do
@@ -109,7 +112,7 @@ cluster_json="$(mktemp)"
 trap 'rm -f "$cluster_json"' EXIT
 BENCH_CLUSTER_JSON="$cluster_json" \
     cargo run -q --release --locked --offline -p rijndael-bench --bin cluster_load -- --smoke
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$cluster_json" \
+target/release/json_check "$cluster_json" \
     || { echo "cluster_load JSON is malformed" >&2; exit 1; }
 
 echo "==> elastic scaling gate (smoke: >=2x paced 1->4 workers, resize step, autoscaled service)"
@@ -117,7 +120,7 @@ elastic_json="$(mktemp)"
 trap 'rm -f "$cluster_json" "$elastic_json"' EXIT
 BENCH_ELASTIC_JSON="$elastic_json" \
     cargo run -q --release --locked --offline -p rijndael-bench --bin elastic_scaling -- --smoke
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$elastic_json" \
+target/release/json_check "$elastic_json" \
     || { echo "elastic_scaling JSON is malformed" >&2; exit 1; }
 
 echo "==> engine scaling report (smoke, backend race JSON)"
@@ -126,7 +129,7 @@ race_json="$(mktemp)"
 trap 'rm -f "$cluster_json" "$elastic_json" "$bench_json" "$race_json"' EXIT
 BENCH_BITSLICE_JSON="$race_json" \
     cargo run -q --release --locked --offline -p rijndael-bench --bin engine_scaling -- --smoke
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$race_json" \
+target/release/json_check "$race_json" \
     || { echo "engine_scaling backend-race JSON is malformed" >&2; exit 1; }
 
 echo "==> AEAD throughput report (smoke: GCM-vs-CTR and XTS-vs-ECB overhead gates + GHASH race)"
@@ -134,19 +137,19 @@ gcm_json="$(mktemp)"
 trap 'rm -f "$cluster_json" "$elastic_json" "$bench_json" "$race_json" "$gcm_json"' EXIT
 TESTKIT_BENCH_SMOKE=1 BENCH_GCM_JSON="$gcm_json" \
     cargo run -q --release --locked --offline -p rijndael-bench --bin aead_throughput
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$gcm_json" \
+target/release/json_check "$gcm_json" \
     || { echo "aead_throughput JSON is malformed" >&2; exit 1; }
 
 echo "==> engine bench (smoke, JSON well-formedness)"
 TESTKIT_BENCH_SMOKE=1 TESTKIT_BENCH_JSON="$bench_json" \
     cargo bench -q --locked --offline -p rijndael-bench --bench engine >/dev/null
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$bench_json" \
+target/release/json_check "$bench_json" \
     || { echo "engine bench JSON is malformed" >&2; exit 1; }
 
 echo "==> bitslice bench (smoke: no-alloc hot loops + JSON well-formedness)"
 TESTKIT_BENCH_SMOKE=1 TESTKIT_BENCH_JSON="$bench_json" \
     cargo bench -q --locked --offline -p rijndael-bench --bench bitslice >/dev/null
-python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$bench_json" \
+target/release/json_check "$bench_json" \
     || { echo "bitslice bench JSON is malformed" >&2; exit 1; }
 
 echo "==> perf_ledger tests (the benchmark's own smoke and unit tests)"

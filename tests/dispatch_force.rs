@@ -1,7 +1,7 @@
 //! End-to-end coverage of the `RIJNDAEL_FORCE_BACKEND` override: pinning
 //! a backend must be honored by the dispatch layer, the engine's `Auto`
 //! farm slots, the service session's bulk lane, and — visibly — by the
-//! `GET_STATS` telemetry a client scrapes off the wire.
+//! `GET_STATS` telemetry a client reads off the wire.
 //!
 //! The whole file is one test function because the override is read from
 //! the environment exactly once per process (then cached); every
@@ -17,15 +17,7 @@ use rijndael_ip::rijndael::{Aes128, BatchCipher};
 use rijndael_ip::service::client::Client;
 use rijndael_ip::service::server::{Server, ServiceConfig};
 use rijndael_ip::service::transport::Transport;
-
-/// Pulls one counter's value out of a `telemetry/1` JSON document with
-/// plain string surgery — auditing the wire bytes, not the accessors.
-fn json_counter(json: &str, name: &str) -> Option<u64> {
-    let needle = format!("{{\"name\":\"{name}\",\"type\":\"counter\",\"value\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    rest[..rest.find('}')?].parse().ok()
-}
+use telemetry::Snapshot;
 
 #[test]
 fn forced_backend_pins_dispatch_and_shows_up_in_get_stats() {
@@ -95,15 +87,19 @@ fn forced_backend_pins_dispatch_and_shows_up_in_get_stats() {
     let bulk_ct = client.ecb_encrypt(&bulk_pt).expect("bulk ECB");
     assert_eq!(&bulk_ct[..16], reference.encrypt_block(&[0u8; 16]));
 
-    let stats = client.stats().expect("GET_STATS");
+    let json = client.stats().expect("GET_STATS");
+    let stats = Snapshot::from_json(&json).expect("a telemetry/1 reply");
     assert_eq!(
-        json_counter(&stats, "rijndael.dispatch.backend.bitsliced-portable"),
+        stats.counter("rijndael.dispatch.backend.bitsliced-portable"),
         Some(1),
-        "dispatch decision missing from GET_STATS: {stats}"
+        "dispatch decision missing from GET_STATS: {json}"
     );
     assert!(
-        stats.contains("engine.core.0.soft-bitsliced-portable."),
-        "forced backend name missing from core telemetry: {stats}"
+        stats
+            .entries()
+            .iter()
+            .any(|e| e.name.starts_with("engine.core.0.soft-bitsliced-portable.")),
+        "forced backend name missing from core telemetry: {json}"
     );
 
     drop(client);

@@ -11,25 +11,25 @@ use rijndael_ip::service::client::{Client, ClientError};
 use rijndael_ip::service::protocol::{ErrorCode, Frame, Op};
 use rijndael_ip::service::server::{Server, ServiceConfig};
 use rijndael_ip::service::Transport;
+use telemetry::{Snapshot, Value};
 
-/// Pulls one counter's value out of a `telemetry/1` JSON document with
-/// plain string surgery — the point is to audit the wire bytes without
-/// trusting any of the service's own accessors.
-fn json_counter(json: &str, name: &str) -> Option<u64> {
-    let needle = format!("{{\"name\":\"{name}\",\"type\":\"counter\",\"value\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    rest[..rest.find('}')?].parse().ok()
+/// A client's `GET_STATS` reply, read back from the wire bytes — the
+/// point is to audit what a client sees, not the server's registry.
+fn wire_stats(client: &mut Client) -> Snapshot {
+    let json = client.stats().expect("GET_STATS");
+    Snapshot::from_json(&json).expect("a telemetry/1 reply")
 }
 
-/// Every counter in the document whose name starts with `prefix` and
-/// ends with `suffix`, by the same string surgery.
-fn json_counters(json: &str, prefix: &str, suffix: &str) -> Vec<(String, u64)> {
-    json.split("{\"name\":\"")
-        .skip(1)
-        .filter_map(|entry| entry.split_once('"').map(|(name, _)| name))
-        .filter(|name| name.starts_with(prefix) && name.ends_with(suffix))
-        .filter_map(|name| Some((name.to_string(), json_counter(json, name)?)))
+/// Every counter whose name starts with `prefix` and ends with `suffix`.
+fn counters<'a>(stats: &'a Snapshot, prefix: &str, suffix: &str) -> Vec<(&'a str, u64)> {
+    stats
+        .entries()
+        .iter()
+        .filter(|e| e.name.starts_with(prefix) && e.name.ends_with(suffix))
+        .filter_map(|e| match e.value {
+            Value::Counter(v) => Some((e.name.as_str(), v)),
+            _ => None,
+        })
         .collect()
 }
 
@@ -215,8 +215,8 @@ fn one_small_op_pays_exactly_one_cores_key_setup() {
     let ct = client.ecb_encrypt(&hex(SP800_PT)[..16]).expect("encrypt");
     assert_eq!(ct, hex(SP800_ECB_CT)[..16]);
 
-    let json = client.stats().expect("GET_STATS");
-    let setup: u64 = json_counters(&json, "engine.core.", ".setup_cycles")
+    let stats = wire_stats(&mut client);
+    let setup: u64 = counters(&stats, "engine.core.", ".setup_cycles")
         .iter()
         .map(|(_, v)| v)
         .sum();
@@ -250,31 +250,34 @@ fn get_stats_matches_an_independently_computed_tally() {
         })
     ));
 
-    let json = client.stats().expect("GET_STATS");
+    let stats = wire_stats(&mut client);
 
     // Per-opcode counts match the tally (the ragged attempt still counts
     // as an ecb_encrypt request, and lands in the error tallies too).
-    assert_eq!(json_counter(&json, "service.op.set_key.requests"), Some(1));
-    assert_eq!(
-        json_counter(&json, "service.op.ecb_encrypt.requests"),
-        Some(6)
-    );
-    assert_eq!(json_counter(&json, "service.op.ping.requests"), Some(3));
-    assert_eq!(json_counter(&json, "service.error.ragged_length"), Some(1));
+    assert_eq!(stats.counter("service.op.set_key.requests"), Some(1));
+    assert_eq!(stats.counter("service.op.ecb_encrypt.requests"), Some(6));
+    assert_eq!(stats.counter("service.op.ping.requests"), Some(3));
+    assert_eq!(stats.counter("service.error.ragged_length"), Some(1));
 
     // Engine counters: every core is a software model (one block per
     // cycle, no key-setup cycles), so the blocks the cores that did
     // report must sum to the tally and every core's datapath occupancy
     // is exactly 100% — whichever slots the work landed on.
-    let cores = json_counters(&json, "engine.core.", ".blocks");
+    let cores = counters(&stats, "engine.core.", ".blocks");
     assert!(!cores.is_empty(), "some core reported its blocks");
     let mut total = 0u64;
     for (name, b) in cores {
         let prefix = name.strip_suffix(".blocks").expect("filtered by suffix");
         assert!(prefix.ends_with(".soft-ref"), "{prefix}");
-        let cycles = json_counter(&json, &format!("{prefix}.cycles")).expect("cycles counter");
-        let setup = json_counter(&json, &format!("{prefix}.setup_cycles")).expect("setup counter");
-        let busy = json_counter(&json, &format!("{prefix}.busy_cycles")).expect("busy counter");
+        let cycles = stats
+            .counter(&format!("{prefix}.cycles"))
+            .expect("cycles counter");
+        let setup = stats
+            .counter(&format!("{prefix}.setup_cycles"))
+            .expect("setup counter");
+        let busy = stats
+            .counter(&format!("{prefix}.busy_cycles"))
+            .expect("busy counter");
         assert_eq!(setup, 0, "software backends pay no setup cycles");
         assert_eq!(busy, cycles, "software cores stay 100% occupied");
         assert_eq!(cycles, b, "software cores run one block per cycle");
@@ -287,7 +290,7 @@ fn get_stats_matches_an_independently_computed_tally() {
     let snap = server.registry().snapshot();
     assert_eq!(snap.counter("service.op.ecb_encrypt.requests"), Some(6));
     assert_eq!(
-        json_counter(&json, "service.connections.served"),
+        stats.counter("service.connections.served"),
         snap.counter("service.connections.served")
     );
 
