@@ -527,8 +527,8 @@ fn cluster_stats_aggregate_every_nodes_counters() {
         .counter("service.op.ping.requests")
         .expect("the ping counter is a counter");
     assert!(pings >= 12, "summed ping counter too low: {pings}");
-    // Fleet histograms are exact: bounds, buckets, count and sum of the
-    // fleet's frame sizes are the merge of the three nodes' own, read in
+    // Fleet histograms are exact: buckets, count and sum of the fleet's
+    // frame sizes are the merge of the three nodes' own, read in
     // process once the fleet document is in (it counts its own
     // GET_STATS frames, and nothing reaches the nodes after it).
     let frames = merged

@@ -90,19 +90,10 @@ use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::backend::{Backend, BackendSpec};
 use crate::error::Error;
-use crate::scheduler::{
-    run_span, shard_plan, JobError, JobId, JobOutput, Mode, SubmitError, OCCUPANCY_BOUNDS,
-};
+use crate::scheduler::{run_span, shard_plan, JobError, JobId, JobOutput, Mode, SubmitError};
 
 /// AES block size in bytes.
 const BLOCK: usize = 16;
-
-/// Bucket bounds for the `engine.pool.job_us` histogram: wall-clock
-/// submit-to-complete latency in microseconds, geometric steps from 50 µs
-/// to a quarter second.
-const JOB_US_BOUNDS: [u64; 12] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
-];
 
 /// What [`Farm::autoscale_tick`] decided this tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,8 +438,8 @@ impl PoolBuilder {
                 steals: registry.counter("engine.pool.steals"),
                 queue_depth: registry.gauge("engine.queue.depth"),
                 queue_capacity: registry.gauge("engine.queue.capacity"),
-                job_us: registry.histogram("engine.pool.job_us", &JOB_US_BOUNDS),
-                occupancy_bp: registry.histogram("engine.core.occupancy_bp", &OCCUPANCY_BOUNDS),
+                job_us: registry.hist("engine.pool.job_us"),
+                occupancy_bp: registry.hist("engine.core.occupancy_bp"),
                 registry: registry.clone(),
             }),
             resize_grow: registry.counter("engine.resize.grow"),

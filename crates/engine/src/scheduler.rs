@@ -45,19 +45,6 @@ use crate::stats::FarmStats;
 /// AES block size in bytes.
 const BLOCK: usize = 16;
 
-/// Bucket bounds for the `engine.job.latency_cycles` histogram:
-/// geometric steps from about one block period up past 2500 blocks.
-const LATENCY_BOUNDS: [u64; 12] = [
-    64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072,
-];
-
-/// Bucket bounds for the `engine.core.occupancy_bp` histogram: datapath
-/// occupancy in basis points (10000 = fully saturated), deciles. Shared
-/// with the thread [`pool`](crate::pool), which samples the same
-/// instrument.
-pub(crate) const OCCUPANCY_BOUNDS: [u64; 10] =
-    [1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000];
-
 /// A complete cipher-mode operation over one byte buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -393,8 +380,8 @@ impl EngineBuilder {
             jobs_completed: registry.counter("engine.jobs.completed"),
             jobs_failed: registry.counter("engine.jobs.failed"),
             queue_depth: registry.gauge("engine.queue.depth"),
-            job_latency: registry.histogram("engine.job.latency_cycles", &LATENCY_BOUNDS),
-            occupancy_bp: registry.histogram("engine.core.occupancy_bp", &OCCUPANCY_BOUNDS),
+            job_latency: registry.hist("engine.job.latency_cycles"),
+            occupancy_bp: registry.hist("engine.core.occupancy_bp"),
             registry,
             workers,
         }

@@ -280,8 +280,7 @@ mod tests {
         publish(&reg, 0, "ip-encrypt", 8, 401, 400);
         reg.counter("engine.submit.accepted").add(99);
         reg.gauge("engine.queue.depth").set(7);
-        reg.histogram("engine.core.occupancy_bp", &[5000, 10000])
-            .record(9975);
+        reg.hist("engine.core.occupancy_bp").record(9975);
         reg.counter("engine.core.bogus").add(1); // no index.backend.field
         let s = FarmStats::from_snapshot(&reg.snapshot());
         assert_eq!(s.per_core.len(), 1);

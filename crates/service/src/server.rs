@@ -165,20 +165,6 @@ const READ_BUDGET: usize = 64 * READ_CHUNK;
 /// payload).
 const WRITE_BATCH: usize = 32;
 
-/// Bucket upper bounds for the `service.frame.request_bytes` histogram
-/// (whole frames, header included; the overflow bucket catches anything
-/// up to `MAX_FRAME_LEN`).
-const FRAME_SIZE_BOUNDS: [u64; 8] = [16, 64, 256, 1024, 4096, 16384, 65536, 262_144];
-
-/// Bucket upper bounds for `service.loop.events_per_poll` (ready
-/// sockets per poll wakeup).
-const EVENTS_BOUNDS: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-
-/// Bucket upper bounds for `service.loop.dispatch_micros` (time spent
-/// servicing one poll wakeup's events, µs) and
-/// `service.admission.handoff_us` (accept to shard admission, µs).
-const DISPATCH_BOUNDS: [u64; 8] = [10, 50, 100, 500, 1_000, 5_000, 10_000, 100_000];
-
 /// Server tuning knobs.
 ///
 /// Construct through [`ServiceConfig::builder`], which validates the
@@ -488,7 +474,7 @@ impl Server {
             refused: registry.counter("service.admission.refused"),
             inflight: registry.gauge("service.pipeline.inflight"),
             op_requests: std::array::from_fn(|_| OnceLock::new()),
-            request_bytes: registry.histogram("service.frame.request_bytes", &FRAME_SIZE_BOUNDS),
+            request_bytes: registry.hist("service.frame.request_bytes"),
             syscalls: registry.counter("service.io.syscalls"),
             buffered: registry.gauge("service.conn.buffered_bytes"),
             spare_bytes: registry.gauge("service.buffers.spare_bytes"),
@@ -952,15 +938,9 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
     let mut poll = PollSet::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut spares = Spares::new(shared.spare_bytes.clone());
-    let events_hist = shared
-        .registry
-        .histogram("service.loop.events_per_poll", &EVENTS_BOUNDS);
-    let dispatch_hist = shared
-        .registry
-        .histogram("service.loop.dispatch_micros", &DISPATCH_BOUNDS);
-    let handoff_hist = shared
-        .registry
-        .histogram("service.admission.handoff_us", &DISPATCH_BOUNDS);
+    let events_hist = shared.registry.hist("service.loop.events_per_poll");
+    let dispatch_hist = shared.registry.hist("service.loop.dispatch_micros");
+    let handoff_hist = shared.registry.hist("service.admission.handoff_us");
 
     // Self-pipe wakeup: the acceptor writes to it when a hand-off lands
     // in an empty inbox, and the farm calls a session's notifier when

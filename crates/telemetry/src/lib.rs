@@ -7,8 +7,11 @@
 //!
 //! * [`Counter`] — a monotone `u64` (blocks processed, requests served);
 //! * [`Gauge`] — a signed point-in-time level (queue depth, connections);
-//! * [`Histogram`] — fixed-bucket distribution (latency cycles,
-//!   occupancy, frame sizes) with count/sum for mean derivation;
+//! * [`Histogram`] — a distribution (latency cycles, occupancy, frame
+//!   sizes) with count/sum for mean derivation, on one log-linear bucket
+//!   layout shared by every histogram: a bucket's upper bound is within
+//!   25% of any value in it, so histograms need no bounds of their own
+//!   and merge exactly;
 //! * [`Registry`] — a named collection of instruments handing out cheap
 //!   clonable handles; registration takes a lock once, the hot paths are
 //!   pure atomics;
@@ -85,10 +88,11 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `n` (may be negative) and returns the new value.
+    /// Adds `n` (may be negative) and returns the new value, wrapping
+    /// at the `i64` edges as the atomic add itself does.
     #[inline]
     pub fn add(&self, n: i64) -> i64 {
-        self.0.fetch_add(n, Ordering::Relaxed) + n
+        self.0.fetch_add(n, Ordering::Relaxed).wrapping_add(n)
     }
 
     /// Subtracts `n` and returns the new value.
@@ -105,34 +109,55 @@ impl Gauge {
     }
 }
 
+/// Buckets in the one histogram layout: 0..=3 exactly, then four equal
+/// sub-buckets for each power of two from 2^2 to 2^63.
+const BUCKETS: usize = 4 + 4 * 62;
+
+/// The layout bucket holding `v`. Within `[2^k, 2^(k+1))` the buckets
+/// are `2^(k-2)` wide, so a bucket's upper bound exceeds any value `x`
+/// in it by less than `x / 4`.
+#[inline]
+fn bucket_index(v: u64) -> usize {
+    if v < 4 {
+        return v as usize;
+    }
+    let k = 63 - v.leading_zeros();
+    4 * (k as usize - 1) + ((v >> (k - 2)) & 3) as usize
+}
+
+/// The inclusive upper bound of layout bucket `i`; bucket
+/// `BUCKETS - 1` ends at `u64::MAX`.
+fn bucket_bound(i: usize) -> u64 {
+    if i < 4 {
+        return i as u64;
+    }
+    let width = 1u64 << (i / 4 - 1);
+    (4 + (i % 4) as u64) * width + (width - 1)
+}
+
 #[derive(Debug)]
 struct HistogramInner {
-    /// Inclusive upper bounds of the finite buckets, strictly increasing.
-    bounds: Vec<u64>,
-    /// One slot per bound plus a final overflow (`+Inf`) bucket.
-    buckets: Vec<AtomicU64>,
+    /// One slot per bucket of the layout.
+    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-/// A fixed-bucket distribution: latencies, occupancies, frame sizes.
+/// A distribution: latencies, occupancies, frame sizes.
 ///
-/// Buckets are defined by inclusive upper bounds chosen at registration;
-/// a value larger than every bound lands in the implicit overflow bucket.
-/// Recording is a short linear scan plus three relaxed atomic adds — no
-/// locks, no allocation.
+/// Every histogram shares one log-linear bucket layout: values 0 to 3
+/// get a bucket each, and each power of two above splits into four
+/// equal buckets, up to `u64::MAX`. A bucket's inclusive upper bound is
+/// within 25% of any value in it. Recording finds the bucket from the
+/// value's leading zeros and makes three relaxed atomic adds — no
+/// locks, no allocation, no scan.
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
 impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing: {bounds:?}"
-        );
+    fn new() -> Self {
         Histogram(Arc::new(HistogramInner {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }))
@@ -142,12 +167,7 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         let inner = &*self.0;
-        let idx = inner
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(inner.bounds.len());
-        inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        inner.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         inner.count.fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(v, Ordering::Relaxed);
     }
@@ -245,24 +265,34 @@ impl Registry {
         }
     }
 
-    /// Returns the histogram named `name`, registering it with `bounds`
-    /// (strictly increasing inclusive upper bounds) on first use. Later
-    /// calls return the existing instrument; its original bounds win.
+    /// Returns the histogram named `name`, registering it on first use.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is already registered as a different kind, or if
-    /// `bounds` is not strictly increasing.
+    /// Panics if `name` is already registered as a different kind.
     #[must_use]
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
+    pub fn hist(&self, name: &str) -> Histogram {
         let mut map = self.instruments.lock().unwrap();
         match map
             .entry(name.to_string())
-            .or_insert_with(|| Instrument::Histogram(Histogram::new(bounds)))
+            .or_insert_with(|| Instrument::Histogram(Histogram::new()))
         {
             Instrument::Histogram(h) => h.clone(),
             other => panic!("instrument {name:?} is a {}, not a histogram", other.kind()),
         }
+    }
+
+    /// [`Registry::hist`] under its old signature, which took bucket
+    /// bounds; `bounds` is ignored. Kept only for the benchmark package
+    /// (`perf_ledger/`), which still calls it, and deleted once that
+    /// package calls `hist`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Registry::hist`].
+    #[must_use]
+    pub fn histogram(&self, name: &str, _bounds: &[u64]) -> Histogram {
+        self.hist(name)
     }
 
     /// Takes a point-in-time copy of every instrument, sorted by name.
@@ -276,19 +306,13 @@ impl Registry {
                 value: match inst {
                     Instrument::Counter(c) => Value::Counter(c.get()),
                     Instrument::Gauge(g) => Value::Gauge(g.get()),
-                    Instrument::Histogram(h) => {
-                        let inner = &*h.0;
-                        Value::Histogram(HistogramSnapshot {
-                            bounds: inner.bounds.clone(),
-                            buckets: inner
-                                .buckets
-                                .iter()
-                                .map(|b| b.load(Ordering::Relaxed))
-                                .collect(),
-                            count: h.count(),
-                            sum: h.sum(),
-                        })
-                    }
+                    Instrument::Histogram(h) => Value::Histogram(HistogramSnapshot {
+                        buckets: Box::new(std::array::from_fn(|i| {
+                            h.0.buckets[i].load(Ordering::Relaxed)
+                        })),
+                        count: h.count(),
+                        sum: h.sum(),
+                    }),
                 },
             })
             .collect();
@@ -309,13 +333,13 @@ pub enum Value {
 
 impl Value {
     /// `self + other`, wrapping as the instruments' own atomic adds do,
-    /// or `None` when the kinds or the histogram bounds differ.
+    /// or `None` when the kinds differ.
     fn plus(self, other: &Value) -> Option<Value> {
         Some(match (self, other) {
             (Value::Counter(a), Value::Counter(b)) => Value::Counter(a.wrapping_add(*b)),
             (Value::Gauge(a), Value::Gauge(b)) => Value::Gauge(a.wrapping_add(*b)),
-            (Value::Histogram(mut a), Value::Histogram(b)) if a.bounds == b.bounds => {
-                for (x, y) in a.buckets.iter_mut().zip(&b.buckets) {
+            (Value::Histogram(mut a), Value::Histogram(b)) => {
+                for (x, y) in a.buckets.iter_mut().zip(b.buckets.iter()) {
                     *x = x.wrapping_add(*y);
                 }
                 a.count = a.count.wrapping_add(b.count);
@@ -346,32 +370,27 @@ impl Value {
                     .ok_or_else(|| format!("{name:?}: value is not an i64"))?,
             ),
             Some("histogram") => {
-                let buckets = member("buckets")?
+                // Each bucket names its layout bucket by its upper bound,
+                // in increasing order. `mean` is derived.
+                let mut buckets = Box::new([0; BUCKETS]);
+                let mut next = 0;
+                for bucket in member("buckets")?
                     .as_array()
-                    .ok_or_else(|| format!("{name:?}: buckets is not an array"))?;
-                // Every bucket but the last has a finite bound; the last
-                // is the overflow bucket, `le:null`. `mean` is derived.
-                let Some((overflow, finite)) = buckets.split_last() else {
-                    return Err(format!("{name:?}: no buckets"));
-                };
-                if overflow.get("le") != Some(&Json::Null) {
-                    return Err(format!("{name:?}: last bucket is not le:null"));
-                }
-                let mut bounds = Vec::with_capacity(finite.len());
-                for bucket in finite {
+                    .ok_or_else(|| format!("{name:?}: buckets is not an array"))?
+                {
                     let le = uint(bucket.get("le").unwrap_or(&Json::Null), "le")?;
-                    if bounds.last().is_some_and(|&prev| prev >= le) {
-                        return Err(format!("{name:?}: bounds are not strictly increasing"));
+                    let i = bucket_index(le);
+                    if bucket_bound(i) != le {
+                        return Err(format!("{name:?}: le {le} is not a bucket bound"));
                     }
-                    bounds.push(le);
+                    if i < next {
+                        return Err(format!("{name:?}: le {le} is out of order"));
+                    }
+                    buckets[i] = uint(bucket.get("count").unwrap_or(&Json::Null), "bucket count")?;
+                    next = i + 1;
                 }
-                let counts = buckets
-                    .iter()
-                    .map(|b| uint(b.get("count").unwrap_or(&Json::Null), "bucket count"))
-                    .collect::<Result<_, _>>()?;
                 Value::Histogram(HistogramSnapshot {
-                    bounds,
-                    buckets: counts,
+                    buckets,
                     count: uint(member("count")?, "count")?,
                     sum: uint(member("sum")?, "sum")?,
                 })
@@ -384,64 +403,26 @@ impl Value {
 /// Captured state of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Inclusive upper bounds of the finite buckets.
-    pub bounds: Vec<u64>,
-    /// Per-bucket counts; one entry per bound plus the final overflow
-    /// bucket.
-    pub buckets: Vec<u64>,
+    /// Per-bucket counts, one per bucket of the layout in increasing
+    /// order: 0, 1, 2 and 3, then four equal buckets per power of two.
+    pub buckets: Box<[u64; BUCKETS]>,
     /// Total observations.
     pub count: u64,
     /// Sum of all observations.
     pub sum: u64,
 }
 
-/// A bucketed quantile estimate from [`HistogramSnapshot::quantile`].
-///
-/// Fixed-bucket histograms cannot name an exact quantile, only the
-/// bucket it fell in. A quantile that lands in a finite bucket is
-/// *at most* that bucket's bound; one that lands in the overflow
-/// bucket is *at least* the last finite bound — still a real number a
-/// dashboard can print, where the old `None` read as "no data" exactly
-/// when the tail was hottest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantileEstimate {
-    /// The quantile is at or below this finite bucket bound.
-    AtMost(u64),
-    /// The quantile landed in the overflow bucket: it is at least this
-    /// value (the last finite bound, or 0 for a histogram with no
-    /// finite buckets). Treat it as a lower bound, not an estimate.
-    Overflow(u64),
-}
-
-impl QuantileEstimate {
-    /// The bucket bound either way: an upper bound for
-    /// [`QuantileEstimate::AtMost`], a lower bound for
-    /// [`QuantileEstimate::Overflow`].
-    #[must_use]
-    pub fn bound(self) -> u64 {
-        match self {
-            QuantileEstimate::AtMost(b) | QuantileEstimate::Overflow(b) => b,
-        }
-    }
-
-    /// `true` when the quantile fell in the overflow bucket and
-    /// [`QuantileEstimate::bound`] is only a lower bound.
-    #[must_use]
-    pub fn is_overflow(self) -> bool {
-        matches!(self, QuantileEstimate::Overflow(_))
-    }
-}
-
-impl fmt::Display for QuantileEstimate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QuantileEstimate::AtMost(b) => write!(f, "{b}"),
-            QuantileEstimate::Overflow(b) => write!(f, ">{b}"),
-        }
-    }
-}
-
 impl HistogramSnapshot {
+    /// The non-empty buckets as (inclusive upper bound, count) pairs,
+    /// in increasing order.
+    fn filled(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (bucket_bound(i), c))
+    }
+
     /// Mean observation, or 0.0 when empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -452,34 +433,25 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Bucketed estimate of the `q` quantile (`0.0 ..= 1.0`): the
-    /// smallest bucket at which the cumulative count reaches
-    /// `q * count`. Returns `None` only when the histogram is empty; a
-    /// quantile that lands in the overflow bucket comes back as
-    /// [`QuantileEstimate::Overflow`] carrying the last finite bound as
-    /// a lower bound, so a hot p99 is still a number instead of
-    /// reading as "no data".
+    /// The `q` quantile (`0.0 ..= 1.0`) to bucket precision: the
+    /// inclusive upper bound `u` of the bucket holding the ⌈q·n⌉-th
+    /// smallest of the `n` observations the buckets hold, so the exact
+    /// quantile `x` satisfies `x ≤ u ≤ x + x/4`. `None` when the
+    /// buckets are empty.
     #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<QuantileEstimate> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= target {
-                return Some(match self.bounds.get(i) {
-                    Some(&b) => QuantileEstimate::AtMost(b),
-                    None => QuantileEstimate::Overflow(self.bounds.last().copied().unwrap_or(0)),
-                });
-            }
-        }
-        // Unreachable in practice (count equals the bucket sum), but a
-        // racing snapshot could observe count ahead of the buckets.
-        Some(QuantileEstimate::Overflow(
-            self.bounds.last().copied().unwrap_or(0),
-        ))
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        // Wide sums: merged or hostile counts can pass u64::MAX.
+        let n: u128 = self.buckets.iter().map(|&c| u128::from(c)).sum();
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u128)
+            .min(n)
+            .max(1);
+        let mut seen = 0u128;
+        self.filled()
+            .find(|&(_, c)| {
+                seen += u128::from(c);
+                seen >= rank
+            })
+            .map(|(le, _)| le)
     }
 }
 
@@ -583,17 +555,11 @@ impl Snapshot {
                     (Value::Counter(now), Some(Value::Counter(then))) => {
                         Value::Counter(now.saturating_sub(*then))
                     }
-                    (Value::Histogram(now), Some(Value::Histogram(then)))
-                        if now.bounds == then.bounds =>
-                    {
+                    (Value::Histogram(now), Some(Value::Histogram(then))) => {
                         Value::Histogram(HistogramSnapshot {
-                            bounds: now.bounds.clone(),
-                            buckets: now
-                                .buckets
-                                .iter()
-                                .zip(&then.buckets)
-                                .map(|(n, t)| n.saturating_sub(*t))
-                                .collect(),
+                            buckets: Box::new(std::array::from_fn(|i| {
+                                now.buckets[i].saturating_sub(then.buckets[i])
+                            })),
                             count: now.count.saturating_sub(then.count),
                             sum: now.sum.saturating_sub(then.sum),
                         })
@@ -613,10 +579,10 @@ impl Snapshot {
     /// into one: counters, gauges, and histogram buckets, counts and
     /// sums add by name. Sums wrap as the instruments' atomic adds do,
     /// so the merge of registries that each saw part of the observations
-    /// equals the snapshot of one registry that saw them all. An
-    /// instrument whose kind or histogram bounds differ anywhere in
-    /// `parts` is left out, so a merged histogram is exact or absent.
-    /// The result does not depend on the order of `parts`.
+    /// equals the snapshot of one registry that saw them all; histograms
+    /// share one bucket layout, so their merge is exact. An instrument
+    /// whose kind differs anywhere in `parts` is left out. The result
+    /// does not depend on the order of `parts`.
     #[must_use]
     pub fn merge(parts: &[Snapshot]) -> Snapshot {
         let mut sums: BTreeMap<&str, Option<Value>> = BTreeMap::new();
@@ -659,16 +625,11 @@ impl Snapshot {
                         h.sum,
                         h.mean()
                     ));
-                    // Quantiles render even when they land in the
-                    // overflow bucket (as ">last-finite-bound").
                     if let (Some(p50), Some(p99)) = (h.quantile(0.50), h.quantile(0.99)) {
                         out.push_str(&format!(" p50={p50} p99={p99}"));
                     }
-                    for (i, c) in h.buckets.iter().enumerate() {
-                        match h.bounds.get(i) {
-                            Some(b) => out.push_str(&format!(" le{b}:{c}")),
-                            None => out.push_str(&format!(" inf:{c}")),
-                        }
+                    for (le, c) in h.filled() {
+                        out.push_str(&format!(" le{le}:{c}"));
                     }
                     out.push('\n');
                 }
@@ -684,12 +645,13 @@ impl Snapshot {
     ///   {"name":"a.hits","type":"counter","value":4},
     ///   {"name":"a.depth","type":"gauge","value":-1},
     ///   {"name":"a.lat","type":"histogram","count":2,"sum":70,"mean":35.000,
-    ///    "buckets":[{"le":50,"count":2},{"le":null,"count":0}]}
+    ///    "buckets":[{"le":31,"count":1},{"le":47,"count":1}]}
     /// ]}
     /// ```
     ///
-    /// Instruments appear sorted by name; the final histogram bucket is
-    /// the overflow bucket with `"le":null`.
+    /// Instruments appear sorted by name. A histogram lists only its
+    /// non-empty buckets, each by its inclusive upper bound, in
+    /// increasing order.
     #[must_use]
     pub fn to_json(&self) -> String {
         let body = self
@@ -706,13 +668,8 @@ impl Snapshot {
                     }
                     Value::Histogram(h) => {
                         let buckets = h
-                            .buckets
-                            .iter()
-                            .enumerate()
-                            .map(|(i, c)| match h.bounds.get(i) {
-                                Some(b) => format!("{{\"le\":{b},\"count\":{c}}}"),
-                                None => format!("{{\"le\":null,\"count\":{c}}}"),
-                            })
+                            .filled()
+                            .map(|(le, c)| format!("{{\"le\":{le},\"count\":{c}}}"))
                             .collect::<Vec<_>>()
                             .join(",");
                         format!(
@@ -734,9 +691,9 @@ impl Snapshot {
     /// [`Snapshot::to_json`], so `from_json(&s.to_json()) == Ok(s)`.
     ///
     /// Counters parse as `u64` and gauges as `i64` straight from their
-    /// text. A histogram is rebuilt from its buckets' `le`/`count`, the
-    /// last bucket (`le:null`) being the overflow bucket; `mean` is
-    /// ignored. Members this version does not know are ignored too, as
+    /// text. A histogram is rebuilt from its buckets' `le`/`count`; each
+    /// `le` must be a bucket bound of the layout, in increasing order.
+    /// `mean` is ignored. Members this version does not know are ignored too, as
     /// the schema's additive changes require. Entries come back sorted
     /// by name.
     ///
@@ -800,7 +757,7 @@ mod tests {
         assert_eq!(g.sub(4), -1);
         assert_eq!(g.get(), -1);
 
-        let h = reg.histogram("h", &[10, 100]);
+        let h = reg.hist("h");
         h.record(5);
         h.record(50);
         h.record(5000);
@@ -811,30 +768,28 @@ mod tests {
         assert_eq!(snap.counter("c"), Some(3));
         assert_eq!(snap.gauge("g"), Some(-1));
         let hs = snap.histogram("h").unwrap();
-        assert_eq!(hs.buckets, vec![1, 1, 1]);
-        assert_eq!(hs.quantile(0.5), Some(QuantileEstimate::AtMost(100)));
-        // The top quantile lands in the overflow bucket: still a number
-        // (the last finite bound, as a lower bound), never "no data".
-        assert_eq!(hs.quantile(1.0), Some(QuantileEstimate::Overflow(100)));
+        // 5 has a bucket of its own; 50 shares [48, 55], 5000 [4096, 5119].
+        let filled: Vec<_> = hs.filled().collect();
+        assert_eq!(filled, [(5, 1), (55, 1), (5119, 1)]);
+        assert_eq!(hs.quantile(0.5), Some(55));
+        assert_eq!(hs.quantile(1.0), Some(5119));
         assert!((hs.mean() - 1685.0).abs() < 1e-9);
     }
 
     #[test]
-    fn quantiles_survive_the_overflow_bucket() {
+    fn a_gauge_wraps_at_the_i64_edges_as_its_atomic_does() {
+        let g = Registry::new().gauge("g");
+        g.set(i64::MAX);
+        assert_eq!(g.add(1), i64::MIN);
+        assert_eq!(g.get(), i64::MIN);
+        assert_eq!(g.sub(1), i64::MAX);
+        assert_eq!(g.get(), i64::MAX);
+    }
+
+    #[test]
+    fn quantiles_name_the_upper_bound_of_their_bucket() {
         let reg = Registry::new();
-        let h = reg.histogram("hot", &[10, 20]);
-        // Every observation overflows: p50 and p99 must still report.
-        for _ in 0..100 {
-            h.record(1_000);
-        }
-        let hs = reg.snapshot().histogram("hot").unwrap().clone();
-        let p50 = hs.quantile(0.50).expect("p50 reports");
-        let p99 = hs.quantile(0.99).expect("p99 reports");
-        assert_eq!(p50, QuantileEstimate::Overflow(20));
-        assert!(p99.is_overflow() && p99.bound() == 20);
-        assert_eq!(p99.to_string(), ">20");
-        // A mixed distribution: p50 finite, p99 overflowed.
-        let h = reg.histogram("mixed", &[10, 20]);
+        let h = reg.hist("mixed");
         for _ in 0..95 {
             h.record(5);
         }
@@ -842,26 +797,21 @@ mod tests {
             h.record(99);
         }
         let hs = reg.snapshot().histogram("mixed").unwrap().clone();
-        assert_eq!(hs.quantile(0.50), Some(QuantileEstimate::AtMost(10)));
-        assert_eq!(hs.quantile(0.99), Some(QuantileEstimate::Overflow(20)));
-        // Empty histograms are the only "no data" case.
-        let empty = reg.histogram("empty", &[1]);
-        assert_eq!(empty.count(), 0);
-        assert_eq!(
-            reg.snapshot().histogram("empty").unwrap().quantile(0.99),
-            None
+        assert_eq!(hs.quantile(0.50), Some(5));
+        // 99 lands in [96, 111].
+        assert_eq!(hs.quantile(0.99), Some(111));
+        // No value is too large for the layout.
+        reg.hist("top").record(u64::MAX);
+        // An empty histogram is the only "no data" case.
+        let _ = reg.hist("empty");
+        let snap = reg.snapshot();
+        assert_eq!(snap.histogram("top").unwrap().quantile(0.5), Some(u64::MAX));
+        assert_eq!(snap.histogram("empty").unwrap().quantile(0.99), None);
+        let text = snap.render_text();
+        assert!(
+            text.contains("p50=5 p99=111 le5:95 le111:5\n"),
+            "got: {text}"
         );
-        // Degenerate: no finite buckets at all still reports a bound.
-        let bare = reg.histogram("bare", &[]);
-        bare.record(7);
-        assert_eq!(
-            reg.snapshot().histogram("bare").unwrap().quantile(0.5),
-            Some(QuantileEstimate::Overflow(0))
-        );
-        // render_text carries the quantile columns, overflow marked.
-        let text = reg.snapshot().render_text();
-        assert!(text.contains("p50=>20 p99=>20"), "got: {text}");
-        assert!(text.contains("p50=10 p99=>20"), "got: {text}");
     }
 
     #[test]
@@ -870,12 +820,10 @@ mod tests {
         reg.counter("same").add(1);
         reg.counter("same").add(1);
         assert_eq!(reg.snapshot().counter("same"), Some(2));
-        // Histogram bounds from the first registration win.
-        let h1 = reg.histogram("lat", &[10]);
-        let h2 = reg.histogram("lat", &[99, 100]);
+        let h1 = reg.hist("lat");
+        let h2 = reg.hist("lat");
         h1.record(7);
         assert_eq!(h2.count(), 1);
-        assert_eq!(reg.snapshot().histogram("lat").unwrap().bounds, vec![10]);
     }
 
     #[test]
@@ -913,7 +861,7 @@ mod tests {
         let reg = Registry::new();
         let c = reg.counter("c");
         let g = reg.gauge("g");
-        let h = reg.histogram("h", &[10]);
+        let h = reg.hist("h");
         c.add(5);
         g.set(1);
         h.record(3);
@@ -927,7 +875,7 @@ mod tests {
         assert_eq!(d.gauge("g"), Some(9));
         let hs = d.histogram("h").unwrap();
         assert_eq!((hs.count, hs.sum), (1, 30));
-        assert_eq!(hs.buckets, vec![0, 1]);
+        assert_eq!(hs.filled().collect::<Vec<_>>(), [(31, 1)]);
         // An instrument born after `before` passes through unchanged.
         reg.counter("new").add(4);
         assert_eq!(reg.snapshot().delta(&before).counter("new"), Some(4));
@@ -938,15 +886,17 @@ mod tests {
         let reg = Registry::new();
         reg.counter("b.count").add(4);
         reg.gauge("a.depth").set(-1);
-        reg.histogram("c.lat", &[50]).record(20);
+        reg.hist("c.lat").record(20);
+        let _ = reg.hist("d.idle");
         let snap = reg.snapshot();
         let text = snap.render_text();
         // Sorted by name, one line each.
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("gauge") && lines[0].contains("a.depth"));
         assert!(lines[1].starts_with("counter") && lines[1].contains("b.count  4"));
-        assert!(lines[2].contains("le50:1") && lines[2].contains("inf:0"));
+        assert!(lines[2].ends_with("p50=23 p99=23 le23:1"));
+        assert!(lines[3].ends_with("count=0 sum=0 mean=0.0"));
         assert_eq!(format!("{snap}"), text);
 
         let json = snap.to_json();
@@ -956,8 +906,9 @@ mod tests {
              {\"name\":\"a.depth\",\"type\":\"gauge\",\"value\":-1},\
              {\"name\":\"b.count\",\"type\":\"counter\",\"value\":4},\
              {\"name\":\"c.lat\",\"type\":\"histogram\",\"count\":1,\"sum\":20,\
-             \"mean\":20.000,\"buckets\":[{\"le\":50,\"count\":1},\
-             {\"le\":null,\"count\":0}]}]}"
+             \"mean\":20.000,\"buckets\":[{\"le\":23,\"count\":1}]},\
+             {\"name\":\"d.idle\",\"type\":\"histogram\",\"count\":0,\"sum\":0,\
+             \"mean\":0.000,\"buckets\":[]}]}"
         );
     }
 
@@ -977,7 +928,7 @@ mod tests {
         let reg = Registry::new();
         // Pre-register so every thread shares the same instruments.
         let _ = reg.counter("hammer.count");
-        let _ = reg.histogram("hammer.lat", &[2, 5]);
+        let _ = reg.hist("hammer.lat");
 
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -985,7 +936,7 @@ mod tests {
                 thread::spawn(move || {
                     let c = reg.counter("hammer.count");
                     let g = reg.gauge(&format!("hammer.level.{t}"));
-                    let h = reg.histogram("hammer.lat", &[2, 5]);
+                    let h = reg.hist("hammer.lat");
                     let mut monotone_floor = 0u64;
                     for i in 0..PER_THREAD {
                         c.incr();
@@ -1016,9 +967,11 @@ mod tests {
         let h = snap.histogram("hammer.lat").unwrap();
         assert_eq!(h.count, total);
         assert_eq!(h.buckets.iter().sum::<u64>(), total);
-        // 0..PER_THREAD mod 7 per thread: values 0,1,2 -> le2 bucket, etc.
-        let per_thread_le2 = (0..PER_THREAD).filter(|i| i % 7 <= 2).count() as u64;
-        assert_eq!(h.buckets[0], THREADS as u64 * per_thread_le2);
+        // 0..PER_THREAD mod 7 per thread: values 0 to 6 each have a bucket.
+        for v in 0..7 {
+            let per_thread = (0..PER_THREAD).filter(|i| i % 7 == v).count() as u64;
+            assert_eq!(h.buckets[v as usize], THREADS as u64 * per_thread);
+        }
         for t in 0..THREADS {
             assert_eq!(
                 snap.gauge(&format!("hammer.level.{t}")),
