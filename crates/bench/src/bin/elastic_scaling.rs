@@ -256,7 +256,6 @@ fn service_supervision(report: &Registry) {
         max_workers: 4,
         grow_depth: 2,
         shrink_after_ticks: 2,
-        busy_occupancy_bp: 8_000,
         spec: PACED,
     };
     let server = Server::new(

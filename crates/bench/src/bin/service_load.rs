@@ -206,7 +206,6 @@ fn mixed_traffic(smoke: bool) {
                 max_workers: 4,
                 grow_depth: 2,
                 shrink_after_ticks: 4,
-                busy_occupancy_bp: 8_000,
                 spec: BackendSpec::Paced { block_ns: BLOCK_NS },
             })
             .build()

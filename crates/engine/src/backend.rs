@@ -1,5 +1,5 @@
 //! The [`Backend`] abstraction: one uniform face over the paper's three
-//! hardware devices and the two software implementations.
+//! hardware devices and every software cipher.
 //!
 //! A backend is *stateful* (hardware models count clock cycles; every
 //! backend counts blocks) and *mutable* (the bus driver wiggles pins), so
@@ -9,15 +9,23 @@
 //! backends report real modeled clock cycles ([`LATENCY_CYCLES`] per
 //! block in steady state), software backends a nominal one cycle per
 //! block so scheduler arithmetic stays uniform.
+//!
+//! There are two kinds of backend: [`IpCoreBackend`], an IP core behind
+//! its bus driver, and [`SoftwareBackend`], any [`BatchCipher`] (the
+//! reference, T-table, bitsliced or runtime-dispatched cipher).
+//! [`BackendCipher`] goes the other way: it lends a backend to code
+//! written against the cipher traits (the chained modes, CMAC, GCM, XTS,
+//! key wrap).
 
 use core::fmt;
+use std::cell::{Cell, RefCell};
 use std::time::Duration;
 
 use aes_ip::bus::{IpDriver, StreamError};
 use aes_ip::core::{CycleCore, DecryptCore, Direction, EncDecCore, EncryptCore, LATENCY_CYCLES};
 use rijndael::dispatch::{self, AutoCipher, Kind};
 use rijndael::ttable::TtableAes;
-use rijndael::{Bitsliced8, BlockCipher, Rijndael};
+use rijndael::{BatchCipher, Bitsliced8, BlockCipher, Rijndael};
 
 /// Which backend a farm slot holds; the unit of farm configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,7 +150,9 @@ impl BackendSpec {
                 TtableAes::new(key).expect("key must be 16, 24, or 32 bytes"),
                 "soft-ttable",
             )),
-            BackendSpec::Bitsliced => Box::new(BitslicedBackend::new(key)),
+            BackendSpec::Bitsliced => {
+                Box::new(SoftwareBackend::new(Bitsliced8::new(key), "soft-bitsliced"))
+            }
             BackendSpec::AesNi => {
                 let kind = if Kind::AesNi.available() {
                     Kind::AesNi
@@ -152,9 +162,7 @@ impl BackendSpec {
                 // `for_kind` asserts availability, satisfying the
                 // fail-loudly contract when neither instruction set is
                 // present.
-                Box::new(DispatchBackend::new(
-                    AutoCipher::for_kind(kind, key).expect("hardware AES kinds build a cipher"),
-                ))
+                dispatched(kind, key)
             }
             BackendSpec::Auto => match dispatch::selection().bulk {
                 // A forced ip-core selection has no software cipher; the
@@ -168,9 +176,7 @@ impl BackendSpec {
                         "soft-fallback",
                     )),
                 },
-                kind => Box::new(DispatchBackend::new(
-                    AutoCipher::for_kind(kind, key).expect("non-ip-core selections build a cipher"),
-                )),
+                kind => dispatched(kind, key),
             },
             BackendSpec::Paced { block_ns } => Box::new(PacedBackend::new(
                 BackendSpec::Ttable.build(key),
@@ -191,6 +197,15 @@ impl BackendSpec {
             _ => true,
         }
     }
+}
+
+/// The runtime-dispatched cipher of `kind` as a backend named after the
+/// resolved kind (`soft-aesni`, `soft-bitsliced-wide`, ...), so
+/// telemetry and `GET_STATS` show which path actually ran.
+fn dispatched(kind: Kind, key: &[u8]) -> Box<dyn Backend> {
+    let cipher = AutoCipher::for_kind(kind, key).expect("non-ip-core kinds build a cipher");
+    let name = cipher.backend_name();
+    Box::new(SoftwareBackend::new(cipher, name))
 }
 
 impl fmt::Display for BackendSpec {
@@ -270,27 +285,16 @@ pub trait Backend: Send {
     /// [`BackendError::Bus`] for hardware streaming faults.
     fn process_block(&mut self, block: &mut [u8; 16], dir: Direction) -> Result<(), BackendError>;
 
-    /// Processes a batch of independent blocks in place. Hardware
-    /// backends pipeline the batch through the decoupled `Data_In`/`Out`
-    /// bus so steady-state cost approaches [`LATENCY_CYCLES`] per block.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Backend::process_block`].
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError>;
-
     /// Processes a batch of independent blocks in place through the
-    /// backend's widest datapath. The default walks the batch one
-    /// [`Backend::process_block`] at a time; backends with a genuinely
-    /// wider path override it — the IP cores pipeline the batch across
-    /// the decoupled bus, and the bitsliced backend runs whole
-    /// multi-block passes. The scheduler's sharded ECB/CTR paths submit
-    /// through this method, sized in multiples of 8 blocks so bitsliced
-    /// granules stay full.
+    /// backend's widest datapath — the one batch method. The default
+    /// walks the batch one [`Backend::process_block`] at a time; backends
+    /// with a genuinely wider path override it: the IP cores pipeline the
+    /// batch across the decoupled `Data_In`/`Out` bus, so steady-state
+    /// cost approaches [`LATENCY_CYCLES`] per block, and a
+    /// [`SoftwareBackend`] hands it to its cipher's
+    /// [`BatchCipher::encrypt_blocks`] / [`BatchCipher::decrypt_blocks`].
+    /// The scheduler's sharded ECB/CTR paths submit through this method,
+    /// sized in multiples of 8 blocks so bitsliced granules stay full.
     ///
     /// # Errors
     ///
@@ -381,26 +385,18 @@ impl<C: CycleCore + Send> Backend for IpCoreBackend<C> {
         Ok(())
     }
 
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        let results = self.driver.try_process_stream(blocks, dir)?;
-        for (b, r) in blocks.iter_mut().zip(results) {
-            *b = r;
-        }
-        self.blocks += blocks.len() as u64;
-        Ok(())
-    }
-
     fn process_batch(
         &mut self,
         blocks: &mut [[u8; 16]],
         dir: Direction,
     ) -> Result<(), BackendError> {
         // The bus pipeline is the hardware's widest path.
-        self.process_stream(blocks, dir)
+        let results = self.driver.try_process_stream(blocks, dir)?;
+        for (b, r) in blocks.iter_mut().zip(results) {
+            *b = r;
+        }
+        self.blocks += blocks.len() as u64;
+        Ok(())
     }
 
     fn blocks(&self) -> u64 {
@@ -423,8 +419,16 @@ impl<C: CycleCore + Send> Backend for IpCoreBackend<C> {
 /// A software cipher as a [`Backend`]: no clock, so virtual time is a
 /// nominal one cycle per block (occupancy is by definition 100%).
 ///
-/// Key hygiene rides on the wrapped cipher: [`Rijndael`] and [`TtableAes`]
-/// wipe their expanded schedules when the backend is dropped (see
+/// Any [`BatchCipher`] fits, and [`Backend::process_batch`] is its
+/// [`BatchCipher::encrypt_blocks`] / [`BatchCipher::decrypt_blocks`], so
+/// a cipher with a real multi-block pass keeps it: the bitsliced cipher
+/// runs whole 64-block passes, the runtime-dispatched [`AutoCipher`]
+/// whatever the process-wide micro-race (or `RIJNDAEL_FORCE_BACKEND`)
+/// picked. Single blocks (chained modes) go through
+/// [`BlockCipher::encrypt_in_place`].
+///
+/// Key hygiene rides on the wrapped cipher: every software cipher wipes
+/// its expanded schedule when the backend is dropped (see
 /// `rijndael::zeroize`).
 #[derive(Debug, Clone)]
 pub struct SoftwareBackend<B> {
@@ -433,7 +437,7 @@ pub struct SoftwareBackend<B> {
     blocks: u64,
 }
 
-impl<B: BlockCipher> SoftwareBackend<B> {
+impl<B: BatchCipher> SoftwareBackend<B> {
     /// Wraps a 16-byte-block cipher as a farm member labeled `name`.
     ///
     /// # Panics
@@ -450,7 +454,7 @@ impl<B: BlockCipher> SoftwareBackend<B> {
     }
 }
 
-impl<B: BlockCipher + Send> Backend for SoftwareBackend<B> {
+impl<B: BatchCipher + Send> Backend for SoftwareBackend<B> {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -468,183 +472,11 @@ impl<B: BlockCipher + Send> Backend for SoftwareBackend<B> {
         Ok(())
     }
 
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        for block in blocks.iter_mut() {
-            match dir {
-                Direction::Encrypt => self.cipher.encrypt_in_place(block),
-                Direction::Decrypt => self.cipher.decrypt_in_place(block),
-            }
-        }
-        self.blocks += blocks.len() as u64;
-        Ok(())
-    }
-
-    fn blocks(&self) -> u64 {
-        self.blocks
-    }
-
-    fn cycles(&self) -> u64 {
-        self.blocks
-    }
-
-    fn setup_cycles(&self) -> u64 {
-        0
-    }
-
-    fn busy_cycles(&self) -> u64 {
-        self.blocks
-    }
-}
-
-/// The bitsliced software cipher as a [`Backend`] with a real batch path.
-///
-/// Single blocks (chained modes) go through a padded 8-block granule —
-/// correct but slow, which is exactly the backend's contract: it earns
-/// its keep on [`Backend::process_batch`], where whole 64-block passes
-/// make it the fastest software farm member on bulk ECB/CTR work. Cost
-/// model matches [`SoftwareBackend`]: a nominal cycle per block.
-#[derive(Debug, Clone)]
-pub struct BitslicedBackend {
-    cipher: Bitsliced8,
-    blocks: u64,
-}
-
-impl BitslicedBackend {
-    /// Builds the backend with `key` expanded and broadcast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` is not 16, 24 or 32 bytes.
-    #[must_use]
-    pub fn new(key: &[u8]) -> Self {
-        BitslicedBackend {
-            cipher: Bitsliced8::new(key),
-            blocks: 0,
-        }
-    }
-}
-
-impl Backend for BitslicedBackend {
-    fn name(&self) -> &'static str {
-        "soft-bitsliced"
-    }
-
-    fn supports(&self, _dir: Direction) -> bool {
-        true
-    }
-
-    fn process_block(&mut self, block: &mut [u8; 16], dir: Direction) -> Result<(), BackendError> {
-        match dir {
-            Direction::Encrypt => self.cipher.encrypt_in_place(block),
-            Direction::Decrypt => self.cipher.decrypt_in_place(block),
-        }
-        self.blocks += 1;
-        Ok(())
-    }
-
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        self.process_batch(blocks, dir)
-    }
-
     fn process_batch(
         &mut self,
         blocks: &mut [[u8; 16]],
         dir: Direction,
     ) -> Result<(), BackendError> {
-        match dir {
-            Direction::Encrypt => self.cipher.encrypt_blocks(blocks),
-            Direction::Decrypt => self.cipher.decrypt_blocks(blocks),
-        }
-        self.blocks += blocks.len() as u64;
-        Ok(())
-    }
-
-    fn blocks(&self) -> u64 {
-        self.blocks
-    }
-
-    fn cycles(&self) -> u64 {
-        self.blocks
-    }
-
-    fn setup_cycles(&self) -> u64 {
-        0
-    }
-
-    fn busy_cycles(&self) -> u64 {
-        self.blocks
-    }
-}
-
-/// The runtime-dispatched cipher ([`AutoCipher`]) as a [`Backend`].
-///
-/// This is what a [`BackendSpec::Auto`] farm slot holds: the micro-race
-/// (or `RIJNDAEL_FORCE_BACKEND`) decides the implementation once per
-/// process, and [`Backend::name`] reports the *resolved* backend
-/// (`soft-aesni`, `soft-bitsliced-wide`, ...) so `GET_STATS` and the
-/// `engine.core.<i>.<backend>.*` telemetry show which path actually ran.
-/// Cost model matches the other software backends: a nominal cycle per
-/// block.
-#[derive(Debug, Clone)]
-pub struct DispatchBackend {
-    cipher: AutoCipher,
-    blocks: u64,
-}
-
-impl DispatchBackend {
-    /// Wraps an already-dispatched cipher as a farm member.
-    #[must_use]
-    pub fn new(cipher: AutoCipher) -> Self {
-        DispatchBackend { cipher, blocks: 0 }
-    }
-
-    /// Which dispatch [`Kind`] the wrapped cipher runs.
-    #[must_use]
-    pub fn kind(&self) -> Kind {
-        self.cipher.kind()
-    }
-}
-
-impl Backend for DispatchBackend {
-    fn name(&self) -> &'static str {
-        self.cipher.backend_name()
-    }
-
-    fn supports(&self, _dir: Direction) -> bool {
-        true
-    }
-
-    fn process_block(&mut self, block: &mut [u8; 16], dir: Direction) -> Result<(), BackendError> {
-        match dir {
-            Direction::Encrypt => self.cipher.encrypt_in_place(block),
-            Direction::Decrypt => self.cipher.decrypt_in_place(block),
-        }
-        self.blocks += 1;
-        Ok(())
-    }
-
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        self.process_batch(blocks, dir)
-    }
-
-    fn process_batch(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        use rijndael::BatchCipher;
         match dir {
             Direction::Encrypt => self.cipher.encrypt_blocks(blocks),
             Direction::Decrypt => self.cipher.decrypt_blocks(blocks),
@@ -733,16 +565,6 @@ impl Backend for PacedBackend {
         r
     }
 
-    fn process_stream(
-        &mut self,
-        blocks: &mut [[u8; 16]],
-        dir: Direction,
-    ) -> Result<(), BackendError> {
-        let r = self.inner.process_stream(blocks, dir);
-        self.pace();
-        r
-    }
-
     fn process_batch(
         &mut self,
         blocks: &mut [[u8; 16]],
@@ -776,6 +598,85 @@ impl fmt::Debug for PacedBackend {
             .field("inner", &self.inner.name())
             .field("block_time", &self.block_time)
             .finish()
+    }
+}
+
+/// A backend lent as a [`BlockCipher`] + [`BatchCipher`]: the
+/// shared-reference cipher traits the chained modes, CMAC, GCM, XTS and
+/// key wrap are written against. A batch is one
+/// [`Backend::process_batch`], so it keeps the backend's widest path; a
+/// single block is one [`Backend::process_block`].
+///
+/// The cipher traits cannot fail, so a backend fault is latched: the
+/// first error is recorded, later blocks are skipped, and whoever lent
+/// the backend checks [`BackendCipher::fault`] after the pass and
+/// discards what the pass computed.
+pub struct BackendCipher<'a> {
+    backend: RefCell<&'a mut dyn Backend>,
+    fault: Cell<Option<BackendError>>,
+}
+
+impl<'a> BackendCipher<'a> {
+    /// Lends `backend` as a cipher.
+    #[must_use]
+    pub fn new(backend: &'a mut dyn Backend) -> Self {
+        BackendCipher {
+            backend: RefCell::new(backend),
+            fault: Cell::new(None),
+        }
+    }
+
+    /// The first fault the backend reported, if any.
+    #[must_use]
+    pub fn fault(&self) -> Option<BackendError> {
+        self.fault.get()
+    }
+
+    /// Runs `op` on the backend unless a fault is already latched, and
+    /// latches the one it reports.
+    fn run(&self, op: impl FnOnce(&mut dyn Backend) -> Result<(), BackendError>) {
+        if self.fault.get().is_none() {
+            if let Err(e) = op(&mut **self.backend.borrow_mut()) {
+                self.fault.set(Some(e));
+            }
+        }
+    }
+
+    fn one(&self, block: &mut [u8], dir: Direction) {
+        let block: &mut [u8; 16] = block.try_into().expect("modes pass whole blocks");
+        self.run(|b| b.process_block(block, dir));
+    }
+}
+
+impl BlockCipher for BackendCipher<'_> {
+    fn block_len(&self) -> usize {
+        16
+    }
+
+    fn encrypt_in_place(&self, block: &mut [u8]) {
+        self.one(block, Direction::Encrypt);
+    }
+
+    fn decrypt_in_place(&self, block: &mut [u8]) {
+        self.one(block, Direction::Decrypt);
+    }
+}
+
+impl BatchCipher for BackendCipher<'_> {
+    fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        self.run(|b| b.process_batch(blocks, Direction::Encrypt));
+    }
+
+    fn decrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        self.run(|b| b.process_batch(blocks, Direction::Decrypt));
+    }
+}
+
+impl fmt::Debug for BackendCipher<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BackendCipher")
+            .field("fault", &self.fault.get())
+            .finish_non_exhaustive()
     }
 }
 
@@ -861,7 +762,7 @@ mod tests {
         let before = backend.cycles();
         let mut blocks = [[0u8; 16]; 4];
         backend
-            .process_stream(&mut blocks, Direction::Encrypt)
+            .process_batch(&mut blocks, Direction::Encrypt)
             .unwrap();
         let spent = backend.cycles() - before;
         // One load edge then one block per latency period.
@@ -876,7 +777,7 @@ mod tests {
         assert!(!backend.supports(Direction::Encrypt));
         let mut blocks = [[0u8; 16]; 2];
         let err = backend
-            .process_stream(&mut blocks, Direction::Encrypt)
+            .process_batch(&mut blocks, Direction::Encrypt)
             .unwrap_err();
         assert!(matches!(err, BackendError::Bus(_)), "{err:?}");
     }
@@ -888,8 +789,8 @@ mod tests {
         let mut ttable = BackendSpec::Ttable.build(&key);
         let mut a = [[7u8; 16]; 3];
         let mut b = a;
-        soft.process_stream(&mut a, Direction::Encrypt).unwrap();
-        ttable.process_stream(&mut b, Direction::Encrypt).unwrap();
+        soft.process_batch(&mut a, Direction::Encrypt).unwrap();
+        ttable.process_batch(&mut b, Direction::Encrypt).unwrap();
         assert_eq!(a, b);
         assert_eq!(soft.cycles(), 3); // one nominal cycle per block
         assert_eq!(soft.busy_cycles(), 3);

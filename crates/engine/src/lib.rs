@@ -7,8 +7,11 @@
 //!
 //! * [`backend`] — the [`Backend`] trait putting the three hardware
 //!   devices (encrypt / decrypt / combined, behind their cycle-accurate
-//!   bus drivers) and two software implementations ([`rijndael::Aes128`],
-//!   the T-table variant) behind one fallible, cost-accounted face;
+//!   bus drivers, as [`IpCoreBackend`]) and every software cipher (one
+//!   [`SoftwareBackend`] over any [`rijndael::BatchCipher`]) behind one
+//!   fallible, cost-accounted face with one batch method,
+//!   [`Backend::process_batch`]; and [`BackendCipher`], which lends a
+//!   backend back out as a cipher;
 //! * [`scheduler`] — the paper's cycle model: the [`Engine`], assembled
 //!   by [`EngineBuilder`], a bounded job queue with backpressure
 //!   ([`Engine::try_submit`] returns [`SubmitError::Busy`]) that shards
@@ -20,8 +23,9 @@
 //!   worker threads (a local deque per core, work-stealing between
 //!   siblings) shared by keyed [`WorkerPool`] handles whose jobs carry
 //!   their key, completions over each handle's channel, a caller-runs
-//!   lane ([`WorkerPool::run_here`]) for jobs too small to hand to
-//!   another thread, and an elastic control plane ([`Farm::add_core`] /
+//!   lane for work too small to hand to another thread (an engine job
+//!   with [`WorkerPool::run_here`], anything over the cipher traits with
+//!   [`WorkerPool::run_here_with`]), and an elastic control plane ([`Farm::add_core`] /
 //!   [`Farm::remove_core`] / [`Farm::swap_core`], plus telemetry-driven
 //!   [`Farm::autoscale_tick`] under a [`ResizePolicy`]). It shares the
 //!   engine's shard planner and span executor;
@@ -35,7 +39,7 @@
 //! (their own, or a shared one passed to [`EngineBuilder::registry`] /
 //! [`PoolBuilder::registry`]):
 //! per-core counters under `engine.core.<index>.<backend>.<field>`,
-//! submit/completion counters, queue-depth gauges, and latency/occupancy
+//! submit/completion counters, queue-depth gauges, and latency
 //! histograms. Benches and the service's `GET_STATS` endpoint read the
 //! same snapshots.
 //!
@@ -74,8 +78,7 @@ pub mod scheduler;
 pub mod stats;
 
 pub use crate::backend::{
-    Backend, BackendError, BackendSpec, BitslicedBackend, IpCoreBackend, PacedBackend,
-    SoftwareBackend,
+    Backend, BackendCipher, BackendError, BackendSpec, IpCoreBackend, PacedBackend, SoftwareBackend,
 };
 pub use crate::error::Error;
 pub use crate::pool::{Farm, Notifier, PoolBuilder, ResizeAction, ResizePolicy, WorkerPool};

@@ -19,11 +19,13 @@
 //!   and notifier, and its bound on open jobs ([`SubmitError::Busy`]);
 //!   dropping it cancels its queued jobs ([`JobError::Cancelled`]).
 //!   Every job it submits carries its key, so handles with different
-//!   keys share one farm. Its caller-runs lane,
-//!   [`WorkerPool::run_here`], runs one job to completion on the calling
-//!   thread, on backends the handle keys lazily from the farm's specs.
-//!   Small jobs belong there: handing a microsecond of crypto to another
-//!   thread costs more than computing it.
+//!   keys share one farm. Its caller-runs lane runs work to completion
+//!   on the calling thread, on backends the handle keys lazily from the
+//!   farm's specs: [`WorkerPool::run_here`] runs one engine job there,
+//!   and [`WorkerPool::run_here_with`] lends the same backend as a
+//!   [`BackendCipher`] to any construction over the cipher traits (CMAC,
+//!   GCM, XTS, key wrap). Small jobs belong there: handing a microsecond
+//!   of crypto to another thread costs more than computing it.
 //!
 //! This is the paper's key discipline. Its IP serves every key from one
 //! datapath: `Key_In` loads a key and `KStran` derives the round keys on
@@ -88,9 +90,10 @@ use std::time::{Duration, Instant};
 use aes_ip::core::Direction;
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::backend::{Backend, BackendSpec};
+use crate::backend::{Backend, BackendCipher, BackendSpec};
 use crate::error::Error;
 use crate::scheduler::{run_span, shard_plan, JobError, JobId, JobOutput, Mode, SubmitError};
+use crate::stats::CoreTel;
 
 /// AES block size in bytes.
 const BLOCK: usize = 16;
@@ -114,13 +117,10 @@ pub struct ResizePolicy {
     /// Grow when the farm has at least this many jobs open (accepted,
     /// not yet delivered), summed over every handle.
     pub grow_depth: usize,
-    /// Shrink only after this many *consecutive* idle ticks, so a burst
-    /// gap does not flap the farm.
+    /// Shrink only after this many *consecutive* idle ticks — no job
+    /// open, and none delivered since the previous tick — so a burst gap
+    /// does not flap the farm.
     pub shrink_after_ticks: u32,
-    /// Treat the farm as saturated (and refuse to shrink) while the mean
-    /// `engine.core.occupancy_bp` sample since the last tick is at or
-    /// above this many basis points.
-    pub busy_occupancy_bp: u64,
     /// The backend grown workers are built with.
     pub spec: BackendSpec,
 }
@@ -132,7 +132,6 @@ impl Default for ResizePolicy {
             max_workers: 4,
             grow_depth: 4,
             shrink_after_ticks: 8,
-            busy_occupancy_bp: 8_000,
             spec: BackendSpec::Auto,
         }
     }
@@ -277,6 +276,10 @@ struct Inner {
     registry: Registry,
     /// Jobs accepted and not yet delivered, over every handle.
     open: AtomicUsize,
+    /// Jobs delivered, over every handle: what the shrink guard of
+    /// [`Farm::autoscale_tick`] reads, rather than registry counters
+    /// that sum every farm sharing the registry.
+    delivered: AtomicU64,
     submit_accepted: Counter,
     submit_busy: Counter,
     submit_ragged: Counter,
@@ -286,7 +289,6 @@ struct Inner {
     queue_depth: Gauge,
     queue_capacity: Gauge,
     job_us: Histogram,
-    occupancy_bp: Histogram,
 }
 
 impl Inner {
@@ -296,6 +298,7 @@ impl Inner {
     fn deliver(&self, sink: &Sink, out: JobOutput, started: Instant) {
         self.queue_depth.sub(1);
         self.open.fetch_sub(1, Ordering::Relaxed);
+        self.delivered.fetch_add(1, Ordering::Relaxed);
         match &out.data {
             Ok(_) => self.jobs_completed.incr(),
             Err(_) => self.jobs_failed.incr(),
@@ -430,6 +433,7 @@ impl PoolBuilder {
                 }),
                 work_cv: Condvar::new(),
                 open: AtomicUsize::new(0),
+                delivered: AtomicU64::new(0),
                 submit_accepted: registry.counter("engine.submit.accepted"),
                 submit_busy: registry.counter("engine.submit.busy"),
                 submit_ragged: registry.counter("engine.submit.ragged"),
@@ -439,7 +443,6 @@ impl PoolBuilder {
                 queue_depth: registry.gauge("engine.queue.depth"),
                 queue_capacity: registry.gauge("engine.queue.capacity"),
                 job_us: registry.hist("engine.pool.job_us"),
-                occupancy_bp: registry.hist("engine.core.occupancy_bp"),
                 registry: registry.clone(),
             }),
             resize_grow: registry.counter("engine.resize.grow"),
@@ -447,7 +450,7 @@ impl PoolBuilder {
             resize_swap: registry.counter("engine.resize.swap"),
             workers_gauge: registry.gauge("engine.workers"),
             idle_streak: AtomicU32::new(0),
-            last_occupancy: Mutex::new((0, 0)),
+            last_delivered: AtomicU64::new(0),
             specs: self.specs,
         };
         for &spec in &farm.specs {
@@ -484,9 +487,8 @@ pub struct Farm {
     resize_swap: Counter,
     workers_gauge: Gauge,
     idle_streak: AtomicU32,
-    /// `(count, sum)` of the occupancy histogram at the last autoscale
-    /// tick, for the per-tick mean.
-    last_occupancy: Mutex<(u64, u64)>,
+    /// Jobs delivered as of the last autoscale tick.
+    last_delivered: AtomicU64,
 }
 
 impl Farm {
@@ -636,29 +638,24 @@ impl Farm {
     }
 
     /// One supervisor tick of the elastic control plane: reads the
-    /// farm's open jobs over every handle and the
-    /// `engine.core.occupancy_bp` histogram, and grows or shrinks the
-    /// farm under `policy`. Growth needs [`ResizePolicy::grow_depth`]
-    /// open jobs; shrinking needs [`ResizePolicy::shrink_after_ticks`]
-    /// consecutive idle ticks with the cores below the saturation bar. A
-    /// grow whose thread cannot spawn changes nothing.
+    /// farm's open and delivered jobs over every handle, and grows or
+    /// shrinks the farm under `policy`. Growth needs
+    /// [`ResizePolicy::grow_depth`] open jobs; shrinking needs
+    /// [`ResizePolicy::shrink_after_ticks`] consecutive idle ticks, each
+    /// with no job open and none delivered since the tick before. A grow
+    /// whose thread cannot spawn changes nothing.
     pub fn autoscale_tick(&self, policy: &ResizePolicy) -> Option<ResizeAction> {
-        let occupancy = &self.inner.occupancy_bp;
-        let (count, sum) = (occupancy.count(), occupancy.sum());
-        let (dcount, dsum) = {
-            let mut last = self.last_occupancy.lock().expect("occupancy watermark");
-            let d = (count - last.0, sum - last.1);
-            *last = (count, sum);
-            d
-        };
-        let saturated = dcount > 0 && dsum / dcount >= policy.busy_occupancy_bp;
+        // Read before `open`: a job open now is delivered after this
+        // watermark, so the next tick cannot count as idle.
+        let delivered = self.inner.delivered.load(Ordering::Relaxed);
+        let ran = self.last_delivered.swap(delivered, Ordering::Relaxed) != delivered;
         let open = self.inner.open.load(Ordering::Relaxed);
         let workers = self.workers();
         if open >= policy.grow_depth && workers < policy.max_workers {
             self.idle_streak.store(0, Ordering::Relaxed);
             return self.add_core(policy.spec).ok().map(ResizeAction::Grew);
         }
-        if open == 0 && !saturated && workers > policy.min_workers {
+        if open == 0 && !ran && workers > policy.min_workers {
             let streak = self.idle_streak.fetch_add(1, Ordering::Relaxed) + 1;
             if streak >= policy.shrink_after_ticks {
                 self.idle_streak.store(0, Ordering::Relaxed);
@@ -898,41 +895,94 @@ impl WorkerPool {
     /// * [`JobError::NoCapableCore`] when no farm spec serves the
     ///   direction, [`JobError::Backend`] on a backend fault, and
     ///   [`JobError::WorkerPanicked`] when the backend panicked.
-    pub fn run_here(&self, mode: Mode, data: Vec<u8>) -> Result<Vec<u8>, Error> {
+    pub fn run_here(&self, mode: Mode, mut data: Vec<u8>) -> Result<Vec<u8>, Error> {
         let inner = &self.farm.inner;
         if mode.requires_full_blocks() && !data.len().is_multiple_of(BLOCK) {
             inner.submit_ragged.incr();
             return Err(SubmitError::RaggedLength { len: data.len() }.into());
         }
         inner.submit_accepted.incr();
-        let dir = mode.direction();
-        let key = &self.key.bytes;
-        let serving = self
-            .farm
-            .specs
-            .iter()
-            .position(|s| s.serves(key.len(), dir));
-        let mut local = self.local.lock().expect("caller lane poisoned");
-        let result = match serving {
-            None => Err(JobError::NoCapableCore { dir }),
-            Some(_) if data.is_empty() => Ok(data),
-            Some(index) => {
-                let (backend, tel) = local[index].get_or_insert_with(|| {
-                    let backend = self.farm.specs[index].build(key);
-                    let tel = CoreTel::register(inner, index, backend.name());
-                    (backend, tel)
-                });
-                let result = execute(backend.as_mut(), mode, 0, data);
-                tel.sync(backend.as_ref());
-                result
-            }
+        let result = match self.serving(&[mode.direction()]) {
+            Ok(_) if data.is_empty() => Ok(data),
+            Ok(index) => self
+                .on_local(index, |backend| run_span(backend, mode, 0, &mut data))
+                .map(|()| data),
+            Err(e) => Err(e),
         };
-        drop(local);
         match &result {
             Ok(_) => inner.jobs_completed.incr(),
             Err(_) => inner.jobs_failed.incr(),
         }
         result.map_err(Error::from)
+    }
+
+    /// Lends the caller-runs lane's backend to `f` as a cipher, on the
+    /// calling thread: the entry for work that is not an engine [`Mode`]
+    /// (CMAC, GCM, XTS, key wrap over the lent [`BackendCipher`]).
+    ///
+    /// The backend is the one [`WorkerPool::run_here`] uses: the first
+    /// farm spec that serves every direction in `dirs` under this
+    /// handle's key, keyed on first use. `f` runs inside the same panic
+    /// containment, and the blocks it computes land in that core's
+    /// `engine.core.*` counters; `engine.jobs.*` counts engine jobs only.
+    /// The lane is held while `f` runs, so `f` must not call back into
+    /// this handle's lane.
+    ///
+    /// # Errors
+    ///
+    /// [`JobError::NoCapableCore`] when no farm spec serves every
+    /// direction in `dirs`, [`JobError::Backend`] when the backend
+    /// faulted (what `f` computed is discarded), and
+    /// [`JobError::WorkerPanicked`] when the backend panicked.
+    pub fn run_here_with<R>(
+        &self,
+        dirs: &[Direction],
+        f: impl FnOnce(&BackendCipher<'_>) -> R,
+    ) -> Result<R, JobError> {
+        let index = self.serving(dirs)?;
+        self.on_local(index, |backend| {
+            let cipher = BackendCipher::new(backend);
+            let out = f(&cipher);
+            cipher.fault().map_or(Ok(out), |e| Err(e.into()))
+        })
+    }
+
+    /// The first farm spec that serves every direction in `dirs` under
+    /// this handle's key.
+    fn serving(&self, dirs: &[Direction]) -> Result<usize, JobError> {
+        let (specs, key_len) = (&self.farm.specs, self.key.bytes.len());
+        let serves = |spec: &BackendSpec, dir: &Direction| spec.serves(key_len, *dir);
+        specs
+            .iter()
+            .position(|s| dirs.iter().all(|d| serves(s, d)))
+            .ok_or_else(|| {
+                // Name a direction no spec serves; on a split farm, where
+                // each is served by some spec, the last one asked for.
+                let missing = dirs.iter().find(|d| !specs.iter().any(|s| serves(s, d)));
+                let dir = *missing
+                    .or(dirs.last())
+                    .expect("every spec serves no direction");
+                JobError::NoCapableCore { dir }
+            })
+    }
+
+    /// Runs `op` on the caller-runs backend built from spec `index`
+    /// (keyed now if this is its first use), contains a panic, and
+    /// pushes the core's counters.
+    fn on_local<R>(
+        &self,
+        index: usize,
+        op: impl FnOnce(&mut dyn Backend) -> Result<R, JobError>,
+    ) -> Result<R, JobError> {
+        let mut local = self.local.lock().expect("caller lane poisoned");
+        let (backend, tel) = local[index].get_or_insert_with(|| {
+            let backend = self.farm.specs[index].build(&self.key.bytes);
+            let tel = CoreTel::register(&self.farm.inner.registry, index, backend.name());
+            (backend, tel)
+        });
+        let result = contained(|| op(backend.as_mut()));
+        tel.sync(backend.as_ref());
+        result
     }
 
     /// A finished job, if one is ready — non-blocking, completion order.
@@ -1018,60 +1068,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Per-backend delta push of the backend's counters into the shared
-/// registry — the same bookkeeping as `Engine::sync_telemetry`, owned by
-/// the thread running the backend so no lock guards the authoritative
-/// counters.
-struct CoreTel {
-    /// The backend name the counters are registered under.
-    name: &'static str,
-    blocks: Counter,
-    cycles: Counter,
-    setup_cycles: Counter,
-    busy_cycles: Counter,
-    occupancy: Histogram,
-    last: (u64, u64, u64, u64),
-}
-
-impl CoreTel {
-    fn register(inner: &Inner, index: usize, name: &'static str) -> CoreTel {
-        let prefix = format!("engine.core.{index}.{name}");
-        let registry = &inner.registry;
-        CoreTel {
-            name,
-            blocks: registry.counter(&format!("{prefix}.blocks")),
-            cycles: registry.counter(&format!("{prefix}.cycles")),
-            setup_cycles: registry.counter(&format!("{prefix}.setup_cycles")),
-            busy_cycles: registry.counter(&format!("{prefix}.busy_cycles")),
-            occupancy: inner.occupancy_bp.clone(),
-            last: (0, 0, 0, 0),
-        }
-    }
-
-    fn sync(&mut self, backend: &dyn Backend) {
-        let now = (
-            backend.blocks(),
-            backend.cycles(),
-            backend.setup_cycles(),
-            backend.busy_cycles(),
-        );
-        let last = self.last;
-        self.last = now;
-        self.blocks.add(now.0.saturating_sub(last.0));
-        self.cycles.add(now.1.saturating_sub(last.1));
-        self.setup_cycles.add(now.2.saturating_sub(last.2));
-        self.busy_cycles.add(now.3.saturating_sub(last.3));
-        let op_delta = now
-            .1
-            .saturating_sub(last.1)
-            .saturating_sub(now.2.saturating_sub(last.2));
-        let busy_delta = now.3.saturating_sub(last.3);
-        if let Some(bp) = busy_delta.saturating_mul(10_000).checked_div(op_delta) {
-            self.occupancy.record(bp);
-        }
-    }
-}
-
 /// A worker's backend and what it was built from: its slot's spec and
 /// the key of the task that needed it.
 struct Held {
@@ -1153,7 +1149,7 @@ fn worker_main(inner: &Inner, me: usize) {
             part,
             mode,
             first_block,
-            data,
+            mut data,
             ..
         } = task;
         if !held
@@ -1169,11 +1165,11 @@ fn worker_main(inner: &Inner, me: usize) {
                 let backend = spec.build(&job.key.bytes);
                 job.key.on_worker.store(true, Ordering::SeqCst);
                 let tel = match old {
-                    Some(mut tel) if tel.name == backend.name() => {
-                        tel.last = (0, 0, 0, 0);
+                    Some(tel) if tel.name == backend.name() => {
+                        tel.restart();
                         tel
                     }
-                    _ => CoreTel::register(inner, me, backend.name()),
+                    _ => CoreTel::register(&inner.registry, me, backend.name()),
                 };
                 Held {
                     key: Arc::clone(&job.key),
@@ -1186,9 +1182,10 @@ fn worker_main(inner: &Inner, me: usize) {
         }
         let result = match held.as_mut() {
             Some(h) => {
-                let result = execute(h.backend.as_mut(), mode, first_block, data);
+                let result =
+                    contained(|| run_span(h.backend.as_mut(), mode, first_block, &mut data));
                 h.tel.sync(h.backend.as_ref());
-                result
+                result.map(|()| data)
             }
             None => Err(JobError::WorkerPanicked),
         };
@@ -1197,23 +1194,13 @@ fn worker_main(inner: &Inner, me: usize) {
     }
 }
 
-/// Runs one span on `backend` in place — the one executor behind both
-/// the workers and the caller-runs lane. Backend panics are contained:
-/// an unwind would strand a worker's held job (`wait_idle` hangs) and
-/// poison the state mutex, or unwind the caller's thread. The panic
-/// becomes [`JobError::WorkerPanicked`] and the backend stays in
-/// service.
-fn execute(
-    backend: &mut dyn Backend,
-    mode: Mode,
-    first_block: u128,
-    mut data: Vec<u8>,
-) -> Result<Vec<u8>, JobError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        run_span(backend, mode, first_block, &mut data)
-    }))
-    .unwrap_or(Err(JobError::WorkerPanicked))
-    .map(|()| data)
+/// Runs `op` — a span on a worker's backend, or anything on the
+/// caller-runs lane's — with backend panics contained: an unwind would
+/// strand a worker's held job (`wait_idle` hangs) and poison the state
+/// mutex, or unwind the caller's thread. The panic becomes
+/// [`JobError::WorkerPanicked`] and the backend stays in service.
+fn contained<R>(op: impl FnOnce() -> Result<R, JobError>) -> Result<R, JobError> {
+    catch_unwind(AssertUnwindSafe(op)).unwrap_or(Err(JobError::WorkerPanicked))
 }
 
 #[cfg(test)]
@@ -1221,7 +1208,8 @@ mod tests {
     use super::*;
     use crate::backend::BackendError;
     use rijndael::modes::{Cbc, Ctr, Ecb};
-    use rijndael::{Aes128, Rijndael};
+    use rijndael::vectors::FIPS197_C1;
+    use rijndael::{Aes128, BatchCipher, BlockCipher, Rijndael};
     use std::collections::{BTreeMap, BTreeSet};
 
     const KEY: [u8; 16] = [
@@ -1602,7 +1590,6 @@ mod tests {
             max_workers: 3,
             grow_depth: 4,
             shrink_after_ticks: 2,
-            busy_occupancy_bp: 10_001, // never block shrink in this test
             spec: BackendSpec::Software,
         };
         for _ in 0..16 {
@@ -1612,7 +1599,9 @@ mod tests {
         let grew = farm.autoscale_tick(&policy);
         assert!(matches!(grew, Some(ResizeAction::Grew(_))), "{grew:?}");
         pool.wait_idle();
-        // Idle: two consecutive ticks shrink back.
+        // The first tick after the backlog sees the jobs delivered since
+        // the grow, so it is not idle; then two idle ticks shrink back.
+        assert_eq!(farm.autoscale_tick(&policy), None);
         assert_eq!(farm.autoscale_tick(&policy), None);
         assert!(matches!(
             farm.autoscale_tick(&policy),
@@ -1848,10 +1837,6 @@ mod tests {
             panic!("injected backend panic")
         }
 
-        fn process_stream(&mut self, _: &mut [[u8; 16]], _: Direction) -> Result<(), BackendError> {
-            panic!("injected backend panic")
-        }
-
         fn blocks(&self) -> u64 {
             0
         }
@@ -1872,7 +1857,7 @@ mod tests {
     #[test]
     fn caller_lane_contains_a_backend_panic_and_stays_usable() {
         let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software; 2], 4);
-        let tel = CoreTel::register(&pool.farm.inner, 0, "mock-panicky");
+        let tel = CoreTel::register(pool.registry(), 0, "mock-panicky");
         pool.local.lock().unwrap()[0] = Some((Box::new(Panicky), tel));
         assert_eq!(
             pool.run_here(Mode::EcbEncrypt, sample(32)),
@@ -1893,5 +1878,89 @@ mod tests {
             pool.registry().snapshot().counter("engine.jobs.failed"),
             Some(2)
         );
+    }
+
+    /// Encrypts the FIPS-197 C.1 plaintext on a lent cipher.
+    fn fips_encrypt(cipher: &BackendCipher<'_>) -> [u8; 16] {
+        let mut block = FIPS197_C1.plaintext;
+        cipher.encrypt_in_place(&mut block);
+        block
+    }
+
+    #[test]
+    fn lane_closure_contains_a_panic_and_answers_the_next_call() {
+        let pool = WorkerPool::with_farm(FIPS197_C1.key, &[BackendSpec::Software], 2);
+        let encrypt = [Direction::Encrypt];
+        assert_eq!(
+            pool.run_here_with(&encrypt, |_| -> u8 { panic!("injected closure panic") }),
+            Err(JobError::WorkerPanicked)
+        );
+        assert_eq!(
+            pool.run_here_with(&encrypt, fips_encrypt),
+            Ok(FIPS197_C1.ciphertext)
+        );
+        let tel = CoreTel::register(pool.registry(), 0, "mock-panicky");
+        pool.local.lock().unwrap()[0] = Some((Box::new(Panicky), tel));
+        assert_eq!(
+            pool.run_here_with(&encrypt, fips_encrypt),
+            Err(JobError::WorkerPanicked)
+        );
+        // The lane is not poisoned: the next call is answered.
+        assert_eq!(pool.run_here_with(&encrypt, |_| 7), Ok(7));
+    }
+
+    #[test]
+    fn lane_closure_needs_one_spec_serving_every_direction() {
+        let split = WorkerPool::with_farm(
+            FIPS197_C1.key,
+            &[BackendSpec::EncryptCore, BackendSpec::DecryptCore],
+            2,
+        );
+        let decrypted = split.run_here_with(&[Direction::Decrypt], |cipher| {
+            let mut block = FIPS197_C1.ciphertext;
+            cipher.decrypt_in_place(&mut block);
+            block
+        });
+        assert_eq!(decrypted, Ok(FIPS197_C1.plaintext));
+        let both = [Direction::Encrypt, Direction::Decrypt];
+        let no_decrypt = Err(JobError::NoCapableCore {
+            dir: Direction::Decrypt,
+        });
+        assert_eq!(split.run_here_with(&both, |_| ()), no_decrypt);
+        let encrypt_only = WorkerPool::with_farm(FIPS197_C1.key, &[BackendSpec::EncryptCore], 2);
+        assert_eq!(encrypt_only.run_here_with(&both, |_| ()), no_decrypt);
+        // A block the lent backend cannot compute is a latched fault.
+        let fault = encrypt_only.run_here_with(&[Direction::Encrypt], |cipher| {
+            cipher.decrypt_in_place(&mut [0u8; 16]);
+        });
+        assert!(matches!(fault, Err(JobError::Backend(_))), "{fault:?}");
+        // A 32-byte key diverts the core to the fallback, which has both.
+        let long = encrypt_only.farm().handle(&[7; 32], 2, None);
+        assert_eq!(long.run_here_with(&both, |_| ()), Ok(()));
+    }
+
+    #[test]
+    fn lane_closure_shares_run_heres_backend_and_counts_its_blocks() {
+        let reg = Registry::new();
+        let pool = PoolBuilder::new()
+            .core(BackendSpec::EncDecCore)
+            .registry(reg.clone())
+            .build(FIPS197_C1.key);
+        pool.run_here(Mode::EcbEncrypt, sample(16)).unwrap();
+        let ct = pool.run_here_with(&[Direction::Encrypt], |cipher| {
+            let mut blocks = [FIPS197_C1.plaintext; 5];
+            cipher.encrypt_blocks(&mut blocks);
+            blocks[4]
+        });
+        assert_eq!(ct, Ok(FIPS197_C1.ciphertext));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("engine.core.0.ip-encdec.blocks"), Some(6));
+        let one_setup = BackendSpec::EncDecCore.build(FIPS197_C1.key).setup_cycles();
+        assert_eq!(
+            snap.counter("engine.core.0.ip-encdec.setup_cycles"),
+            Some(one_setup)
+        );
+        // Only the engine job is an engine job.
+        assert_eq!(snap.counter("engine.jobs.completed"), Some(1));
     }
 }

@@ -14,8 +14,8 @@
 //! block per latency period) and routes chained modes — where block `i+1`
 //! depends on block `i` — to the single least-loaded capable core.
 //! Chained streams run through the object-safe [`rijndael::Mode`] trait,
-//! the same dynamic surface the service uses, over a per-job adapter that
-//! presents the chosen backend as a [`BlockCipher`].
+//! the same dynamic surface the service uses, over the chosen backend
+//! lent as a [`BackendCipher`].
 //!
 //! Submission is backpressured: the queue is bounded and
 //! [`Engine::try_submit`] returns [`SubmitError::Busy`] instead of
@@ -30,17 +30,15 @@
 //! instruments sum coherently; [`FarmStats::from_snapshot`] turns any
 //! snapshot back into Table-2 figures.
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 
 use aes_ip::core::Direction;
 use rijndael::modes::{Cbc, Cfb, Ctr, Iv, Ofb};
-use rijndael::BlockCipher;
 use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
-use crate::backend::{Backend, BackendError, BackendSpec};
-use crate::stats::FarmStats;
+use crate::backend::{Backend, BackendCipher, BackendError, BackendSpec};
+use crate::stats::{CoreTel, FarmStats};
 
 /// AES block size in bytes.
 const BLOCK: usize = 16;
@@ -248,19 +246,6 @@ struct QueuedJob {
     data: Vec<u8>,
 }
 
-/// Telemetry handles for one farm slot, plus the last values already
-/// pushed into the registry. The backends own the authoritative counters;
-/// the engine publishes *deltas* so several engines can share one
-/// registry (per-session engines under one service) and the shared
-/// instruments still sum coherently.
-struct CoreTelemetry {
-    blocks: Counter,
-    cycles: Counter,
-    setup_cycles: Counter,
-    busy_cycles: Counter,
-    pushed: Cell<(u64, u64, u64, u64)>,
-}
-
 /// Configures and builds an [`Engine`].
 ///
 /// Replaces the old `Engine::new(Vec<Box<dyn Backend>>, capacity)`
@@ -357,16 +342,7 @@ impl EngineBuilder {
         let cores_tel = workers
             .iter()
             .enumerate()
-            .map(|(i, w)| {
-                let prefix = format!("engine.core.{i}.{}", w.name());
-                CoreTelemetry {
-                    blocks: registry.counter(&format!("{prefix}.blocks")),
-                    cycles: registry.counter(&format!("{prefix}.cycles")),
-                    setup_cycles: registry.counter(&format!("{prefix}.setup_cycles")),
-                    busy_cycles: registry.counter(&format!("{prefix}.busy_cycles")),
-                    pushed: Cell::new((0, 0, 0, 0)),
-                }
-            })
+            .map(|(i, w)| CoreTel::register(&registry, i, w.name()))
             .collect();
         registry.gauge("engine.queue.capacity").set(capacity as i64);
         Engine {
@@ -381,7 +357,6 @@ impl EngineBuilder {
             jobs_failed: registry.counter("engine.jobs.failed"),
             queue_depth: registry.gauge("engine.queue.depth"),
             job_latency: registry.hist("engine.job.latency_cycles"),
-            occupancy_bp: registry.hist("engine.core.occupancy_bp"),
             registry,
             workers,
         }
@@ -424,7 +399,7 @@ pub struct Engine {
     capacity: usize,
     next_id: u64,
     registry: Registry,
-    cores_tel: Vec<CoreTelemetry>,
+    cores_tel: Vec<CoreTel>,
     submit_accepted: Counter,
     submit_busy: Counter,
     submit_ragged: Counter,
@@ -432,7 +407,6 @@ pub struct Engine {
     jobs_failed: Counter,
     queue_depth: Gauge,
     job_latency: Histogram,
-    occupancy_bp: Histogram,
 }
 
 impl Engine {
@@ -544,28 +518,10 @@ impl Engine {
     }
 
     /// Pushes each backend's counter growth since the last sync into the
-    /// registry, and samples per-core occupancy over that growth.
+    /// registry.
     fn sync_telemetry(&self) {
         for (w, t) in self.workers.iter().zip(&self.cores_tel) {
-            let now = (w.blocks(), w.cycles(), w.setup_cycles(), w.busy_cycles());
-            let last = t.pushed.replace(now);
-            t.blocks.add(now.0.saturating_sub(last.0));
-            t.cycles.add(now.1.saturating_sub(last.1));
-            t.setup_cycles.add(now.2.saturating_sub(last.2));
-            t.busy_cycles.add(now.3.saturating_sub(last.3));
-            // Fully saturating: a racing snapshot can legitimately show a
-            // setup-cycle delta larger than the total-cycle delta (a
-            // re-key landing between the two reads), and an underflow
-            // here would panic in debug or fabricate an absurd occupancy
-            // basis in release.
-            let op_delta = now
-                .1
-                .saturating_sub(last.1)
-                .saturating_sub(now.2.saturating_sub(last.2));
-            let busy_delta = now.3.saturating_sub(last.3);
-            if let Some(bp) = busy_delta.saturating_mul(10_000).checked_div(op_delta) {
-                self.occupancy_bp.record(bp);
-            }
+            t.sync(w.as_ref());
         }
     }
 
@@ -680,8 +636,8 @@ pub(crate) fn shard_plan(n: usize, k: usize) -> impl Iterator<Item = (usize, usi
 ///   values (SP 800-38A increment; `first_block` is the span's offset
 ///   into the stream) into one scratch buffer and XORs it in.
 /// * Chained modes are never split (`first_block` is 0): they drive the
-///   object-safe [`rijndael::Mode`] trait through a [`BackendCipher`]
-///   adapter.
+///   object-safe [`rijndael::Mode`] trait over the backend lent as a
+///   [`BackendCipher`].
 pub(crate) fn run_span(
     backend: &mut dyn Backend,
     mode: Mode,
@@ -747,54 +703,6 @@ impl Drop for Engine {
             self.queue_depth.sub(self.queue.len() as i64);
         }
         self.sync_telemetry();
-    }
-}
-
-/// Adapts one `&mut dyn Backend` to the shared-reference [`BlockCipher`]
-/// trait the mode implementations expect. The modes never see errors, so
-/// a backend fault is latched here: the first error is recorded, later
-/// blocks are skipped, and the caller checks [`BackendCipher::fault`]
-/// after the mode pass.
-struct BackendCipher<'a> {
-    backend: RefCell<&'a mut dyn Backend>,
-    fault: Cell<Option<BackendError>>,
-}
-
-impl<'a> BackendCipher<'a> {
-    fn new(backend: &'a mut dyn Backend) -> Self {
-        BackendCipher {
-            backend: RefCell::new(backend),
-            fault: Cell::new(None),
-        }
-    }
-
-    fn fault(&self) -> Option<BackendError> {
-        self.fault.get()
-    }
-
-    fn process(&self, block: &mut [u8], dir: Direction) {
-        if self.fault.get().is_some() {
-            return;
-        }
-        let mut buf: [u8; 16] = block.try_into().expect("modes pass whole blocks");
-        match self.backend.borrow_mut().process_block(&mut buf, dir) {
-            Ok(()) => block.copy_from_slice(&buf),
-            Err(e) => self.fault.set(Some(e)),
-        }
-    }
-}
-
-impl BlockCipher for BackendCipher<'_> {
-    fn block_len(&self) -> usize {
-        BLOCK
-    }
-
-    fn encrypt_in_place(&self, block: &mut [u8]) {
-        self.process(block, Direction::Encrypt);
-    }
-
-    fn decrypt_in_place(&self, block: &mut [u8]) {
-        self.process(block, Direction::Decrypt);
     }
 }
 
@@ -1177,8 +1085,6 @@ mod tests {
         // Latency: 8 blocks on one core = 1 load edge + 8 × 50 cycles.
         let lat = snap.histogram("engine.job.latency_cycles").unwrap();
         assert_eq!((lat.count, lat.sum), (1, 1 + 8 * LATENCY_CYCLES));
-        // One occupancy sample per core that moved cycles this sync.
-        assert!(snap.histogram("engine.core.occupancy_bp").unwrap().count >= 1);
 
         // Per-core counters reassemble into the same farm stats, via the
         // engine accessor and via the shared registry alike.
@@ -1284,9 +1190,9 @@ mod tests {
     }
 
     /// A mock whose setup-cycle counter outruns its total-cycle counter
-    /// between telemetry syncs — the adversarial snapshot shape that used
-    /// to underflow the occupancy basis in [`Engine::sync_telemetry`]
-    /// (`setup_delta > cycle_delta` ⇒ `op_delta` wrapped).
+    /// between telemetry syncs (`setup_delta > cycle_delta`): an
+    /// adversarial shape for [`Engine::sync_telemetry`], which must still
+    /// push each counter's own growth.
     struct AdversarialCounters {
         blocks: u64,
         cycles: u64,
@@ -1312,17 +1218,6 @@ mod tests {
             self.blocks += 1;
             self.cycles += 2;
             self.setup += 20;
-            Ok(())
-        }
-
-        fn process_stream(
-            &mut self,
-            blocks: &mut [[u8; 16]],
-            dir: Direction,
-        ) -> Result<(), BackendError> {
-            for block in blocks.iter_mut() {
-                self.process_block(block, dir)?;
-            }
             Ok(())
         }
 
@@ -1355,8 +1250,8 @@ mod tests {
             .registry(reg.clone())
             .build(&KEY);
         // Two jobs, two syncs: each sync sees cycle_delta=2·n while
-        // setup_delta=20·n. Before the fix this underflowed (debug panic,
-        // or an absurd occupancy basis in release).
+        // setup_delta=20·n. Every counter still takes exactly its own
+        // growth, with no debug-build panic.
         for _ in 0..2 {
             engine.try_submit(Mode::EcbEncrypt, sample(16)).unwrap();
             let out = engine.run();
@@ -1367,11 +1262,5 @@ mod tests {
             snap.counter("engine.core.0.mock-adversarial.setup_cycles"),
             Some(40)
         );
-        // op_delta saturates to zero, so no occupancy sample is recorded
-        // (rather than a wrapped-u64 basis-point figure).
-        let occupancy = snap
-            .histogram("engine.core.occupancy_bp")
-            .expect("histogram registered");
-        assert_eq!(occupancy.count, 0);
     }
 }

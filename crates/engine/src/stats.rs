@@ -18,14 +18,62 @@
 //! numbers; there is no private counter path to drift.
 
 use core::fmt;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use telemetry::{Snapshot, Value};
+use telemetry::{Counter, Registry, Snapshot, Value};
+
+use crate::backend::Backend;
 
 /// The instrument-name prefix the engine publishes per-core counters
 /// under: `engine.core.<index>.<backend>.<field>`.
 pub const CORE_PREFIX: &str = "engine.core.";
+
+/// The one writer of the per-core counters: one backend's
+/// `engine.core.<index>.<backend>.*` counters and the backend totals
+/// already pushed into them. The backend owns the authoritative counts;
+/// [`CoreTel::sync`] publishes their growth since the last push, so the
+/// engine, the farm's workers and every handle's caller-runs lane can
+/// share one registry and its counters still sum coherently.
+pub(crate) struct CoreTel {
+    /// The backend name the counters are registered under.
+    pub(crate) name: &'static str,
+    counters: [Counter; 4],
+    pushed: Cell<[u64; 4]>,
+}
+
+impl CoreTel {
+    pub(crate) fn register(registry: &Registry, index: usize, name: &'static str) -> CoreTel {
+        let counter =
+            |field: &str| registry.counter(&format!("{CORE_PREFIX}{index}.{name}.{field}"));
+        CoreTel {
+            name,
+            counters: ["blocks", "cycles", "setup_cycles", "busy_cycles"].map(counter),
+            pushed: Cell::new([0; 4]),
+        }
+    }
+
+    /// Counts a new backend of the same name from zero.
+    pub(crate) fn restart(&self) {
+        self.pushed.set([0; 4]);
+    }
+
+    /// Pushes `backend`'s growth since the last push. Saturating, so a
+    /// backend that counts from zero again never wraps a counter.
+    pub(crate) fn sync(&self, backend: &dyn Backend) {
+        let now = [
+            backend.blocks(),
+            backend.cycles(),
+            backend.setup_cycles(),
+            backend.busy_cycles(),
+        ];
+        let last = self.pushed.replace(now);
+        for ((counter, now), last) in self.counters.iter().zip(now).zip(last) {
+            counter.add(now.saturating_sub(last));
+        }
+    }
+}
 
 /// One farm member's raw counters, re-assembled from a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,8 +133,8 @@ pub struct FarmStats {
 impl FarmStats {
     /// Re-assembles per-core stats from every
     /// `engine.core.<index>.<backend>.<field>` counter in `snap`.
-    /// Non-matching instruments (including the `engine.core.occupancy_bp`
-    /// histogram) are ignored.
+    /// Non-matching instruments, and anything under that name shape that
+    /// is not a counter, are ignored.
     ///
     /// The index space is *not* assumed dense or fixed: an elastic pool
     /// adds and removes cores at runtime (leaving holes), and a hot-swap
@@ -280,7 +328,7 @@ mod tests {
         publish(&reg, 0, "ip-encrypt", 8, 401, 400);
         reg.counter("engine.submit.accepted").add(99);
         reg.gauge("engine.queue.depth").set(7);
-        reg.hist("engine.core.occupancy_bp").record(9975);
+        reg.hist("engine.core.0.ip-encrypt.latency_us").record(9975);
         reg.counter("engine.core.bogus").add(1); // no index.backend.field
         let s = FarmStats::from_snapshot(&reg.snapshot());
         assert_eq!(s.per_core.len(), 1);

@@ -81,6 +81,33 @@ impl BatchCipher for crate::bitslice::Bitsliced8 {
 // blocks stay off the batch API, whose layout is fixed to AES blocks.
 impl BatchCipher for Rijndael<4> {}
 
+// A borrowed cipher is a cipher, so a construction that owns its cipher
+// (`Gcm`, `Xts`) can run over one it is lent. Batches forward whole, so
+// they keep the lender's wide path.
+impl<T: BlockCipher + ?Sized> BlockCipher for &T {
+    fn block_len(&self) -> usize {
+        (**self).block_len()
+    }
+
+    fn encrypt_in_place(&self, block: &mut [u8]) {
+        (**self).encrypt_in_place(block);
+    }
+
+    fn decrypt_in_place(&self, block: &mut [u8]) {
+        (**self).decrypt_in_place(block);
+    }
+}
+
+impl<T: BatchCipher + ?Sized> BatchCipher for &T {
+    fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        (**self).encrypt_blocks(blocks);
+    }
+
+    fn decrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        (**self).decrypt_blocks(blocks);
+    }
+}
+
 /// The Rijndael cipher with a block of `NB` 32-bit columns.
 ///
 /// The key size is chosen at runtime (16–32 bytes in 4-byte steps); the

@@ -381,8 +381,9 @@ fn time_min<T>(mut f: impl FnMut() -> T) -> u64 {
 /// The dispatched cipher: whatever [`Kind`] won (or was forced), behind
 /// the ordinary [`BlockCipher`]/[`BatchCipher`] traits.
 ///
-/// This is what the service session's AEAD and XTS lanes and the
-/// engine's `BackendSpec::Auto` farm slots actually hold.
+/// This is what the engine's `BackendSpec::Auto` farm slots hold, and
+/// so what a service session on the default farm computes every op
+/// with; the session holds no cipher of its own.
 #[derive(Clone)]
 pub struct AutoCipher {
     kind: Kind,

@@ -12,10 +12,11 @@
 //!   with out-of-order replies well-defined;
 //! * [`session`] — per-connection key management: `SET_KEY` makes a
 //!   fresh [`engine::WorkerPool`] handle on the server's one worker
-//!   farm, the session's executor (small jobs on the caller's thread,
-//!   bulk jobs on the farm's workers, each keyed with its session's
-//!   key); key material is never echoed and wipes itself on teardown or
-//!   re-key;
+//!   farm and keys no schedule; the handle is the session's one
+//!   executor (small jobs, CMAC, GCM, XTS and key wrap on the caller's
+//!   thread, bulk jobs on the farm's workers, all on backends keyed
+//!   with the session's key); key material is never echoed and wipes
+//!   itself on teardown or re-key;
 //! * [`net`] — the std-only readiness shim (`poll(2)` by direct FFI)
 //!   that lets the server watch thousands of nonblocking sockets
 //!   without external crates;

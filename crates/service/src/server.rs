@@ -1203,7 +1203,7 @@ fn collect_pipelined(conn: &mut Conn, shared: &Shared) {
         shared.inflight.sub(1);
         // Pipelined replies mirror `corr` into `seq`: correlation is the
         // contract, `seq` is diagnostics.
-        let outcome = result.map_err(|e| engine_error_code(Error::from(e)));
+        let outcome = result.map_err(engine_error_code);
         push_reply(&mut conn.out, shared, (corr, corr, sid), outcome);
     }
 }
@@ -1223,10 +1223,11 @@ type Answer = Result<Option<Vec<u8>>, Failure>;
 /// The one place engine failures become wire error codes: submission
 /// rejections keep their typed identity (`Busy` carries the capacity,
 /// `RaggedLength` the offending length, a bad IV is a malformed
-/// payload), and anything that failed *after* admission is a
+/// payload), and anything that failed *after* admission — an engine
+/// job, or a CMAC, GCM, XTS or key-wrap op on the session's lane — is a
 /// [`ErrorCode::JobFailed`].
-fn engine_error_code(e: Error) -> Failure {
-    match e {
+fn engine_error_code(e: impl Into<Error>) -> Failure {
+    match e.into() {
         Error::Submit(SubmitError::Busy { capacity }) => (ErrorCode::Busy, capacity as u32),
         Error::Submit(SubmitError::RaggedLength { len }) => (ErrorCode::RaggedLength, len as u32),
         Error::Submit(SubmitError::BadIv { len }) => (ErrorCode::Malformed, len as u32),
@@ -1336,6 +1337,7 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             let session = live(conn, frame)?;
             let mut key = session
                 .unwrap_key(&frame.payload)
+                .map_err(engine_error_code)?
                 .map_err(|e| aead_error_code(e, len))?;
             let answer = if matches!(key.len(), 16 | 24 | 32) {
                 conn.rekey(&key, shared);
@@ -1346,11 +1348,15 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             rijndael::zeroize::wipe_bytes(&mut key);
             answer
         }
-        Op::CmacTag => Ok(Some(live(conn, frame)?.cmac_tag(&frame.payload).to_vec())),
+        Op::CmacTag => {
+            let tag = live(conn, frame)?.cmac_tag(&frame.payload);
+            Ok(Some(tag.map_err(engine_error_code)?.to_vec()))
+        }
         Op::CmacVerify => {
             let session = live(conn, frame)?;
             let (tag, message) = frame.payload.split_first_chunk().ok_or(malformed)?;
-            if session.cmac_verify(message, tag) {
+            let verified = session.cmac_verify(message, tag);
+            if verified.map_err(engine_error_code)? {
                 Ok(Some(Vec::new()))
             } else {
                 Err((ErrorCode::BadTag, 0))
@@ -1360,9 +1366,12 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             let session = live(conn, frame)?;
             let (nonce, aad, body) = split_aead_payload(&frame.payload).ok_or(malformed)?;
             if op == Op::Seal {
-                Ok(Some(session.seal(&nonce, aad, body)))
+                session
+                    .seal(&nonce, aad, body)
+                    .map(Some)
+                    .map_err(engine_error_code)
             } else {
-                let plaintext = session.open(&nonce, aad, body);
+                let plaintext = session.open(&nonce, aad, body).map_err(engine_error_code)?;
                 plaintext.map(Some).map_err(|e| aead_error_code(e, len))
             }
         }
@@ -1377,6 +1386,7 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             } else {
                 session.wrap_key(&frame.payload)
             };
+            let result = result.map_err(engine_error_code)?;
             result.map(Some).map_err(|e| aead_error_code(e, len))
         }
         Op::XtsEncrypt | Op::XtsDecrypt => {
@@ -1396,6 +1406,7 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             let decrypt = op == Op::XtsDecrypt;
             session
                 .xts_apply(sector_base, sector_size as usize, data, decrypt)
+                .map_err(engine_error_code)?
                 .map(Some)
                 // Unreachable after the validation above, but kept typed
                 // rather than panicking in the event loop.
@@ -1414,7 +1425,7 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             let mode = op.engine_mode(iv).expect("every other op has an arm");
             session
                 .submit(frame.corr, mode, data)
-                .map_err(|e| engine_error_code(Error::from(e)))?;
+                .map_err(engine_error_code)?;
             Ok(None)
         }
     }
@@ -2227,7 +2238,12 @@ mod tests {
 
     #[test]
     fn xts_wire_ops_roundtrip_and_match_the_session_lane() {
-        let server = tiny_server();
+        // XTS runs on the farm's backend: the dispatched one, because 64
+        // KiB on the golden reference takes half a second in a debug
+        // build, past this config's idle budget.
+        let mut config = tiny_config();
+        config.farm = vec![BackendSpec::Auto];
+        let server = Server::new(config).spawn("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let key: Vec<u8> = (100..132u8).collect();
         let reply = call(&stream, &Frame::request(Op::SetKey, 0, 1, 0, key.clone()));
@@ -2271,7 +2287,7 @@ mod tests {
                     xts_payload(base, sector_size, &ct.payload),
                 ),
             );
-            assert_eq!(pt.status(), Some(Status::Ok));
+            assert_eq!(pt.status(), Some(Status::Ok), "{:?}", pt.error_body());
             assert!(pt.payload == body, "{sector_size}-byte sectors from {base}");
 
             // Decrypting under the wrong sector base garbles the plaintext.
@@ -2460,8 +2476,11 @@ mod tests {
 
     #[test]
     fn wrap_key_input_is_bounded_so_its_reply_fits_a_frame() {
-        // A wide idle budget: a debug build wraps 256 KiB slowly.
+        // A wide idle budget: a debug build wraps 256 KiB slowly, and
+        // the T-table backend, because on the golden reference a debug
+        // build takes 16 s each way.
         let mut config = tiny_config();
+        config.farm = vec![BackendSpec::Ttable];
         config.idle_timeout = Duration::from_secs(5);
         let server = Server::new(config).spawn("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();

@@ -7,6 +7,8 @@ use std::thread;
 use std::time::Duration;
 
 use rijndael_ip::engine::BackendSpec;
+use rijndael_ip::rijndael::aead::{self, Aead, Gcm, Xts};
+use rijndael_ip::rijndael::{cmac, Aes128};
 use rijndael_ip::service::client::{Client, ClientError};
 use rijndael_ip::service::protocol::{ErrorCode, Frame, Op};
 use rijndael_ip::service::server::{Server, ServiceConfig};
@@ -223,6 +225,130 @@ fn one_small_op_pays_exactly_one_cores_key_setup() {
     let one_core = BackendSpec::EncDecCore.build(&key).setup_cycles();
     assert!(one_core > 0, "the IP core model pays real key-setup cycles");
     assert_eq!(setup, one_core);
+    server.shutdown();
+}
+
+#[test]
+fn every_keyed_op_runs_on_the_farms_core_keyed_once() {
+    // CMAC, GCM, XTS and key wrap run on the session's one executor
+    // like ECB does: on a one-core IP farm the IP model computes them,
+    // keyed once, and counts every block each op costs.
+    let server = spawn_server(vec![BackendSpec::EncDecCore], 8);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let key = hex16(SP800_KEY);
+    let aes = Aes128::new(&key);
+    client.set_key(&key).expect("SET_KEY");
+    let message = hex(SP800_PT);
+    let mut blocks = 0u64;
+
+    // CMAC: the subkey block, then one per message block (four).
+    let tag = client.cmac_tag(&message).expect("CMAC_TAG");
+    assert_eq!(tag, cmac::cmac(&aes, &message));
+    assert!(client.cmac_verify(&message, &tag).expect("CMAC_VERIFY"));
+    blocks += 2 * (1 + 4);
+
+    // GCM: the hash key H and the tag mask, then one per data block
+    // (three for 40 bytes).
+    let nonce = [0x5A; 12];
+    let plaintext = &message[..40];
+    let sealed = client.seal(&nonce, b"aad", plaintext).expect("SEAL");
+    assert_eq!(
+        sealed,
+        Gcm::new(Aes128::new(&key)).seal(&nonce, b"aad", plaintext)
+    );
+    let opened = client.open(&nonce, b"aad", &sealed).expect("OPEN");
+    assert_eq!(opened.as_deref(), Some(plaintext));
+    blocks += 2 * (2 + 3);
+
+    // XTS: one tweak block per sector, then the sector's data blocks
+    // (a 20-byte sector steals: two).
+    let sectors = &message[..60];
+    let mut expect = sectors.to_vec();
+    let xts = Xts::new(Aes128::new(&key), Aes128::new(&key));
+    for (i, sector) in expect.chunks_mut(20).enumerate() {
+        xts.encrypt_sector(9 + i as u64, sector).unwrap();
+    }
+    let ct = client.xts_encrypt(9, 20, sectors).expect("XTS_ENCRYPT");
+    assert_eq!(ct, expect);
+    assert_eq!(
+        client.xts_decrypt(9, 20, &ct).expect("XTS_DECRYPT"),
+        sectors
+    );
+    blocks += 2 * 3 * (1 + 2);
+
+    // Key wrap: 6n blocks for n = 3 semiblocks of key data, each way.
+    let key_data = [0x3C; 24];
+    let wrapped = client.wrap_key(&key_data).expect("WRAP_KEY");
+    assert_eq!(wrapped, aead::wrap(&aes, &key_data).unwrap());
+    let unwrapped = client.unwrap_key(&wrapped).expect("UNWRAP_KEY");
+    assert_eq!(unwrapped.as_deref(), Some(&key_data[..]));
+    blocks += 2 * 6 * 3;
+
+    let ct = client.ecb_encrypt(&message[..16]).expect("ECB");
+    assert_eq!(ct, hex(SP800_ECB_CT)[..16]);
+    blocks += 1;
+
+    let stats = wire_stats(&mut client);
+    let setup: u64 = counters(&stats, "engine.core.", ".setup_cycles")
+        .iter()
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(setup, BackendSpec::EncDecCore.build(&key).setup_cycles());
+    assert_eq!(
+        stats.counter("engine.core.0.ip-encdec.blocks"),
+        Some(blocks)
+    );
+    server.shutdown();
+}
+
+/// Whether `result` is the typed `JobFailed` a lane fault answers.
+fn job_failed<T: std::fmt::Debug>(result: Result<T, ClientError>) -> bool {
+    matches!(
+        result,
+        Err(ClientError::Service {
+            code: ErrorCode::JobFailed,
+            ..
+        })
+    )
+}
+
+#[test]
+fn an_encrypt_only_farm_fails_inverse_cipher_ops_typed() {
+    // The farm decides what a session can compute: with a 16-byte key
+    // the encrypt-only IP core has no inverse cipher, so the ops that
+    // need one fail typed, and everything else still answers.
+    let server = spawn_server(vec![BackendSpec::EncryptCore], 8);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let key = hex16(SP800_KEY);
+    let aes = Aes128::new(&key);
+    let kek = client.set_key(&key).expect("SET_KEY");
+    let wrapped = client.wrap_key(&[0x3C; 16]).expect("WRAP_KEY");
+    assert_eq!(wrapped, aead::wrap(&aes, &[0x3C; 16]).unwrap());
+    assert!(job_failed(client.unwrap_key(&wrapped)));
+    assert!(job_failed(client.set_key_wrapped(&wrapped)));
+    assert!(job_failed(client.xts_decrypt(0, 16, &[0u8; 32])));
+
+    // The KEK session is still live on the same connection.
+    assert_eq!(client.session(), kek);
+    let message = hex(SP800_PT);
+    let tag = client.cmac_tag(&message[..16]).expect("CMAC_TAG");
+    assert_eq!(tag.to_vec(), hex(CMAC_TAG_1BLOCK), "RFC 4493 example 2");
+    let nonce = [0x0F; 12];
+    let sealed = client.seal(&nonce, b"", &message).expect("SEAL");
+    assert_eq!(
+        sealed,
+        Gcm::new(Aes128::new(&key)).seal(&nonce, b"", &message)
+    );
+    let opened = client.open(&nonce, b"", &sealed).expect("OPEN");
+    assert_eq!(opened.as_deref(), Some(&message[..]));
+    let mut expect = message.clone();
+    let xts = Xts::new(Aes128::new(&key), Aes128::new(&key));
+    for (i, sector) in expect.chunks_mut(32).enumerate() {
+        xts.encrypt_sector(i as u64, sector).unwrap();
+    }
+    assert_eq!(client.xts_encrypt(0, 32, &message).expect("XTS"), expect);
+    let stats = wire_stats(&mut client);
+    assert_eq!(stats.counter("service.error.job_failed"), Some(3));
     server.shutdown();
 }
 
