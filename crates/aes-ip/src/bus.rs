@@ -6,16 +6,10 @@
 //! `Data_In`/`Out` registers (a new block is written while the previous one
 //! is still being processed — the overlap the paper's §4 highlights).
 //!
-//! The streaming API comes in two layers:
-//!
-//! * [`IpDriver::try_process_stream`] / [`IpDriver::try_process_block`] —
-//!   fallible one-shot calls returning [`StreamError`] instead of aborting
-//!   when the core wedges, the direction is unsupported, or the key is
-//!   rewritten mid-stream;
-//! * [`StreamSession`] — a resumable session created by
-//!   [`IpDriver::begin_stream`] and advanced by [`StreamSession::pump`] in
-//!   bounded cycle slices, so a scheduler can interleave many cores in
-//!   virtual lockstep (the multi-core `engine` crate drives it this way).
+//! [`IpDriver::try_process_stream`] and [`IpDriver::try_process_block`]
+//! run a whole stream within one `&mut self` call and return a
+//! [`StreamError`] instead of aborting when the direction is unsupported,
+//! the core is busy or the core wedges.
 //!
 //! [`HardwareAes`] adapts a driver to the [`rijndael::BlockCipher`] trait
 //! so the software block-mode implementations (CBC, CTR, ...) run
@@ -47,13 +41,6 @@ pub enum StreamError {
     /// an unconsumed word in `Data_In` (completions would be attributed to
     /// the wrong stream).
     CoreBusy,
-    /// `write_key` was issued while the session was in flight; the key
-    /// change invalidated the in-flight blocks, so the stream cannot
-    /// produce its remaining results.
-    KeyChangedMidStream {
-        /// Blocks that completed before the key was rewritten.
-        completed: usize,
-    },
     /// The core stopped delivering completions: no progress for more than
     /// 16× the rated latency (a wedged model, e.g. a decrypt stream whose
     /// key-setup walk never ran).
@@ -78,10 +65,6 @@ impl fmt::Display for StreamError {
             StreamError::CoreBusy => {
                 write!(f, "core is busy: a stream cannot start mid-flight")
             }
-            StreamError::KeyChangedMidStream { completed } => write!(
-                f,
-                "key rewritten mid-stream after {completed} completed blocks"
-            ),
             StreamError::Wedged {
                 completed,
                 idle_cycles,
@@ -95,16 +78,6 @@ impl fmt::Display for StreamError {
 }
 
 impl std::error::Error for StreamError {}
-
-/// Outcome of one [`StreamSession::pump`] slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamProgress {
-    /// All blocks of the session have completed.
-    Complete,
-    /// The cycle allowance was exhausted with blocks still in flight;
-    /// pump again to continue.
-    InProgress,
-}
 
 /// A cycle-counting bus master driving one core.
 ///
@@ -126,18 +99,13 @@ pub enum StreamProgress {
 pub struct IpDriver<C> {
     core: C,
     cycles: u64,
-    key_epoch: u64,
 }
 
 impl<C: CycleCore> IpDriver<C> {
     /// Wraps a core with a fresh cycle counter.
     #[must_use]
     pub fn new(core: C) -> Self {
-        IpDriver {
-            core,
-            cycles: 0,
-            key_epoch: 0,
-        }
+        IpDriver { core, cycles: 0 }
     }
 
     /// Total rising edges issued so far.
@@ -145,14 +113,6 @@ impl<C: CycleCore> IpDriver<C> {
     #[must_use]
     pub fn cycles(&self) -> u64 {
         self.cycles
-    }
-
-    /// Number of `write_key` calls issued so far. A [`StreamSession`]
-    /// snapshots this at creation to detect mid-stream key changes.
-    #[inline]
-    #[must_use]
-    pub fn key_epoch(&self) -> u64 {
-        self.key_epoch
     }
 
     /// Immutable access to the wrapped core.
@@ -184,10 +144,8 @@ impl<C: CycleCore> IpDriver<C> {
     /// Loads a cipher key: one `setup`+`wr_key` edge followed by the
     /// key-setup walk the core variant requires (10 extra `setup` edges
     /// for decrypt-capable devices). Any in-flight block is invalidated by
-    /// the hardware; open [`StreamSession`]s observe the epoch change and
-    /// report [`StreamError::KeyChangedMidStream`] on their next pump.
+    /// the hardware.
     pub fn write_key(&mut self, key: &[u8; 16]) {
-        self.key_epoch += 1;
         self.clock(&CoreInputs {
             setup: true,
             wr_key: true,
@@ -202,22 +160,24 @@ impl<C: CycleCore> IpDriver<C> {
         }
     }
 
-    /// Opens a resumable pipelined stream over `blocks`.
-    ///
-    /// The session is advanced with [`StreamSession::pump`]; nothing is
-    /// clocked until the first pump.
+    /// Processes a stream of blocks, pipelined, reporting failures instead
+    /// of aborting: the next block is written while the current one is in
+    /// flight, sustaining one block per latency period (the paper's
+    /// full-rate operation).
     ///
     /// # Errors
     ///
     /// * [`StreamError::UnsupportedDirection`] when the variant has no
-    ///   datapath for `dir`;
+    ///   datapath for `dir` (no edge is issued);
     /// * [`StreamError::CoreBusy`] when a block is still in flight or
-    ///   pending from earlier activity.
-    pub fn begin_stream(
-        &self,
+    ///   pending from earlier activity (no edge is issued);
+    /// * [`StreamError::Wedged`] when the core makes no progress for more
+    ///   than 16× its rated latency.
+    pub fn try_process_stream(
+        &mut self,
         blocks: &[[u8; 16]],
         dir: Direction,
-    ) -> Result<StreamSession, StreamError> {
+    ) -> Result<Vec<[u8; 16]>, StreamError> {
         let variant = self.core.variant();
         let supported = match dir {
             Direction::Encrypt => variant.supports_encrypt(),
@@ -229,40 +189,45 @@ impl<C: CycleCore> IpDriver<C> {
         if self.core.busy() || self.core.has_pending() {
             return Err(StreamError::CoreBusy);
         }
-        Ok(StreamSession {
-            blocks: blocks.to_vec(),
-            dir,
-            results: Vec::with_capacity(blocks.len()),
-            next_write: 0,
-            epoch: self.key_epoch,
-            last_results: self.core.results_count(),
-            idle: 0,
-        })
-    }
+        let stall_budget = 16 * self.core.latency_cycles().max(1);
+        let mut results = Vec::with_capacity(blocks.len());
+        let mut next_write = 0;
+        let mut last_results = self.core.results_count();
+        let mut idle = 0;
+        while results.len() < blocks.len() {
+            // Write the next block whenever the decoupled `Data_In`
+            // register is free.
+            let wrote = next_write < blocks.len() && !self.core.has_pending();
+            let mut inputs = CoreInputs {
+                enc_dec: dir,
+                ..Default::default()
+            };
+            if wrote {
+                inputs.wr_data = true;
+                inputs.din = block_to_u128(&blocks[next_write]);
+                next_write += 1;
+            }
+            let out = self.clock(&inputs);
 
-    /// Processes a stream of blocks, pipelined, reporting failures instead
-    /// of aborting: the next block is written while the current one is in
-    /// flight, sustaining one block per latency period (the paper's
-    /// full-rate operation).
-    ///
-    /// # Errors
-    ///
-    /// Any [`StreamError`] surfaced by [`StreamSession::pump`].
-    pub fn try_process_stream(
-        &mut self,
-        blocks: &[[u8; 16]],
-        dir: Direction,
-    ) -> Result<Vec<[u8; 16]>, StreamError> {
-        let mut session = self.begin_stream(blocks, dir)?;
-        loop {
-            // Pump in bounded slices; the session's stall detector bounds
-            // the total number of iterations.
-            if session.pump(self, 4 * self.core.latency_cycles().max(1))?
-                == StreamProgress::Complete
-            {
-                return Ok(session.into_results());
+            // With a single Out register, completions arrive one at a time.
+            let now = self.core.results_count();
+            if now > last_results {
+                results.push(u128_to_block(out.dout));
+                last_results = now;
+                idle = 0;
+            } else if wrote {
+                idle = 0;
+            } else {
+                idle += 1;
+                if idle > stall_budget {
+                    return Err(StreamError::Wedged {
+                        completed: results.len(),
+                        idle_cycles: idle,
+                    });
+                }
             }
         }
+        Ok(results)
     }
 
     /// Processes one block, blocking until `data_ok`, reporting failures
@@ -270,7 +235,7 @@ impl<C: CycleCore> IpDriver<C> {
     ///
     /// # Errors
     ///
-    /// Any [`StreamError`] surfaced by [`StreamSession::pump`].
+    /// Any [`StreamError`] of [`IpDriver::try_process_stream`].
     pub fn try_process_block(
         &mut self,
         block: &[u8; 16],
@@ -278,148 +243,6 @@ impl<C: CycleCore> IpDriver<C> {
     ) -> Result<[u8; 16], StreamError> {
         let results = self.try_process_stream(core::slice::from_ref(block), dir)?;
         Ok(results[0])
-    }
-}
-
-/// A resumable pipelined stream over one core.
-///
-/// Created by [`IpDriver::begin_stream`]; advanced by [`pump`] in bounded
-/// cycle slices so a scheduler can interleave several cores in virtual
-/// lockstep. The session owns its input blocks and accumulates results;
-/// budget exhaustion returns control to the caller instead of aborting.
-///
-/// [`pump`]: StreamSession::pump
-///
-/// # Examples
-///
-/// ```
-/// use aes_ip::bus::{IpDriver, StreamProgress};
-/// use aes_ip::core::{Direction, EncryptCore};
-///
-/// let mut drv = IpDriver::new(EncryptCore::new());
-/// drv.write_key(&[0u8; 16]);
-/// let blocks = [[0u8; 16]; 3];
-/// let mut session = drv.begin_stream(&blocks, Direction::Encrypt)?;
-/// while session.pump(&mut drv, 64)? == StreamProgress::InProgress {}
-/// assert_eq!(session.into_results().len(), 3);
-/// # Ok::<(), aes_ip::bus::StreamError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct StreamSession {
-    blocks: Vec<[u8; 16]>,
-    dir: Direction,
-    results: Vec<[u8; 16]>,
-    next_write: usize,
-    epoch: u64,
-    last_results: u64,
-    idle: u64,
-}
-
-impl StreamSession {
-    /// Number of input blocks in the session.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// `true` when the session holds no input blocks.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Blocks completed so far.
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.results.len()
-    }
-
-    /// `true` once every block has completed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.results.len() == self.blocks.len()
-    }
-
-    /// The results accumulated so far, in input order.
-    #[must_use]
-    pub fn results(&self) -> &[[u8; 16]] {
-        &self.results
-    }
-
-    /// Consumes the session, returning the accumulated results.
-    #[must_use]
-    pub fn into_results(self) -> Vec<[u8; 16]> {
-        self.results
-    }
-
-    /// Advances the stream by at most `max_cycles` rising edges on `drv`,
-    /// writing the next block whenever the decoupled `Data_In` register is
-    /// free and collecting completions from the `Out` register.
-    ///
-    /// Returns [`StreamProgress::Complete`] once every block has a result,
-    /// or [`StreamProgress::InProgress`] when the allowance ran out first.
-    ///
-    /// # Errors
-    ///
-    /// * [`StreamError::KeyChangedMidStream`] when `write_key` ran on the
-    ///   driver since the session (or the previous pump) observed it;
-    /// * [`StreamError::Wedged`] when the core makes no progress for more
-    ///   than 16× its rated latency.
-    pub fn pump<C: CycleCore>(
-        &mut self,
-        drv: &mut IpDriver<C>,
-        max_cycles: u64,
-    ) -> Result<StreamProgress, StreamError> {
-        if drv.key_epoch() != self.epoch {
-            return Err(StreamError::KeyChangedMidStream {
-                completed: self.results.len(),
-            });
-        }
-        let stall_budget = 16 * drv.core().latency_cycles().max(1);
-        let mut remaining = max_cycles;
-        while !self.is_complete() {
-            if remaining == 0 {
-                return Ok(StreamProgress::InProgress);
-            }
-            remaining -= 1;
-
-            let wrote = self.next_write < self.blocks.len() && !drv.core().has_pending();
-            let inputs = if wrote {
-                let din = block_to_u128(&self.blocks[self.next_write]);
-                self.next_write += 1;
-                CoreInputs {
-                    wr_data: true,
-                    din,
-                    enc_dec: self.dir,
-                    ..Default::default()
-                }
-            } else {
-                CoreInputs {
-                    enc_dec: self.dir,
-                    ..Default::default()
-                }
-            };
-            let out = drv.clock(&inputs);
-
-            // With a single Out register, completions arrive one at a time.
-            let now = drv.core().results_count();
-            if now > self.last_results {
-                self.results.push(u128_to_block(out.dout));
-                self.last_results = now;
-                self.idle = 0;
-            } else if wrote {
-                self.idle = 0;
-            } else {
-                self.idle += 1;
-                if self.idle > stall_budget {
-                    return Err(StreamError::Wedged {
-                        completed: self.results.len(),
-                        idle_cycles: self.idle,
-                    });
-                }
-            }
-        }
-        Ok(StreamProgress::Complete)
     }
 }
 
@@ -637,25 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn key_change_mid_stream_is_reported() {
-        let mut drv = IpDriver::new(EncryptCore::new());
-        drv.write_key(&[1u8; 16]);
-        let blocks: Vec<[u8; 16]> = (0..4u8).map(|i| [i; 16]).collect();
-        let mut session = drv.begin_stream(&blocks, Direction::Encrypt).unwrap();
-        // Run partway: first block completes, later ones still in flight.
-        assert_eq!(
-            session.pump(&mut drv, LATENCY_CYCLES + 5).unwrap(),
-            StreamProgress::InProgress
-        );
-        assert_eq!(session.completed(), 1);
-        // Rekey mid-stream: the in-flight work is invalidated.
-        drv.write_key(&[2u8; 16]);
-        let err = session.pump(&mut drv, 100).unwrap_err();
-        assert_eq!(err, StreamError::KeyChangedMidStream { completed: 1 });
-        assert!(err.to_string().contains("mid-stream"), "{err}");
-    }
-
-    #[test]
     fn unsupported_direction_is_reported_before_clocking() {
         let mut drv = IpDriver::new(EncryptCore::new());
         drv.write_key(&[0u8; 16]);
@@ -679,45 +483,28 @@ mod tests {
     fn busy_core_rejects_second_stream() {
         let mut drv = IpDriver::new(EncryptCore::new());
         drv.write_key(&[0u8; 16]);
-        let mut session = drv.begin_stream(&[[1u8; 16]], Direction::Encrypt).unwrap();
+        // Load one block by hand: after its load edge it is in flight.
+        drv.clock(&CoreInputs {
+            wr_data: true,
+            din: block_to_u128(&[1u8; 16]),
+            ..Default::default()
+        });
+        let before = drv.cycles();
         assert_eq!(
-            session.pump(&mut drv, 10).unwrap(),
-            StreamProgress::InProgress
-        );
-        // The first block is mid-flight: a second stream must not start.
-        assert_eq!(
-            drv.begin_stream(&[[2u8; 16]], Direction::Encrypt)
+            drv.try_process_stream(&[[2u8; 16]], Direction::Encrypt)
                 .unwrap_err(),
             StreamError::CoreBusy
         );
-        // Finishing the first session frees the core.
-        while session.pump(&mut drv, 50).unwrap() == StreamProgress::InProgress {}
-        assert!(drv.begin_stream(&[[2u8; 16]], Direction::Encrypt).is_ok());
-    }
-
-    #[test]
-    fn resumable_pump_matches_one_shot_stream() {
-        let blocks: Vec<[u8; 16]> = (0..6u8).map(|i| [i.wrapping_mul(31); 16]).collect();
-        let mut one_shot = IpDriver::new(EncryptCore::new());
-        one_shot.write_key(&[9u8; 16]);
-        let expect = one_shot
-            .try_process_stream(&blocks, Direction::Encrypt)
+        assert_eq!(drv.cycles(), before, "no edges issued for a refused stream");
+        // Once the block drains, the core takes a stream again.
+        drv.idle(LATENCY_CYCLES);
+        let ct = drv
+            .try_process_stream(&[[2u8; 16]], Direction::Encrypt)
             .unwrap();
-        let one_shot_cycles = one_shot.cycles();
-
-        let mut sliced = IpDriver::new(EncryptCore::new());
-        sliced.write_key(&[9u8; 16]);
-        let mut session = sliced.begin_stream(&blocks, Direction::Encrypt).unwrap();
-        // Pump in deliberately awkward 7-cycle slices.
-        while session.pump(&mut sliced, 7).unwrap() == StreamProgress::InProgress {}
-        assert!(session.is_complete());
-        assert_eq!(session.len(), 6);
-        assert!(!session.is_empty());
-        assert_eq!(session.results(), &expect[..]);
-        assert_eq!(session.into_results(), expect);
-        // Slicing must not change the cycle count: the schedule is
-        // identical, only control returns to the caller more often.
-        assert_eq!(sliced.cycles(), one_shot_cycles);
+        assert_eq!(
+            ct[0],
+            rijndael::Aes128::new(&[0u8; 16]).encrypt_block(&[2u8; 16])
+        );
     }
 
     #[test]

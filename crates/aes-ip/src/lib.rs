@@ -46,7 +46,7 @@ pub mod gate_sim;
 pub mod netlist_gen;
 pub mod rtl_mount;
 
-pub use crate::bus::{HardwareAes, IpDriver, StreamError, StreamProgress, StreamSession};
+pub use crate::bus::{HardwareAes, IpDriver, StreamError};
 pub use crate::core::{
     CoreInputs, CoreOutputs, CoreVariant, CycleCore, DecryptCore, Direction, EncDecCore,
     EncryptCore, LATENCY_CYCLES,

@@ -4,7 +4,7 @@
 //!
 //! * no arguments — a human-readable report: probed CPU features, every
 //!   backend kind with its availability and constant-time standing, the
-//!   micro-race timings, and the selected winner per lane;
+//!   micro-race timings, and the selected winner;
 //! * `--list` — one [`Kind::token`] per line for every backend this host
 //!   can run, machine-consumable (the `scripts/verify.sh` dispatch gate
 //!   loops over this to force each backend in a fresh process);
@@ -55,27 +55,20 @@ fn report() {
     println!();
     if sel.forced {
         println!(
-            "selection (forced via {}): bulk={} block={}",
+            "selection (forced via {}): bulk={}",
             dispatch::FORCE_ENV,
-            sel.bulk.token(),
-            sel.block.token()
+            sel.bulk.token()
         );
     } else {
-        println!(
-            "selection (micro-race): bulk={} block={}",
-            sel.bulk.token(),
-            sel.block.token()
-        );
+        println!("selection (micro-race): bulk={}", sel.bulk.token());
         let snap = Registry::global().snapshot();
         for kind in Kind::detected() {
             let bulk = snap.counter(&format!("rijndael.dispatch.race.{}.bulk_ns", kind.token()));
-            let block = snap.counter(&format!("rijndael.dispatch.race.{}.block_ns", kind.token()));
-            if let (Some(bulk), Some(block)) = (bulk, block) {
+            if let Some(bulk) = bulk {
                 println!(
-                    "  raced {:<20} bulk {:>9} ns / 64 blocks, block {:>7} ns",
+                    "  raced {:<20} bulk {:>9} ns / 64 blocks",
                     kind.token(),
-                    bulk,
-                    block
+                    bulk
                 );
             }
         }
@@ -93,8 +86,7 @@ fn check() {
 
     let sel = dispatch::selection();
     if let Some(forced) = dispatch::forced() {
-        assert_eq!(sel.bulk, forced, "forced backend must win the bulk lane");
-        assert_eq!(sel.block, forced, "forced backend must win the block lane");
+        assert_eq!(sel.bulk, forced, "forced backend must win the race");
         assert!(sel.forced, "selection must flag the override");
     }
 
@@ -114,7 +106,8 @@ fn check() {
     let key = [0x2Bu8; 16];
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.set_key(&key).expect("SET_KEY");
-    // Small payload rides the engine farm; bulk rides the session lane.
+    // The small payload runs on the session's caller-runs lane, the bulk
+    // one on the farm's workers; both build their backends from Auto.
     client.ecb_encrypt(&[0u8; 16]).expect("small ECB");
     client.ecb_encrypt(&[0u8; 64 * 16]).expect("bulk ECB");
     let json = client.stats().expect("GET_STATS");

@@ -235,8 +235,8 @@ pub enum BackendError {
         /// The direction it cannot process.
         dir: Direction,
     },
-    /// The bus driver reported a streaming fault (wedge, mid-stream key
-    /// change, busy core).
+    /// The bus driver reported a streaming fault (a wedged or busy
+    /// core).
     Bus(StreamError),
 }
 
@@ -630,6 +630,18 @@ impl<'a> BackendCipher<'a> {
     #[must_use]
     pub fn fault(&self) -> Option<BackendError> {
         self.fault.get()
+    }
+
+    /// Lends `backend` to `f` as a cipher and returns what `f` computed,
+    /// or the first fault the backend reported, in which case what `f`
+    /// computed is discarded.
+    pub(crate) fn lend<R>(
+        backend: &'a mut dyn Backend,
+        f: impl FnOnce(&BackendCipher<'a>) -> R,
+    ) -> Result<R, BackendError> {
+        let cipher = BackendCipher::new(backend);
+        let out = f(&cipher);
+        cipher.fault().map_or(Ok(out), Err)
     }
 
     /// Runs `op` on the backend unless a fault is already latched, and

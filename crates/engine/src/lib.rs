@@ -31,9 +31,11 @@
 //!   engine's shard planner and span executor;
 //! * [`stats`] — [`FarmStats`]: Table-2-style per-core and farm-aggregate
 //!   figures (blocks, cycles, occupancy, cycles/block) derived from the
-//!   telemetry snapshot rather than a private counter path;
-//! * [`error`] — the unified [`Error`] hierarchy folding submission
-//!   rejections and job faults into one `std::error::Error` type.
+//!   telemetry snapshot rather than a private counter path.
+//!
+//! Failures come in two types, one per boundary: [`SubmitError`] when a
+//! job is refused at submission (it holds no queue slot), [`JobError`]
+//! when an accepted job fails.
 //!
 //! Engines and farms publish their activity into a [`telemetry::Registry`]
 //! (their own, or a shared one passed to [`EngineBuilder::registry`] /
@@ -72,7 +74,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod error;
 pub mod pool;
 pub mod scheduler;
 pub mod stats;
@@ -80,7 +81,6 @@ pub mod stats;
 pub use crate::backend::{
     Backend, BackendCipher, BackendError, BackendSpec, IpCoreBackend, PacedBackend, SoftwareBackend,
 };
-pub use crate::error::Error;
 pub use crate::pool::{Farm, Notifier, PoolBuilder, ResizeAction, ResizePolicy, WorkerPool};
 pub use crate::scheduler::{Engine, EngineBuilder, JobError, JobId, JobOutput, Mode, SubmitError};
 pub use crate::stats::{CoreStats, FarmStats};

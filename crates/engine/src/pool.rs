@@ -68,7 +68,7 @@
 //! assert!(out.data.is_ok());
 //!
 //! // Small jobs run on the calling thread instead.
-//! let ct = pool.run_here(Mode::EcbEncrypt, vec![0u8; 16]).unwrap();
+//! let ct = pool.run_here(Mode::EcbEncrypt, vec![0u8; 16]).unwrap().unwrap();
 //! assert_eq!(ct.len(), 16);
 //!
 //! // A second handle, under another key, on the same worker threads.
@@ -91,7 +91,6 @@ use aes_ip::core::Direction;
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::backend::{Backend, BackendCipher, BackendSpec};
-use crate::error::Error;
 use crate::scheduler::{run_span, shard_plan, JobError, JobId, JobOutput, Mode, SubmitError};
 use crate::stats::CoreTel;
 
@@ -879,7 +878,7 @@ impl WorkerPool {
     }
 
     /// Runs one job to completion on the calling thread and returns its
-    /// bytes — the caller-runs lane (see the [module docs](self)).
+    /// outcome — the caller-runs lane (see the [module docs](self)).
     ///
     /// The backend is the first farm spec that serves the job's
     /// direction under this handle's key, keyed on first use and kept
@@ -888,18 +887,24 @@ impl WorkerPool {
     /// `engine.jobs.*` instruments. It holds no open-job slot and
     /// spawns no thread: the caller is the backpressure.
     ///
+    /// The inner result is the job's outcome, as in [`JobOutput::data`]:
+    /// [`JobError::NoCapableCore`] when no farm spec serves the
+    /// direction, [`JobError::Backend`] on a backend fault, and
+    /// [`JobError::WorkerPanicked`] when the backend panicked.
+    ///
     /// # Errors
     ///
-    /// * [`SubmitError::RaggedLength`] when an ECB/CBC job is not a whole
-    ///   number of blocks (checked before anything runs);
-    /// * [`JobError::NoCapableCore`] when no farm spec serves the
-    ///   direction, [`JobError::Backend`] on a backend fault, and
-    ///   [`JobError::WorkerPanicked`] when the backend panicked.
-    pub fn run_here(&self, mode: Mode, mut data: Vec<u8>) -> Result<Vec<u8>, Error> {
+    /// [`SubmitError::RaggedLength`] when an ECB/CBC job is not a whole
+    /// number of blocks, checked before anything runs.
+    pub fn run_here(
+        &self,
+        mode: Mode,
+        mut data: Vec<u8>,
+    ) -> Result<Result<Vec<u8>, JobError>, SubmitError> {
         let inner = &self.farm.inner;
         if mode.requires_full_blocks() && !data.len().is_multiple_of(BLOCK) {
             inner.submit_ragged.incr();
-            return Err(SubmitError::RaggedLength { len: data.len() }.into());
+            return Err(SubmitError::RaggedLength { len: data.len() });
         }
         inner.submit_accepted.incr();
         let result = match self.serving(&[mode.direction()]) {
@@ -913,7 +918,7 @@ impl WorkerPool {
             Ok(_) => inner.jobs_completed.incr(),
             Err(_) => inner.jobs_failed.incr(),
         }
-        result.map_err(Error::from)
+        Ok(result)
     }
 
     /// Lends the caller-runs lane's backend to `f` as a cipher, on the
@@ -940,11 +945,7 @@ impl WorkerPool {
         f: impl FnOnce(&BackendCipher<'_>) -> R,
     ) -> Result<R, JobError> {
         let index = self.serving(dirs)?;
-        self.on_local(index, |backend| {
-            let cipher = BackendCipher::new(backend);
-            let out = f(&cipher);
-            cipher.fault().map_or(Ok(out), |e| Err(e.into()))
-        })
+        self.on_local(index, |backend| Ok(BackendCipher::lend(backend, f)?))
     }
 
     /// The first farm spec that serves every direction in `dirs` under
@@ -1207,6 +1208,7 @@ fn contained<R>(op: impl FnOnce() -> Result<R, JobError>) -> Result<R, JobError>
 mod tests {
     use super::*;
     use crate::backend::BackendError;
+    use aes_ip::bus::StreamError;
     use rijndael::modes::{Cbc, Ctr, Ecb};
     use rijndael::vectors::FIPS197_C1;
     use rijndael::{Aes128, BatchCipher, BlockCipher, Rijndael};
@@ -1778,13 +1780,13 @@ mod tests {
         let ct = pool.run_here(Mode::EcbEncrypt, data.clone()).unwrap();
         let mut expect = data.clone();
         Ecb::encrypt(&reference, &mut expect).unwrap();
-        assert_eq!(ct, expect);
-        assert_eq!(pool.run_here(Mode::EcbDecrypt, ct).unwrap(), data);
+        assert_eq!(ct, Ok(expect));
+        assert_eq!(pool.run_here(Mode::EcbDecrypt, ct.unwrap()), Ok(Ok(data)));
         // CTR needs only the forward datapath: the encrypt core serves it.
         let ctr = pool.run_here(Mode::Ctr([0xF0; 16]), sample(37)).unwrap();
         let mut expect = sample(37);
         Ctr::apply(&reference, &[0xF0; 16], &mut expect);
-        assert_eq!(ctr, expect);
+        assert_eq!(ctr, Ok(expect));
 
         // No job was queued and no open slot was taken.
         assert_eq!(pool.open_jobs(), 0);
@@ -1807,15 +1809,21 @@ mod tests {
         let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software], 2);
         assert_eq!(
             pool.run_here(Mode::EcbEncrypt, sample(17)),
-            Err(Error::Submit(SubmitError::RaggedLength { len: 17 }))
+            Err(SubmitError::RaggedLength { len: 17 })
         );
         assert_eq!(
             pool.run_here(Mode::CbcDecrypt([0; 16]), sample(31)),
-            Err(Error::Submit(SubmitError::RaggedLength { len: 31 }))
+            Err(SubmitError::RaggedLength { len: 31 })
         );
         // CTR streams, so ragged lengths are fine; empty jobs are done.
-        assert!(pool.run_here(Mode::Ctr([0; 16]), sample(17)).is_ok());
-        assert_eq!(pool.run_here(Mode::EcbEncrypt, Vec::new()), Ok(Vec::new()));
+        assert!(matches!(
+            pool.run_here(Mode::Ctr([0; 16]), sample(17)),
+            Ok(Ok(_))
+        ));
+        assert_eq!(
+            pool.run_here(Mode::EcbEncrypt, Vec::new()),
+            Ok(Ok(Vec::new()))
+        );
         let snap = pool.registry().snapshot();
         assert_eq!(snap.counter("engine.submit.ragged"), Some(2));
         assert_eq!(snap.counter("engine.jobs.completed"), Some(2));
@@ -1861,12 +1869,12 @@ mod tests {
         pool.local.lock().unwrap()[0] = Some((Box::new(Panicky), tel));
         assert_eq!(
             pool.run_here(Mode::EcbEncrypt, sample(32)),
-            Err(Error::Job(JobError::WorkerPanicked))
+            Ok(Err(JobError::WorkerPanicked))
         );
         // The lane is not poisoned: a second panic is contained too.
         assert_eq!(
             pool.run_here(Mode::Ctr([0; 16]), sample(5)),
-            Err(Error::Job(JobError::WorkerPanicked))
+            Ok(Err(JobError::WorkerPanicked))
         );
         // The worker lane builds its own backends and is unaffected.
         let data = sample(32);
@@ -1878,6 +1886,100 @@ mod tests {
             pool.registry().snapshot().counter("engine.jobs.failed"),
             Some(2)
         );
+    }
+
+    /// A backend that computes nothing and faults on its third block, as
+    /// a core that wedges mid-stream would, then stays wedged.
+    struct FaultsOnThirdBlock {
+        blocks: u64,
+    }
+
+    impl Backend for FaultsOnThirdBlock {
+        fn name(&self) -> &'static str {
+            "mock-faulty"
+        }
+
+        fn supports(&self, _: Direction) -> bool {
+            true
+        }
+
+        fn process_block(&mut self, _: &mut [u8; 16], _: Direction) -> Result<(), BackendError> {
+            if self.blocks == 2 {
+                return Err(BackendError::Bus(StreamError::Wedged {
+                    completed: 2,
+                    idle_cycles: 801,
+                }));
+            }
+            self.blocks += 1;
+            Ok(())
+        }
+
+        fn blocks(&self) -> u64 {
+            self.blocks
+        }
+
+        fn cycles(&self) -> u64 {
+            self.blocks
+        }
+
+        fn setup_cycles(&self) -> u64 {
+            0
+        }
+
+        fn busy_cycles(&self) -> u64 {
+            self.blocks
+        }
+    }
+
+    /// Every engine mode, each over an eight-block job.
+    const EVERY_MODE: [Mode; 8] = [
+        Mode::EcbEncrypt,
+        Mode::EcbDecrypt,
+        Mode::CbcEncrypt([1; 16]),
+        Mode::CbcDecrypt([2; 16]),
+        Mode::Ctr([3; 16]),
+        Mode::CfbEncrypt([4; 16]),
+        Mode::CfbDecrypt([5; 16]),
+        Mode::Ofb([6; 16]),
+    ];
+
+    #[test]
+    fn a_backend_fault_mid_job_fails_the_engine_job_typed() {
+        let reg = Registry::new();
+        for mode in EVERY_MODE {
+            let mut engine = crate::EngineBuilder::new()
+                .backend(Box::new(FaultsOnThirdBlock { blocks: 0 }))
+                .registry(reg.clone())
+                .build(&KEY);
+            engine.try_submit(mode, sample(8 * 16)).unwrap();
+            let out = engine.run();
+            assert!(
+                matches!(out[0].data, Err(JobError::Backend(BackendError::Bus(_)))),
+                "{mode}: {:?}",
+                out[0].data
+            );
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("engine.jobs.failed"), Some(8));
+        assert_eq!(snap.counter("engine.jobs.completed"), Some(0));
+    }
+
+    #[test]
+    fn a_backend_fault_mid_job_fails_the_caller_lane_job_typed() {
+        let pool = WorkerPool::with_farm(&KEY, &[BackendSpec::Software], 2);
+        for mode in EVERY_MODE {
+            let tel = CoreTel::register(pool.registry(), 0, "mock-faulty");
+            let mock = FaultsOnThirdBlock { blocks: 0 };
+            pool.local.lock().unwrap()[0] = Some((Box::new(mock), tel));
+            let out = pool.run_here(mode, sample(8 * 16));
+            assert!(
+                matches!(out, Ok(Err(JobError::Backend(BackendError::Bus(_))))),
+                "{mode}: {out:?}"
+            );
+        }
+        let snap = pool.registry().snapshot();
+        assert_eq!(snap.counter("engine.jobs.failed"), Some(8));
+        assert_eq!(snap.counter("engine.jobs.completed"), Some(0));
     }
 
     /// Encrypts the FIPS-197 C.1 plaintext on a lent cipher.
@@ -1946,7 +2048,9 @@ mod tests {
             .core(BackendSpec::EncDecCore)
             .registry(reg.clone())
             .build(FIPS197_C1.key);
-        pool.run_here(Mode::EcbEncrypt, sample(16)).unwrap();
+        pool.run_here(Mode::EcbEncrypt, sample(16))
+            .unwrap()
+            .unwrap();
         let ct = pool.run_here_with(&[Direction::Encrypt], |cipher| {
             let mut blocks = [FIPS197_C1.plaintext; 5];
             cipher.encrypt_blocks(&mut blocks);

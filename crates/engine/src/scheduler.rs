@@ -13,9 +13,8 @@
 //! core (each core pipelines its share through the decoupled bus at one
 //! block per latency period) and routes chained modes — where block `i+1`
 //! depends on block `i` — to the single least-loaded capable core.
-//! Chained streams run through the object-safe [`rijndael::Mode`] trait,
-//! the same dynamic surface the service uses, over the chosen backend
-//! lent as a [`BackendCipher`].
+//! Chained streams call the mode functions of [`rijndael::modes`] over
+//! the chosen backend lent as a [`BackendCipher`].
 //!
 //! Submission is backpressured: the queue is bounded and
 //! [`Engine::try_submit`] returns [`SubmitError::Busy`] instead of
@@ -34,7 +33,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use aes_ip::core::Direction;
-use rijndael::modes::{Cbc, Cfb, Ctr, Iv, Ofb};
+use rijndael::modes::{Cbc, Cfb, Ctr, Ofb};
 use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
 use crate::backend::{Backend, BackendCipher, BackendError, BackendSpec};
@@ -160,13 +159,6 @@ pub enum SubmitError {
         /// The offending buffer length.
         len: usize,
     },
-    /// The IV does not match the cipher's 16-byte block width. Engine
-    /// [`Mode`] carries fixed-width IVs, so this arises only when lifting
-    /// a [`rijndael::Error`] from the dynamic mode surface upstream.
-    BadIv {
-        /// The offending IV length.
-        len: usize,
-    },
 }
 
 impl fmt::Display for SubmitError {
@@ -177,9 +169,6 @@ impl fmt::Display for SubmitError {
             }
             SubmitError::RaggedLength { len } => {
                 write!(f, "mode requires whole 16-byte blocks, got {len} bytes")
-            }
-            SubmitError::BadIv { len } => {
-                write!(f, "IV must be 16 bytes, got {len}")
             }
         }
     }
@@ -635,8 +624,8 @@ pub(crate) fn shard_plan(n: usize, k: usize) -> impl Iterator<Item = (usize, usi
 /// * CTR generates the keystream for the span's contiguous counter
 ///   values (SP 800-38A increment; `first_block` is the span's offset
 ///   into the stream) into one scratch buffer and XORs it in.
-/// * Chained modes are never split (`first_block` is 0): they drive the
-///   object-safe [`rijndael::Mode`] trait over the backend lent as a
+/// * Chained modes are never split (`first_block` is 0): they call the
+///   [`rijndael::modes`] functions over the backend lent as a
 ///   [`BackendCipher`].
 pub(crate) fn run_span(
     backend: &mut dyn Backend,
@@ -644,7 +633,7 @@ pub(crate) fn run_span(
     first_block: u128,
     data: &mut [u8],
 ) -> Result<(), JobError> {
-    let (chained, iv, encrypt): (&dyn rijndael::Mode, [u8; 16], bool) = match mode {
+    let lent = match mode {
         Mode::EcbEncrypt | Mode::EcbDecrypt => {
             let (blocks, rest) = data.as_chunks_mut::<BLOCK>();
             debug_assert!(rest.is_empty(), "length validated at submission");
@@ -662,26 +651,19 @@ pub(crate) fn run_span(
             }
             return Ok(());
         }
-        Mode::CbcEncrypt(iv) => (&Cbc, iv, true),
-        Mode::CbcDecrypt(iv) => (&Cbc, iv, false),
-        Mode::CfbEncrypt(iv) => (&Cfb, iv, true),
-        Mode::CfbDecrypt(iv) => (&Cfb, iv, false),
-        Mode::Ofb(iv) => (&Ofb, iv, true),
+        Mode::CbcEncrypt(iv) => BackendCipher::lend(backend, |c| {
+            Cbc::encrypt(c, &iv, data).expect("length validated at submission");
+        }),
+        Mode::CbcDecrypt(iv) => BackendCipher::lend(backend, |c| {
+            Cbc::decrypt(c, &iv, data).expect("length validated at submission");
+        }),
+        Mode::CfbEncrypt(iv) => BackendCipher::lend(backend, |c| Cfb::encrypt(c, &iv, data)),
+        Mode::CfbDecrypt(iv) => BackendCipher::lend(backend, |c| Cfb::decrypt(c, &iv, data)),
+        Mode::Ofb(iv) => BackendCipher::lend(backend, |c| Ofb::apply(c, &iv, data)),
     };
-    let iv = Iv::from(iv);
-    let adapter = BackendCipher::new(backend);
-    let result = if encrypt {
-        chained.encrypt_in_place(&adapter, &iv, data)
-    } else {
-        chained.decrypt_in_place(&adapter, &iv, data)
-    };
-    // A backend fault trumps the mode result: the mode layer saw stale
-    // bytes after the latched fault, not an input problem.
-    if let Some(e) = adapter.fault() {
-        return Err(e.into());
-    }
-    result.expect("mode inputs validated at submission");
-    Ok(())
+    // A latched backend fault trumps what the mode computed: the mode
+    // kept going over stale bytes after it.
+    Ok(lent?)
 }
 
 impl fmt::Debug for Engine {
@@ -1044,7 +1026,6 @@ mod tests {
         assert!(SubmitError::RaggedLength { len: 17 }
             .to_string()
             .contains("17"));
-        assert!(SubmitError::BadIv { len: 4 }.to_string().contains("4"));
         let e = JobError::NoCapableCore {
             dir: Direction::Decrypt,
         };

@@ -99,9 +99,8 @@ impl core::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Object-safe authenticated-encryption surface, the AEAD sibling of
-/// [`crate::modes::Mode`]: seal produces `ciphertext || tag`, open
-/// verifies before returning plaintext.
+/// Object-safe authenticated-encryption surface: seal produces
+/// `ciphertext || tag`, open verifies before returning plaintext.
 pub trait Aead {
     /// Stable mode name (telemetry, service opcode tables).
     fn name(&self) -> &'static str;

@@ -13,9 +13,8 @@
 //! 2. **Micro-race** — [`selection`] builds every *available,
 //!    constant-time* candidate ([`Kind::AesNi`], [`Kind::Neon`], the
 //!    bitsliced planes) with a throwaway key and times a 64-block batch
-//!    encrypt (the **bulk** lane) and a single-block encrypt (the
-//!    **block** lane), taking the minimum over a few repetitions. The
-//!    winner of each lane is cached for the life of the process.
+//!    encrypt, taking the minimum over a few repetitions. The winner is
+//!    cached for the life of the process.
 //! 3. **Publish** — the decision lands in the global telemetry registry
 //!    under `rijndael.dispatch.*` (see [`selection`]), so `GET_STATS`
 //!    shows exactly which implementation serves traffic.
@@ -30,7 +29,7 @@
 //! # Forcing a backend
 //!
 //! Setting [`FORCE_ENV`] (`RIJNDAEL_FORCE_BACKEND`) to a [`Kind`] token
-//! skips the race and pins both lanes. An unknown token or a backend the
+//! skips the race and pins the selection. An unknown token or a backend the
 //! CPU cannot run **panics** — a forced backend that silently fell back
 //! would invalidate exactly the test sweeps the override exists for.
 
@@ -44,11 +43,11 @@ use crate::ttable::TtableAes;
 /// token (see the module docs for the failure semantics).
 pub const FORCE_ENV: &str = "RIJNDAEL_FORCE_BACKEND";
 
-/// Blocks per timing sample in the bulk lane of the micro-race (one full
-/// bitsliced wide pass).
+/// Blocks per timing sample in the micro-race (one full bitsliced wide
+/// pass).
 const RACE_BULK_BLOCKS: usize = 64;
 
-/// Timing repetitions per lane; the minimum is kept, which rejects
+/// Timing repetitions per candidate; the minimum is kept, which rejects
 /// scheduler noise on a loaded host.
 const RACE_REPS: usize = 5;
 
@@ -103,7 +102,7 @@ fn probe() -> CpuFeatures {
 ///
 /// `Kind` is the currency of the dispatch layer: the force override names
 /// one by [`Kind::token`], the engine maps one to a farm slot, and
-/// telemetry reports one per lane.
+/// telemetry reports the one selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
     /// x86 AES-NI instructions ([`crate::aesni`]).
@@ -267,10 +266,9 @@ pub fn forced() -> Option<Kind> {
 /// The per-process dispatch decision (see [`selection`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Selection {
-    /// Winner of the 64-block batch lane — what bulk ECB/CTR runs on.
+    /// Winner of the 64-block batch race — what `Auto` farm slots, and
+    /// so every session op on them, run on.
     pub bulk: Kind,
-    /// Winner of the single-block lane — what chained modes run on.
-    pub block: Kind,
     /// `true` when [`FORCE_ENV`] pinned the decision instead of the race.
     pub forced: bool,
 }
@@ -282,12 +280,9 @@ pub struct Selection {
 /// The first call publishes the decision into the global telemetry
 /// registry:
 ///
-/// * `rijndael.dispatch.backend.<token>` = 1 — the bulk-lane winner (the
-///   headline choice);
-/// * `rijndael.dispatch.lane.bulk.<token>` / `...lane.block.<token>` = 1
-///   — the per-lane winners;
-/// * `rijndael.dispatch.race.<token>.bulk_ns` / `.block_ns` — each
-///   candidate's best time (absent when forced);
+/// * `rijndael.dispatch.backend.<token>` = 1 — the winner;
+/// * `rijndael.dispatch.race.<token>.bulk_ns` — each candidate's best
+///   time (absent when forced);
 /// * `rijndael.dispatch.forced` gauge — 1 when pinned by [`FORCE_ENV`].
 pub fn selection() -> Selection {
     static SELECTION: OnceLock<Selection> = OnceLock::new();
@@ -296,7 +291,6 @@ pub fn selection() -> Selection {
         let sel = if let Some(kind) = forced() {
             Selection {
                 bulk: kind,
-                block: kind,
                 forced: true,
             }
         } else {
@@ -304,27 +298,19 @@ pub fn selection() -> Selection {
         };
         reg.counter(&format!("rijndael.dispatch.backend.{}", sel.bulk.token()))
             .incr();
-        reg.counter(&format!("rijndael.dispatch.lane.bulk.{}", sel.bulk.token()))
-            .incr();
-        reg.counter(&format!(
-            "rijndael.dispatch.lane.block.{}",
-            sel.block.token()
-        ))
-        .incr();
         reg.gauge("rijndael.dispatch.forced")
             .set(i64::from(sel.forced));
         sel
     })
 }
 
-/// Times every available constant-time candidate on both lanes and picks
-/// the fastest per lane.
+/// Times every available constant-time candidate on a 64-block batch
+/// and picks the fastest.
 fn race(reg: &telemetry::Registry) -> Selection {
     // The throwaway race key: any fixed value works, timing does not
     // depend on key bytes for constant-time candidates.
     let key = [0x5Au8; 16];
     let mut bulk_best: Option<(u64, Kind)> = None;
-    let mut block_best: Option<(u64, Kind)> = None;
     for kind in Kind::ALL {
         if !kind.available() || !kind.constant_time() {
             continue;
@@ -336,29 +322,17 @@ fn race(reg: &telemetry::Registry) -> Selection {
             cipher.encrypt_blocks(&mut blocks);
             blocks
         });
-        let block_ns = time_min(|| {
-            let mut block = [0xC3u8; 16];
-            cipher.encrypt_in_place(&mut block);
-            block
-        });
         reg.counter(&format!("rijndael.dispatch.race.{}.bulk_ns", kind.token()))
             .add(bulk_ns);
-        reg.counter(&format!("rijndael.dispatch.race.{}.block_ns", kind.token()))
-            .add(block_ns);
         if bulk_best.is_none_or(|(best, _)| bulk_ns < best) {
             bulk_best = Some((bulk_ns, kind));
-        }
-        if block_best.is_none_or(|(best, _)| block_ns < best) {
-            block_best = Some((block_ns, kind));
         }
     }
     // BitslicedPortable is unconditionally available, so the race cannot
     // come up empty.
     let (_, bulk) = bulk_best.expect("the portable bitsliced plane always races");
-    let (_, block) = block_best.expect("the portable bitsliced plane always races");
     Selection {
         bulk,
-        block,
         forced: false,
     }
 }
@@ -404,8 +378,8 @@ enum Inner {
 }
 
 impl AutoCipher {
-    /// Builds the cipher the process-wide [`selection`] picked for the
-    /// bulk lane, or `None` when the selection (necessarily forced) is
+    /// Builds the cipher the process-wide [`selection`] picked, or
+    /// `None` when the selection (necessarily forced) is
     /// [`Kind::IpCore`], which has no in-crate cipher — callers then
     /// route everything through an engine farm instead. `key` is 16, 24,
     /// or 32 bytes (AES-128/192/256).
@@ -589,10 +563,8 @@ mod tests {
     fn selection_is_available_constant_time_and_stable() {
         let first = selection();
         assert!(first.bulk.available());
-        assert!(first.block.available());
         if !first.forced {
             assert!(first.bulk.constant_time());
-            assert!(first.block.constant_time());
         }
         assert_eq!(selection(), first, "cached decision must not change");
     }

@@ -26,15 +26,12 @@
 //! * [`dispatch`] — the runtime CPU-feature probe, the
 //!   `RIJNDAEL_FORCE_BACKEND` override, and the startup micro-race that
 //!   picks the fastest available backend per mode ([`AutoCipher`]);
-//! * [`modes`] — block-cipher modes of operation (ECB, CBC, CTR, CFB, OFB),
-//!   with both monomorphized inherent functions and the object-safe
-//!   [`modes::Mode`] trait the engine and service route through;
+//! * [`modes`] — block-cipher modes of operation (ECB, CBC, CTR, CFB, OFB)
+//!   as generic inherent functions over any [`BlockCipher`];
 //! * [`gf128`] / [`ghash`] / [`aead`] — the authenticated layer:
 //!   GF(2^128) carry-less multiplication (portable 4-bit table plus a
 //!   `PCLMULQDQ` fast path), the GHASH universal hash, and AES-GCM /
 //!   XTS-AES / RFC 3394 key wrap built on the batched backends;
-//! * [`error`] — the crate-level [`Error`] the dynamic mode surface
-//!   reports instead of panicking;
 //! * [`trace`] — round-by-round execution traces (used to reproduce the
 //!   paper's Figure 2 and to debug the hardware model);
 //! * [`vectors`] — published known-answer vectors.
@@ -74,7 +71,6 @@ pub mod cipher;
 pub mod cmac;
 pub mod diffusion;
 pub mod dispatch;
-pub mod error;
 pub mod gf128;
 pub mod ghash;
 pub mod key_schedule;
@@ -94,8 +90,6 @@ pub use aes::{Aes128, Aes192, Aes256};
 pub use bitslice::Bitsliced8;
 pub use cipher::{BatchCipher, BlockCipher, Rijndael};
 pub use dispatch::AutoCipher;
-pub use error::Error;
 pub use ghash::Ghash;
 pub use key_schedule::KeySchedule;
-pub use modes::{Iv, Mode};
 pub use state::State;

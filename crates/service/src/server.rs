@@ -115,7 +115,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use engine::{BackendSpec, Error, Farm, Notifier, PoolBuilder, ResizePolicy, SubmitError};
+use engine::{BackendSpec, Farm, JobError, Notifier, PoolBuilder, ResizePolicy, SubmitError};
 use rijndael::aead;
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
@@ -837,9 +837,9 @@ struct Conn {
     inbuf: RecvBuffer,
     out: OutBuf,
     slot: SessionSlot,
-    /// When the last *complete frame* arrived (the idle budget counts
-    /// frames, not bytes, so a byte-trickling peer cannot stay alive
-    /// for free).
+    /// When the last *complete frame* was answered (the idle budget
+    /// counts frames, not bytes, so a byte-trickling peer cannot stay
+    /// alive for free; nor does an op's own compute count as idleness).
     last_frame: Instant,
     /// Set once a goodbye is queued or the peer half-closed: no more
     /// reads; drop once `out` drains.
@@ -1169,8 +1169,11 @@ fn dispatch_buffered(conn: &mut Conn, shared: &Shared, spares: &mut Spares) -> b
     let broken = loop {
         match conn.inbuf.next_frame() {
             Ok(Some(frame)) => {
-                conn.last_frame = Instant::now();
                 dispatch(frame, conn, shared, spares);
+                // Stamped once the op has run, so an inline op slower
+                // than the idle budget does not time out its own
+                // connection.
+                conn.last_frame = Instant::now();
             }
             Ok(None) => break None,
             Err(RecvError::TooLarge { len }) => break Some((ErrorCode::FrameTooLarge, len)),
@@ -1203,7 +1206,7 @@ fn collect_pipelined(conn: &mut Conn, shared: &Shared) {
         shared.inflight.sub(1);
         // Pipelined replies mirror `corr` into `seq`: correlation is the
         // contract, `seq` is diagnostics.
-        let outcome = result.map_err(engine_error_code);
+        let outcome = result.map_err(job_error_code);
         push_reply(&mut conn.out, shared, (corr, corr, sid), outcome);
     }
 }
@@ -1220,19 +1223,21 @@ type Failure = (ErrorCode, u32);
 /// [`collect_pipelined`]), or the typed error the request earned.
 type Answer = Result<Option<Vec<u8>>, Failure>;
 
-/// The one place engine failures become wire error codes: submission
-/// rejections keep their typed identity (`Busy` carries the capacity,
-/// `RaggedLength` the offending length, a bad IV is a malformed
-/// payload), and anything that failed *after* admission — an engine
-/// job, or a CMAC, GCM, XTS or key-wrap op on the session's lane — is a
-/// [`ErrorCode::JobFailed`].
-fn engine_error_code(e: impl Into<Error>) -> Failure {
-    match e.into() {
-        Error::Submit(SubmitError::Busy { capacity }) => (ErrorCode::Busy, capacity as u32),
-        Error::Submit(SubmitError::RaggedLength { len }) => (ErrorCode::RaggedLength, len as u32),
-        Error::Submit(SubmitError::BadIv { len }) => (ErrorCode::Malformed, len as u32),
-        Error::Job(_) => (ErrorCode::JobFailed, 0),
+/// Where a submission refusal becomes a wire error code, keeping its
+/// typed identity: `Busy` carries the capacity, `RaggedLength` the
+/// offending length.
+fn submit_error_code(e: SubmitError) -> Failure {
+    match e {
+        SubmitError::Busy { capacity } => (ErrorCode::Busy, capacity as u32),
+        SubmitError::RaggedLength { len } => (ErrorCode::RaggedLength, len as u32),
     }
+}
+
+/// Anything that failed *after* admission — an engine job, or a CMAC,
+/// GCM, XTS or key-wrap op on the session's lane — is a
+/// [`ErrorCode::JobFailed`].
+fn job_error_code(_: JobError) -> Failure {
+    (ErrorCode::JobFailed, 0)
 }
 
 /// The one place GCM and key-wrap failures become wire error codes: an
@@ -1337,7 +1342,7 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             let session = live(conn, frame)?;
             let mut key = session
                 .unwrap_key(&frame.payload)
-                .map_err(engine_error_code)?
+                .map_err(job_error_code)?
                 .map_err(|e| aead_error_code(e, len))?;
             let answer = if matches!(key.len(), 16 | 24 | 32) {
                 conn.rekey(&key, shared);
@@ -1350,13 +1355,13 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
         }
         Op::CmacTag => {
             let tag = live(conn, frame)?.cmac_tag(&frame.payload);
-            Ok(Some(tag.map_err(engine_error_code)?.to_vec()))
+            Ok(Some(tag.map_err(job_error_code)?.to_vec()))
         }
         Op::CmacVerify => {
             let session = live(conn, frame)?;
             let (tag, message) = frame.payload.split_first_chunk().ok_or(malformed)?;
             let verified = session.cmac_verify(message, tag);
-            if verified.map_err(engine_error_code)? {
+            if verified.map_err(job_error_code)? {
                 Ok(Some(Vec::new()))
             } else {
                 Err((ErrorCode::BadTag, 0))
@@ -1369,9 +1374,9 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
                 session
                     .seal(&nonce, aad, body)
                     .map(Some)
-                    .map_err(engine_error_code)
+                    .map_err(job_error_code)
             } else {
-                let plaintext = session.open(&nonce, aad, body).map_err(engine_error_code)?;
+                let plaintext = session.open(&nonce, aad, body).map_err(job_error_code)?;
                 plaintext.map(Some).map_err(|e| aead_error_code(e, len))
             }
         }
@@ -1386,7 +1391,7 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             } else {
                 session.wrap_key(&frame.payload)
             };
-            let result = result.map_err(engine_error_code)?;
+            let result = result.map_err(job_error_code)?;
             result.map(Some).map_err(|e| aead_error_code(e, len))
         }
         Op::XtsEncrypt | Op::XtsDecrypt => {
@@ -1406,7 +1411,7 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             let decrypt = op == Op::XtsDecrypt;
             session
                 .xts_apply(sector_base, sector_size as usize, data, decrypt)
-                .map_err(engine_error_code)?
+                .map_err(job_error_code)?
                 .map(Some)
                 // Unreachable after the validation above, but kept typed
                 // rather than panicking in the event loop.
@@ -1425,7 +1430,7 @@ fn run_op(op: Op, frame: &mut Frame, conn: &mut Conn, shared: &Shared) -> Answer
             let mode = op.engine_mode(iv).expect("every other op has an arm");
             session
                 .submit(frame.corr, mode, data)
-                .map_err(engine_error_code)?;
+                .map_err(submit_error_code)?;
             Ok(None)
         }
     }
@@ -1755,6 +1760,30 @@ mod tests {
         let (code, detail) = reply.error_body().unwrap();
         assert_eq!(code, ErrorCode::IdleTimeout);
         assert_eq!(detail, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_long_inline_op_does_not_time_out_its_own_connection() {
+        // A paced core makes the 64 B CTR below run 400 ms on the shard,
+        // twice the idle budget; the connection's own op is not idleness.
+        let mut config = tiny_config();
+        config.farm = vec![BackendSpec::Paced {
+            block_ns: 100_000_000,
+        }];
+        let server = Server::new(config).spawn("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let sid = call(&stream, &Frame::request(Op::SetKey, 0, 1, 0, vec![0u8; 16])).session;
+        let ctr = call(
+            &stream,
+            &Frame::request(Op::CtrApply, 0, 2, sid, vec![0u8; 16 + 64]),
+        );
+        let mut expect = vec![0u8; 64];
+        rijndael::modes::Ctr::apply(&rijndael::Aes128::new(&[0u8; 16]), &[0u8; 16], &mut expect);
+        assert_eq!(ctr.payload, expect, "{:?}", ctr.error_body());
+        let reply = call(&stream, &Frame::request(Op::Ping, 0, 3, sid, vec![7]));
+        assert_eq!(reply.error_body(), None);
+        assert_eq!(reply.payload, vec![7]);
         server.shutdown();
     }
 

@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use aes_ip::core::Direction;
 use engine::{
-    BackendSpec, Error, Farm, JobError, JobId, Mode, Notifier, PoolBuilder, SubmitError, WorkerPool,
+    BackendSpec, Farm, JobError, JobId, Mode, Notifier, PoolBuilder, SubmitError, WorkerPool,
 };
 use rijndael::aead::{self, Aead, Gcm, Xts, NONCE_LEN};
 use rijndael::cmac;
@@ -178,11 +178,7 @@ impl Session {
             self.open.push((id, corr));
             return Ok(());
         }
-        let result = match self.pool.run_here(mode, data) {
-            Ok(bytes) => Ok(bytes),
-            Err(Error::Job(e)) => Err(e),
-            Err(Error::Submit(e)) => return Err(e),
-        };
+        let result = self.pool.run_here(mode, data)?;
         self.parked.push((corr, result));
         Ok(())
     }

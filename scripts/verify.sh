@@ -43,7 +43,8 @@ cargo test -q --test bitslice_equivalence --locked --offline
 
 echo "==> runtime dispatch gate (forced-backend sweep)"
 # The force override is read once per process, so each backend gets a
-# fresh process: the full equivalence sweep under the pin, the AEAD
+# fresh process: the full equivalence sweep under the pin, every engine
+# mode on every farm shape (the Auto slots resolve to the pin), the AEAD
 # KATs, the seeded wire laws (every answer over a live connection
 # checked against the reference; the two-key law shares one farm
 # between a 16-byte and a 32-byte session, so under ip-core it covers
@@ -62,6 +63,8 @@ for backend in $backends; do
     RIJNDAEL_FORCE_BACKEND="$backend" \
         cargo test -q --test bitslice_equivalence --locked --offline
     RIJNDAEL_FORCE_BACKEND="$backend" \
+        cargo test -q --test engine_equivalence --locked --offline
+    RIJNDAEL_FORCE_BACKEND="$backend" \
         cargo test -q --test aead_kats --locked --offline
     RIJNDAEL_FORCE_BACKEND="$backend" \
         cargo test -q --test service_wire_law --locked --offline
@@ -77,9 +80,6 @@ fi
 
 echo "==> dispatch force-override end-to-end test"
 cargo test -q --test dispatch_force --locked --offline
-
-echo "==> mode-trait equivalence tests"
-cargo test -q --test mode_trait --locked --offline
 
 echo "==> service subsystem tests (incl. GET_STATS round trip)"
 cargo test -q -p rijndael-service --locked --offline

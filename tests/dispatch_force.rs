@@ -1,7 +1,7 @@
 //! End-to-end coverage of the `RIJNDAEL_FORCE_BACKEND` override: pinning
 //! a backend must be honored by the dispatch layer, the engine's `Auto`
-//! farm slots, the service session's bulk lane, and — visibly — by the
-//! `GET_STATS` telemetry a client reads off the wire.
+//! farm slots, a service session's small and bulk ops, and — visibly —
+//! by the `GET_STATS` telemetry a client reads off the wire.
 //!
 //! The whole file is one test function because the override is read from
 //! the environment exactly once per process (then cached); every
@@ -30,7 +30,6 @@ fn forced_backend_pins_dispatch_and_shows_up_in_get_stats() {
     let sel = dispatch::selection();
     assert!(sel.forced);
     assert_eq!(sel.bulk, Kind::BitslicedPortable);
-    assert_eq!(sel.block, Kind::BitslicedPortable);
 
     // Layer 2: the production cipher entry point resolves to the pin and
     // still computes AES.
@@ -79,10 +78,10 @@ fn forced_backend_pins_dispatch_and_shows_up_in_get_stats() {
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.set_key(&key).expect("SET_KEY");
-    // Small payload: rides the engine farm (the Auto slots).
+    // Small payload: the session's caller-runs lane, on an Auto spec.
     let small = client.ecb_encrypt(&[0u8; 16]).expect("small ECB");
     assert_eq!(small, reference.encrypt_block(&[0u8; 16]));
-    // Bulk payload: rides the session's dispatched bulk lane.
+    // Bulk payload: the farm's Auto worker slots.
     let bulk_pt = vec![0u8; 64 * 16];
     let bulk_ct = client.ecb_encrypt(&bulk_pt).expect("bulk ECB");
     assert_eq!(&bulk_ct[..16], reference.encrypt_block(&[0u8; 16]));

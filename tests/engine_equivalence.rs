@@ -5,14 +5,15 @@
 //! cycles/block while keeping each core's bus saturated.
 
 use rijndael_ip::engine::{BackendSpec, Engine, JobError, Mode, SubmitError};
-use rijndael_ip::rijndael::modes::{Cbc, Ctr, Ecb};
+use rijndael_ip::rijndael::modes::{Cbc, Cfb, Ctr, Ecb, Ofb};
 use rijndael_ip::rijndael::Aes128;
 use testkit::forall;
 use testkit::prop::{any, vec_of};
 
 /// The farm shapes the acceptance sweep covers: single combined core,
 /// homogeneous multi-core farms of each hardware variant, each software
-/// backend alone, and a heterogeneous mix.
+/// backend alone, the production `Auto` slot (whatever the dispatch race
+/// or `RIJNDAEL_FORCE_BACKEND` picked), and a heterogeneous mix.
 const FARMS: &[&[BackendSpec]] = &[
     &[BackendSpec::EncDecCore],
     &[BackendSpec::EncryptCore; 3],
@@ -21,6 +22,7 @@ const FARMS: &[&[BackendSpec]] = &[
     &[BackendSpec::Software],
     &[BackendSpec::Ttable; 2],
     &[BackendSpec::Bitsliced; 2],
+    &[BackendSpec::Auto; 2],
     &[
         BackendSpec::EncryptCore,
         BackendSpec::DecryptCore,
@@ -66,6 +68,16 @@ forall!(cases = 24, fn engine_matches_software_reference_on_every_farm(
     Ctr::apply(&reference, &iv, &mut buf);
     cases.push((Mode::Ctr(iv), data.clone(), buf.clone()));
     cases.push((Mode::Ctr(iv), buf, data.clone()));
+    let mut buf = data.clone();
+    Cfb::encrypt(&reference, &iv, &mut buf);
+    cases.push((Mode::CfbEncrypt(iv), data.clone(), buf.clone()));
+    let mut dec = buf.clone();
+    Cfb::decrypt(&reference, &iv, &mut dec);
+    cases.push((Mode::CfbDecrypt(iv), buf, dec));
+    let mut buf = data.clone();
+    Ofb::apply(&reference, &iv, &mut buf);
+    cases.push((Mode::Ofb(iv), data.clone(), buf.clone()));
+    cases.push((Mode::Ofb(iv), buf, data.clone()));
 
     for specs in FARMS {
         let mut eng = Engine::with_farm(&key, specs, cases.len());
