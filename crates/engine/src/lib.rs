@@ -20,8 +20,8 @@
 //!   drives the scaling report and the equivalence suite; the service
 //!   does not use it;
 //! * [`pool`] — the executor the service runs on: one [`Farm`] of OS
-//!   worker threads (a local deque per core, work-stealing between
-//!   siblings) shared by keyed [`WorkerPool`] handles whose jobs carry
+//!   worker threads (one per core, all taking from one FIFO run
+//!   queue) shared by keyed [`WorkerPool`] handles whose jobs carry
 //!   their key, completions over each handle's channel, a caller-runs
 //!   lane for work too small to hand to another thread (an engine job
 //!   with [`WorkerPool::run_here`], anything over the cipher traits with

@@ -1,19 +1,19 @@
-//! True thread-parallel execution: one work-stealing, elastic worker
-//! farm, and keyed handles that submit to it — the service's one
+//! True thread-parallel execution: one elastic worker farm with one run
+//! queue, and keyed handles that submit to it — the service's one
 //! executor.
 //!
 //! The [`Engine`](crate::Engine) is the paper's cycle model: cycle
 //! counters advance in *virtual time* while every job executes inline on
 //! the caller's thread. This module is what runs in wall-clock time:
 //!
-//! * a [`Farm`] owns the worker threads — one per [`Backend`] slot, each
-//!   with a local deque — and holds no key. Its workers spawn when it is
-//!   built, and it grows, shrinks and hot-swaps them while jobs are in
-//!   flight ([`Farm::add_core`], [`Farm::remove_core`],
-//!   [`Farm::swap_core`]), by hand or from telemetry
-//!   ([`Farm::autoscale_tick`] under a [`ResizePolicy`]), every decision
-//!   visible as `engine.resize.*` counters and the `engine.workers`
-//!   gauge;
+//! * a [`Farm`] owns the worker threads — one per [`Backend`] slot — and
+//!   the one run queue they all take from, and holds no key. Its workers
+//!   spawn when it is built, and it grows, shrinks and hot-swaps them
+//!   while jobs are in flight ([`Farm::add_core`],
+//!   [`Farm::remove_core`], [`Farm::swap_core`]), by hand or from
+//!   telemetry ([`Farm::autoscale_tick`] under a [`ResizePolicy`]),
+//!   every decision visible as `engine.resize.*` counters and the
+//!   `engine.workers` gauge;
 //! * a [`WorkerPool`] is one keyed handle on a farm ([`Farm::handle`]).
 //!   It owns its key (wiped on its last drop), its completion channel
 //!   and notifier, and its bound on open jobs ([`SubmitError::Busy`]);
@@ -36,19 +36,18 @@
 //!
 //! Which slots can serve a job is decided from each slot's spec and the
 //! job's key length ([`BackendSpec::serves`]), without building
-//! anything. Parallel modes (ECB, CTR) are dealt across every eligible
-//! worker's deque in the engine's 8-block granule spans
-//! (`Engine::shares_batched`). Any
-//! other task — a chained stream (CBC, CFB, OFB), which must not migrate
-//! mid-job, or a parallel job with one eligible worker — queues on the
-//! least-loaded capable worker's deque. Deques are FIFO, so jobs are
-//! served in arrival order across handles. An idle worker first drains
-//! its own deque, then **steals** from the back of the longest sibling
-//! deque (never a chained stream, never a task its spec cannot serve).
-//! A retired or hot-swapped slot's queued tasks re-route the same way;
-//! a task no live worker can serve fails typed instead of stranding. A
-//! grown worker reuses the lowest retired slot whose thread has exited,
-//! so the `engine.core.<i>.*` names stay bounded however often the farm
+//! anything. A parallel job (ECB, CTR) is cut into one span of the
+//! engine's 8-block granules (`Engine::shares_batched`) per eligible
+//! worker; any other job — a chained stream (CBC, CFB, OFB), or a
+//! parallel job with one eligible worker — is one task. Tasks join the
+//! farm's FIFO run queue in arrival order, and an idle worker takes the
+//! first task its spec can serve, so jobs are served in arrival order
+//! across handles and a queued job runs on whichever capable worker
+//! frees first. A task is taken whole by one worker and never moves.
+//! Retiring or hot-swapping a slot moves nothing either: a task no live
+//! worker can serve any more fails typed instead of stranding. A grown
+//! worker reuses the lowest retired slot whose thread has exited, so the
+//! `engine.core.<i>.*` names stay bounded however often the farm
 //! resizes.
 //!
 //! # Examples
@@ -176,8 +175,6 @@ struct Task {
     job: Arc<JobState>,
     /// Index into the job's parts this task produces.
     part: usize,
-    /// Pinned tasks (chained streams) never migrate by stealing.
-    pinned: bool,
     mode: Mode,
     /// The span's SP 800-38A counter offset (CTR shards; 0 otherwise).
     first_block: u128,
@@ -210,59 +207,44 @@ struct Progress {
     failed: Option<JobError>,
 }
 
-/// One farm slot's scheduler-visible state. The worker thread owns the
-/// backend; the slot holds what routing decisions need.
+/// One farm slot. The worker thread owns the backend.
 struct Slot {
     /// What the worker builds its backend from; `swap_core` changes it.
     spec: BackendSpec,
     alive: bool,
-    queue: VecDeque<Task>,
-    busy: bool,
     /// The worker thread, joined when a retired slot is reused or at
     /// shutdown.
     thread: Option<JoinHandle<()>>,
 }
 
-impl Slot {
-    fn load(&self) -> usize {
-        self.queue.len() + usize::from(self.busy)
-    }
-
-    /// Takes the queued tasks `pick` selects, keeping the rest in order.
-    fn take_queued(&mut self, pick: impl Fn(&Task) -> bool) -> VecDeque<Task> {
-        let (taken, kept) = std::mem::take(&mut self.queue).into_iter().partition(pick);
-        self.queue = kept;
-        taken
-    }
-}
-
 struct State {
     slots: Vec<Slot>,
+    /// The run queue every worker takes from, in arrival order.
+    queue: VecDeque<Task>,
     shutdown: bool,
 }
 
 impl State {
     /// Live slots whose spec serves `dir` under a `key_len`-byte key.
-    fn eligible(&self, key_len: usize, dir: Direction) -> Vec<usize> {
-        (0..self.slots.len())
-            .filter(|&i| self.slots[i].alive && self.slots[i].spec.serves(key_len, dir))
-            .collect()
+    fn eligible(&self, key_len: usize, dir: Direction) -> usize {
+        self.slots
+            .iter()
+            .filter(|s| s.alive && s.spec.serves(key_len, dir))
+            .count()
     }
 
-    /// Queues each task on the least-loaded live worker that can run it.
-    /// Returns the tasks no live worker can run.
-    fn route(&mut self, tasks: impl IntoIterator<Item = Task>) -> Vec<Task> {
-        let mut unroutable = Vec::new();
-        for task in tasks {
-            let target = (0..self.slots.len())
-                .filter(|&i| self.slots[i].alive && task.fits(self.slots[i].spec))
-                .min_by_key(|&i| self.slots[i].load());
-            match target {
-                Some(i) => self.slots[i].queue.push_back(task),
-                None => unroutable.push(task),
-            }
-        }
-        unroutable
+    /// Whether no live worker can run `task`: what a retired or swapped
+    /// slot may leave queued.
+    fn stranded(&self, task: &Task) -> bool {
+        self.eligible(task.job.key.bytes.len(), task.mode.direction()) == 0
+    }
+
+    /// Takes the queued tasks `pick` selects, keeping the rest in order.
+    fn take_queued(&mut self, pick: impl Fn(&State, &Task) -> bool) -> VecDeque<Task> {
+        let queue = std::mem::take(&mut self.queue);
+        let (taken, kept) = queue.into_iter().partition(|t| pick(self, t));
+        self.queue = kept;
+        taken
     }
 }
 
@@ -284,7 +266,6 @@ struct Inner {
     submit_ragged: Counter,
     jobs_completed: Counter,
     jobs_failed: Counter,
-    steals: Counter,
     queue_depth: Gauge,
     queue_capacity: Gauge,
     job_us: Histogram,
@@ -353,7 +334,7 @@ impl Inner {
 
     /// Fails every task in `tasks`, which no live worker can serve. Call
     /// without the state lock.
-    fn fail_tasks(&self, tasks: Vec<Task>) {
+    fn fail_tasks(&self, tasks: impl IntoIterator<Item = Task>) {
         for t in tasks {
             let dir = t.mode.direction();
             self.finish_part(&t.job, t.part, Err(JobError::NoCapableCore { dir }));
@@ -428,6 +409,7 @@ impl PoolBuilder {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
                     slots: Vec::new(),
+                    queue: VecDeque::new(),
                     shutdown: false,
                 }),
                 work_cv: Condvar::new(),
@@ -438,7 +420,6 @@ impl PoolBuilder {
                 submit_ragged: registry.counter("engine.submit.ragged"),
                 jobs_completed: registry.counter("engine.jobs.completed"),
                 jobs_failed: registry.counter("engine.jobs.failed"),
-                steals: registry.counter("engine.pool.steals"),
                 queue_depth: registry.gauge("engine.queue.depth"),
                 queue_capacity: registry.gauge("engine.queue.capacity"),
                 job_us: registry.hist("engine.pool.job_us"),
@@ -560,8 +541,6 @@ impl Farm {
         let slot = Slot {
             spec,
             alive: true,
-            queue: VecDeque::new(),
-            busy: false,
             thread: Some(thread),
         };
         // The new thread waits on the state lock the caller holds until
@@ -594,44 +573,42 @@ impl Farm {
         Ok(index)
     }
 
-    /// Retires the worker at `index`: its queued tasks re-route to the
-    /// least-loaded surviving capable worker, and those no survivor can
-    /// serve fail with [`JobError::NoCapableCore`]. The task it is
-    /// running finishes first. Counted as `engine.resize.shrink`.
-    /// Returns `false` for an unknown or already-retired slot.
+    /// Retires the worker at `index`. The task it is running finishes
+    /// first; queued tasks stay queued for the other workers, and those
+    /// no survivor can serve fail with [`JobError::NoCapableCore`].
+    /// Counted as `engine.resize.shrink`. Returns `false` for an unknown
+    /// or already-retired slot.
     pub fn remove_core(&self, index: usize) -> bool {
-        let mut st = self.inner.state.lock().expect("pool state poisoned");
-        if !st.slots.get(index).is_some_and(|s| s.alive) {
-            return false;
+        let removed = self.change_slot(index, |s| s.alive = false, &self.resize_shrink);
+        if removed {
+            self.workers_gauge.sub(1);
         }
-        st.slots[index].alive = false;
-        let orphans = std::mem::take(&mut st.slots[index].queue);
-        let unroutable = st.route(orphans);
-        drop(st);
-        self.inner.fail_tasks(unroutable);
-        self.workers_gauge.sub(1);
-        self.resize_shrink.incr();
-        self.inner.work_cv.notify_all();
-        true
+        removed
     }
 
     /// Hot-swaps the worker at `index` to `spec` *without* draining the
     /// farm: the task it is running finishes on the old backend, and its
     /// next task builds from `spec` (dropping the old backend wipes its
-    /// schedule). Queued tasks `spec` cannot serve re-route like a
-    /// retired slot's. Counted as `engine.resize.swap`. Returns `false`
+    /// schedule). Queued tasks no live worker can serve any more fail as
+    /// on a retirement. Counted as `engine.resize.swap`. Returns `false`
     /// for an unknown or retired slot.
     pub fn swap_core(&self, index: usize, spec: BackendSpec) -> bool {
+        self.change_slot(index, |s| s.spec = spec, &self.resize_swap)
+    }
+
+    /// Applies `change` to the live slot at `index`, fails the queued
+    /// tasks it stranded, counts it on `counter` and wakes the workers.
+    /// Returns `false` for an unknown or retired slot.
+    fn change_slot(&self, index: usize, change: impl FnOnce(&mut Slot), counter: &Counter) -> bool {
         let mut st = self.inner.state.lock().expect("pool state poisoned");
-        if !st.slots.get(index).is_some_and(|s| s.alive) {
+        let Some(slot) = st.slots.get_mut(index).filter(|s| s.alive) else {
             return false;
-        }
-        st.slots[index].spec = spec;
-        let stale = st.slots[index].take_queued(|t| !t.fits(spec));
-        let unroutable = st.route(stale);
+        };
+        change(slot);
+        let stranded = st.take_queued(State::stranded);
         drop(st);
-        self.inner.fail_tasks(unroutable);
-        self.resize_swap.incr();
+        self.inner.fail_tasks(stranded);
+        counter.incr();
         self.inner.work_cv.notify_all();
         true
     }
@@ -691,18 +668,15 @@ impl Farm {
             // already failed typed); joining must not re-raise.
             let _ = t.join();
         }
-        // A retirement racing the shutdown may have re-routed tasks to a
-        // worker that had already exited: fail them so their jobs, and
-        // the `wait_idle` callers behind them, complete.
+        // Whatever is still queued, no worker will run: fail it so its
+        // jobs, and the `wait_idle` callers behind them, complete.
         let (live, leftovers) = {
             let mut st = self.inner.state.lock().expect("pool state poisoned");
             let live = st.slots.iter().filter(|s| s.alive).count();
-            let mut leftovers = Vec::new();
             for s in &mut st.slots {
-                leftovers.extend(s.queue.drain(..));
                 s.alive = false;
             }
-            (live, leftovers)
+            (live, std::mem::take(&mut st.queue))
         };
         self.workers_gauge.sub(live as i64);
         self.inner.fail_tasks(leftovers);
@@ -773,9 +747,10 @@ impl WorkerPool {
     /// Enqueues a mode operation over `data` under this handle's key,
     /// applying backpressure, and wakes the workers.
     ///
-    /// Parallel modes (ECB, CTR) are dealt across every eligible worker
-    /// in 8-block granules; anything else queues on the least-loaded
-    /// capable worker. The completion surfaces from
+    /// A parallel mode (ECB, CTR) is cut into one span of 8-block
+    /// granules per eligible worker; anything else is one task. Either
+    /// joins the farm's run queue behind every task already there. The
+    /// completion surfaces from
     /// [`WorkerPool::try_collect`] / [`WorkerPool::collect_timeout`] in
     /// completion order.
     ///
@@ -809,13 +784,13 @@ impl WorkerPool {
 
         let dir = mode.direction();
         let eligible = st.eligible(self.key.bytes.len(), dir);
-        if eligible.is_empty() || data.is_empty() {
+        if eligible == 0 || data.is_empty() {
             // Degenerate jobs complete on the submitting thread:
             // accepted-then-failed when no live worker serves the
             // direction under this key (like the engine), trivially done
             // when there are no bytes.
             drop(st);
-            let data = if eligible.is_empty() {
+            let data = if eligible == 0 {
                 Err(JobError::NoCapableCore { dir })
             } else {
                 Ok(data)
@@ -823,42 +798,38 @@ impl WorkerPool {
             inner.deliver(&self.sink, JobOutput { id, data }, Instant::now());
             return Ok(id);
         }
-        let unroutable = if mode.is_parallel() && eligible.len() > 1 {
-            // Deal the granule spans across the eligible deques, split
-            // from the tail: each later shard is one allocation and one
-            // copy, and shard 0 takes the submitted buffer itself, whose
-            // capacity assembly then appends the others into.
+        if mode.is_parallel() && eligible > 1 {
+            // One granule span per eligible worker, split from the tail:
+            // each later span is one allocation and one copy, and span 0
+            // takes the submitted buffer itself, whose capacity assembly
+            // then appends the others into. Queued in stream order.
             let plan: Vec<(usize, usize, usize)> =
-                shard_plan(data.len().div_ceil(BLOCK), eligible.len()).collect();
+                shard_plan(data.len().div_ceil(BLOCK), eligible).collect();
             let job = self.job(id, plan.len());
-            for (part, &(pos, first, _)) in plan.iter().enumerate().rev() {
-                let chunk = if first == 0 {
-                    std::mem::take(&mut data)
-                } else {
-                    data.split_off((first * BLOCK).min(data.len()))
-                };
-                st.slots[eligible[pos]].queue.push_back(Task {
+            let spans: Vec<Task> = (plan.iter().enumerate().rev())
+                .map(|(part, &(_, first, _))| Task {
                     job: Arc::clone(&job),
                     part,
-                    pinned: false,
                     mode,
                     first_block: first as u128,
-                    data: chunk,
-                });
-            }
-            Vec::new()
+                    data: if first == 0 {
+                        std::mem::take(&mut data)
+                    } else {
+                        data.split_off((first * BLOCK).min(data.len()))
+                    },
+                })
+                .collect();
+            st.queue.extend(spans.into_iter().rev());
         } else {
-            st.route([Task {
+            st.queue.push_back(Task {
                 job: self.job(id, 1),
                 part: 0,
-                pinned: !mode.is_parallel(),
                 mode,
                 first_block: 0,
                 data,
-            }])
-        };
+            });
+        }
         drop(st);
-        inner.fail_tasks(unroutable);
         inner.work_cv.notify_all();
         Ok(id)
     }
@@ -1048,17 +1019,12 @@ impl Drop for WorkerPool {
         self.key.live.store(false, Ordering::SeqCst);
         let inner = &self.farm.inner;
         // Nobody can collect this handle's queued jobs: they leave the
-        // deques instead of waiting ahead of another handle's, and fail
+        // queue instead of waiting ahead of another handle's, and fail
         // so the farm's counts balance. Taking the lock also orders the
         // wake after any idle worker's check of `live`: none goes to
         // sleep holding the schedule.
         let mut st = inner.state.lock().expect("pool state poisoned");
-        let mine = |t: &Task| Arc::ptr_eq(&t.job.sink, &self.sink);
-        let cancelled: Vec<Task> = st
-            .slots
-            .iter_mut()
-            .flat_map(|s| s.take_queued(mine))
-            .collect();
+        let cancelled = st.take_queued(|_, t| Arc::ptr_eq(&t.job.sink, &self.sink));
         drop(st);
         if self.key.on_worker.load(Ordering::SeqCst) {
             inner.work_cv.notify_all();
@@ -1088,42 +1054,19 @@ enum Action {
     Exit,
 }
 
-/// Finds runnable work for worker `me`: its own deque's front, else a
-/// steal from the back of the longest sibling deque (unpinned tasks its
-/// spec can run). Returns whether the task was stolen.
-fn find_task(st: &mut State, me: usize) -> Option<(Task, bool)> {
-    if let Some(t) = st.slots[me].queue.pop_front() {
-        return Some((t, false));
-    }
-    let spec = st.slots[me].spec;
-    let mut victims: Vec<usize> = (0..st.slots.len())
-        .filter(|&i| i != me && !st.slots[i].queue.is_empty())
-        .collect();
-    victims.sort_by_key(|&i| std::cmp::Reverse(st.slots[i].queue.len()));
-    for v in victims {
-        let queue = &mut st.slots[v].queue;
-        if let Some(pos) = queue.iter().rposition(|t| !t.pinned && t.fits(spec)) {
-            return queue.remove(pos).map(|t| (t, true));
-        }
-    }
-    None
-}
-
 fn worker_main(inner: &Inner, me: usize) {
     let mut held: Option<Held> = None;
     loop {
         let action = {
             let mut st = inner.state.lock().expect("pool state poisoned");
             loop {
-                if !st.slots[me].alive {
+                let Slot { spec, alive, .. } = st.slots[me];
+                if !alive {
                     break Action::Exit;
                 }
-                if let Some((task, stolen)) = find_task(&mut st, me) {
-                    st.slots[me].busy = true;
-                    if stolen {
-                        inner.steals.incr();
-                    }
-                    break Action::Run(task, st.slots[me].spec);
+                if let Some(pos) = st.queue.iter().position(|t| t.fits(spec)) {
+                    let task = st.queue.remove(pos).expect("a queued position");
+                    break Action::Run(task, spec);
                 }
                 if st.shutdown {
                     break Action::Exit;
@@ -1151,7 +1094,6 @@ fn worker_main(inner: &Inner, me: usize) {
             mode,
             first_block,
             mut data,
-            ..
         } = task;
         if !held
             .as_ref()
@@ -1190,7 +1132,6 @@ fn worker_main(inner: &Inner, me: usize) {
             }
             None => Err(JobError::WorkerPanicked),
         };
-        inner.state.lock().expect("pool state poisoned").slots[me].busy = false;
         inner.finish_part(&job, part, result);
     }
 }
@@ -1387,6 +1328,34 @@ mod tests {
         }
         let at = order.iter().position(|&id| id == ecb).unwrap();
         assert!(at < 4, "the ECB job completed {} of 41", at + 1);
+    }
+
+    #[test]
+    fn a_chained_job_runs_on_the_first_free_worker() {
+        // Two workers at 5 ms a block: the 64-block CBC stream holds one
+        // for 320 ms, and both one-block streams run on the other.
+        let pool = WorkerPool::with_farm(
+            &KEY,
+            &[BackendSpec::Paced {
+                block_ns: 5_000_000,
+            }; 2],
+            4,
+        );
+        let cbc = |blocks: usize| {
+            pool.try_submit(Mode::CbcEncrypt([1; 16]), sample(blocks * 16))
+                .unwrap()
+        };
+        let long = cbc(64);
+        cbc(1);
+        cbc(1);
+        let order: Vec<JobId> = (0..3)
+            .map(|_| {
+                let out = pool.collect_timeout(WAIT).expect("a job completes");
+                assert!(out.data.is_ok());
+                out.id
+            })
+            .collect();
+        assert_eq!(order[2], long, "completion order {order:?}");
     }
 
     #[test]

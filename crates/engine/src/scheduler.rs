@@ -577,8 +577,8 @@ impl Engine {
     /// exactly `n`. Every share but possibly the last is a multiple of 8,
     /// which keeps the bitsliced backend's passes full; only one core
     /// ever sees a ragged (padded) granule. Shared with the thread
-    /// [`pool`](crate::pool), which deals the same granule plan across
-    /// worker deques.
+    /// [`pool`](crate::pool), which queues the same granule plan as one
+    /// task per span.
     pub(crate) fn shares_batched(n: usize, k: usize) -> Vec<usize> {
         const GRANULE: usize = 8;
         let mut out: Vec<usize> = Self::shares(n.div_ceil(GRANULE), k)
@@ -601,8 +601,8 @@ impl Engine {
 /// The one shard planner: walks the [`Engine::shares_batched`] plan for
 /// `n` blocks over `k` cores and yields `(core position, first block,
 /// blocks)` for every non-empty share, in stream order. The engine runs
-/// the spans in place; the thread [`pool`](crate::pool) deals them to
-/// worker deques.
+/// the spans in place; the thread [`pool`](crate::pool) queues them as
+/// tasks on its run queue.
 pub(crate) fn shard_plan(n: usize, k: usize) -> impl Iterator<Item = (usize, usize, usize)> {
     let mut first = 0;
     Engine::shares_batched(n, k)

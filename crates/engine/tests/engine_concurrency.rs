@@ -6,13 +6,13 @@
 //! 1. **No lost completions** — every `JobId` that `try_submit` accepted
 //!    surfaces exactly once from its handle's completion channel, even
 //!    when the worker that held its shards was retired mid-job.
-//! 2. **No duplicates** — a job never completes twice (shard re-routing
-//!    must not double-deliver).
+//! 2. **No duplicates** — a job never completes twice (a retirement or
+//!    a swap must not double-deliver).
 //! 3. **Ciphertext equivalence under its own key** — successful jobs
 //!    byte-match the single-threaded `rijndael` reference under the key
 //!    of the handle that submitted them (one handle holds a 16-byte key,
-//!    the other a 32-byte one), regardless of how many workers shards
-//!    migrated across or how often a worker re-keyed between them.
+//!    the other a 32-byte one), regardless of which workers ran its
+//!    shards or how often a worker re-keyed between them.
 //!
 //! The whole suite runs once per detected backend (the same sweep the
 //! scheduler's own tests use), so the soft paths, the cycle-accurate IP
@@ -66,8 +66,8 @@ fn reference(key: &[u8], mode: &Mode, data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// One submitter's job plan: parallel modes dominate (they shard and
-/// migrate), with a chained stream mixed in to exercise pinning. The
+/// One submitter's job plan: parallel modes dominate (they shard across
+/// workers), with a chained stream mixed in as one whole task. The
 /// direction follows the farm's datapath — a decrypt-only IP farm gets
 /// decrypt work.
 fn plan(encrypt: bool, thread: usize, i: usize) -> (Mode, Vec<u8>) {
@@ -156,7 +156,7 @@ fn stress(spec: BackendSpec) {
                         }
                     }
                     _ => {
-                        // Let queues actually build so steals happen.
+                        // Let the run queue actually build.
                         thread::sleep(Duration::from_millis(1));
                     }
                 }

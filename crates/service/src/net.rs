@@ -262,24 +262,26 @@ pub struct WakeNotifier {
 }
 
 impl WakePipe {
-    /// Opens the pipe. Returns `None` when the platform cannot provide
-    /// one (socketpair exhaustion, non-unix targets) — callers fall back
-    /// to timeout-based polling.
-    #[must_use]
-    pub fn new() -> Option<WakePipe> {
+    /// Opens the pipe.
+    ///
+    /// # Errors
+    ///
+    /// The socket pair cannot be opened or made nonblocking (descriptor
+    /// exhaustion, say).
+    pub fn new() -> io::Result<WakePipe> {
         #[cfg(unix)]
         {
-            let (read, write) = std::os::unix::net::UnixStream::pair().ok()?;
-            read.set_nonblocking(true).ok()?;
-            write.set_nonblocking(true).ok()?;
-            Some(WakePipe {
+            let (read, write) = std::os::unix::net::UnixStream::pair()?;
+            read.set_nonblocking(true)?;
+            write.set_nonblocking(true)?;
+            Ok(WakePipe {
                 read,
                 write: std::sync::Arc::new(write),
             })
         }
         #[cfg(not(unix))]
         {
-            Some(WakePipe {})
+            Ok(WakePipe {})
         }
     }
 

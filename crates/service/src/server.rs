@@ -129,8 +129,7 @@ use crate::session::{Session, SessionSlot};
 /// Readiness-poll timeout: the housekeeping tick on which an idle shard
 /// checks the shutdown flag and the idle budgets. Connection hand-offs
 /// and farm completions wake a shard through its wake pipe, so no
-/// request waits on this tick unless the platform gave the shard no
-/// pipe.
+/// request waits on this tick.
 const POLL: Duration = Duration::from_millis(10);
 
 /// How long the acceptor waits in its listener poll.
@@ -438,7 +437,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure or a thread-spawn failure.
+    /// Propagates the bind failure, a failure to open a shard's wake
+    /// pipe, or a thread-spawn failure.
     pub fn spawn<A: ToSocketAddrs>(self, addr: A) -> io::Result<ServiceHandle> {
         // One descriptor per connection: ask for the hard limit up
         // front (best-effort; a refusal just lowers effective
@@ -487,10 +487,10 @@ impl Server {
         for i in 0..shard_count {
             // The shard polls the pipe's read end; its inbox keeps the
             // waking half for the acceptor.
-            let wake = net::WakePipe::new();
+            let wake = net::WakePipe::new()?;
             let inbox = Arc::new(Inbox {
                 queue: Mutex::new(Vec::new()),
-                wake: wake.as_ref().map(net::WakePipe::notifier),
+                wake: wake.notifier(),
             });
             let shard_shared = Arc::clone(&shared);
             let shard_inbox = Arc::clone(&inbox);
@@ -586,10 +586,8 @@ impl std::fmt::Debug for ServiceHandle {
 /// moment `accept()` returned it, waiting for the shard to drain them.
 struct Inbox {
     queue: Mutex<Vec<(TcpStream, Instant)>>,
-    /// The waking half of the shard's wake pipe; `None` when the
-    /// platform gave the shard no pipe (hand-offs then wait for its poll
-    /// tick).
-    wake: Option<net::WakeNotifier>,
+    /// The waking half of the shard's wake pipe.
+    wake: net::WakeNotifier,
 }
 
 impl Inbox {
@@ -604,9 +602,7 @@ impl Inbox {
             queue.len() == 1
         };
         if was_empty {
-            if let Some(wake) = &self.wake {
-                wake.wake();
-            }
+            self.wake.wake();
         }
     }
 }
@@ -839,23 +835,24 @@ struct Conn {
     slot: SessionSlot,
     /// When the last *complete frame* was answered (the idle budget
     /// counts frames, not bytes, so a byte-trickling peer cannot stay
-    /// alive for free; nor does an op's own compute count as idleness).
+    /// alive for free). The idle sweep measures from here to the instant
+    /// the shard's `poll` returned, so neither the op's own compute nor
+    /// a stall on another connection's op counts as idleness.
     last_frame: Instant,
     /// Set once a goodbye is queued or the peer half-closed: no more
     /// reads; drop once `out` drains.
     closing: bool,
     /// The owning shard's wake-pipe callback, given to each newly keyed
     /// session's farm handle so bulk completions un-park the shard's
-    /// `poll(2)` immediately. `None` when the platform gave the shard no
-    /// pipe (the loop then falls back to its poll timeout).
-    notifier: Option<Notifier>,
+    /// `poll(2)` immediately.
+    notifier: Notifier,
     /// This connection's share of `service.conn.buffered_bytes` as last
     /// published.
     buffered: usize,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> io::Result<Conn> {
+    fn new(stream: TcpStream, notifier: Notifier) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         Ok(Conn {
@@ -865,7 +862,7 @@ impl Conn {
             slot: SessionSlot::new(),
             last_frame: Instant::now(),
             closing: false,
-            notifier: None,
+            notifier,
             buffered: 0,
         })
     }
@@ -912,7 +909,7 @@ impl Conn {
         self.drain(shared);
         let capacity = shared.config.queue_capacity;
         self.slot
-            .rekey(key, &shared.farm, capacity, self.notifier.clone());
+            .rekey(key, &shared.farm, capacity, Some(self.notifier.clone()));
     }
 }
 
@@ -933,7 +930,7 @@ fn release(slot: &mut Option<Conn>, shared: &Shared) {
 // Shard event loop
 // ---------------------------------------------------------------------
 
-fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePipe>) {
+fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: net::WakePipe) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut poll = PollSet::new();
     let mut scratch = vec![0u8; READ_CHUNK];
@@ -948,21 +945,20 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
     // poll(2) returns immediately instead of waiting out its timeout.
     // The pipe is registered under a reserved token no connection slot
     // can reach.
-    let shard_notifier: Option<Notifier> = wake.as_ref().map(|w| {
-        let n = w.notifier();
-        Arc::new(move || n.wake()) as Notifier
-    });
+    let shard_notifier: Notifier = {
+        let n = wake.notifier();
+        Arc::new(move || n.wake())
+    };
 
     loop {
         // Admit handed-off sockets into free slots. This drain runs every
         // iteration, woken or not: a wake only cuts the poll short, so a
         // lost wake byte costs at most one tick, never a connection.
         for (stream, accepted) in inbox.queue.lock().expect("inbox lock").drain(..) {
-            match Conn::new(stream) {
-                Ok(mut conn) => {
+            match Conn::new(stream, Arc::clone(&shard_notifier)) {
+                Ok(conn) => {
                     handoff_hist
                         .record(u64::try_from(accepted.elapsed().as_micros()).unwrap_or(u64::MAX));
-                    conn.notifier = shard_notifier.clone();
                     if let Some(slot) = conns.iter_mut().find(|c| c.is_none()) {
                         *slot = Some(conn);
                     } else {
@@ -1000,15 +996,7 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
             let write = !conn.out.is_empty();
             poll.register(net::socket_fd(&conn.stream), token, read, write);
         }
-        if let Some(w) = &wake {
-            poll.register(w.fd(), WAKE_TOKEN, true, false);
-        }
-        if poll.is_empty() {
-            // No pipe and no sockets: plain timed sleep keeps the
-            // shutdown/inbox checks ticking (the no-pipe fallback).
-            thread::sleep(POLL);
-            continue;
-        }
+        poll.register(wake.fd(), WAKE_TOKEN, true, false);
         let ready = match poll.poll(POLL) {
             Ok(ready) => ready,
             Err(_) => {
@@ -1059,9 +1047,7 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
         // sweep runs every iteration (not only on a wake) so the
         // non-unix fallback and engine-lane leftovers stay covered.
         if woken {
-            if let Some(w) = wake.as_mut() {
-                w.drain();
-            }
+            wake.drain();
         }
         for slot in &mut conns {
             let Some(conn) = slot.as_mut() else { continue };
@@ -1076,11 +1062,13 @@ fn shard_loop(shared: &Arc<Shared>, inbox: &Inbox, mut wake: Option<net::WakePip
         }
 
         // Idle sweep, buffered-bytes accounting and closing-drain
-        // cleanup.
-        let now = Instant::now();
+        // cleanup. Idleness runs to the instant `poll` returned: a frame
+        // that arrived while this pass held the shard on another
+        // connection's op is not read yet, and the stall is not idleness.
         for slot in &mut conns {
             let Some(conn) = slot.as_mut() else { continue };
-            if !conn.closing && now.duration_since(conn.last_frame) >= shared.config.idle_timeout {
+            let idle = started.saturating_duration_since(conn.last_frame);
+            if !conn.closing && idle >= shared.config.idle_timeout {
                 let detail = idle_timeout_detail(shared.config.idle_timeout);
                 conn.say_goodbye(shared, ErrorCode::IdleTimeout, detail);
                 let _ = conn.out.flush(&conn.stream, shared, &mut spares);
@@ -1784,6 +1772,34 @@ mod tests {
         let reply = call(&stream, &Frame::request(Op::Ping, 0, 3, sid, vec![7]));
         assert_eq!(reply.error_body(), None);
         assert_eq!(reply.payload, vec![7]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_long_inline_op_does_not_time_out_another_connection() {
+        // A's 64 B CTR holds the shard for 400 ms, twice the idle budget.
+        // B's second PING arrives 150 ms after its first, during that
+        // stall: the shard's own compute is not B's idleness.
+        let mut config = tiny_config();
+        config.farm = vec![BackendSpec::Paced {
+            block_ns: 100_000_000,
+        }];
+        let server = Server::new(config).spawn("127.0.0.1:0").unwrap();
+        let a = TcpStream::connect(server.local_addr()).unwrap();
+        let b = TcpStream::connect(server.local_addr()).unwrap();
+        let sid = call(&a, &Frame::request(Op::SetKey, 0, 1, 0, vec![0u8; 16])).session;
+        let first = call(&b, &Frame::request(Op::Ping, 0, 1, 0, vec![1]));
+        assert_eq!(first.payload, vec![1]);
+        let pinged = Instant::now();
+        Frame::request(Op::CtrApply, 0, 2, sid, vec![0u8; 16 + 64])
+            .write_to(&mut &a)
+            .unwrap();
+        thread::sleep(Duration::from_millis(150).saturating_sub(pinged.elapsed()));
+        let second = call(&b, &Frame::request(Op::Ping, 0, 2, 0, vec![2]));
+        assert_eq!(second.error_body(), None);
+        assert_eq!(second.payload, vec![2]);
+        let ctr = Frame::read_from(&mut &a).unwrap();
+        assert_eq!(ctr.error_body(), None);
         server.shutdown();
     }
 

@@ -33,10 +33,6 @@ cargo test -q --test engine_equivalence --locked --offline
 
 echo "==> worker-pool concurrency stress (resize + hot-swap under load)"
 cargo test -q -p rijndael-engine --test engine_concurrency --locked --offline
-# One pass with the dispatcher pinned: the Auto-built workers must keep
-# every invariant when they all resolve to the T-table backend.
-RIJNDAEL_FORCE_BACKEND=ttable \
-    cargo test -q -p rijndael-engine --test engine_concurrency --locked --offline
 
 echo "==> bitsliced backend cross-check"
 cargo test -q --test bitslice_equivalence --locked --offline
@@ -44,13 +40,14 @@ cargo test -q --test bitslice_equivalence --locked --offline
 echo "==> runtime dispatch gate (forced-backend sweep)"
 # The force override is read once per process, so each backend gets a
 # fresh process: the full equivalence sweep under the pin, every engine
-# mode on every farm shape (the Auto slots resolve to the pin), the AEAD
-# KATs, the seeded wire laws (every answer over a live connection
-# checked against the reference; the two-key law shares one farm
-# between a 16-byte and a 32-byte session, so under ip-core it covers
-# the IP model for 16-byte keys and soft-fallback for 32-byte ones),
-# then a live server round trip asserting GET_STATS reports the pinned
-# name. Only targeted test binaries run here — the whole suite includes
+# mode on every farm shape (the Auto slots resolve to the pin), the
+# worker-pool stress (its Auto-built workers must keep every invariant
+# when they all resolve to the pin), the AEAD KATs, the seeded wire
+# laws (every answer over a live connection checked against the
+# reference; the two-key law shares one farm between a 16-byte and a
+# 32-byte session, so under ip-core it covers the IP model for 16-byte
+# keys and soft-fallback for 32-byte ones), then a live server round
+# trip asserting GET_STATS reports the pinned name. Only targeted test binaries run here — the whole suite includes
 # tests that legitimately assume an unpinned dispatch. json_check, the
 # workspace's own JSON reader, checks every document the benches below
 # write.
@@ -64,6 +61,8 @@ for backend in $backends; do
         cargo test -q --test bitslice_equivalence --locked --offline
     RIJNDAEL_FORCE_BACKEND="$backend" \
         cargo test -q --test engine_equivalence --locked --offline
+    RIJNDAEL_FORCE_BACKEND="$backend" \
+        cargo test -q -p rijndael-engine --test engine_concurrency --locked --offline
     RIJNDAEL_FORCE_BACKEND="$backend" \
         cargo test -q --test aead_kats --locked --offline
     RIJNDAEL_FORCE_BACKEND="$backend" \
