@@ -83,12 +83,14 @@ fn hold_connections(n: usize, addr: &str) {
     drop(held);
 }
 
+/// One act-1 run: its wall time, the bytes it moved, every burst's
+/// latency and the server's socket calls per request it counted.
 fn run_load(
     farm: &[BackendSpec],
     clients: usize,
     bursts_per_client: usize,
     payload_len: usize,
-) -> (Duration, u64, Vec<Duration>) {
+) -> (Duration, u64, Vec<Duration>, f64) {
     let server = Server::new(
         ServiceConfig::builder()
             .farm(farm)
@@ -167,10 +169,15 @@ fn run_load(
         "GET_STATS JSON must carry the same tally"
     );
     drop(auditor);
+    let requests = expected + clients as u64;
+    let calls = snap
+        .counter("service.io.syscalls")
+        .expect("the shards count their socket calls") as f64
+        / requests as f64;
 
     server.shutdown();
     latencies.sort_unstable();
-    (elapsed, bytes, latencies)
+    (elapsed, bytes, latencies, calls)
 }
 
 /// The noisy-neighbor act: one shard, one client streaming 256 KiB
@@ -466,7 +473,7 @@ fn main() {
 
     for cores in [1usize, 2, 4] {
         let farm = vec![BackendSpec::EncDecCore; cores];
-        let (elapsed, bytes, latencies) = run_load(&farm, clients, bursts, payload_len);
+        let (elapsed, bytes, latencies, calls) = run_load(&farm, clients, bursts, payload_len);
         let secs = elapsed.as_secs_f64().max(1e-9);
         let mibps = bytes as f64 / (1024.0 * 1024.0) / secs;
         println!(
@@ -478,6 +485,7 @@ fn main() {
             percentile(&latencies, 0.90),
             percentile(&latencies, 0.99),
         );
+        println!("       server socket calls per request: {calls:.3}");
         assert_eq!(
             latencies.len(),
             clients * bursts,

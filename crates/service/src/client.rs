@@ -33,28 +33,32 @@
 //!   the session finished them; a session at capacity answers the job
 //!   with a typed `Busy`, to be retried after collecting.
 //!
-//! Every frame uses the one wire layout ([`crate::protocol`]), and no
-//! call copies the caller's bytes: a request leaves as its head, its
-//! fixed prefix (an IV; a nonce and AAD length; a sector header) and the
-//! caller's own slices in one vectored write, and a reply body is read
-//! straight into the payload the call returns. The raw
-//! [`Client::send_raw`] / [`Client::recv_raw`] pair is for protocol
-//! tests that need to send deliberately malformed traffic.
+//! Every frame uses the one wire layout ([`crate::protocol`]).
+//! [`Transport::call`] never copies the caller's bytes: a request leaves
+//! as its head, its fixed prefix (an IV; a nonce and AAD length; a
+//! sector header) and the caller's own slices in one vectored write, and
+//! a reply body is read straight into the payload the call returns. A
+//! small pipelined engine request is copied once into the 16 KiB write
+//! buffer, which leaves with the client's next write or just before its
+//! next read. The raw [`Client::send_raw`] / [`Client::recv_raw`] pair
+//! is for protocol tests that need to send deliberately malformed
+//! traffic.
 
 use std::collections::HashSet;
 use std::fmt;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    encode_head, write_parts, ErrorCode, Frame, Op, RecvBuffer, RecvError, Status,
+    encode_head, write_parts, ErrorCode, Frame, Op, RecvBuffer, RecvError, Status, HEAD_LEN,
 };
 use crate::transport::Transport;
 
 /// Bytes of the per-connection read buffer that small replies arrive
-/// through. It is allocated per connection, and a cluster router opens
-/// a connection per session, so it stays small: a bulk reply body does
-/// not pass through it.
+/// through, and the bound on the write buffer that small pipelined
+/// requests wait in. Both are per connection, and a cluster router opens
+/// a connection per session, so they stay small: a bulk body passes
+/// through neither.
 const READ_BUF: usize = 16 * 1024;
 
 /// Most payload parts one request carries: a fixed prefix and up to two
@@ -154,9 +158,12 @@ pub struct Client {
     stream: TcpStream,
     inbuf: RecvBuffer,
     read_buf: Box<[u8]>,
+    /// Small pipelined engine requests not yet written, at most
+    /// [`READ_BUF`] bytes; cleared with its capacity kept.
+    write_buf: Vec<u8>,
     seq: u32,
     session: u32,
-    /// Correlation ids of pipelined requests still awaiting replies.
+    /// Correlation ids of pipelined requests, queued or sent, awaiting replies.
     pending: HashSet<u32>,
     /// Out-of-order pipelined replies received while waiting for
     /// something else, in arrival order; never longer than
@@ -177,6 +184,7 @@ impl fmt::Debug for Client {
             .field("in_flight", &self.pending.len())
             .field("stashed", &self.stash.len())
             .field("buffered", &self.inbuf.len())
+            .field("queued", &self.write_buf.len())
             .finish_non_exhaustive()
     }
 }
@@ -200,6 +208,7 @@ impl Client {
             stream,
             inbuf: RecvBuffer::new(),
             read_buf: vec![0u8; READ_BUF].into_boxed_slice(),
+            write_buf: Vec::new(),
             seq: 0,
             session: 0,
             pending: HashSet::new(),
@@ -214,11 +223,11 @@ impl Client {
         self.session
     }
 
-    /// Pipelined requests sent and not yet collected. A stashed reply
-    /// counts until its own collection call delivers it (the stash only
-    /// ever holds replies whose correlation id is still outstanding, so
-    /// the pending set alone is the honest tally — the old
-    /// `pending + stash` sum double-counted every stashed reply).
+    /// Pipelined requests queued or sent and not yet collected. A
+    /// stashed reply counts until its own collection call delivers it
+    /// (the stash only ever holds replies whose correlation id is still
+    /// outstanding, so the pending set alone is the honest tally — the
+    /// old `pending + stash` sum double-counted every stashed reply).
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.pending.len()
@@ -262,7 +271,14 @@ impl Client {
         iv: Option<&[u8; 16]>,
         data: &[u8],
     ) -> Result<u32, ClientError> {
-        let corr = self.send(op, &[iv.map_or(&[], |iv| iv), data])?;
+        let parts = [iv.map_or(&[][..], |iv| iv), data];
+        let len = HEAD_LEN + parts[0].len() + data.len();
+        let queue =
+            !self.pending.is_empty() && op.engine_mode([0; 16]).is_some() && len <= READ_BUF;
+        if queue && self.write_buf.len() + len > READ_BUF {
+            self.flush()?;
+        }
+        let corr = self.send(op, &parts, queue)?;
         self.pending.insert(corr);
         Ok(corr)
     }
@@ -302,18 +318,21 @@ impl Client {
         })
     }
 
-    /// Sends a frame verbatim (protocol-test escape hatch).
+    /// Sends a frame verbatim, behind any buffered requests
+    /// (protocol-test escape hatch).
     ///
     /// # Errors
     ///
     /// Transport errors only.
     pub fn send_raw(&mut self, frame: &Frame) -> io::Result<()> {
+        self.flush()?;
         frame.write_to(&mut self.stream)
     }
 
     /// Reads the next reply frame verbatim (protocol-test escape
-    /// hatch). Bypasses correlation matching — mixing this with
-    /// outstanding pipelined requests will misroute replies.
+    /// hatch), writing any buffered requests before it waits. Bypasses
+    /// correlation matching — mixing this with outstanding pipelined
+    /// requests will misroute replies.
     ///
     /// # Errors
     ///
@@ -323,6 +342,7 @@ impl Client {
             if let Some(frame) = self.inbuf.next_frame()? {
                 return Ok(frame);
             }
+            self.flush()?;
             if self.inbuf.start_body(|len, _| Vec::with_capacity(len)) {
                 self.inbuf.read_body(&self.stream)?;
                 continue;
@@ -338,11 +358,13 @@ impl Client {
     }
 
     /// Sends one request under the live session, its payload the
-    /// concatenation of `parts`, straight from the caller's slices in
-    /// one vectored write. Returns its sequence number, which is also
-    /// its correlation id. More than [`MAX_PARTS`] parts is refused
-    /// before anything is sent.
-    fn send(&mut self, op: Op, parts: &[&[u8]]) -> Result<u32, ClientError> {
+    /// concatenation of `parts`: appended to the write buffer when
+    /// `queue` is set (the caller has checked it fits), otherwise
+    /// written behind the buffered frames, straight from the caller's
+    /// slices, in one vectored write. Returns its sequence number, which
+    /// is also its correlation id. More than [`MAX_PARTS`] parts is
+    /// refused before anything is sent.
+    fn send(&mut self, op: Op, parts: &[&[u8]], queue: bool) -> Result<u32, ClientError> {
         if parts.len() > MAX_PARTS {
             return Err(ClientError::Protocol(format!(
                 "{} payload parts in one request; at most {MAX_PARTS}",
@@ -353,11 +375,29 @@ impl Client {
         self.seq = seq;
         let len = parts.iter().map(|p| p.len()).sum();
         let head = encode_head(op as u8, 0, seq, self.session, seq, len)?;
-        let mut all: [&[u8]; 1 + MAX_PARTS] = [&[]; 1 + MAX_PARTS];
-        all[0] = &head;
-        all[1..=parts.len()].copy_from_slice(parts);
-        write_parts(&mut self.stream, all)?;
+        if queue {
+            self.write_buf.extend_from_slice(&head);
+            for part in parts {
+                self.write_buf.extend_from_slice(part);
+            }
+            return Ok(seq);
+        }
+        let mut all: [&[u8]; 2 + MAX_PARTS] = [&[]; 2 + MAX_PARTS];
+        all[0] = &self.write_buf;
+        all[1] = &head;
+        all[2..2 + parts.len()].copy_from_slice(parts);
+        let sent = write_parts(&mut self.stream, all);
+        self.write_buf.clear();
+        sent?;
         Ok(seq)
+    }
+
+    /// Writes the buffered requests, if any. The buffer is cleared
+    /// whether or not the write succeeds: a request is never sent twice.
+    fn flush(&mut self) -> io::Result<()> {
+        let sent = self.stream.write_all(&self.write_buf);
+        self.write_buf.clear();
+        sent
     }
 
     /// Stashes an out-of-order reply, evicting the oldest stashed frame
@@ -409,7 +449,7 @@ impl Transport for Client {
     }
 
     fn call(&mut self, op: Op, parts: &[&[u8]]) -> Result<Frame, ClientError> {
-        let seq = self.send(op, parts)?;
+        let seq = self.send(op, parts, false)?;
         let reply = self.recv_matched(seq)?;
         if let Some((code, detail)) = reply.error_body() {
             return Err(ClientError::Service { code, detail });
@@ -448,7 +488,9 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::TcpListener;
+    use std::sync::mpsc;
     use std::thread;
+    use std::time::Duration;
 
     /// A scripted peer: accepts one connection, reads `expect` frames,
     /// then plays back `replies` verbatim. Lets the tests hand the
@@ -686,6 +728,115 @@ mod tests {
         assert_eq!(
             (seen[0].corr, seen[0].payload.as_slice()),
             (1, &b"pong"[..])
+        );
+    }
+
+    /// Sixteen 64 B CTR requests pipelined back to back: the first leaves
+    /// at once, the other fifteen wait until the client reads.
+    #[test]
+    fn pipelined_requests_wait_for_the_next_read_while_others_are_in_flight() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (signal, piped) = mpsc::channel::<()>();
+        let (report, peeked) = mpsc::channel();
+        let peer = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut corrs = vec![Frame::read_from(&mut stream).unwrap().corr];
+            piped.recv().unwrap();
+            stream.set_nonblocking(true).unwrap();
+            report
+                .send(stream.peek(&mut [0u8; 1]).map_err(|e| e.kind()))
+                .unwrap();
+            stream.set_nonblocking(false).unwrap();
+            for _ in 1..16 {
+                corrs.push(Frame::read_from(&mut stream).unwrap().corr);
+            }
+            for &corr in &corrs {
+                ok_reply(corr, vec![0u8; 64]).write_to(&mut stream).unwrap();
+            }
+            corrs
+        });
+        let mut client = Client::connect(addr).unwrap();
+        for _ in 0..16 {
+            client
+                .pipeline(Op::CtrApply, Some(&[0u8; 16]), &[0u8; 64])
+                .unwrap();
+        }
+        assert_eq!(client.in_flight(), 16);
+        signal.send(()).unwrap();
+        assert_eq!(
+            peeked.recv_timeout(Duration::from_secs(5)),
+            Ok(Err(io::ErrorKind::WouldBlock)),
+            "the peer saw more than the first request before the client read"
+        );
+        let jobs = client.collect_all().unwrap();
+        assert_eq!(jobs.len(), 16);
+        assert!(jobs
+            .iter()
+            .all(|j| j.result.as_deref() == Ok(&[0u8; 64][..])));
+        assert_eq!(peer.join().unwrap(), (1..=16).collect::<Vec<u32>>());
+    }
+
+    /// With nothing in flight there is no reply to wait for, so a
+    /// pipelined request that waited for the client's next read could
+    /// wait forever.
+    #[test]
+    fn a_lone_pipelined_request_leaves_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (arrived, seen) = mpsc::channel();
+        let peer = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let frame = Frame::read_from(&mut stream).unwrap();
+            arrived.send(frame.corr).unwrap();
+            ok_reply(frame.corr, vec![0x5A; 16])
+                .write_to(&mut stream)
+                .unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let corr = client.pipeline(Op::EcbEncrypt, None, &[0u8; 16]).unwrap();
+        assert_eq!(
+            seen.recv_timeout(Duration::from_secs(5)),
+            Ok(corr),
+            "the request did not reach the peer before the client read"
+        );
+        assert_eq!(client.collect_next().unwrap().result, Ok(vec![0x5A; 16]));
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn coalesced_requests_go_out_in_order_ahead_of_direct_writes() {
+        let replies = vec![
+            ok_reply(1, vec![1]),
+            ok_reply(2, vec![2]),
+            ok_reply(3, vec![3]),
+            ok_reply(4, b"pong".to_vec()),
+        ];
+        let (addr, server) = scripted_server(4, replies);
+        let mut client = Client::connect(addr).unwrap();
+        // Sent at once, buffered, then too large for the buffer: written
+        // directly, behind the buffered one.
+        client.pipeline(Op::EcbEncrypt, None, &[1u8; 16]).unwrap();
+        client.pipeline(Op::EcbEncrypt, None, &[2u8; 16]).unwrap();
+        client
+            .pipeline(Op::EcbEncrypt, None, &vec![3u8; 32 * 1024])
+            .unwrap();
+        assert_eq!(client.ping(b"pong").unwrap(), b"pong");
+        assert_eq!(client.collect_all().unwrap().len(), 3);
+        let seen: Vec<(u32, Vec<u8>)> = server
+            .join()
+            .unwrap()
+            .into_iter()
+            .map(|f| (f.corr, f.payload))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (1, vec![1u8; 16]),
+                (2, vec![2u8; 16]),
+                (3, vec![3u8; 32 * 1024]),
+                (4, b"pong".to_vec()),
+            ]
         );
     }
 

@@ -81,7 +81,9 @@ pub trait Transport {
     /// its correlation id. Any number of pipelined requests may be in
     /// flight; collect them with [`Transport::collect_next`] /
     /// [`Transport::collect_all`] — completions arrive in engine order,
-    /// not submission order.
+    /// not submission order. The request leaves at once when nothing is
+    /// in flight; otherwise it may wait in the client, and leaves no
+    /// later than the client's next read or write.
     ///
     /// # Errors
     ///
@@ -91,7 +93,8 @@ pub trait Transport {
     fn pipeline(&mut self, op: Op, iv: Option<&[u8; 16]>, data: &[u8]) -> Result<u32, ClientError>;
 
     /// Receives the next pipelined completion (stashed replies first,
-    /// then the wire), blocking until one arrives.
+    /// then the wire), blocking until one arrives. Requests still
+    /// waiting in the client are written before it waits.
     ///
     /// # Errors
     ///

@@ -1,7 +1,8 @@
 //! The client leaves no unwiped heap copy of a raw key.
 //!
 //! `Client::set_key` and `Transport::wrap_key` send the caller's key
-//! straight from its own slice, so no heap block ever holds it. A
+//! straight from its own slice, and only engine requests wait in the
+//! client's write buffer, so no heap block ever holds it. A
 //! global allocator scans every block as it is freed (or moved by a
 //! reallocation) for a 32-byte marker key and counts the blocks that
 //! still carry it. The peer is a bare listener that reads each frame
@@ -15,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use rijndael_service::client::Client;
-use rijndael_service::protocol::{Frame, Status, HEADER_LEN};
+use rijndael_service::protocol::{Frame, Op, Status, HEADER_LEN};
 use rijndael_service::transport::Transport;
 
 /// The length prefix and the header.
@@ -106,5 +107,29 @@ fn set_key_and_wrap_key_leave_no_unwiped_key_copy() {
         KEY_FREES.load(Ordering::Relaxed),
         0,
         "wrap_key freed heap copies of the key"
+    );
+}
+
+/// Only engine ops wait in the client's write buffer, so a key-bearing
+/// request written while one waits goes out from the caller's slice
+/// too: the buffered ECB request leaves in `set_key`'s write, and a
+/// `SET_KEY` pipelined while replies are owed is written at once.
+#[test]
+fn a_key_sent_beside_buffered_requests_leaves_no_unwiped_copy() {
+    let (addr, peer) = stack_peer(5);
+    let mut client = Client::connect(addr).unwrap();
+    client.pipeline(Op::EcbEncrypt, None, &[0u8; 16]).unwrap();
+    client.pipeline(Op::EcbEncrypt, None, &[0u8; 16]).unwrap();
+    assert_eq!(client.set_key(&KEY).unwrap(), 7);
+    client.wrap_key(&KEY).unwrap();
+    assert_eq!(client.in_flight(), 2);
+    client.pipeline(Op::SetKey, None, &KEY).unwrap();
+    assert_eq!(client.collect_all().unwrap().len(), 3);
+    drop(client);
+    peer.join().unwrap();
+    assert_eq!(
+        KEY_FREES.load(Ordering::Relaxed),
+        0,
+        "a freed heap block held the key"
     );
 }

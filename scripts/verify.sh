@@ -101,6 +101,8 @@ grep -E -q "burst p50 +[0-9.]+.{0,2}s p99 +[0-9.]+.{0,2}s" "$load_out" \
     || { echo "service_load did not report burst p50/p99" >&2; exit 1; }
 grep -E -q "dispatch p50 [0-9]+ us, p99 [0-9]+ us" "$load_out" \
     || { echo "service_load did not report event-loop p50/p99" >&2; exit 1; }
+grep -E -q "server socket calls per request: [0-9]+\.[0-9]+" "$load_out" \
+    || { echo "service_load did not report server socket calls per request" >&2; exit 1; }
 rm -f "$load_out"
 
 echo "==> cluster subsystem tests (ring, router, drain migration, node loss)"
